@@ -5,8 +5,11 @@
  * Times each structure the hot-loop speed campaign rewrote --
  * SIMD-lane cache tag scans, SoA associative-table probes, the flat
  * open-addressing frequency stack, guided Zipf sampling, the flat
- * page-table fast path, and batched workload generation -- in
- * million operations per wall second. Working sets and key streams
+ * page-table fast path, and batched workload generation -- plus the
+ * miss-path model structures: prediction-table lookup and RLFU
+ * install, Morrigan's miss handling, prefetch-buffer insert/lookup
+ * and demand page walks. Everything is reported in million
+ * operations per wall second. Working sets and key streams
  * are sized so the numbers track the structures as the simulator
  * actually drives them (cache-resident tables, skewed keys), not a
  * best-case fit in the host L1.
@@ -23,9 +26,14 @@
 #include "common/telemetry.hh"
 #include "common/zipf.hh"
 #include "core/frequency_stack.hh"
+#include "core/morrigan.hh"
+#include "core/prediction_table.hh"
 #include "mem/cache_model.hh"
+#include "mem/memory_hierarchy.hh"
+#include "tlb/prefetch_buffer.hh"
 #include "tlb/tlb.hh"
 #include "vm/page_table.hh"
+#include "vm/walker.hh"
 #include "workload/server_workload.hh"
 
 using namespace morrigan;
@@ -167,6 +175,97 @@ workloadNextBlock(std::uint64_t ops)
     return sum;
 }
 
+/** Prediction-table (PRT) hits over a fully installed 128-entry
+ * table. */
+double
+prtLookup(std::uint64_t ops)
+{
+    FrequencyStack freq(0);
+    Rng rng(1);
+    PredictionTable t({"t", 128, 32, 2}, ReplacementPolicy::Rlfu,
+                      freq, rng);
+    for (Vpn v = 0; v < 128; ++v)
+        t.install(0x1000 + v, {});
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < ops; ++i)
+        sum += t.lookup(0x1000 + (i & 127)) != nullptr;
+    return sum;
+}
+
+/** PRT installs of ever-new pages: every one past the first 128
+ * evicts an RLFU victim. */
+double
+prtInstallRlfu(std::uint64_t ops)
+{
+    FrequencyStack freq(8192);
+    Rng rng(1);
+    PredictionTable t({"t", 128, 32, 2}, ReplacementPolicy::Rlfu,
+                      freq, rng);
+    std::uint64_t sum = 0;
+    for (std::uint64_t v = 0; v < ops; ++v) {
+        freq.recordMiss(v);
+        sum += t.install(v, {});
+    }
+    return sum;
+}
+
+/** Morrigan's iSTLB-miss handling (train + predict) over a
+ * 512-page miss stream. */
+double
+morriganMiss(std::uint64_t ops)
+{
+    MorriganPrefetcher m{MorriganParams{}};
+    std::vector<PrefetchRequest> out;
+    Rng rng(2);
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        out.clear();
+        m.onInstrStlbMiss(0x4000 + rng.below(512), 0, 0, out);
+        sum += out.size();
+    }
+    return sum;
+}
+
+/** Prefetch-buffer insert followed by a lookup of an entry
+ * inserted eight operations earlier. */
+double
+pbInsertLookup(std::uint64_t ops)
+{
+    PrefetchBuffer pb(64, 2);
+    std::uint64_t sum = 0;
+    for (Vpn v = 0; v < ops; ++v) {
+        PbEntry e;
+        e.pfn = v;
+        pb.insert(v & 255, e);
+        sum += pb.lookupAndConsume((v - 8) & 255, v).hit;
+    }
+    return sum;
+}
+
+/** Demand page walks over a 4096-page mapped range through the
+ * data-side memory hierarchy. */
+double
+pageWalk(std::uint64_t ops)
+{
+    PhysMem phys(1 << 20, 1);
+    PageTable pt(phys);
+    MemoryHierarchyParams mp;
+    mp.l2Prefetcher = false;
+    MemoryHierarchy mem(mp);
+    WalkerParams wp;
+    PageTableWalker walker(wp, pt, mem);
+    pt.mapRange(0x1000, 4096);
+    Rng rng(3);
+    Cycle now = 0;
+    std::uint64_t sum = 0;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        Vpn vpn = 0x1000 + rng.below(4096);
+        sum += walker.walk(vpn, WalkKind::Demand, now, true).memRefs;
+        now += 200;
+    }
+    return sum;
+}
+
 } // namespace
 
 int
@@ -189,5 +288,15 @@ main()
         "flat-map 4K/2M translate with miss share");
     row("workload-nextblock", mops(20'000'000, workloadNextBlock),
         "Mop/s", "batched server-workload generation");
+    row("prt-lookup", mops(20'000'000, prtLookup), "Mop/s",
+        "128-entry prediction-table hit");
+    row("prt-install-rlfu", mops(1'000'000, prtInstallRlfu), "Mop/s",
+        "prediction-table install with RLFU victim");
+    row("morrigan-miss", mops(500'000, morriganMiss), "Mop/s",
+        "Morrigan iSTLB-miss train + predict");
+    row("pb-insert-lookup", mops(2'000'000, pbInsertLookup), "Mop/s",
+        "64-entry PB insert + lookup-and-consume");
+    row("page-walk", mops(4'000'000, pageWalk), "Mop/s",
+        "demand page walk through the memory hierarchy");
     return 0;
 }

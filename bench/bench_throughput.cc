@@ -14,15 +14,15 @@
  * fails -- faster is always fine, and machine-to-machine variance is
  * absorbed by the ratio floor.
  *
- * Cells run through executeJob() directly (no result cache, no run
- * pool) so every measurement simulates for real; each is best-of-2 to
- * shave scheduler noise.
+ * Cells run through executeJob() directly (no result cache, no
+ * supervisor) so every measurement simulates for real; each is
+ * best-of-2 to shave scheduler noise.
  */
 
 #include "bench_util.hh"
 
 #include "common/telemetry.hh"
-#include "sim/run_pool.hh"
+#include "sim/job.hh"
 
 using namespace morrigan;
 using namespace morrigan::bench;

@@ -13,7 +13,6 @@
 #include "common/snapshot.hh"
 #include "common/telemetry.hh"
 #include "sim/result_cache.hh"
-#include "sim/run_pool.hh"
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 

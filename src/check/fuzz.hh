@@ -80,7 +80,7 @@ struct FuzzOptions
      * corruption -- the campaign validates the checker itself.
      */
     std::uint64_t injectPeriod = 0;
-    /** Worker threads (0 = RunPool default). */
+    /** Worker threads (0 = defaultJobs()). */
     unsigned jobs = 0;
     /** Directory for failing-seed repro artifacts; empty disables. */
     std::string artifactDir;
@@ -207,7 +207,7 @@ std::string reproCommand(std::uint64_t seed, const FuzzOptions &opt);
 
 /**
  * Run the campaign: sample every seed, fan the run families out
- * across the RunPool, evaluate the invariants, and (when
+ * through the Supervisor, evaluate the invariants, and (when
  * opt.artifactDir is set) write one repro artifact per failing
  * seed. Progress and failures are narrated to @p log when given.
  */

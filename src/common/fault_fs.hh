@@ -27,8 +27,8 @@
  *
  * When both write faults are armed, enospc fires first. Only the
  * durability paths route their I/O through this shim; the sandbox
- * result pipes and the service socket deliberately do not (fault
- * injection there would test the shim, not the recovery story).
+ * result pipes deliberately do not (fault injection there would
+ * test the shim, not the recovery story).
  * Unarmed (the default), each hook is one relaxed atomic load.
  */
 

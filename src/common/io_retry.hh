@@ -3,15 +3,15 @@
  * EINTR-retrying wrappers for the blocking syscalls the campaign
  * infrastructure leans on.
  *
- * The supervisor's sandbox scheduler, the journal, the snapshot
- * subsystem and the campaign service all sit in loops of
- * read/write/poll/waitpid. Any of those can return EINTR when a
- * harmless signal (SIGCHLD from an unrelated child, a profiler's
- * SIGPROF, a debugger attach) lands mid-call; a site that forgets
- * the retry turns such a signal into a spurious job failure or a
- * torn protocol exchange. Every blocking call in those subsystems
- * goes through these helpers so the retry policy lives in exactly
- * one place (and the EINTR audit is a grep for raw `::read(` etc.).
+ * The supervisor's sandbox scheduler, the journal and the snapshot
+ * subsystem all sit in loops of read/write/poll/waitpid. Any of
+ * those can return EINTR when a harmless signal (SIGCHLD from an
+ * unrelated child, a profiler's SIGPROF, a debugger attach) lands
+ * mid-call; a site that forgets the retry turns such a signal into a
+ * spurious job failure or a torn sandbox result. Every blocking call
+ * in those subsystems goes through these helpers so the retry policy
+ * lives in exactly one place (and the EINTR audit is a grep for raw
+ * `::read(` etc.).
  *
  * These wrappers retry EINTR and nothing else: real errors come
  * back to the caller with errno intact. They never inject faults --
@@ -23,7 +23,6 @@
 #define MORRIGAN_COMMON_IO_RETRY_HH
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -97,17 +96,6 @@ pollRetry(pollfd *fds, nfds_t nfds, int timeout_ms)
     int r;
     do {
         r = ::poll(fds, nfds, timeout_ms);
-    } while (r < 0 && errno == EINTR);
-    return r;
-}
-
-/** ::accept, retried on EINTR. */
-inline int
-acceptRetry(int fd, sockaddr *addr, socklen_t *len)
-{
-    int r;
-    do {
-        r = ::accept(fd, addr, len);
     } while (r < 0 && errno == EINTR);
     return r;
 }

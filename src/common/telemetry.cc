@@ -153,9 +153,6 @@ phaseName(Phase p)
       case Phase::SandboxSpawn: return "sandbox_spawn";
       case Phase::SandboxWait: return "sandbox_wait";
       case Phase::RetryBackoff: return "retry_backoff";
-      case Phase::ServiceRequest: return "service_request";
-      case Phase::ServiceCampaign: return "service_campaign";
-      case Phase::ServiceDrain: return "service_drain";
     }
     return "unknown";
 }
@@ -174,9 +171,6 @@ counterName(Counter c)
       case Counter::Fsyncs: return "fsyncs";
       case Counter::TraceEventsDropped:
         return "trace_events_dropped";
-      case Counter::ServiceSubmits: return "service_submits";
-      case Counter::ServiceBusyRejections:
-        return "service_busy_rejections";
       case Counter::FsFaultsInjected: return "fs_faults_injected";
     }
     return "unknown";

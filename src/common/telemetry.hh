@@ -5,7 +5,7 @@
  * Answers "where does the *simulator's own* wall-clock go?" — the
  * attribution layer ROADMAP item 1's hot-loop speed campaign needs
  * before any rewrite, and the metrics source the campaign
- * infrastructure (RunPool, supervisor, caches, snapshots) reports
+ * infrastructure (supervisor, caches, snapshots) reports
  * through progress lines and --stats-json.
  *
  * Three primitives:
@@ -39,7 +39,7 @@
  * Thread safety: all mutable state lives in thread-local blocks
  * registered with a global registry; aggregation (snapshot(), trace
  * export) walks the registry under its mutex and reads the slots with
- * relaxed atomics. Threads that exit (RunPool workers) merge their
+ * relaxed atomics. Threads that exit (supervisor workers) merge their
  * totals into a retired pool first, so nothing is lost.
  *
  * Determinism contract: telemetry is write-only observation — nothing
@@ -82,7 +82,7 @@ enum class Phase : std::uint8_t {
     CheckpointSave,  //!< periodic checkpoint serialization + publish
 
     // Campaign infrastructure.
-    WorkerRun,       //!< RunPool worker executing one job end to end
+    WorkerRun,       //!< supervisor worker executing one job end to end
     CacheLookup,     //!< result-cache lookup (memory + disk tiers)
     CacheInsert,     //!< result-cache insert (memory + disk write)
     SnapshotWrite,   //!< snapshot serialize-to-file + fsync + rename
@@ -91,14 +91,9 @@ enum class Phase : std::uint8_t {
     SandboxSpawn,    //!< supervisor fork/exec of a sandboxed job
     SandboxWait,     //!< supervisor poll/reap of sandboxed children
     RetryBackoff,    //!< supervisor backoff sleep before a retry
-
-    // Campaign service (morrigan-serve).
-    ServiceRequest,  //!< parse + answer one client request line
-    ServiceCampaign, //!< drive one admitted campaign to completion
-    ServiceDrain,    //!< graceful drain after SIGTERM
 };
 
-inline constexpr std::size_t phaseCount = 20;
+inline constexpr std::size_t phaseCount = 17;
 
 /** Stable snake_case name of @p p (JSON keys, trace event names). */
 const char *phaseName(Phase p);
@@ -113,12 +108,10 @@ enum class Counter : std::uint8_t {
     SnapshotBytesRead,
     Fsyncs,               //!< fsync/fdatasync calls issued
     TraceEventsDropped,   //!< events discarded at the per-thread cap
-    ServiceSubmits,       //!< campaign submissions admitted
-    ServiceBusyRejections,//!< submissions bounced with BUSY
     FsFaultsInjected,     //!< faults injected by MORRIGAN_FAULT_FS
 };
 
-inline constexpr std::size_t counterCount = 11;
+inline constexpr std::size_t counterCount = 9;
 
 /** Stable snake_case name of @p c. */
 const char *counterName(Counter c);

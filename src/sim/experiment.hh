@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/prefetcher_registry.hh"
-#include "sim/run_pool.hh"
 #include "sim/supervisor.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
@@ -39,7 +38,7 @@ SimResult runSmtPair(const SimConfig &cfg, TlbPrefetcher *prefetcher,
                      const ServerWorkloadParams &a,
                      const ServerWorkloadParams &b);
 
-// --- batch API (parallel, cached; see sim/run_pool.hh) ---
+// --- batch API (parallel, cached; see sim/supervisor.hh) ---
 
 /**
  * Run a heterogeneous batch under the campaign supervisor (result

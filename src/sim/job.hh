@@ -1,33 +1,27 @@
 /**
  * @file
- * Parallel experiment runner.
+ * One simulation job and how to execute it.
  *
- * Simulation campaigns are embarrassingly parallel: every run is a
- * deterministic function of (SimConfig, prefetcher spec,
- * ServerWorkloadParams), with no shared mutable state between runs
- * (each job constructs its own Simulator, workload generator, RNG
- * streams and prefetcher). RunPool fans a batch of ExperimentJobs
- * out across std::thread workers and returns the SimResults in
- * submission order, bit-identical to serial execution regardless of
- * the worker count.
+ * Every run is a deterministic function of (SimConfig, prefetcher
+ * spec, ServerWorkloadParams), with no shared mutable state between
+ * runs: each job constructs its own Simulator, workload generator,
+ * RNG streams and prefetcher. executeJob() runs one job on the
+ * calling thread; batches go through the Supervisor
+ * (sim/supervisor.hh), whose results are therefore bit-identical to
+ * serial execution regardless of the worker count.
  *
- * Worker count: the `--jobs` flag / RunPool::setDefaultJobs() when
- * given, else the MORRIGAN_JOBS environment variable (validated:
- * junk or zero is fatal), else std::thread::hardware_concurrency().
- *
- * Batches flow through the process-wide ResultCache: cacheable jobs
- * (registry-spec prefetcher, no miss-stream collection) that repeat a
- * key — within a batch or across batches — are simulated once per
- * process, which is what keeps every bench figure from re-running
- * the shared no-prefetching baseline suite.
+ * Worker count: SupervisorOptions::jobs (the `--jobs` flag) when
+ * set, else defaultJobs(): the MORRIGAN_JOBS environment variable
+ * (validated: junk or zero is fatal), else
+ * std::thread::hardware_concurrency().
  */
 
-#ifndef MORRIGAN_SIM_RUN_POOL_HH
-#define MORRIGAN_SIM_RUN_POOL_HH
+#ifndef MORRIGAN_SIM_JOB_HH
+#define MORRIGAN_SIM_JOB_HH
 
 #include <functional>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "core/prefetcher_registry.hh"
 #include "sim/sim_config.hh"
@@ -85,18 +79,6 @@ struct ExperimentJob
                 const ServerWorkloadParams &a,
                 const ServerWorkloadParams &b);
 
-    /**
-     * Observation only, never part of the experiment key: when
-     * intervalEvery > 0 the executing simulator attaches an interval
-     * sampler and streams each epoch as JSONL into intervalOutPath
-     * (truncating any previous file). Jobs served from the result
-     * cache or replayed from a campaign journal do not execute, so
-     * they produce no interval file -- the campaign service forwards
-     * whatever epochs exist and nothing else.
-     */
-    std::uint64_t intervalEvery = 0;
-    std::string intervalOutPath;
-
     /** Whether the job's result can be memoised by key. Checked and
      * fault-injected runs are excluded: their value is in the check
      * being re-executed (and their mismatch report is not part of
@@ -136,7 +118,7 @@ struct JobExecutionOptions
     std::string warmupImagePath;
 };
 
-/** Execute one job on the calling thread (no pool, no cache). */
+/** Execute one job on the calling thread (no scheduler, no cache). */
 ExperimentOutput executeJob(const ExperimentJob &job,
                             const JobExecutionOptions &opts = {});
 
@@ -146,54 +128,9 @@ ExperimentOutput executeJob(const ExperimentJob &job,
  */
 unsigned parseJobsValue(const char *what, const char *s);
 
-/** Resolved default worker count (override > env > hardware). */
+/** Default worker count: MORRIGAN_JOBS, else hardware concurrency. */
 unsigned defaultJobs();
-
-/** The worker pool. */
-class RunPool
-{
-  public:
-    /**
-     * @param jobs Worker count; 0 defers to defaultJobs(), resolved
-     * per batch so a later setDefaultJobs() takes effect.
-     * @param use_cache Route cacheable jobs through
-     * ResultCache::global(). Tests disable this to force execution.
-     */
-    explicit RunPool(unsigned jobs = 0, bool use_cache = true);
-
-    /** Worker count the next batch would use. */
-    unsigned jobs() const;
-
-    /** Run a batch; SimResults in submission order. */
-    std::vector<SimResult>
-    run(const std::vector<ExperimentJob> &batch);
-
-    /** Run a batch keeping the full outputs (miss streams). */
-    std::vector<ExperimentOutput>
-    runAll(const std::vector<ExperimentJob> &batch);
-
-    /** The process-wide pool the batch helpers use. */
-    static RunPool &global();
-
-    /** Override the process default worker count (the --jobs flag);
-     * 0 restores env/hardware resolution. */
-    static void setDefaultJobs(unsigned jobs);
-
-    /**
-     * Directory for warmup images, resolved per batch: the override
-     * set here wins, else the MORRIGAN_WARMUP_CACHE environment
-     * variable, else warmup imaging is off. Cacheable jobs in a
-     * batch then restore/publish snapshots keyed by warmupKey(), so
-     * a sweep warms each (workload, prefetcher, system) once.
-     */
-    static void setWarmupImageDir(std::string dir);
-    static std::string warmupImageDir();
-
-  private:
-    unsigned requestedJobs_;
-    bool useCache_;
-};
 
 } // namespace morrigan
 
-#endif // MORRIGAN_SIM_RUN_POOL_HH
+#endif // MORRIGAN_SIM_JOB_HH

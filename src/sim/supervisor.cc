@@ -414,6 +414,8 @@ SupervisorOptions::fromEnv()
         o.journalPath = e;
     if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_DIR"))
         o.checkpointDir = e;
+    if (const char *e = std::getenv("MORRIGAN_WARMUP_CACHE"))
+        o.warmupImageDir = e;
     if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_EVERY"))
         o.checkpointEveryInstructions =
             parseEnvU64("MORRIGAN_CHECKPOINT_EVERY", e, 1,
@@ -747,17 +749,16 @@ Supervisor::jobOptions(const ExperimentJob &job,
                               "/morrigan-ckpt-" + buf + ".snap";
         opts.checkpointEvery = opt_.checkpointEveryInstructions;
     }
-    const std::string warmup_dir = RunPool::warmupImageDir();
-    if (!warmup_dir.empty()) {
+    if (!opt_.warmupImageDir.empty()) {
         std::error_code ec;
-        std::filesystem::create_directories(warmup_dir, ec);
+        std::filesystem::create_directories(opt_.warmupImageDir, ec);
         std::snprintf(
             buf, sizeof(buf), "%016llx",
             static_cast<unsigned long long>(cacheKeyDigest(
                 warmupKey(job.cfg, job.kind, job.workload,
                           job.smt ? &job.smtWorkload : nullptr))));
         opts.warmupImagePath =
-            warmup_dir + "/morrigan-warm-" + buf + ".snap";
+            opt_.warmupImageDir + "/morrigan-warm-" + buf + ".snap";
     }
     return opts;
 }
@@ -790,17 +791,11 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
     std::vector<std::pair<std::size_t, std::size_t>> copies;
     std::vector<bool> is_copy(batch.size(), false);
     std::vector<std::size_t> work;
-    auto settled = [&](std::size_t i) {
-        if (opt_.onJobSettled)
-            opt_.onJobSettled(i, out[i]);
-    };
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const ExperimentJob &job = batch[i];
         keys[i] = jobKey(job);
-        if (!keys[i].empty() && journal.lookup(keys[i], out[i])) {
-            settled(i);
+        if (!keys[i].empty() && journal.lookup(keys[i], out[i]))
             continue;
-        }
         if (opt_.useCache && job.cacheable() &&
             cache.lookup(keys[i], out[i].output.result)) {
             out[i].status = RunStatus::Ok;
@@ -808,7 +803,6 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
             out[i].attempts = 0;
             if (journal.enabled())
                 journal.record(keys[i], out[i]);
-            settled(i);
             continue;
         }
         if (job.cacheable()) {
@@ -827,16 +821,10 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
     // campaign killed mid-flight resumes with every finished job.
     PublishFn publish = [&](std::size_t i) {
         const RunOutcome &o = out[i];
-        // Drain cancellations are settled but never published: the
-        // cancellation must not be replayed as a terminal failure by
-        // the campaign that resumes this journal.
-        if (!o.canceled) {
-            if (o.ok() && opt_.useCache && batch[i].cacheable())
-                cache.insert(keys[i], o.output.result);
-            if (!keys[i].empty() && journal.enabled())
-                journal.record(keys[i], o);
-        }
-        settled(i);
+        if (o.ok() && opt_.useCache && batch[i].cacheable())
+            cache.insert(keys[i], o.output.result);
+        if (!keys[i].empty() && journal.enabled())
+            journal.record(keys[i], o);
     };
 
     if (opt_.isolate) {
@@ -856,9 +844,13 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
         runThreaded(batch, work, keys, out, publish);
     }
 
+    // A copy carries the representative's result, but it was not
+    // simulated for this job: attempts == 0 says so, as for a cache
+    // hit.
     for (const auto &[dst, src] : copies) {
         out[dst] = out[src];
-        settled(dst);
+        out[dst].attempts = 0;
+        out[dst].durationMs = 0;
     }
 
     // Every job that ends this campaign without a result -- fresh
@@ -881,15 +873,6 @@ Supervisor::superviseInline(const ExperimentJob &job,
     RunOutcome o;
     for (unsigned attempt = 1; attempt <= opt_.maxAttempts;
          ++attempt) {
-        if (opt_.stopRequested && opt_.stopRequested()) {
-            o.status = RunStatus::Failed;
-            o.canceled = true;
-            o.attempts = attempt - 1;
-            o.failure.status = RunStatus::Failed;
-            o.failure.what = "canceled by drain";
-            o.failure.repro = jobReproCommand(job);
-            return o;
-        }
         if (attempt > 1) {
             telemetry::ScopedSpan span(
                 telemetry::Phase::RetryBackoff);
@@ -990,18 +973,12 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
         meter.jobDone(jobInstructionBudget(batch[idx]));
     };
 
-    auto draining = [&] {
-        return opt_.stopRequested && opt_.stopRequested();
-    };
-
     while (!pending.empty() || !active.empty()) {
         Clock::time_point now = Clock::now();
 
-        // Launch every eligible attempt a free worker slot can
-        // take -- none once a drain is requested.
+        // Launch every eligible attempt a free worker slot can take.
         for (auto it = pending.begin();
-             !draining() && it != pending.end() &&
-             active.size() < nthreads;) {
+             it != pending.end() && active.size() < nthreads;) {
             if (it->notBefore > now) {
                 ++it;
                 continue;
@@ -1045,7 +1022,7 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
         Clock::time_point next = Clock::time_point::max();
         for (const Active &a : active)
             next = std::min(next, a.deadline);
-        if (!draining() && active.size() < nthreads)
+        if (active.size() < nthreads)
             for (const PendingAttempt &p : pending)
                 next = std::min(next, p.notBefore);
         {
@@ -1110,22 +1087,6 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
             } else {
                 ++it;
             }
-        }
-
-        // Drain: once every in-flight attempt has finished, settle
-        // whatever never got to start as canceled (not journaled).
-        if (draining() && active.empty()) {
-            for (const PendingAttempt &p : pending) {
-                RunOutcome &o = out[p.idx];
-                o.status = RunStatus::Failed;
-                o.canceled = true;
-                o.attempts = p.attempt - 1;
-                o.failure.status = RunStatus::Failed;
-                o.failure.what = "canceled by drain";
-                o.failure.repro = jobReproCommand(batch[p.idx]);
-                publish(p.idx);
-            }
-            pending.clear();
         }
         meter.maybePrint(active.size());
     }
@@ -1247,20 +1208,14 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
         }
     };
 
-    auto draining = [&] {
-        return opt_.stopRequested && opt_.stopRequested();
-    };
-
     while (!pending.empty() || !children.empty()) {
         Clock::time_point now = Clock::now();
 
-        // Fork every eligible attempt a free slot can take (none
-        // once a drain is requested). The scheduler itself stays
-        // single-threaded, so fork() never races another of our
-        // threads holding a lock.
+        // Fork every eligible attempt a free slot can take. The
+        // scheduler itself stays single-threaded, so fork() never
+        // races another of our threads holding a lock.
         for (auto it = pending.begin();
-             !draining() && it != pending.end() &&
-             children.size() < nchildren;) {
+             it != pending.end() && children.size() < nchildren;) {
             if (it->notBefore > now) {
                 ++it;
                 continue;
@@ -1321,15 +1276,11 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
         for (const Child &c : children)
             if (!c.watchdogKilled)
                 next = std::min(next, c.deadline);
-        if (!draining() && children.size() < nchildren)
+        if (children.size() < nchildren)
             for (const PendingAttempt &p : pending)
                 next = std::min(next, p.notBefore);
         int poll_ms = -1;
-        if (fds.empty() && next == Clock::time_point::max()) {
-            // Only reachable mid-drain (otherwise something would
-            // be launchable): fall through to the cancel step.
-            poll_ms = 0;
-        } else if (next != Clock::time_point::max()) {
+        if (next != Clock::time_point::max()) {
             auto delta =
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     next - Clock::now())
@@ -1377,22 +1328,6 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
                 }
                 ++it;
             }
-        }
-
-        // Drain: with every child reaped, settle what never
-        // launched as canceled (not journaled; see runThreaded).
-        if (draining() && children.empty()) {
-            for (const PendingAttempt &p : pending) {
-                RunOutcome &o = out[p.idx];
-                o.status = RunStatus::Failed;
-                o.canceled = true;
-                o.attempts = p.attempt - 1;
-                o.failure.status = RunStatus::Failed;
-                o.failure.what = "canceled by drain";
-                o.failure.repro = jobReproCommand(batch[p.idx]);
-                publish(p.idx);
-            }
-            pending.clear();
         }
         meter.maybePrint(children.size());
     }

@@ -2,9 +2,13 @@
  * @file
  * Fault-isolated campaign supervisor.
  *
- * RunPool answers "run these jobs fast"; the Supervisor answers
- * "run this campaign to completion no matter what individual jobs
- * do". It wraps every ExperimentJob in a fault boundary:
+ * Every batch -- sweeps, figure benches, the tournament, fuzz
+ * families -- runs through Supervisor::run(). It plans the batch
+ * (journal replays, ResultCache hits, one representative per repeated
+ * cacheable key), fans the remaining jobs out across worker threads
+ * or sandboxed children, and returns outcomes in submission order,
+ * bit-identical to serial execution for any worker count. Around
+ * every ExperimentJob it draws a fault boundary:
  *
  *  - exceptions (and, in sandbox mode, SIGSEGV/SIGABRT/OOM kills)
  *    in one job are captured as a per-job failure instead of
@@ -49,7 +53,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/run_pool.hh"
+#include "sim/job.hh"
 
 namespace morrigan
 {
@@ -81,20 +85,17 @@ struct RunOutcome
     RunStatus status = RunStatus::Ok;
     ExperimentOutput output; //!< valid iff status == Ok
     RunFailure failure;      //!< valid iff status != Ok
-    /** Executions performed: 0 for cache hits; journal replays
-     * keep the recording campaign's count. */
+    /** Executions performed: 0 for cache hits and in-batch copies
+     * of a repeated key (so 0 means "not simulated for this job");
+     * journal replays keep the recording campaign's count. */
     unsigned attempts = 1;
     /** Wall-clock time of the *final* attempt in ms (0 for cache
-     * hits; journal replays keep the recording campaign's value), so
-     * post-mortems can tell slow jobs from hung ones. */
+     * hits and in-batch copies; journal replays keep the recording
+     * campaign's value), so post-mortems can tell slow jobs from
+     * hung ones. */
     std::uint64_t durationMs = 0;
     bool fromJournal = false;
     bool fromCache = false;
-    /** Settled by a drain request before it could run: reported to
-     * the caller as a failure but never journaled, so a resumed
-     * campaign reruns the job instead of replaying the
-     * cancellation. */
-    bool canceled = false;
     /** Structural invariant violations observed inside a sandboxed
      * child (merged into the parent's count by the fuzzer). */
     std::uint64_t structuralViolations = 0;
@@ -139,6 +140,16 @@ struct SupervisorOptions
     std::uint64_t checkpointEveryInstructions = 1'000'000;
 
     /**
+     * Directory for warmup images; empty disables them. Cacheable
+     * jobs restore (or, when absent, publish) a snapshot taken at
+     * the warmup->measurement transition, keyed by warmupKey(), so
+     * a sweep warms each (workload, prefetcher, system) once.
+     * Concurrent writers of one key are benign: publication is
+     * atomic and every writer produces the identical image.
+     */
+    std::string warmupImageDir;
+
+    /**
      * Emit a campaign progress line to stderr at most every this
      * many ms (jobs done/running/retried, result-cache hit rate,
      * aggregate simulated instrs/sec, ETA); 0 disables. Observation
@@ -152,34 +163,11 @@ struct SupervisorOptions
     /** Route cacheable jobs through ResultCache::global(). */
     bool useCache = true;
 
-    /**
-     * Drain hook, polled by the schedulers between launches. Once
-     * it returns true, no further attempt (first try or retry) is
-     * started: in-flight attempts run to completion and are
-     * journaled as usual, and every still-pending job settles as a
-     * Failed outcome with "canceled by drain" -- deliberately NOT
-     * journaled, so a later campaign with the same journal reruns
-     * those jobs instead of replaying the cancellation. Null (the
-     * default) never drains.
-     */
-    std::function<bool()> stopRequested;
-
-    /**
-     * Observation hook invoked the moment a job's outcome is final
-     * (executed, replayed from the journal, served from the cache,
-     * copied from an in-batch duplicate, or canceled by drain),
-     * with the job's batch index. Called from the scheduler thread;
-     * it must not re-enter the Supervisor. The campaign service
-     * uses this to stream per-job outcomes to clients while the
-     * batch is still running.
-     */
-    std::function<void(std::size_t, const RunOutcome &)> onJobSettled;
-
     /** Resolve MORRIGAN_ISOLATE / MORRIGAN_JOB_TIMEOUT (seconds) /
      * MORRIGAN_JOB_RETRIES / MORRIGAN_JOURNAL /
-     * MORRIGAN_CHECKPOINT_DIR / MORRIGAN_CHECKPOINT_EVERY /
-     * MORRIGAN_PROGRESS_MS on top of defaults; junk values are
-     * fatal. */
+     * MORRIGAN_CHECKPOINT_DIR / MORRIGAN_WARMUP_CACHE /
+     * MORRIGAN_CHECKPOINT_EVERY / MORRIGAN_PROGRESS_MS on top of
+     * defaults; junk values are fatal. */
     static SupervisorOptions fromEnv();
 };
 
@@ -289,6 +277,10 @@ class Supervisor
      * submission order. Never throws for job-level faults. */
     std::vector<RunOutcome> run(const std::vector<ExperimentJob> &batch);
 
+    /** Resolved worker count: SupervisorOptions::jobs, else
+     * defaultJobs(). */
+    unsigned jobs() const;
+
     /**
      * Process-wide default policy: fromEnv(), overridden by
      * setDefaultOptions() (the CLI flags). runBatch() and the other
@@ -301,8 +293,6 @@ class Supervisor
   private:
     /** Stable identity for cache + journal; "" = anonymous. */
     std::string jobKey(const ExperimentJob &job) const;
-
-    unsigned jobs() const;
 
     /** Checkpoint/warmup knobs for one execution of @p job; empty
      * paths when checkpointing is off or the job is not eligible. */

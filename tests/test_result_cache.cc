@@ -2,8 +2,9 @@
  * @file
  * ResultCache tests: key construction, hit/miss accounting, the
  * "baselines simulated at most once per process" guarantee through
- * RunPool, JSON round-trips, and on-disk cache behaviour (including
- * corrupt and stale files, which must be ignored, never fatal).
+ * the Supervisor, JSON round-trips, and on-disk cache behaviour
+ * (including corrupt and stale files, which must be ignored, never
+ * fatal).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,7 @@
 #include "core/morrigan.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
-#include "sim/run_pool.hh"
+#include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
 using namespace morrigan;
@@ -215,6 +216,32 @@ TEST(ResultCache, HitMissAccounting)
     EXPECT_EQ(cache.counts().hits, 0u);
 }
 
+namespace
+{
+
+/** A cached scheduler, as the figure benches use it. */
+Supervisor
+cachedSupervisor(unsigned jobs)
+{
+    SupervisorOptions opt;
+    opt.jobs = jobs;
+    opt.useCache = true;
+    return Supervisor(opt);
+}
+
+std::vector<SimResult>
+resultsOf(const std::vector<RunOutcome> &outcomes)
+{
+    std::vector<SimResult> results;
+    for (const RunOutcome &o : outcomes) {
+        EXPECT_TRUE(o.ok()) << o.failure.what;
+        results.push_back(o.output.result);
+    }
+    return results;
+}
+
+} // namespace
+
 TEST(ResultCache, BaselineSimulatedOncePerProcess)
 {
     // The acceptance criterion: identical cacheable jobs are
@@ -228,36 +255,55 @@ TEST(ResultCache, BaselineSimulatedOncePerProcess)
     std::vector<ServerWorkloadParams> suite = {qmmWorkloadParams(0),
                                                qmmWorkloadParams(1)};
 
-    RunPool pool(2, /*use_cache=*/true);
+    Supervisor sup = cachedSupervisor(2);
     std::vector<ExperimentJob> batch;
     for (const ServerWorkloadParams &wl : suite)
         batch.push_back(
             ExperimentJob::of(cfg, "none", wl));
 
-    std::vector<SimResult> first = pool.run(batch);
+    std::vector<RunOutcome> first_out = sup.run(batch);
+    std::vector<SimResult> first = resultsOf(first_out);
     ResultCache::Counts c = cache.counts();
     EXPECT_EQ(c.inserts, 2u);
     EXPECT_EQ(c.hits, 0u);
     EXPECT_EQ(c.misses, 2u);
+    for (const RunOutcome &o : first_out) {
+        EXPECT_FALSE(o.fromCache);
+        EXPECT_EQ(o.attempts, 1u);
+    }
 
     // Second figure asking for the same baseline: all hits, nothing
     // new simulated.
-    std::vector<SimResult> second = pool.run(batch);
+    std::vector<RunOutcome> second_out = sup.run(batch);
+    std::vector<SimResult> second = resultsOf(second_out);
     c = cache.counts();
     EXPECT_EQ(c.inserts, 2u);
     EXPECT_EQ(c.hits, 2u);
     EXPECT_EQ(c.misses, 2u);
-    for (std::size_t i = 0; i < first.size(); ++i)
+    for (std::size_t i = 0; i < first.size(); ++i) {
         expectSameResult(first[i], second[i]);
+        EXPECT_TRUE(second_out[i].fromCache);
+        EXPECT_EQ(second_out[i].attempts, 0u);
+        EXPECT_EQ(second_out[i].durationMs, 0u);
+    }
 
-    // In-batch duplicates also collapse to one simulation.
+    // In-batch duplicates also collapse to one simulation, and only
+    // the representative reports an execution: the copies say
+    // attempts == 0 (not simulated for this job) and took no time.
     cache.clear();
     std::vector<ExperimentJob> dup = {batch[0], batch[0], batch[0]};
-    std::vector<SimResult> results = pool.run(dup);
+    std::vector<RunOutcome> dup_out = sup.run(dup);
+    std::vector<SimResult> results = resultsOf(dup_out);
     c = cache.counts();
     EXPECT_EQ(c.inserts, 1u);
     expectSameResult(results[0], results[1]);
     expectSameResult(results[0], results[2]);
+    EXPECT_EQ(dup_out[0].attempts, 1u);
+    for (std::size_t i = 1; i < dup_out.size(); ++i) {
+        EXPECT_EQ(dup_out[i].attempts, 0u);
+        EXPECT_EQ(dup_out[i].durationMs, 0u);
+        EXPECT_FALSE(dup_out[i].fromCache);
+    }
 
     cache.clear();
 }
@@ -277,9 +323,14 @@ TEST(ResultCache, FactoryJobsBypassTheCache)
         qmmWorkloadParams(0));
     EXPECT_FALSE(job.cacheable());
 
-    RunPool pool(1, /*use_cache=*/true);
-    pool.run({job});
-    pool.run({job});
+    Supervisor sup = cachedSupervisor(1);
+    for (int pass = 0; pass < 2; ++pass) {
+        std::vector<RunOutcome> out = sup.run({job});
+        ASSERT_EQ(out.size(), 1u);
+        EXPECT_TRUE(out[0].ok());
+        EXPECT_FALSE(out[0].fromCache);
+        EXPECT_EQ(out[0].attempts, 1u);
+    }
     const ResultCache::Counts c = cache.counts();
     EXPECT_EQ(c.hits, 0u);
     EXPECT_EQ(c.misses, 0u);

@@ -31,7 +31,6 @@
 #include "mem/cache_model.hh"
 #include "sim/interval_sampler.hh"
 #include "sim/result_cache.hh"
-#include "sim/run_pool.hh"
 #include "sim/simulator.hh"
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
@@ -537,15 +536,19 @@ TEST(Snapshot, WarmupImageReuseBitIdentical)
                             "morrigan-snaptest-warm-" +
                             std::to_string(::getpid());
     std::filesystem::create_directories(dir);
-    RunPool::setWarmupImageDir(dir);
+    SupervisorOptions opt;
+    opt.jobs = 2;
+    opt.useCache = false;
+    opt.maxAttempts = 1;
+    opt.warmupImageDir = dir;
+    Supervisor sup(opt);
 
     // Cold pass populates the image; both measurement lengths share
     // one warmup key, and neither result moves.
-    RunPool pool(2, /*use_cache=*/false);
-    std::vector<SimResult> cold =
-        pool.run({short_job, long_job});
-    EXPECT_EQ(resultJson(cold[0]), ref_short);
-    EXPECT_EQ(resultJson(cold[1]), ref_long);
+    std::vector<RunOutcome> cold = sup.run({short_job, long_job});
+    ASSERT_TRUE(cold[0].ok() && cold[1].ok());
+    EXPECT_EQ(resultJson(cold[0].output.result), ref_short);
+    EXPECT_EQ(resultJson(cold[1].output.result), ref_long);
 
     bool image_found = false;
     for (const auto &e : std::filesystem::directory_iterator(dir))
@@ -555,12 +558,11 @@ TEST(Snapshot, WarmupImageReuseBitIdentical)
 
     // Warm pass restores the image instead of re-simulating warmup;
     // results still must not move.
-    std::vector<SimResult> warm =
-        pool.run({short_job, long_job});
-    EXPECT_EQ(resultJson(warm[0]), ref_short);
-    EXPECT_EQ(resultJson(warm[1]), ref_long);
+    std::vector<RunOutcome> warm = sup.run({short_job, long_job});
+    ASSERT_TRUE(warm[0].ok() && warm[1].ok());
+    EXPECT_EQ(resultJson(warm[0].output.result), ref_short);
+    EXPECT_EQ(resultJson(warm[1].output.result), ref_long);
 
-    RunPool::setWarmupImageDir("");
     std::filesystem::remove_all(dir);
 }
 

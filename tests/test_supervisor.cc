@@ -1,7 +1,10 @@
 /**
  * @file
- * Campaign supervisor regression tests: fault containment (thread
- * and sandbox modes), watchdog timeouts, deterministic retry
+ * Campaign supervisor regression tests: the determinism guarantee
+ * (results bit-identical to direct serial execution for any worker
+ * count, threaded or sandboxed), submission order, factory / SMT /
+ * miss-stream jobs, worker-count resolution, fault containment
+ * (thread and sandbox modes), watchdog timeouts, deterministic retry
  * scheduling, journal checkpoint/resume (bit-identical, tolerant of
  * torn writes), failure manifests and degraded-mode batch results.
  */
@@ -15,6 +18,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "common/json_reader.hh"
+#include "core/morrigan.hh"
 #include "core/tlb_prefetcher.hh"
 #include "sim/experiment.hh"
 #include "sim/supervisor.hh"
@@ -43,8 +48,21 @@ quickConfig()
     return cfg;
 }
 
-/** Every field compared exactly: supervised results must be
- * bit-identical to direct serial execution, replay included. */
+/** Long enough for every prefetcher to engage: the scheduler
+ * determinism cases compare against serial runs of this size. */
+SimConfig
+serialConfig()
+{
+    SimConfig cfg;
+    cfg.warmupInstructions = 100'000;
+    cfg.simInstructions = 300'000;
+    return cfg;
+}
+
+/** Every field of SimResult compared exactly (doubles included:
+ * determinism means bit-identical, not merely close). Supervised
+ * results must match direct serial execution, in any worker count or
+ * mode, journal replay included. */
 void
 expectIdentical(const SimResult &a, const SimResult &b)
 {
@@ -53,13 +71,66 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.l1iMpki, b.l1iMpki);
+    EXPECT_EQ(a.itlbMpki, b.itlbMpki);
+    EXPECT_EQ(a.istlbMpki, b.istlbMpki);
+    EXPECT_EQ(a.dstlbMpki, b.dstlbMpki);
     EXPECT_EQ(a.istlbMisses, b.istlbMisses);
     EXPECT_EQ(a.dstlbMisses, b.dstlbMisses);
     EXPECT_EQ(a.pbHits, b.pbHits);
-    EXPECT_EQ(a.demandWalks, b.demandWalks);
+    EXPECT_EQ(a.pbHitsIrip, b.pbHitsIrip);
+    EXPECT_EQ(a.pbHitsSdp, b.pbHitsSdp);
+    EXPECT_EQ(a.pbHitsICache, b.pbHitsICache);
+    EXPECT_EQ(a.istlbCycleFraction, b.istlbCycleFraction);
+    EXPECT_EQ(a.icacheCycleFraction, b.icacheCycleFraction);
+    EXPECT_EQ(a.dataCycleFraction, b.dataCycleFraction);
     EXPECT_EQ(a.coverage, b.coverage);
+    EXPECT_EQ(a.demandWalks, b.demandWalks);
+    EXPECT_EQ(a.demandWalksInstr, b.demandWalksInstr);
+    EXPECT_EQ(a.demandWalkRefs, b.demandWalkRefs);
+    EXPECT_EQ(a.demandWalkRefsInstr, b.demandWalkRefsInstr);
+    EXPECT_EQ(a.prefetchWalks, b.prefetchWalks);
+    EXPECT_EQ(a.prefetchWalkRefs, b.prefetchWalkRefs);
+    EXPECT_EQ(a.prefetchWalkRefsByLevel, b.prefetchWalkRefsByLevel);
     EXPECT_EQ(a.meanDemandWalkLatencyInstr,
               b.meanDemandWalkLatencyInstr);
+    EXPECT_EQ(a.meanDemandWalkLatencyData,
+              b.meanDemandWalkLatencyData);
+    EXPECT_EQ(a.icachePrefetches, b.icachePrefetches);
+    EXPECT_EQ(a.icacheCrossPagePrefetches,
+              b.icacheCrossPagePrefetches);
+    EXPECT_EQ(a.icacheCrossPageNeedingWalk,
+              b.icacheCrossPageNeedingWalk);
+    EXPECT_EQ(a.icacheCrossPagePbHits, b.icacheCrossPagePbHits);
+    EXPECT_EQ(a.pbHitDistance, b.pbHitDistance);
+    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
+    EXPECT_EQ(a.correctingWalks, b.correctingWalks);
+}
+
+/** Scheduler options that force every job to execute exactly once:
+ * no result cache, no retries. */
+SupervisorOptions
+executeAll(unsigned jobs, bool isolate = false)
+{
+    SupervisorOptions opt;
+    opt.jobs = jobs;
+    opt.isolate = isolate;
+    opt.useCache = false;
+    opt.maxAttempts = 1;
+    return opt;
+}
+
+/** Results of a batch that must succeed in full. */
+std::vector<SimResult>
+runAllOk(const SupervisorOptions &opt,
+         const std::vector<ExperimentJob> &batch)
+{
+    std::vector<SimResult> results;
+    for (RunOutcome &o : Supervisor(opt).run(batch)) {
+        EXPECT_TRUE(o.ok()) << o.failure.what;
+        results.push_back(std::move(o.output.result));
+    }
+    return results;
 }
 
 /** Throws from inside the simulation loop (thread-mode fault). */
@@ -127,6 +198,158 @@ tempPath(const char *stem)
 }
 
 } // namespace
+
+TEST(Supervisor, DeterministicAcrossWorkerCounts)
+{
+    // A small workload x prefetcher matrix; every result must be
+    // bit-identical to the direct serial runWorkload() path in thread
+    // mode with one worker and with four, and in sandbox mode with
+    // two (results cross the child's pipe as text).
+    const SimConfig cfg = serialConfig();
+    const std::string kinds[] = {"none", "morrigan"};
+    std::vector<ExperimentJob> jobs;
+    std::vector<SimResult> serial;
+    for (unsigned i : {0u, 7u, 19u}) {
+        for (const std::string &kind : kinds) {
+            jobs.push_back(
+                ExperimentJob::of(cfg, kind, qmmWorkloadParams(i)));
+            serial.push_back(
+                runWorkload(cfg, kind, qmmWorkloadParams(i)));
+        }
+    }
+
+    for (const SupervisorOptions &opt :
+         {executeAll(1), executeAll(4), executeAll(2, true)}) {
+        SCOPED_TRACE(testing::Message()
+                     << (opt.isolate ? "isolated" : "threaded")
+                     << " jobs=" << opt.jobs);
+        std::vector<SimResult> results = runAllOk(opt, jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            SCOPED_TRACE(serial[i].workload + "/" +
+                         serial[i].prefetcher);
+            expectIdentical(serial[i], results[i]);
+        }
+    }
+}
+
+TEST(Supervisor, PreservesSubmissionOrder)
+{
+    SimConfig cfg = serialConfig();
+    cfg.simInstructions = 150'000;
+    std::vector<ExperimentJob> jobs;
+    for (unsigned i : {4u, 1u, 9u, 2u})
+        jobs.push_back(goodJob(cfg, i));
+    std::vector<SimResult> results = runAllOk(executeAll(4), jobs);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(results[0].workload, "qmm_04");
+    EXPECT_EQ(results[1].workload, "qmm_01");
+    EXPECT_EQ(results[2].workload, "qmm_09");
+    EXPECT_EQ(results[3].workload, "qmm_02");
+}
+
+TEST(Supervisor, FactoryJobsMatchSerialRunWith)
+{
+    const SimConfig cfg = serialConfig();
+    const ServerWorkloadParams wl = qmmWorkloadParams(3);
+
+    MorriganPrefetcher serial_pref{MorriganParams{}};
+    SimResult serial = runWorkloadWith(cfg, &serial_pref, wl);
+
+    std::vector<SimResult> results = runAllOk(
+        executeAll(2),
+        {ExperimentJob::with(cfg,
+                             [] {
+                                 return std::make_unique<
+                                     MorriganPrefetcher>(
+                                     MorriganParams{});
+                             },
+                             wl)});
+    ASSERT_EQ(results.size(), 1u);
+    expectIdentical(serial, results[0]);
+}
+
+TEST(Supervisor, SmtJobsMatchSerialRunSmtPair)
+{
+    const SimConfig cfg = serialConfig();
+    const ServerWorkloadParams a = qmmWorkloadParams(0);
+    const ServerWorkloadParams b = qmmWorkloadParams(5);
+    SimResult serial = runSmtPair(cfg, nullptr, a, b);
+
+    std::vector<SimResult> results = runAllOk(
+        executeAll(2), {ExperimentJob::smtPair(cfg, "none", a, b)});
+    ASSERT_EQ(results.size(), 1u);
+    expectIdentical(serial, results[0]);
+}
+
+TEST(Supervisor, MissStreamBatchMatchesSerial)
+{
+    SimConfig cfg = serialConfig();
+    cfg.collectMissStream = true;
+
+    ServerWorkload trace(qmmWorkloadParams(2));
+    Simulator sim(cfg);
+    sim.attachWorkload(&trace, 0);
+    sim.run();
+    const MissStreamStats &serial = sim.missStream();
+
+    std::vector<RunOutcome> outcomes = Supervisor(executeAll(2)).run(
+        {ExperimentJob::of(cfg, "none", qmmWorkloadParams(2))});
+    ASSERT_EQ(outcomes.size(), 1u);
+    ASSERT_TRUE(outcomes[0].ok());
+    const MissStreamStats &pooled = outcomes[0].output.missStream;
+    EXPECT_EQ(serial.totalMisses(), pooled.totalMisses());
+    EXPECT_EQ(serial.distinctPages(), pooled.distinctPages());
+    EXPECT_EQ(serial.pagesCoveringFraction(0.9),
+              pooled.pagesCoveringFraction(0.9));
+    EXPECT_EQ(serial.deltaCdfAt(10), pooled.deltaCdfAt(10));
+}
+
+TEST(SupervisorJobs, EnvOverridesHardware)
+{
+    setenv("MORRIGAN_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3u);
+    EXPECT_EQ(Supervisor(SupervisorOptions{}).jobs(), 3u);
+    unsetenv("MORRIGAN_JOBS");
+}
+
+TEST(SupervisorJobs, OptionsJobsBeatEnv)
+{
+    setenv("MORRIGAN_JOBS", "3", 1);
+    SupervisorOptions opt;
+    opt.jobs = 7;
+    EXPECT_EQ(Supervisor(opt).jobs(), 7u);
+    opt.jobs = 2;
+    EXPECT_EQ(Supervisor(opt).jobs(), 2u);
+    unsetenv("MORRIGAN_JOBS");
+}
+
+TEST(SupervisorJobsDeathTest, JunkIsFatal)
+{
+    EXPECT_EXIT(parseJobsValue("--jobs", "abc"),
+                ::testing::ExitedWithCode(1),
+                "not a positive integer");
+    EXPECT_EXIT(parseJobsValue("--jobs", ""),
+                ::testing::ExitedWithCode(1),
+                "not a positive integer");
+    EXPECT_EXIT(parseJobsValue("--jobs", "-4"),
+                ::testing::ExitedWithCode(1),
+                "not a positive integer");
+    EXPECT_EXIT(parseJobsValue("--jobs", "4x"),
+                ::testing::ExitedWithCode(1), "trailing junk");
+    EXPECT_EXIT(parseJobsValue("MORRIGAN_JOBS", "0"),
+                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_EXIT(parseJobsValue("MORRIGAN_JOBS", "4096"),
+                ::testing::ExitedWithCode(1), "out of range");
+}
+
+TEST(SupervisorJobsDeathTest, JunkEnvIsFatalAtResolution)
+{
+    setenv("MORRIGAN_JOBS", "lots", 1);
+    EXPECT_EXIT(defaultJobs(), ::testing::ExitedWithCode(1),
+                "MORRIGAN_JOBS");
+    unsetenv("MORRIGAN_JOBS");
+}
 
 TEST(Supervisor, ThreadModeContainsExceptions)
 {
@@ -526,14 +749,18 @@ TEST(Supervisor, OptionsFromEnv)
     setenv("MORRIGAN_ISOLATE", "1", 1);
     setenv("MORRIGAN_JOB_TIMEOUT", "30", 1);
     setenv("MORRIGAN_JOB_RETRIES", "4", 1);
+    setenv("MORRIGAN_WARMUP_CACHE", "warm-images", 1);
     SupervisorOptions opt = SupervisorOptions::fromEnv();
     EXPECT_TRUE(opt.isolate);
     EXPECT_EQ(opt.jobTimeoutMs, 30'000u);
     EXPECT_EQ(opt.maxAttempts, 5u); // 1 first try + 4 retries
+    EXPECT_EQ(opt.warmupImageDir, "warm-images");
     unsetenv("MORRIGAN_ISOLATE");
     unsetenv("MORRIGAN_JOB_TIMEOUT");
     unsetenv("MORRIGAN_JOB_RETRIES");
+    unsetenv("MORRIGAN_WARMUP_CACHE");
     EXPECT_FALSE(SupervisorOptions::fromEnv().isolate);
+    EXPECT_TRUE(SupervisorOptions::fromEnv().warmupImageDir.empty());
 }
 
 TEST(Supervisor, RunBatchAllPairsFailed)

@@ -28,7 +28,7 @@
 #include "common/json_reader.hh"
 #include "common/telemetry.hh"
 #include "sim/result_cache.hh"
-#include "sim/run_pool.hh"
+#include "sim/job.hh"
 #include "workload/workload_factory.hh"
 
 using namespace morrigan;

@@ -26,7 +26,7 @@
 #include "check/fuzz.hh"
 #include "check/invariants.hh"
 #include "common/logging.hh"
-#include "sim/run_pool.hh"
+#include "sim/job.hh"
 
 using namespace morrigan;
 
@@ -132,7 +132,7 @@ main(int argc, char **argv)
         } else if (arg == "--artifact-dir") {
             opt.artifactDir = next();
         } else if (arg == "--jobs") {
-            RunPool::setDefaultJobs(parseJobsValue("--jobs", next()));
+            opt.jobs = parseJobsValue("--jobs", next());
         } else if (arg == "--isolate") {
             opt.isolate = true;
         } else if (arg == "--job-timeout") {

@@ -39,7 +39,6 @@
 #include "core/morrigan.hh"
 #include "core/prefetcher_registry.hh"
 #include "sim/experiment.hh"
-#include "sim/run_pool.hh"
 #include "sim/simulator.hh"
 #include "workload/workload_factory.hh"
 
@@ -446,7 +445,7 @@ main(int argc, char **argv)
         } else if (arg == "--baseline") {
             with_baseline = true;
         } else if (arg == "--jobs") {
-            RunPool::setDefaultJobs(parseJobsValue("--jobs", next()));
+            sup.jobs = parseJobsValue("--jobs", next());
         } else if (arg == "--sweep") {
             sweep = true;
         } else if (arg == "--isolate") {
@@ -467,7 +466,7 @@ main(int argc, char **argv)
         } else if (arg == "--checkpoint-dir") {
             sup.checkpointDir = next();
         } else if (arg == "--warmup-cache") {
-            RunPool::setWarmupImageDir(next());
+            sup.warmupImageDir = next();
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
@@ -558,7 +557,7 @@ main(int argc, char **argv)
         std::printf("-- QMM suite sweep: %s vs baseline "
                     "(%u workloads, %u jobs) --\n",
                     prefetcher_name.c_str(), numQmmWorkloads,
-                    RunPool::global().jobs());
+                    Supervisor().jobs());
         std::printf("%-10s %10s %10s %9s\n", "workload", "base IPC",
                     "opt IPC", "speedup");
         unsigned failed_rows = 0;
