@@ -2,12 +2,11 @@
  * @file
  * Filesystem fault injection for the durability paths.
  *
- * The journal append, the snapshot atomic publish and the result
- * cache's disk tier all promise "a failure is either cleanly
- * reported or invisible after recovery". Those promises are only
- * testable if the failures can be made to happen on demand; this
- * shim makes write() and fsync() fail deterministically on the
- * paths that opt in.
+ * The journal append and the snapshot atomic publish both promise
+ * "a failure is either cleanly reported or invisible after
+ * recovery". Those promises are only testable if the failures can
+ * be made to happen on demand; this shim makes write() and fsync()
+ * fail deterministically on the paths that opt in.
  *
  * Armed via MORRIGAN_FAULT_FS (or setSpec() in tests):
  *

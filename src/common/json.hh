@@ -40,15 +40,16 @@ inline constexpr int intervalSchemaVersion = 2;
 /** Version of the BENCH_*.json artifact schema.
  * v2: top-level build_info provenance object. */
 inline constexpr int benchSchemaVersion = 2;
-/** Version of the on-disk result-cache file schema (also baked into
- * experiment cache keys, so bumping it invalidates old caches).
+/** Version of the experimentKey()/warmupKey() strings, and of
+ * nothing else: it is baked into every key, so bumping it makes old
+ * journal records and warmup images miss.
  * v2: differential-check fields (checked_translations,
  * check_mismatches, check_mapped_pages) and the checkLevel /
  * injectWalkerBugPeriod key components.
  * v3: the prefetcher key component is the registry spec string (CLI
  * spelling, '+'-joined for hybrid compositions) instead of the old
  * enum display name, so registry-named prefetchers and hybrids key
- * correctly; stale v2 entries warn and rerun. */
+ * correctly; stale v2 keys simply miss and rerun. */
 inline constexpr int resultCacheSchemaVersion = 3;
 /** Version of the campaign-journal JSONL record schema
  * (sim/supervisor.hh). Still v1 after the optional duration_ms key

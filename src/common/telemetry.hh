@@ -83,8 +83,8 @@ enum class Phase : std::uint8_t {
 
     // Campaign infrastructure.
     WorkerRun,       //!< supervisor worker executing one job end to end
-    CacheLookup,     //!< result-cache lookup (memory + disk tiers)
-    CacheInsert,     //!< result-cache insert (memory + disk write)
+    CacheLookup,     //!< in-process result-cache lookup
+    CacheInsert,     //!< in-process result-cache insert
     SnapshotWrite,   //!< snapshot serialize-to-file + fsync + rename
     SnapshotRead,    //!< snapshot load + CRC verification
     JournalAppend,   //!< campaign-journal line append + flush

@@ -1,21 +1,9 @@
 #include "result_cache.hh"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
-#include "common/fault_fs.hh"
 #include "common/json.hh"
 #include "common/json_reader.hh"
-#include "common/logging.hh"
 #include "common/telemetry.hh"
 
 namespace morrigan
@@ -132,18 +120,6 @@ addWorkloadParams(KeyBuilder &kb, const std::string &p,
     kb.add((p + ".phaseInterval").c_str(), w.phaseInterval);
     kb.add((p + ".phaseShuffleFraction").c_str(),
            w.phaseShuffleFraction);
-}
-
-/** FNV-1a 64-bit digest, used only to derive disk file names. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
 }
 
 /** %.17g doubles survive a decimal round-trip bit-exactly. */
@@ -337,7 +313,13 @@ warmupKey(const SimConfig &cfg, const std::string &kind,
 std::uint64_t
 cacheKeyDigest(const std::string &key)
 {
-    return fnv1a(key);
+    // FNV-1a 64-bit.
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : key) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
 }
 
 void
@@ -403,12 +385,6 @@ parseSimResultJson(const std::string &text, SimResult &out)
     return simResultFromJson(doc, out);
 }
 
-ResultCache::ResultCache()
-{
-    if (const char *d = std::getenv("MORRIGAN_RESULT_CACHE"))
-        diskDir_ = d;
-}
-
 ResultCache &
 ResultCache::global()
 {
@@ -428,13 +404,6 @@ ResultCache::lookup(const std::string &key, SimResult &out)
         out = it->second;
         return true;
     }
-    if (!diskDir_.empty() && diskLookup(key, out)) {
-        ++counts_.hits;
-        ++counts_.diskHits;
-        telemetry::add(telemetry::Counter::ResultCacheHits);
-        entries_.emplace(key, out);
-        return true;
-    }
     ++counts_.misses;
     telemetry::add(telemetry::Counter::ResultCacheMisses);
     return false;
@@ -445,12 +414,8 @@ ResultCache::insert(const std::string &key, const SimResult &result)
 {
     telemetry::ScopedSpan span(telemetry::Phase::CacheInsert);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, fresh] = entries_.try_emplace(key, result);
-    if (!fresh)
-        return;
-    ++counts_.inserts;
-    if (!diskDir_.empty())
-        diskInsert(key, result);
+    if (entries_.try_emplace(key, result).second)
+        ++counts_.inserts;
 }
 
 ResultCache::Counts
@@ -473,145 +438,6 @@ ResultCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
     counts_ = Counts{};
-}
-
-void
-ResultCache::setDiskDir(std::string dir)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    diskDir_ = std::move(dir);
-}
-
-std::string
-ResultCache::diskPath(const std::string &key) const
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(key)));
-    return diskDir_ + "/morrigan-cache-" + buf + ".json";
-}
-
-bool
-ResultCache::diskLookup(const std::string &key, SimResult &out)
-{
-    std::ifstream ifs(diskPath(key));
-    if (!ifs)
-        return false;
-    std::stringstream ss;
-    ss << ifs.rdbuf();
-    const std::string text = ss.str();
-
-    // A file that exists but does not parse (or is empty) is most
-    // often a concurrent writer on a filesystem without atomic
-    // rename semantics, not corruption worth alarming about: skip
-    // it, count it, and warn once per process so multi-process
-    // campaigns do not spam a warning per lookup.
-    json::Value doc;
-    if (!json::Reader(text).parse(doc) ||
-        doc.type != json::Value::Type::Object) {
-        ++counts_.diskRejects;
-        warnMidWriteOnce(key);
-        return false;
-    }
-    std::string schema, stored_key;
-    std::uint64_t version = 0;
-    if (!json::getString(doc, "schema", schema) ||
-        schema != "morrigan-result-cache" ||
-        !json::getU64(doc, "version", version) ||
-        version != json::resultCacheSchemaVersion ||
-        !json::getString(doc, "key", stored_key) ||
-        stored_key != key) {
-        ++counts_.diskRejects;
-        return false;
-    }
-    const json::Value *res = doc.find("result");
-    if (!res || !simResultFromJson(*res, out)) {
-        ++counts_.diskRejects;
-        warnMidWriteOnce(key);
-        return false;
-    }
-    return true;
-}
-
-void
-ResultCache::warnMidWriteOnce(const std::string &key)
-{
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        warn("result cache: skipping unreadable entry '%s' "
-             "(mid-write by another process, or corrupt); treating "
-             "as a miss",
-             diskPath(key).c_str());
-}
-
-void
-ResultCache::diskInsert(const std::string &key,
-                        const SimResult &result)
-{
-    const std::string path = diskPath(key);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-
-    // Advisory per-directory publish lock: concurrent campaigns
-    // writing the same deterministic results serialize their
-    // publishes so readers on filesystems with weak rename
-    // atomicity never observe a half-written entry. Best-effort --
-    // if the lock cannot be taken the atomic tmp+rename below is
-    // still safe on POSIX filesystems.
-    const std::string lock_path = diskDir_ + "/morrigan-cache.lock";
-    int lock_fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
-    if (lock_fd >= 0 && ::flock(lock_fd, LOCK_EX) != 0) {
-        ::close(lock_fd);
-        lock_fd = -1;
-    }
-
-    std::ostringstream ss;
-    {
-        json::Writer w(ss);
-        w.beginObject();
-        w.kv("schema", "morrigan-result-cache");
-        w.kv("version", json::resultCacheSchemaVersion);
-        w.kv("key", key);
-        w.key("result").rawValue([&](std::ostream &o) {
-            writeSimResultJson(o, result);
-        });
-        w.endObject();
-        ss << '\n';
-    }
-    const std::string doc = ss.str();
-
-    // fd-based write through the fault shim (EINTR retried): a torn
-    // or failed write never publishes -- the tmp file is removed and
-    // the entry simply stays a miss, re-simulated on demand.
-    bool published = false;
-    int fd = ::open(tmp.c_str(),
-                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        warn("result cache: cannot write '%s'", tmp.c_str());
-    } else if (!faultfs::writeAll(fd, doc.data(), doc.size())) {
-        warn("result cache: short write to '%s'", tmp.c_str());
-        ::close(fd);
-        std::remove(tmp.c_str());
-    } else if (faultfs::fsync(fd) != 0) {
-        warn("result cache: fsync of '%s' failed (%s); entry not "
-             "published",
-             tmp.c_str(), std::strerror(errno));
-        ::close(fd);
-        std::remove(tmp.c_str());
-    } else {
-        ::close(fd);
-        telemetry::add(telemetry::Counter::Fsyncs);
-        published = true;
-    }
-    // Atomic publish so concurrent readers never see partial files.
-    if (published && std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("result cache: cannot publish '%s'", path.c_str());
-        std::remove(tmp.c_str());
-    }
-    if (lock_fd >= 0) {
-        ::flock(lock_fd, LOCK_UN);
-        ::close(lock_fd);
-    }
 }
 
 } // namespace morrigan

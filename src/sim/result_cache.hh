@@ -11,11 +11,11 @@
  *
  * Keys are canonical field-by-field serialisations of the full
  * configuration (experimentKey()); nothing is hashed in memory, so
- * there are no collision concerns. An optional on-disk JSON cache
- * (MORRIGAN_RESULT_CACHE=<dir>, or setDiskDir()) persists results
- * across processes for MORRIGAN_FULL=1 campaigns; disk files carry a
- * schema version and the full key, and corrupt or stale files are
- * ignored, never fatal.
+ * there are no collision concerns. The cache is memory-only and does
+ * no file I/O: the durable store that carries results across
+ * processes is the campaign journal (sim/supervisor.hh,
+ * MORRIGAN_JOURNAL=<file>), whose records use the SimResult
+ * serialisation below.
  *
  * All entry points are thread-safe: Supervisor workers insert
  * results concurrently.
@@ -42,8 +42,9 @@ namespace morrigan
  * Canonical cache key for one experiment. Enumerates every field of
  * the configuration and the workload parameters (and the SMT partner
  * workload when @p smt is non-null), prefixed with a schema version
- * so key layout changes invalidate old disk caches. Two experiments
- * share a key iff they would produce bit-identical SimResults.
+ * so key layout changes invalidate old journal records. Two
+ * experiments share a key iff they would produce bit-identical
+ * SimResults.
  */
 std::string experimentKey(const SimConfig &cfg, const std::string &kind,
                           const ServerWorkloadParams &workload,
@@ -63,8 +64,8 @@ std::string warmupKey(const SimConfig &cfg, const std::string &kind,
                       const ServerWorkloadParams &workload,
                       const ServerWorkloadParams *smt = nullptr);
 
-/** FNV-1a digest of a canonical key, for deriving cache/snapshot
- * file names. */
+/** FNV-1a digest of a canonical key, for deriving snapshot file
+ * names and retry jitter. */
 std::uint64_t cacheKeyDigest(const std::string &key);
 
 /** Serialize a SimResult as one JSON object (full precision). */
@@ -76,62 +77,42 @@ void writeSimResultJson(std::ostream &os, const SimResult &r);
  */
 bool parseSimResultJson(const std::string &text, SimResult &out);
 
-/** Same, from an already-parsed JSON object (campaign journal,
- * sandbox result pipe). */
+/** Same, from an already-parsed JSON object (a campaign-journal
+ * record, which is also what a sandboxed child sends back). */
 bool simResultFromJson(const json::Value &doc, SimResult &out);
 
-/** The keyed result cache. */
+/** The keyed in-process result cache. */
 class ResultCache
 {
   public:
-    /** Disk directory comes from MORRIGAN_RESULT_CACHE (may be
-     * empty: memory-only). */
-    ResultCache();
-
     /** The process-wide instance used by the Supervisor. */
     static ResultCache &global();
 
-    /**
-     * Look up @p key; on a hit copies the result into @p out. A
-     * memory miss falls through to the disk cache (when configured)
-     * and promotes disk hits into memory.
-     */
+    /** Look up @p key; on a hit copies the result into @p out. */
     bool lookup(const std::string &key, SimResult &out);
 
-    /** Store a result; also writes the disk file when configured. */
+    /** Store a result (the first insert for a key wins). */
     void insert(const std::string &key, const SimResult &result);
 
-    /** Accounting (tests + campaign telemetry). */
+    /** Accounting (tests). */
     struct Counts
     {
-        std::uint64_t hits = 0;        //!< lookups served (any tier)
-        std::uint64_t misses = 0;      //!< lookups that failed
-        std::uint64_t inserts = 0;     //!< new entries stored
-        std::uint64_t diskHits = 0;    //!< hits served from disk
-        std::uint64_t diskRejects = 0; //!< corrupt/stale disk files
+        std::uint64_t hits = 0;    //!< lookups served
+        std::uint64_t misses = 0;  //!< lookups that failed
+        std::uint64_t inserts = 0; //!< new entries stored
     };
     Counts counts() const;
 
-    /** Number of in-memory entries. */
+    /** Number of entries. */
     std::size_t size() const;
 
-    /** Drop every memory entry and zero the counts (tests). Disk
-     * files are left alone. */
+    /** Drop every entry and zero the counts (tests). */
     void clear();
 
-    /** Redirect (or disable, with "") the on-disk tier. */
-    void setDiskDir(std::string dir);
-
   private:
-    bool diskLookup(const std::string &key, SimResult &out);
-    void diskInsert(const std::string &key, const SimResult &result);
-    std::string diskPath(const std::string &key) const;
-    void warnMidWriteOnce(const std::string &key);
-
     mutable std::mutex mutex_;
     std::unordered_map<std::string, SimResult> entries_;
     Counts counts_;
-    std::string diskDir_;
 };
 
 } // namespace morrigan

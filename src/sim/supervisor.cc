@@ -38,18 +38,6 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** FNV-1a 64-bit, for deterministic retry jitter. */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /** Validated env-var integer (same contract as parseJobsValue). */
 std::uint64_t
 parseEnvU64(const char *what, const char *s, std::uint64_t min_value,
@@ -85,9 +73,10 @@ runStatusFromName(const std::string &name)
     return std::nullopt;
 }
 
-/** One journal record. Failures carry their diagnosis; successes
- * carry the full result (plus the check report, which the cache
- * deliberately drops but resumed campaigns must keep). */
+/** One journal record, also the sandbox child's reply (see
+ * runChildJob). Failures carry their diagnosis; successes carry the
+ * full result (plus the check report, which the cache deliberately
+ * drops but resumed campaigns must keep). */
 void
 writeJournalLine(std::ostream &os, const std::string &key,
                  const RunOutcome &o)
@@ -191,84 +180,53 @@ tailOf(const std::string &s, std::size_t keep = 2000)
     return "..." + s.substr(start);
 }
 
-// ---------------------------------------------------------------
-// Sandbox child protocol: the child writes exactly one JSON object
-// to the result pipe -- {"ok":true,"result":{...},
-// "check_report":...,"structural":N} or {"ok":false,"what":...} --
-// and _exit()s (no atexit handlers, no stream flushing: the parent
-// owns all artifacts).
-// ---------------------------------------------------------------
-
-void
-writeAllFd(int fd, const std::string &s)
+/** `<dir>/morrigan-<stem>-<16 hex digits of key digest>.snap`,
+ * creating @p dir. Best-effort: if the directory cannot be created
+ * the snapshot writes fail with a warning, they never fail the job. */
+std::string
+snapshotPath(const std::string &dir, const char *stem,
+             const std::string &key)
 {
-    io::writeAll(fd, s.data(), s.size());
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(cacheKeyDigest(key)));
+    return dir + "/morrigan-" + stem + "-" + buf + ".snap";
 }
 
+/**
+ * Sandbox child body: run the job, write exactly one journal record
+ * for it to the result pipe -- status "ok" with the result, check
+ * report and structural count, or "failed" with the exception text
+ * -- and _exit() (no atexit handlers, no stream flushing: the parent
+ * owns all artifacts).
+ */
 [[noreturn]] void
-runChildJob(const ExperimentJob &job, const JobExecutionOptions &opts,
-            int result_fd)
+runChildJob(const ExperimentJob &job, const std::string &key,
+            const JobExecutionOptions &opts, int result_fd)
 {
     // The forked child inherits the parent's violation count;
     // report only what this job adds.
     const std::uint64_t structural_before =
         check::invariantViolations();
-    std::string doc;
-    int code = 0;
+    RunOutcome o;
     try {
-        ExperimentOutput out = executeJob(job, opts);
-        std::ostringstream ss;
-        json::Writer w(ss);
-        w.beginObject();
-        w.kv("ok", true);
-        w.key("result").rawValue([&](std::ostream &ro) {
-            writeSimResultJson(ro, out.result);
-        });
-        w.kv("check_report", out.result.checkReport);
-        w.kv("structural",
-             check::invariantViolations() - structural_before);
-        w.endObject();
-        doc = ss.str();
+        o.output = executeJob(job, opts);
+        o.structuralViolations =
+            check::invariantViolations() - structural_before;
     } catch (const std::exception &e) {
-        std::ostringstream ss;
-        json::Writer w(ss);
-        w.beginObject();
-        w.kv("ok", false);
-        w.kv("what", e.what());
-        w.endObject();
-        doc = ss.str();
-        code = 2;
+        o.status = RunStatus::Failed;
+        o.failure.what = e.what();
     } catch (...) {
-        doc = "{\"ok\":false,\"what\":\"unknown exception\"}";
-        code = 2;
+        o.status = RunStatus::Failed;
+        o.failure.what = "unknown exception";
     }
-    writeAllFd(result_fd, doc);
-    ::_exit(code);
-}
-
-/** 0 = unparseable, 1 = ok result, 2 = child-reported failure. */
-int
-parseChildDoc(const std::string &text, RunOutcome &o,
-              std::string &what)
-{
-    json::Value doc;
-    if (!json::Reader(text).parse(doc) ||
-        doc.type != json::Value::Type::Object)
-        return 0;
-    bool okflag = false;
-    if (!json::getBool(doc, "ok", okflag))
-        return 0;
-    if (!okflag) {
-        if (!json::getString(doc, "what", what) || what.empty())
-            what = "child reported failure without detail";
-        return 2;
-    }
-    const json::Value *res = doc.find("result");
-    if (!res || !simResultFromJson(*res, o.output.result))
-        return 0;
-    json::getString(doc, "check_report", o.output.result.checkReport);
-    json::getU64(doc, "structural", o.structuralViolations);
-    return 1;
+    std::ostringstream ss;
+    writeJournalLine(ss, key, o);
+    const std::string doc = ss.str();
+    io::writeAll(result_fd, doc.data(), doc.size());
+    ::_exit(o.ok() ? 0 : 2);
 }
 
 /** Shared scheduler bookkeeping: an attempt waiting to start. */
@@ -313,12 +271,20 @@ std::optional<SupervisorOptions> defaultOptionsOverride;
  * instrs/sec figure counts *simulated* instructions of finalized
  * jobs (warmup + measure budget) per wall second -- a throughput
  * number comparable across campaigns, not a per-attempt profile.
+ * The hit rate is this batch's own: the share of its @p batch_size
+ * jobs that were @p served without simulating (journal replays,
+ * cache hits, in-batch copies).
  */
 class ProgressMeter
 {
   public:
-    ProgressMeter(std::uint64_t every_ms, std::size_t total_jobs)
+    ProgressMeter(std::uint64_t every_ms, std::size_t total_jobs,
+                  std::size_t served, std::size_t batch_size)
         : everyMs_(every_ms), total_(total_jobs),
+          hitRate_(batch_size > 0
+                       ? 100.0 * static_cast<double>(served) /
+                             static_cast<double>(batch_size)
+                       : 0.0),
           start_(Clock::now()), nextPrint_(start_)
     {
     }
@@ -341,12 +307,6 @@ class ProgressMeter
         nextPrint_ = now + std::chrono::milliseconds(everyMs_);
         const double elapsed =
             std::chrono::duration<double>(now - start_).count();
-        const ResultCache::Counts cc = ResultCache::global().counts();
-        const std::uint64_t probes = cc.hits + cc.misses;
-        const double hit_rate =
-            probes > 0 ? 100.0 * static_cast<double>(cc.hits) /
-                             static_cast<double>(probes)
-                       : 0.0;
         const double mips =
             elapsed > 0.0
                 ? static_cast<double>(instructions_) / elapsed / 1e6
@@ -362,13 +322,14 @@ class ProgressMeter
                      "[supervisor] %zu/%zu done, %zu running, "
                      "%zu retried, cache %.0f%% hit, "
                      "%.1fM instr/s, ETA %s\n",
-                     done_, total_, running, retries_, hit_rate,
+                     done_, total_, running, retries_, hitRate_,
                      mips, eta.c_str());
     }
 
   private:
     std::uint64_t everyMs_;
     std::size_t total_;
+    double hitRate_;
     Clock::time_point start_;
     Clock::time_point nextPrint_;
     std::size_t done_ = 0;
@@ -512,7 +473,7 @@ retryDelayMs(const std::string &key, unsigned attempt,
     // concurrent retries without making reruns nondeterministic.
     const std::uint64_t jitter_range = backoff / 2 + 1;
     const std::uint64_t h =
-        fnv1a(key + "#" + std::to_string(attempt));
+        cacheKeyDigest(key + "#" + std::to_string(attempt));
     return backoff + h % jitter_range;
 }
 
@@ -736,30 +697,16 @@ Supervisor::jobOptions(const ExperimentJob &job,
     JobExecutionOptions opts;
     if (!job.cacheable())
         return opts;
-    char buf[24];
     if (!opt_.checkpointDir.empty() && !key.empty()) {
-        // Best-effort: if the directory cannot be created the
-        // autosaves fail with a warning, they never fail the job.
-        std::error_code ec;
-        std::filesystem::create_directories(opt_.checkpointDir, ec);
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(
-                          cacheKeyDigest(key)));
-        opts.checkpointPath = opt_.checkpointDir +
-                              "/morrigan-ckpt-" + buf + ".snap";
+        opts.checkpointPath =
+            snapshotPath(opt_.checkpointDir, "ckpt", key);
         opts.checkpointEvery = opt_.checkpointEveryInstructions;
     }
-    if (!opt_.warmupImageDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opt_.warmupImageDir, ec);
-        std::snprintf(
-            buf, sizeof(buf), "%016llx",
-            static_cast<unsigned long long>(cacheKeyDigest(
-                warmupKey(job.cfg, job.kind, job.workload,
-                          job.smt ? &job.smtWorkload : nullptr))));
-        opts.warmupImagePath =
-            opt_.warmupImageDir + "/morrigan-warm-" + buf + ".snap";
-    }
+    if (!opt_.warmupImageDir.empty())
+        opts.warmupImagePath = snapshotPath(
+            opt_.warmupImageDir, "warm",
+            warmupKey(job.cfg, job.kind, job.workload,
+                      job.smt ? &job.smtWorkload : nullptr));
     return opts;
 }
 
@@ -827,6 +774,10 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
             journal.record(keys[i], o);
     };
 
+    // Everything the planner did not hand to a scheduler was served
+    // without simulating; the progress line reports that share.
+    const std::size_t served = batch.size() - work.size();
+
     if (opt_.isolate) {
         // Jobs whose outputs cannot cross the result pipe run
         // inline (uncontained); everything else forks.
@@ -839,9 +790,9 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
                 sandboxed.push_back(w);
             }
         }
-        runSandboxed(batch, sandboxed, keys, out, publish);
+        runSandboxed(batch, sandboxed, keys, out, publish, served);
     } else {
-        runThreaded(batch, work, keys, out, publish);
+        runThreaded(batch, work, keys, out, publish, served);
     }
 
     // A copy carries the representative's result, but it was not
@@ -911,7 +862,7 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
                         const std::vector<std::size_t> &work,
                         const std::vector<std::string> &keys,
                         std::vector<RunOutcome> &out,
-                        const PublishFn &publish)
+                        const PublishFn &publish, std::size_t served)
 {
     if (work.empty())
         return;
@@ -925,7 +876,8 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
     for (std::size_t w : work)
         pending.push_back({w, 1, start});
 
-    ProgressMeter meter(opt_.progressEveryMs, work.size());
+    ProgressMeter meter(opt_.progressEveryMs, work.size(), served,
+                        batch.size());
 
     struct Active
     {
@@ -1097,7 +1049,7 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
                          const std::vector<std::size_t> &work,
                          const std::vector<std::string> &keys,
                          std::vector<RunOutcome> &out,
-                         const PublishFn &publish)
+                         const PublishFn &publish, std::size_t served)
 {
     if (work.empty())
         return;
@@ -1110,7 +1062,8 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
     for (std::size_t w : work)
         pending.push_back({w, 1, start});
 
-    ProgressMeter meter(opt_.progressEveryMs, work.size());
+    ProgressMeter meter(opt_.progressEveryMs, work.size(), served,
+                        batch.size());
 
     struct Child
     {
@@ -1183,11 +1136,12 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
             return;
         }
         const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        std::string key;
         RunOutcome o;
-        std::string what;
-        const int parsed = parseChildDoc(c.resultBuf, o, what);
-        if (code == 0 && parsed == 1) {
-            o.status = RunStatus::Ok;
+        const bool parsed =
+            parseJournalLine(c.resultBuf, key, o, nullptr) &&
+            key == keys[c.idx];
+        if (parsed && o.ok() && code == 0) {
             o.attempts = c.attempt;
             o.durationMs = elapsed_ms(c.launched);
             out[c.idx] = std::move(o);
@@ -1196,8 +1150,8 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
             // Result is durable; drop the mid-run checkpoint.
             if (!c.checkpointPath.empty())
                 ::unlink(c.checkpointPath.c_str());
-        } else if (parsed == 2) {
-            handle_failure(c, RunStatus::Failed, what, 0);
+        } else if (parsed && !o.ok()) {
+            handle_failure(c, RunStatus::Failed, o.failure.what, 0);
         } else {
             handle_failure(
                 c, RunStatus::Failed,
@@ -1248,7 +1202,8 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
                 ::close(ep[0]);
                 ::dup2(ep[1], 2);
                 ::close(ep[1]);
-                runChildJob(batch[it->idx], opts, rp[1]);
+                runChildJob(batch[it->idx], keys[it->idx], opts,
+                            rp[1]);
             }
             ::close(rp[1]);
             ::close(ep[1]);

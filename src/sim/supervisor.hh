@@ -32,14 +32,14 @@
  *    report what is missing instead of silently dropping rows.
  *
  * Sandbox mode (SupervisorOptions::isolate, --isolate,
- * MORRIGAN_ISOLATE=1) forks one child per job and ships the result
- * back over a pipe; the scheduler then runs single-threaded in the
- * parent (children provide the parallelism), which keeps fork()
- * safe. Thread mode (the default) contains C++ exceptions only; a
- * crash still takes the process down, and a timed-out job's thread
- * is abandoned, not killed -- and because the abandoned thread may
- * still be running that job, thread-mode timeouts are terminal
- * (never retried).
+ * MORRIGAN_ISOLATE=1) forks one child per job and ships the outcome
+ * back over a pipe as one journal record; the scheduler then runs
+ * single-threaded in the parent (children provide the parallelism),
+ * which keeps fork() safe. Thread mode (the default) contains C++
+ * exceptions only; a crash still takes the process down, and a
+ * timed-out job's thread is abandoned, not killed -- and because the
+ * abandoned thread may still be running that job, thread-mode
+ * timeouts are terminal (never retried).
  */
 
 #ifndef MORRIGAN_SIM_SUPERVISOR_HH
@@ -151,9 +151,10 @@ struct SupervisorOptions
 
     /**
      * Emit a campaign progress line to stderr at most every this
-     * many ms (jobs done/running/retried, result-cache hit rate,
-     * aggregate simulated instrs/sec, ETA); 0 disables. Observation
-     * only -- never affects scheduling or results.
+     * many ms (jobs done/running/retried, the share of the batch
+     * served without simulating, aggregate simulated instrs/sec,
+     * ETA); 0 disables. Observation only -- never affects scheduling
+     * or results.
      */
     std::uint64_t progressEveryMs = 0;
 
@@ -311,20 +312,23 @@ class Supervisor
     using PublishFn = std::function<void(std::size_t)>;
 
     /** Run indices @p work of @p batch on worker threads (faults =
-     * exceptions; timeouts abandon the thread). */
+     * exceptions; timeouts abandon the thread). @p served counts the
+     * batch's jobs the planner served without simulating (for the
+     * progress line). */
     void runThreaded(const std::vector<ExperimentJob> &batch,
                      const std::vector<std::size_t> &work,
                      const std::vector<std::string> &keys,
                      std::vector<RunOutcome> &out,
-                     const PublishFn &publish);
+                     const PublishFn &publish, std::size_t served);
 
     /** Run indices @p work of @p batch in fork-sandboxed children,
-     * up to jobs() at a time, writing outcomes into @p out. */
+     * up to jobs() at a time, writing outcomes into @p out. Each
+     * child sends its outcome back as one journal record. */
     void runSandboxed(const std::vector<ExperimentJob> &batch,
                       const std::vector<std::size_t> &work,
                       const std::vector<std::string> &keys,
                       std::vector<RunOutcome> &out,
-                      const PublishFn &publish);
+                      const PublishFn &publish, std::size_t served);
 
     /** Sandbox-mode fallback for jobs whose outputs cannot cross a
      * pipe (miss-stream collection): run on the calling thread with

@@ -2,11 +2,10 @@
  * @file
  * Filesystem fault-injection tests: every MORRIGAN_FAULT_FS mode
  * (enospc, shortwrite, fsyncfail) driven through each durability
- * path -- journal append, snapshot atomic publish, result-cache
- * disk tier -- proving each failure is either cleanly reported or
- * invisible after recovery: no torn journal record replays, no
- * half-published snapshot is ever accepted, no partial cache file
- * is ever served.
+ * path -- journal append, snapshot atomic publish -- proving each
+ * failure is either cleanly reported or invisible after recovery:
+ * no torn journal record replays, and no half-published snapshot is
+ * ever accepted.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 
 #include "common/fault_fs.hh"
 #include "common/snapshot.hh"
-#include "sim/result_cache.hh"
 #include "sim/supervisor.hh"
 
 using namespace morrigan;
@@ -285,55 +283,5 @@ TEST(FaultFsSnapshot, EveryModeAbortsThePublish)
         EXPECT_EQ(r.u64(), 0xdeadbeefULL);
         EXPECT_EQ(r.str(), "payload");
         std::remove(path.c_str());
-    }
-}
-
-// ---------------------------------------------------------------
-// Result-cache disk tier under faults
-// ---------------------------------------------------------------
-
-TEST(FaultFsResultCache, EveryModeSuppressesThePublish)
-{
-    FaultGuard guard;
-    for (const char *spec :
-         {"enospc:1", "shortwrite:1", "fsyncfail:1"}) {
-        SCOPED_TRACE(spec);
-        const std::string dir =
-            tempPath("faultfs-cache-dir");
-        ASSERT_EQ(0,
-                  system(("rm -rf '" + dir + "' && mkdir -p '" +
-                          dir + "'")
-                             .c_str()));
-
-        SimResult r;
-        r.workload = "qmm_00";
-        r.prefetcher = "morrigan";
-        r.ipc = 0.5;
-
-        ResultCache writer;
-        writer.setDiskDir(dir);
-        faultfs::setSpec(spec);
-        writer.insert("faulted-key", r);
-        faultfs::setSpec(nullptr);
-
-        // The memory tier still serves this process...
-        SimResult out;
-        EXPECT_TRUE(writer.lookup("faulted-key", out));
-
-        // ...but nothing partial was published: a fresh instance
-        // (fresh process stand-in) sees a plain miss, not an error
-        // and not a torn file.
-        ResultCache reader;
-        reader.setDiskDir(dir);
-        EXPECT_FALSE(reader.lookup("faulted-key", out));
-        EXPECT_EQ(reader.counts().diskRejects, 0u)
-            << "a torn cache file was published";
-
-        // Recovery: the next insert publishes durably.
-        writer.insert("clean-key", r);
-        ResultCache reader2;
-        reader2.setDiskDir(dir);
-        EXPECT_TRUE(reader2.lookup("clean-key", out));
-        EXPECT_EQ(out.ipc, 0.5);
     }
 }

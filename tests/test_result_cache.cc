@@ -2,15 +2,13 @@
  * @file
  * ResultCache tests: key construction, hit/miss accounting, the
  * "baselines simulated at most once per process" guarantee through
- * the Supervisor, JSON round-trips, and on-disk cache behaviour
- * (including corrupt and stale files, which must be ignored, never
- * fatal).
+ * the Supervisor, and SimResult JSON round-trips. Cross-process
+ * reuse goes through the campaign journal and is tested in
+ * test_supervisor.cc and test_snapshot.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "core/morrigan.hh"
@@ -193,7 +191,6 @@ TEST(ResultCacheJson, RejectsMalformedInput)
 TEST(ResultCache, HitMissAccounting)
 {
     ResultCache cache;
-    cache.setDiskDir("");
 
     const std::string key = "k1";
     SimResult out;
@@ -207,8 +204,6 @@ TEST(ResultCache, HitMissAccounting)
     EXPECT_EQ(c.hits, 1u);
     EXPECT_EQ(c.misses, 2u);
     EXPECT_EQ(c.inserts, 1u);
-    EXPECT_EQ(c.diskHits, 0u);
-    EXPECT_EQ(c.diskRejects, 0u);
     EXPECT_EQ(cache.size(), 1u);
 
     cache.clear();
@@ -248,7 +243,6 @@ TEST(ResultCache, BaselineSimulatedOncePerProcess)
     // simulated once per process per key, whether the repetition is
     // across batches or within one batch.
     ResultCache &cache = ResultCache::global();
-    cache.setDiskDir("");
     cache.clear();
 
     const SimConfig cfg = quickConfig();
@@ -311,7 +305,6 @@ TEST(ResultCache, BaselineSimulatedOncePerProcess)
 TEST(ResultCache, FactoryJobsBypassTheCache)
 {
     ResultCache &cache = ResultCache::global();
-    cache.setDiskDir("");
     cache.clear();
 
     ExperimentJob job = ExperimentJob::with(
@@ -336,123 +329,4 @@ TEST(ResultCache, FactoryJobsBypassTheCache)
     EXPECT_EQ(c.misses, 0u);
     EXPECT_EQ(c.inserts, 0u);
     cache.clear();
-}
-
-TEST(ResultCacheDisk, RoundTripAcrossInstances)
-{
-    const std::string dir = ::testing::TempDir();
-    const std::string key = "disk-roundtrip-key";
-
-    ResultCache writer;
-    writer.setDiskDir(dir);
-    writer.insert(key, sampleResult());
-
-    // A fresh instance (fresh process stand-in) misses in memory but
-    // hits on disk, bit-exactly.
-    ResultCache reader;
-    reader.setDiskDir(dir);
-    SimResult out;
-    ASSERT_TRUE(reader.lookup(key, out));
-    expectSameResult(sampleResult(), out);
-    EXPECT_EQ(reader.counts().diskHits, 1u);
-    EXPECT_EQ(reader.counts().hits, 1u);
-
-    // The disk hit was promoted to memory: a second lookup stays in
-    // memory.
-    ASSERT_TRUE(reader.lookup(key, out));
-    EXPECT_EQ(reader.counts().diskHits, 1u);
-    EXPECT_EQ(reader.counts().hits, 2u);
-}
-
-TEST(ResultCacheDisk, CorruptFilesAreIgnored)
-{
-    // A dedicated subdirectory keeps the test hermetic: it holds
-    // exactly one cache file, which we overwrite with garbage. The
-    // reader must treat it as a miss, never crash.
-    const std::string subdir =
-        ::testing::TempDir() + "/morrigan_corrupt_test";
-    ASSERT_EQ(0, system(("mkdir -p '" + subdir + "'").c_str()));
-    const std::string key = "corrupt-file-key";
-
-    ResultCache writer;
-    writer.setDiskDir(subdir);
-    writer.insert(key, sampleResult());
-    ASSERT_EQ(0,
-              system(("for f in '" + subdir +
-                      "'/morrigan-cache-*.json; do echo garbage > "
-                      "\"$f\"; done")
-                         .c_str()));
-
-    ResultCache reader;
-    reader.setDiskDir(subdir);
-    SimResult out;
-    EXPECT_FALSE(reader.lookup(key, out));
-    EXPECT_EQ(reader.counts().diskRejects, 1u);
-    EXPECT_EQ(reader.counts().misses, 1u);
-    EXPECT_EQ(reader.counts().hits, 0u);
-}
-
-TEST(ResultCacheDisk, StaleVersionsAreIgnored)
-{
-    const std::string dir =
-        ::testing::TempDir() + "/morrigan_stale_test";
-    ASSERT_EQ(0, system(("mkdir -p '" + dir + "'").c_str()));
-    const std::string key = "stale-version-key";
-
-    ResultCache writer;
-    writer.setDiskDir(dir);
-    writer.insert(key, sampleResult());
-    // Rewrite the version field in the single cache file to a stale
-    // value.
-    ASSERT_EQ(0,
-              system(("for f in '" + dir +
-                      "'/morrigan-cache-*.json; do sed -i "
-                      "'s/\"version\": *[0-9]*/\"version\": 0/' "
-                      "\"$f\"; done")
-                         .c_str()));
-
-    ResultCache reader;
-    reader.setDiskDir(dir);
-    SimResult out;
-    EXPECT_FALSE(reader.lookup(key, out));
-    EXPECT_EQ(reader.counts().diskRejects, 1u);
-}
-
-TEST(ResultCacheDisk, KeyMismatchIsRejected)
-{
-    // A hash collision (or a renamed file) would surface as a file
-    // whose embedded key differs from the requested one; the full
-    // key stored in the file guards against silently serving it.
-    const std::string dir =
-        ::testing::TempDir() + "/morrigan_keymismatch_test";
-    ASSERT_EQ(0, system(("mkdir -p '" + dir + "'").c_str()));
-
-    ResultCache writer;
-    writer.setDiskDir(dir);
-    writer.insert("key-a", sampleResult());
-    // Rename the file so it sits at the path derived for a different
-    // key. Easiest deterministic route: rewrite the embedded key.
-    ASSERT_EQ(0, system(("for f in '" + dir +
-                         "'/morrigan-cache-*.json; do sed -i "
-                         "'s/key-a/key-b/' \"$f\"; done")
-                            .c_str()));
-
-    ResultCache reader;
-    reader.setDiskDir(dir);
-    SimResult out;
-    EXPECT_FALSE(reader.lookup("key-a", out));
-    EXPECT_EQ(reader.counts().diskRejects, 1u);
-}
-
-TEST(ResultCacheDisk, MissingDirectoryIsAMissNotAnError)
-{
-    ResultCache cache;
-    cache.setDiskDir("/nonexistent/morrigan-cache-dir");
-    SimResult out;
-    EXPECT_FALSE(cache.lookup("any-key", out));
-    EXPECT_EQ(cache.counts().misses, 1u);
-    EXPECT_EQ(cache.counts().diskRejects, 0u);
-    // Inserts into an unwritable dir must not crash either.
-    cache.insert("any-key", sampleResult());
-    ASSERT_TRUE(cache.lookup("any-key", out));
 }

@@ -6,7 +6,8 @@
  * miss-stream jobs, worker-count resolution, fault containment
  * (thread and sandbox modes), watchdog timeouts, deterministic retry
  * scheduling, journal checkpoint/resume (bit-identical, tolerant of
- * torn writes), failure manifests and degraded-mode batch results.
+ * torn writes), the sandbox result pipe, the progress line, failure
+ * manifests and degraded-mode batch results.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "core/morrigan.hh"
 #include "core/tlb_prefetcher.hh"
 #include "sim/experiment.hh"
+#include "sim/result_cache.hh"
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
@@ -619,6 +621,61 @@ TEST(Supervisor, JournalResumeBitIdentical)
     for (const RunOutcome &o : third)
         EXPECT_TRUE(o.fromJournal);
     std::remove(journal.c_str());
+}
+
+TEST(Supervisor, SandboxPipeCarriesCheckReport)
+{
+    // A sandboxed child sends its outcome back as a journal record;
+    // a checked, fault-injected job must arrive with the same
+    // mismatch report, mismatch count and structural count as the
+    // same job run on a thread.
+    SimConfig cfg = quickConfig();
+    cfg.checkLevel = 1;
+    cfg.injectWalkerBugPeriod = 50;
+    const std::vector<ExperimentJob> batch = {goodJob(cfg, 0)};
+
+    std::vector<RunOutcome> threaded =
+        Supervisor(executeAll(1)).run(batch);
+    std::vector<RunOutcome> isolated =
+        Supervisor(executeAll(1, true)).run(batch);
+    ASSERT_TRUE(threaded[0].ok()) << threaded[0].failure.what;
+    ASSERT_TRUE(isolated[0].ok()) << isolated[0].failure.what;
+    const SimResult &t = threaded[0].output.result;
+    const SimResult &s = isolated[0].output.result;
+    EXPECT_GT(t.checkMismatches, 0u) << "injection was not caught";
+    EXPECT_FALSE(t.checkReport.empty());
+    EXPECT_EQ(s.checkReport, t.checkReport);
+    EXPECT_EQ(s.checkMismatches, t.checkMismatches);
+    EXPECT_EQ(isolated[0].structuralViolations,
+              threaded[0].structuralViolations);
+    expectIdentical(t, s);
+}
+
+TEST(Supervisor, ProgressHitRateIsTheBatchsOwn)
+{
+    // The progress line reports the share of *this* batch served
+    // without simulating, not process-wide cache counters: with X
+    // warmed by an earlier batch, {X, Y} is one hit in two jobs
+    // (the process has made 3 cache probes by then).
+    ResultCache::global().clear();
+    const SimConfig cfg = quickConfig();
+    const ExperimentJob x = goodJob(cfg, 13);
+    const ExperimentJob y = goodJob(cfg, 14);
+
+    SupervisorOptions opt;
+    opt.jobs = 1;
+    opt.maxAttempts = 1;
+    Supervisor(opt).run({x});
+
+    opt.progressEveryMs = 1;
+    testing::internal::CaptureStderr();
+    std::vector<RunOutcome> out = Supervisor(opt).run({x, y});
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(out[0].fromCache);
+    ASSERT_TRUE(out[1].ok());
+    EXPECT_NE(err.find("cache 50% hit"), std::string::npos) << err;
+    EXPECT_EQ(err.find("cache 33% hit"), std::string::npos) << err;
+    ResultCache::global().clear();
 }
 
 TEST(Supervisor, JournalToleratesTruncatedLastLine)

@@ -792,8 +792,8 @@ main(int argc, char **argv)
 
     if (with_baseline) {
         // The baseline is a cacheable job: route it through the
-        // pool so repeated invocations (and MORRIGAN_RESULT_CACHE
-        // campaigns) reuse it rather than re-simulating.
+        // supervisor so a journaled invocation (--journal /
+        // MORRIGAN_JOURNAL) replays it rather than re-simulating.
         SimConfig base_cfg = cfg;
         base_cfg.collectMissStream = false;
         ExperimentJob job =
