@@ -53,7 +53,7 @@ namespace morrigan
  * version differs (re-simulating is always safe, reinterpreting
  * stale bytes never is).
  */
-constexpr std::uint32_t snapshotSchemaVersion = 1;
+constexpr std::uint32_t snapshotSchemaVersion = 2;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error

@@ -11,7 +11,6 @@
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "common/telemetry.hh"
-#include "sim/simulator.hh"
 
 namespace morrigan
 {
@@ -63,18 +62,6 @@ ExperimentJob::smtPairWith(
     return job;
 }
 
-namespace
-{
-
-/** A fully wired simulator plus everything it borrows. */
-struct JobAssembly
-{
-    std::unique_ptr<TlbPrefetcher> prefetcher;
-    std::unique_ptr<ServerWorkload> trace;
-    std::unique_ptr<ServerWorkload> smtTrace;
-    std::unique_ptr<Simulator> sim;
-};
-
 JobAssembly
 buildJob(const ExperimentJob &job)
 {
@@ -94,56 +81,47 @@ buildJob(const ExperimentJob &job)
     return a;
 }
 
-} // anonymous namespace
+bool
+restoreOrRebuild(JobAssembly &a, const std::string &path,
+                 const char *what,
+                 const std::function<JobAssembly()> &rebuild)
+{
+    if (path.empty() || ::access(path.c_str(), F_OK) != 0)
+        return false;
+    try {
+        a.sim->restoreCheckpoint(path);
+        return true;
+    } catch (const SnapshotError &e) {
+        warn("discarding %s %s: %s", what, path.c_str(), e.what());
+        a = rebuild();
+        return false;
+    }
+}
 
 ExperimentOutput
 executeJob(const ExperimentJob &job, const JobExecutionOptions &opts)
 {
     telemetry::ScopedSpan job_span(telemetry::Phase::WorkerRun);
-    JobAssembly a = buildJob(job);
+    const auto rebuild = [&job] { return buildJob(job); };
+    JobAssembly a = rebuild();
 
-    // Restore chain: a checkpoint (mid-run, furthest along) beats a
-    // warmup image beats simulating from scratch. Any defect in an
-    // image -- corruption, truncation, schema or configuration
-    // mismatch -- discards it: the assembly is rebuilt and the job
-    // re-simulates. Snapshots accelerate; they never gate.
-    bool resumed = false;
+    // Restore chain: the job's own checkpoint (mid-run, usually
+    // furthest along), else its warmup image, else from scratch.
     {
         telemetry::ScopedSpan span(telemetry::Phase::SimRestore);
-        if (!opts.checkpointPath.empty() &&
-            ::access(opts.checkpointPath.c_str(), F_OK) == 0) {
-            try {
-                a.sim->restoreCheckpoint(opts.checkpointPath);
-                resumed = true;
-            } catch (const SnapshotError &e) {
-                warn("discarding checkpoint %s: %s",
-                     opts.checkpointPath.c_str(), e.what());
-                a = buildJob(job);
-            }
-        }
-        if (!resumed && !opts.warmupImagePath.empty()) {
-            if (::access(opts.warmupImagePath.c_str(), F_OK) == 0) {
-                try {
-                    a.sim->restoreCheckpoint(opts.warmupImagePath);
-                    resumed = true;
-                    telemetry::add(
-                        telemetry::Counter::WarmupImageHits);
-                } catch (const SnapshotError &e) {
-                    warn("discarding warmup image %s: %s",
-                         opts.warmupImagePath.c_str(), e.what());
-                    a = buildJob(job);
-                }
-            }
-            if (!resumed) {
-                telemetry::add(
-                    telemetry::Counter::WarmupImageMisses);
-                a.sim->setWarmupImagePath(opts.warmupImagePath);
-            }
-        }
+        if (!restoreOrRebuild(a, opts.checkpointPath, "checkpoint",
+                              rebuild) &&
+            !opts.warmupImagePath.empty())
+            telemetry::add(
+                restoreOrRebuild(a, opts.warmupImagePath,
+                                 "warmup image", rebuild)
+                    ? telemetry::Counter::WarmupImageHits
+                    : telemetry::Counter::WarmupImageMisses);
     }
-    if (!opts.checkpointPath.empty() && opts.checkpointEvery != 0)
-        a.sim->setCheckpointing(opts.checkpointPath,
-                                opts.checkpointEvery);
+    // run() publishes the image only when it crosses the warmup
+    // boundary: a no-op for a run restored past warmup.
+    a.sim->setWarmupImagePath(opts.warmupImagePath);
+    a.sim->setCheckpointing(opts.checkpointPath, opts.checkpointEvery);
 
     ExperimentOutput out;
     out.result = a.sim->run();

@@ -25,6 +25,7 @@
 
 #include "core/prefetcher_registry.hh"
 #include "sim/sim_config.hh"
+#include "sim/simulator.hh"
 #include "workload/miss_stream_stats.hh"
 #include "workload/server_workload.hh"
 
@@ -112,11 +113,33 @@ struct JobExecutionOptions
     std::uint64_t checkpointEvery = 0;
 
     /** Warmup-image file (keyed by warmupKey() at the call site):
-     * restored when present, written at the warmup->measurement
-     * transition when not. Consulted only if no checkpoint was
-     * restored (a checkpoint is always at least as far along). */
+     * restored when no checkpoint was, written at the
+     * warmup->measurement transition by a run that warms up. */
     std::string warmupImagePath;
 };
+
+/** A fully wired simulator plus everything it borrows. */
+struct JobAssembly
+{
+    std::unique_ptr<TlbPrefetcher> prefetcher;
+    std::unique_ptr<ServerWorkload> trace;
+    std::unique_ptr<ServerWorkload> smtTrace;
+    std::unique_ptr<Simulator> sim;
+};
+
+/** Construct and wire @p job's prefetcher, workloads and
+ * simulator. */
+JobAssembly buildJob(const ExperimentJob &job);
+
+/**
+ * The one restore path: restore @p a from the snapshot at @p path,
+ * if one exists. On any SnapshotError, warn "discarding <what>" and
+ * replace @p a with rebuild() -- a failed restore may have written
+ * part of the state. Returns whether @p a was restored.
+ */
+bool restoreOrRebuild(JobAssembly &a, const std::string &path,
+                      const char *what,
+                      const std::function<JobAssembly()> &rebuild);
 
 /** Execute one job on the calling thread (no scheduler, no cache). */
 ExperimentOutput executeJob(const ExperimentJob &job,

@@ -1,6 +1,7 @@
 #include "result_cache.hh"
 
 #include <cstdio>
+#include <filesystem>
 
 #include "common/json.hh"
 #include "common/json_reader.hh"
@@ -218,22 +219,11 @@ simResultFromJson(const json::Value &doc, SimResult &out)
 namespace
 {
 
-/** Shared body of experimentKey() / warmupKey(). @p warmup_only
- * omits the measurement-only fields. */
-std::string
-buildKey(const SimConfig &cfg, const std::string &kind,
-         const ServerWorkloadParams &workload,
-         const ServerWorkloadParams *smt, bool warmup_only)
+/** The SimConfig part of every key. @p warmup_only omits the
+ * measurement-only fields. */
+void
+addConfigFields(KeyBuilder &kb, const SimConfig &cfg, bool warmup_only)
 {
-    KeyBuilder kb;
-    kb.add("schema", std::string(warmup_only ? "morrigan-warmup"
-                                             : "morrigan-experiment"));
-    kb.add("version",
-           std::uint64_t{json::resultCacheSchemaVersion});
-    // The registry spec string (CLI spelling, '+'-joined for
-    // hybrids) is the canonical cache identity of a prefetcher.
-    kb.add("prefetcher", kind);
-
     addCacheParams(kb, "mem.l1i", cfg.mem.l1i);
     addCacheParams(kb, "mem.l1d", cfg.mem.l1d);
     addCacheParams(kb, "mem.l2", cfg.mem.l2);
@@ -284,7 +274,23 @@ buildKey(const SimConfig &cfg, const std::string &kind,
     kb.add("smtThread1VpnOffset", cfg.smtThread1VpnOffset);
     kb.add("checkLevel", std::uint64_t(cfg.checkLevel));
     kb.add("injectWalkerBugPeriod", cfg.injectWalkerBugPeriod);
+}
 
+/** Shared body of experimentKey() / warmupKey(). */
+std::string
+buildKey(const SimConfig &cfg, const std::string &kind,
+         const ServerWorkloadParams &workload,
+         const ServerWorkloadParams *smt, bool warmup_only)
+{
+    KeyBuilder kb;
+    kb.add("schema", std::string(warmup_only ? "morrigan-warmup"
+                                             : "morrigan-experiment"));
+    kb.add("version",
+           std::uint64_t{json::resultCacheSchemaVersion});
+    // The registry spec string (CLI spelling, '+'-joined for
+    // hybrids) is the canonical cache identity of a prefetcher.
+    kb.add("prefetcher", kind);
+    addConfigFields(kb, cfg, warmup_only);
     addWorkloadParams(kb, "wl", workload);
     kb.add("smt", smt != nullptr);
     if (smt)
@@ -310,6 +316,14 @@ warmupKey(const SimConfig &cfg, const std::string &kind,
     return buildKey(cfg, kind, workload, smt, true);
 }
 
+std::string
+warmupConfigKey(const SimConfig &cfg)
+{
+    KeyBuilder kb;
+    addConfigFields(kb, cfg, true);
+    return kb.str();
+}
+
 std::uint64_t
 cacheKeyDigest(const std::string &key)
 {
@@ -320,6 +334,18 @@ cacheKeyDigest(const std::string &key)
         h *= 0x100000001b3ULL;
     }
     return h;
+}
+
+std::string
+snapshotPath(const std::string &dir, const char *stem,
+             const std::string &key)
+{
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(cacheKeyDigest(key)));
+    return dir + "/morrigan-" + stem + "-" + buf + ".snap";
 }
 
 void

@@ -64,9 +64,23 @@ std::string warmupKey(const SimConfig &cfg, const std::string &kind,
                       const ServerWorkloadParams &workload,
                       const ServerWorkloadParams *smt = nullptr);
 
+/** The SimConfig part of warmupKey(), which is also the
+ * configuration identity every simulator snapshot carries. */
+std::string warmupConfigKey(const SimConfig &cfg);
+
 /** FNV-1a digest of a canonical key, for deriving snapshot file
  * names and retry jitter. */
 std::uint64_t cacheKeyDigest(const std::string &key);
+
+/**
+ * `<dir>/morrigan-<stem>-<16 hex digits of key digest>.snap`,
+ * creating @p dir: the snapshot store's one naming rule (stem
+ * "ckpt" + experiment key, "warm" + warmup key). Best-effort: if
+ * the directory cannot be created the snapshot writes fail with a
+ * warning, they never fail the job.
+ */
+std::string snapshotPath(const std::string &dir, const char *stem,
+                         const std::string &key);
 
 /** Serialize a SimResult as one JSON object (full precision). */
 void writeSimResultJson(std::ostream &os, const SimResult &r);

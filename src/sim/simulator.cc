@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "icache/fnl_mma.hh"
+#include "sim/result_cache.hh"
 
 namespace morrigan
 {
@@ -723,6 +724,23 @@ Simulator::maybeCheckpoint()
     }
 }
 
+namespace
+{
+
+/** The first `name=value` field of canonical key @p a that @p b
+ * does not match, for naming a configuration mismatch. */
+std::string
+firstKeyField(const std::string &a, const std::string &b)
+{
+    const std::size_t i =
+        std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+        a.begin();
+    const std::size_t begin = i > 0 ? a.rfind(';', i - 1) + 1 : 0;
+    return a.substr(begin, a.find(';', begin) - begin);
+}
+
+} // namespace
+
 void
 Simulator::save(SnapshotWriter &w) const
 {
@@ -736,16 +754,15 @@ Simulator::save(SnapshotWriter &w) const
 
     w.section("simulator");
 
-    // Configuration fingerprint: restoring into a differently
-    // configured simulator must fail loudly, not resume quietly.
-    // The measurement length is deliberately absent: a warmup image
-    // is valid for any measurement budget (that is what makes it
-    // shareable across a sweep), and checkpoints are keyed by the
-    // full experiment key at the orchestration layer.
-    w.u64(cfg_.warmupInstructions);
+    // Identity, checked before restore() writes any state. The
+    // SimConfig part of warmupKey() leaves out the measurement
+    // length: a warmup image serves any measurement budget (that is
+    // what makes it shareable across a sweep). Workloads check their
+    // own parameters when they restore.
+    w.str(warmupConfigKey(cfg_));
     w.u32(numThreads_);
-    w.u8(static_cast<std::uint8_t>(cfg_.icachePref));
     w.str(prefetcher_ ? prefetcher_->name() : "none");
+    w.u64(prefetcher_ ? prefetcher_->storageBits() : 0);
     w.b(tracer_ != nullptr);
     w.b(sampler_ != nullptr);
 
@@ -829,17 +846,23 @@ Simulator::restore(SnapshotReader &r)
 {
     r.section("simulator");
 
-    if (r.u64() != cfg_.warmupInstructions)
-        throw SnapshotError("warmup budget mismatch");
+    const std::string config = r.str();
+    const std::string live_config = warmupConfigKey(cfg_);
+    if (config != live_config)
+        throw SnapshotError("configuration mismatch: snapshot has " +
+                            firstKeyField(config, live_config) +
+                            ", simulator has " +
+                            firstKeyField(live_config, config));
     if (r.u32() != numThreads_)
         throw SnapshotError("thread count mismatch");
-    if (r.u8() != static_cast<std::uint8_t>(cfg_.icachePref))
-        throw SnapshotError("I-cache prefetcher kind mismatch");
     std::string pf = r.str();
     std::string live = prefetcher_ ? prefetcher_->name() : "none";
     if (pf != live)
         throw SnapshotError("prefetcher mismatch: snapshot has '" +
                             pf + "', simulator has '" + live + "'");
+    if (r.u64() != (prefetcher_ ? prefetcher_->storageBits() : 0))
+        throw SnapshotError("prefetcher '" + live +
+                            "' storage budget mismatch");
     if (r.b() != (tracer_ != nullptr))
         throw SnapshotError("tracer attachment mismatch");
     if (r.b() != (sampler_ != nullptr))
@@ -912,11 +935,7 @@ Simulator::restore(SnapshotReader &r)
         sampler_->restore(r);
 
     rootStats_.restoreAll(r);
-
-    if (checkpointEvery_ != 0)
-        nextCheckpointAt_ =
-            (progressInstructions() / checkpointEvery_ + 1) *
-            checkpointEvery_;
+    setCheckpointing(checkpointPath_, checkpointEvery_);
 }
 
 void
@@ -932,6 +951,9 @@ void
 Simulator::restoreCheckpoint(const std::string &path)
 {
     SnapshotReader r(path);
+    // A longer run's checkpoint past this run's end is no prefix.
+    if (r.header().progressInstructions > totalInstructions())
+        throw SnapshotError("snapshot is past this run's end");
     restore(r);
     r.finish();
 }

@@ -123,10 +123,11 @@ class Simulator
     void save(SnapshotWriter &w) const;
 
     /**
-     * Restore a state written by save(). The simulator must be
-     * configured identically (same SimConfig, workloads, prefetcher
-     * and observability attachments); any mismatch throws
-     * SnapshotError and leaves the caller to re-simulate.
+     * Restore a state written by save() into an identically
+     * configured simulator (SimConfig, workloads, prefetcher,
+     * observability attachments). A mismatch throws SnapshotError,
+     * possibly after part of the state was written, so the caller
+     * must not run this simulator: see restoreOrRebuild().
      */
     void restore(SnapshotReader &r);
 

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -178,21 +177,6 @@ tailOf(const std::string &s, std::size_t keep = 2000)
         nl - start < 200)
         start = nl + 1;
     return "..." + s.substr(start);
-}
-
-/** `<dir>/morrigan-<stem>-<16 hex digits of key digest>.snap`,
- * creating @p dir. Best-effort: if the directory cannot be created
- * the snapshot writes fail with a warning, they never fail the job. */
-std::string
-snapshotPath(const std::string &dir, const char *stem,
-             const std::string &key)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(cacheKeyDigest(key)));
-    return dir + "/morrigan-" + stem + "-" + buf + ".snap";
 }
 
 /**
@@ -373,13 +357,19 @@ SupervisorOptions::fromEnv()
                                 "MORRIGAN_JOB_RETRIES", e, 0, 100));
     if (const char *e = std::getenv("MORRIGAN_JOURNAL"))
         o.journalPath = e;
-    if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_DIR"))
-        o.checkpointDir = e;
-    if (const char *e = std::getenv("MORRIGAN_WARMUP_CACHE"))
-        o.warmupImageDir = e;
+    // The two snapshot stores these named are one store now; a
+    // campaign still setting them would silently run uncached.
+    for (const char *retired :
+         {"MORRIGAN_CHECKPOINT_DIR", "MORRIGAN_WARMUP_CACHE"})
+        if (std::getenv(retired))
+            fatal("%s is retired: set MORRIGAN_SNAPSHOT_DIR, which "
+                  "holds both checkpoints and warmup images",
+                  retired);
+    if (const char *e = std::getenv("MORRIGAN_SNAPSHOT_DIR"))
+        o.snapshotDir = e;
     if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_EVERY"))
         o.checkpointEveryInstructions =
-            parseEnvU64("MORRIGAN_CHECKPOINT_EVERY", e, 1,
+            parseEnvU64("MORRIGAN_CHECKPOINT_EVERY", e, 0,
                         std::uint64_t{1} << 40);
     if (const char *e = std::getenv("MORRIGAN_PROGRESS_MS"))
         o.progressEveryMs =
@@ -695,18 +685,14 @@ Supervisor::jobOptions(const ExperimentJob &job,
     // saved (checked runs, miss-stream collection) or has no stable
     // identity to key the image by (factory prefetchers).
     JobExecutionOptions opts;
-    if (!job.cacheable())
+    if (!job.cacheable() || opt_.snapshotDir.empty())
         return opts;
-    if (!opt_.checkpointDir.empty() && !key.empty()) {
-        opts.checkpointPath =
-            snapshotPath(opt_.checkpointDir, "ckpt", key);
-        opts.checkpointEvery = opt_.checkpointEveryInstructions;
-    }
-    if (!opt_.warmupImageDir.empty())
-        opts.warmupImagePath = snapshotPath(
-            opt_.warmupImageDir, "warm",
-            warmupKey(job.cfg, job.kind, job.workload,
-                      job.smt ? &job.smtWorkload : nullptr));
+    opts.checkpointPath = snapshotPath(opt_.snapshotDir, "ckpt", key);
+    opts.checkpointEvery = opt_.checkpointEveryInstructions;
+    opts.warmupImagePath = snapshotPath(
+        opt_.snapshotDir, "warm",
+        warmupKey(job.cfg, job.kind, job.workload,
+                  job.smt ? &job.smtWorkload : nullptr));
     return opts;
 }
 
@@ -765,13 +751,18 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
 
     // Publish a finalized outcome the moment the scheduler settles
     // it: the journal then checkpoints progress job by job, so a
-    // campaign killed mid-flight resumes with every finished job.
+    // campaign killed mid-flight resumes with every finished job,
+    // and the finished job's mid-run checkpoint is dead weight.
     PublishFn publish = [&](std::size_t i) {
         const RunOutcome &o = out[i];
         if (o.ok() && opt_.useCache && batch[i].cacheable())
             cache.insert(keys[i], o.output.result);
         if (!keys[i].empty() && journal.enabled())
             journal.record(keys[i], o);
+        const std::string ckpt =
+            jobOptions(batch[i], keys[i]).checkpointPath;
+        if (o.ok() && !ckpt.empty())
+            ::unlink(ckpt.c_str());
     };
 
     // Everything the planner did not hand to a scheduler was served
@@ -1002,12 +993,6 @@ Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
                     publish(it->idx);
                     meter.jobDone(
                         jobInstructionBudget(batch[it->idx]));
-                    // The finished result is durable (cache +
-                    // journal); the mid-run checkpoint is now dead
-                    // weight.
-                    if (!it->att->opts.checkpointPath.empty())
-                        ::unlink(
-                            it->att->opts.checkpointPath.c_str());
                 } else {
                     handle_failure(it->idx, it->attempt,
                                    RunStatus::Failed,
@@ -1076,7 +1061,6 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
         std::string stderrBuf;
         Clock::time_point deadline;
         std::uint64_t timeoutMs;
-        std::string checkpointPath;
         Clock::time_point launched;
         bool watchdogKilled = false;
     };
@@ -1147,9 +1131,6 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
             out[c.idx] = std::move(o);
             publish(c.idx);
             meter.jobDone(jobInstructionBudget(batch[c.idx]));
-            // Result is durable; drop the mid-run checkpoint.
-            if (!c.checkpointPath.empty())
-                ::unlink(c.checkpointPath.c_str());
         } else if (parsed && !o.ok()) {
             handle_failure(c, RunStatus::Failed, o.failure.what, 0);
         } else {
@@ -1209,8 +1190,7 @@ Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
             ::close(ep[1]);
             children.push_back(
                 {pid, it->idx, it->attempt, rp[0], ep[0], "", "",
-                 now + std::chrono::milliseconds(tmo), tmo,
-                 opts.checkpointPath, now});
+                 now + std::chrono::milliseconds(tmo), tmo, now});
             it = pending.erase(it);
         }
 

@@ -19,7 +19,7 @@
  *    retried a bounded number of times with exponential backoff
  *    and deterministic jitter (seeded from the job key, so reruns
  *    schedule identically);
- *  - with SupervisorOptions::checkpointDir set, cacheable jobs
+ *  - with SupervisorOptions::snapshotDir set, cacheable jobs
  *    autosave snapshots (see DESIGN.md §12) and a retried attempt
  *    resumes from the last checkpoint -- with a watchdog deadline
  *    derived from the remaining instruction budget -- instead of
@@ -126,28 +126,19 @@ struct SupervisorOptions
     std::string journalPath;
 
     /**
-     * Directory for per-job snapshot checkpoints; empty disables
-     * them. Cacheable jobs autosave a snapshot (keyed by their
-     * experiment key) every checkpointEveryInstructions, and a
-     * retried attempt -- after a watchdog SIGKILL, a crash, or a
-     * whole-campaign restart -- resumes from the last checkpoint
-     * instead of starting over. The watchdog deadline of a resumed
-     * attempt is derived from the *remaining* instruction budget.
+     * The snapshot store (DESIGN.md §12); empty disables it. A
+     * cacheable job restores its checkpoint, else its warmup image;
+     * publishes the image at the warmup->measurement transition; and
+     * autosaves a checkpoint every checkpointEveryInstructions. So a
+     * retried attempt resumes (with a watchdog deadline sized for
+     * the *remaining* budget) and a sweep warms each (workload,
+     * prefetcher, system) once.
      */
-    std::string checkpointDir;
+    std::string snapshotDir;
 
-    /** Checkpoint autosave interval in executed instructions. */
+    /** Checkpoint autosave interval in executed instructions; 0
+     * turns autosave off (warmup images only). */
     std::uint64_t checkpointEveryInstructions = 1'000'000;
-
-    /**
-     * Directory for warmup images; empty disables them. Cacheable
-     * jobs restore (or, when absent, publish) a snapshot taken at
-     * the warmup->measurement transition, keyed by warmupKey(), so
-     * a sweep warms each (workload, prefetcher, system) once.
-     * Concurrent writers of one key are benign: publication is
-     * atomic and every writer produces the identical image.
-     */
-    std::string warmupImageDir;
 
     /**
      * Emit a campaign progress line to stderr at most every this
@@ -166,9 +157,9 @@ struct SupervisorOptions
 
     /** Resolve MORRIGAN_ISOLATE / MORRIGAN_JOB_TIMEOUT (seconds) /
      * MORRIGAN_JOB_RETRIES / MORRIGAN_JOURNAL /
-     * MORRIGAN_CHECKPOINT_DIR / MORRIGAN_WARMUP_CACHE /
-     * MORRIGAN_CHECKPOINT_EVERY / MORRIGAN_PROGRESS_MS on top of
-     * defaults; junk values are fatal. */
+     * MORRIGAN_SNAPSHOT_DIR / MORRIGAN_CHECKPOINT_EVERY /
+     * MORRIGAN_PROGRESS_MS on top of defaults; junk values and the
+     * retired snapshot variables are fatal. */
     static SupervisorOptions fromEnv();
 };
 
@@ -295,8 +286,8 @@ class Supervisor
     /** Stable identity for cache + journal; "" = anonymous. */
     std::string jobKey(const ExperimentJob &job) const;
 
-    /** Checkpoint/warmup knobs for one execution of @p job; empty
-     * paths when checkpointing is off or the job is not eligible. */
+    /** Snapshot-store paths for one execution of @p job; empty
+     * when the store is off or the job is not eligible. */
     JobExecutionOptions jobOptions(const ExperimentJob &job,
                                    const std::string &key) const;
 

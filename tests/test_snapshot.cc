@@ -27,6 +27,7 @@
 #include "common/snapshot.hh"
 #include "common/zipf.hh"
 #include "core/frequency_stack.hh"
+#include "core/morrigan.hh"
 #include "core/prediction_table.hh"
 #include "mem/cache_model.hh"
 #include "sim/interval_sampler.hh"
@@ -432,6 +433,73 @@ TEST(Snapshot, MismatchedConfigurationRejected)
     EXPECT_EQ(resultJson(executeJob(other, resume_opts).result), ref);
 }
 
+TEST(Snapshot, ResumeUnderAnotherConfigurationEqualsFreshRun)
+{
+    // A mid-measurement checkpoint of qmm_00 x morrigan, resumed
+    // under a different configuration, must be discarded and the
+    // run must equal a fresh run of the new configuration -- never
+    // continue on the old state (silently or after a warning).
+    SimConfig cfg;
+    cfg.warmupInstructions = 100'000;
+    cfg.simInstructions = 300'000;
+    const ExperimentJob job =
+        ExperimentJob::of(cfg, "morrigan", qmmWorkloadParams(0));
+    FileGuard f(tempPath("sim-other-config.snap"));
+    JobExecutionOptions save_opts;
+    save_opts.checkpointPath = f.path();
+    save_opts.checkpointEvery = 150'000; // last autosave mid-measure
+    (void)executeJob(job, save_opts);
+    SnapshotHeader hdr;
+    ASSERT_TRUE(readSnapshotHeader(f.path(), hdr));
+    ASSERT_GT(hdr.progressInstructions, cfg.warmupInstructions);
+
+    JobExecutionOptions resume_opts;
+    resume_opts.checkpointPath = f.path();
+    auto resume = [&](const ExperimentJob &j, std::string &err) {
+        testing::internal::CaptureStderr();
+        const std::string r = resultJson(executeJob(j, resume_opts).result);
+        err = testing::internal::GetCapturedStderr();
+        return r;
+    };
+
+    std::vector<std::pair<std::string, ExperimentJob>> others;
+    others.emplace_back("contextSwitchInterval", job);
+    others.back().second.cfg.contextSwitchInterval = 100'000;
+    others.emplace_back("walker.asap", job);
+    others.back().second.cfg.walker.asap = true;
+    others.emplace_back("pbEntries", job);
+    others.back().second.cfg.pbEntries = 32;
+    // Measurement length is not part of a snapshot's identity, but a
+    // checkpoint past the run's end is no prefix of it.
+    others.emplace_back("shorter run", job);
+    others.back().second.cfg.simInstructions = 150'000;
+    others.emplace_back("workload",
+                        ExperimentJob::of(cfg, "morrigan",
+                                          qmmWorkloadParams(3)));
+    others.emplace_back(
+        "smt-scaled factory",
+        ExperimentJob::with(
+            cfg,
+            [] {
+                return std::make_unique<MorriganPrefetcher>(
+                    MorriganParams{}.smtScaled());
+            },
+            qmmWorkloadParams(0)));
+    for (const auto &[what, other] : others) {
+        std::string err;
+        EXPECT_EQ(resume(other, err), resultJson(executeJob(other).result))
+            << what;
+        EXPECT_NE(err.find("discarding checkpoint"), std::string::npos)
+            << what << ": " << err;
+    }
+
+    // Control: the unchanged configuration still resumes, bit for
+    // bit.
+    std::string err;
+    EXPECT_EQ(resume(job, err), resultJson(executeJob(job).result));
+    EXPECT_EQ(err.find("discarding"), std::string::npos) << err;
+}
+
 TEST(Snapshot, CheckedRunsRefuseToSnapshot)
 {
     SimConfig cfg;
@@ -468,13 +536,7 @@ supervisorResumeCase(bool isolate)
                             "morrigan-snaptest-supervisor-" +
                             std::to_string(::getpid()) +
                             (isolate ? "-sbx" : "-thr");
-    std::filesystem::create_directories(dir);
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      cacheKeyDigest(key)));
-    const std::string ckpt =
-        dir + "/morrigan-ckpt-" + buf + ".snap";
+    const std::string ckpt = snapshotPath(dir, "ckpt", key);
     JobExecutionOptions plant;
     plant.checkpointPath = ckpt;
     plant.checkpointEvery = 30'000;
@@ -484,7 +546,7 @@ supervisorResumeCase(bool isolate)
     ResultCache::global().clear();
     SupervisorOptions opt;
     opt.isolate = isolate;
-    opt.checkpointDir = dir;
+    opt.snapshotDir = dir;
     opt.jobs = 1;
     Supervisor sup(opt);
     std::vector<RunOutcome> outcomes = sup.run({job});
@@ -516,6 +578,48 @@ TEST(Snapshot, SupervisorSandboxModeResumesFromCheckpoint)
     supervisorResumeCase(/*isolate=*/true);
 }
 
+TEST(Snapshot, ResumeFromMidWarmupCheckpointPublishesWarmupImage)
+{
+    // A job killed during warmup resumes from its checkpoint and
+    // still warms up itself, so it must publish the warmup image
+    // at the boundary like an uninterrupted job would.
+    const ExperimentJob job = smallJob();
+    const std::string ref = resultJson(executeJob(job).result);
+    const std::string dir = ::testing::TempDir() +
+                            "morrigan-snaptest-midwarm-" +
+                            std::to_string(::getpid());
+    const std::string ckpt = snapshotPath(
+        dir, "ckpt", experimentKey(job.cfg, job.kind, job.workload));
+    const std::string image = snapshotPath(
+        dir, "warm", warmupKey(job.cfg, job.kind, job.workload));
+
+    // A producer that measures one round autosaves at 7k and 14k
+    // instructions, both inside the 20k warmup.
+    ExperimentJob producer = job;
+    producer.cfg.simInstructions = 1;
+    JobExecutionOptions plant;
+    plant.checkpointPath = ckpt;
+    plant.checkpointEvery = 7'000;
+    (void)executeJob(producer, plant);
+    SnapshotHeader hdr;
+    ASSERT_TRUE(readSnapshotHeader(ckpt, hdr));
+    ASSERT_LT(hdr.progressInstructions, job.cfg.warmupInstructions);
+    ASSERT_FALSE(std::filesystem::exists(image));
+
+    SupervisorOptions opt;
+    opt.useCache = false;
+    opt.maxAttempts = 1;
+    opt.jobs = 1;
+    opt.snapshotDir = dir;
+    std::vector<RunOutcome> out = Supervisor(opt).run({job});
+    ASSERT_TRUE(out[0].ok()) << out[0].failure.what;
+    EXPECT_EQ(resultJson(out[0].output.result), ref);
+    EXPECT_TRUE(std::filesystem::exists(image));
+    EXPECT_FALSE(std::filesystem::exists(ckpt));
+
+    std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------------------
 // Warmup-image cache: sharing a warmed snapshot across a sweep
 // changes nothing.
@@ -540,7 +644,7 @@ TEST(Snapshot, WarmupImageReuseBitIdentical)
     opt.jobs = 2;
     opt.useCache = false;
     opt.maxAttempts = 1;
-    opt.warmupImageDir = dir;
+    opt.snapshotDir = dir;
     Supervisor sup(opt);
 
     // Cold pass populates the image; both measurement lengths share

@@ -806,18 +806,39 @@ TEST(Supervisor, OptionsFromEnv)
     setenv("MORRIGAN_ISOLATE", "1", 1);
     setenv("MORRIGAN_JOB_TIMEOUT", "30", 1);
     setenv("MORRIGAN_JOB_RETRIES", "4", 1);
-    setenv("MORRIGAN_WARMUP_CACHE", "warm-images", 1);
+    setenv("MORRIGAN_SNAPSHOT_DIR", "snaps", 1);
+    setenv("MORRIGAN_CHECKPOINT_EVERY", "0", 1);
     SupervisorOptions opt = SupervisorOptions::fromEnv();
     EXPECT_TRUE(opt.isolate);
     EXPECT_EQ(opt.jobTimeoutMs, 30'000u);
     EXPECT_EQ(opt.maxAttempts, 5u); // 1 first try + 4 retries
-    EXPECT_EQ(opt.warmupImageDir, "warm-images");
+    EXPECT_EQ(opt.snapshotDir, "snaps");
+    EXPECT_EQ(opt.checkpointEveryInstructions, 0u); // autosave off
     unsetenv("MORRIGAN_ISOLATE");
     unsetenv("MORRIGAN_JOB_TIMEOUT");
     unsetenv("MORRIGAN_JOB_RETRIES");
-    unsetenv("MORRIGAN_WARMUP_CACHE");
-    EXPECT_FALSE(SupervisorOptions::fromEnv().isolate);
-    EXPECT_TRUE(SupervisorOptions::fromEnv().warmupImageDir.empty());
+    unsetenv("MORRIGAN_SNAPSHOT_DIR");
+    unsetenv("MORRIGAN_CHECKPOINT_EVERY");
+    opt = SupervisorOptions::fromEnv();
+    EXPECT_FALSE(opt.isolate);
+    EXPECT_TRUE(opt.snapshotDir.empty());
+    EXPECT_EQ(opt.checkpointEveryInstructions, 1'000'000u);
+}
+
+TEST(SupervisorDeathTest, RetiredSnapshotEnvNamesAreFatal)
+{
+    // Both used to name one half of what MORRIGAN_SNAPSHOT_DIR now
+    // holds; ignoring them would silently run a campaign uncached.
+    for (const char *retired :
+         {"MORRIGAN_WARMUP_CACHE", "MORRIGAN_CHECKPOINT_DIR"}) {
+        setenv(retired, "snaps", 1);
+        EXPECT_EXIT(SupervisorOptions::fromEnv(),
+                    ::testing::ExitedWithCode(1),
+                    std::string(retired) +
+                        " is retired: set MORRIGAN_SNAPSHOT_DIR")
+            << retired;
+        unsetenv(retired);
+    }
 }
 
 TEST(Supervisor, RunBatchAllPairsFailed)

@@ -25,10 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
-
-#include "common/snapshot.hh"
 
 #include "check/invariants.hh"
 #include "common/build_info.hh"
@@ -111,13 +108,11 @@ usage()
         "when FILE already holds a valid snapshot, resume the run "
         "from it (single-run mode)\n"
         "  --checkpoint-every N  snapshot autosave interval in "
-        "instructions (default 1000000; MORRIGAN_CHECKPOINT_EVERY)\n"
-        "  --checkpoint-dir DIR  batch mode: per-job checkpoints in "
-        "DIR so killed/timed-out jobs resume on retry "
-        "(MORRIGAN_CHECKPOINT_DIR)\n"
-        "  --warmup-cache DIR    reuse warmed-up snapshots keyed by "
-        "(workload, prefetcher, system) across batch jobs "
-        "(MORRIGAN_WARMUP_CACHE)\n"
+        "instructions; 0 turns autosave off (default 1000000; "
+        "MORRIGAN_CHECKPOINT_EVERY)\n"
+        "  --snapshot-dir DIR    batch mode: per-job checkpoints and "
+        "warmup images, so killed jobs resume and a sweep warms each "
+        "(workload, prefetcher, system) once (MORRIGAN_SNAPSHOT_DIR)\n"
         "  --telemetry           collect self-profiling phase "
         "timers/counters; adds a telemetry section (with "
         "instrs_per_sec) to --stats-json\n"
@@ -298,6 +293,15 @@ writeStatsJsonDocument(std::ostream &os, Simulator &sim,
     os << '\n';
 }
 
+/** Open @p path for writing, or die naming @p flag. */
+void
+openOutput(std::ofstream &os, const std::string &path, const char *flag)
+{
+    os.open(path);
+    if (!os)
+        fatal("cannot open %s file '%s'", flag, path.c_str());
+}
+
 /** Export the span buffer as Chrome trace-event JSON (all exits). */
 void
 exportTraceEvents(const std::string &path)
@@ -342,10 +346,6 @@ main(int argc, char **argv)
     std::string checkpoint_path;
     bool telemetry_on = false;
     std::string trace_events_path;
-    std::uint64_t checkpoint_every = 1'000'000;
-    if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_EVERY"))
-        checkpoint_every = parseU64("MORRIGAN_CHECKPOINT_EVERY", e, 1,
-                                    std::uint64_t{1} << 40);
     // Campaign resilience policy: env defaults, overridden by the
     // flags below, installed process-wide for every batch.
     SupervisorOptions sup = Supervisor::defaultOptions();
@@ -461,12 +461,10 @@ main(int argc, char **argv)
         } else if (arg == "--checkpoint") {
             checkpoint_path = next();
         } else if (arg == "--checkpoint-every") {
-            checkpoint_every =
-                parseU64(arg, next(), 1, std::uint64_t{1} << 40);
-        } else if (arg == "--checkpoint-dir") {
-            sup.checkpointDir = next();
-        } else if (arg == "--warmup-cache") {
-            sup.warmupImageDir = next();
+            sup.checkpointEveryInstructions =
+                parseU64(arg, next(), 0, std::uint64_t{1} << 40);
+        } else if (arg == "--snapshot-dir") {
+            sup.snapshotDir = next();
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
@@ -474,7 +472,6 @@ main(int argc, char **argv)
         }
     }
 
-    sup.checkpointEveryInstructions = checkpoint_every;
     Supervisor::setDefaultOptions(sup);
 
     if (telemetry_on)
@@ -504,16 +501,24 @@ main(int argc, char **argv)
         return 1;
     }
 
+    std::string spec_err = checkPrefetcherSpec(prefetcher_name);
+    if (!spec_err.empty()) {
+        std::fprintf(stderr, "%s\n", spec_err.c_str());
+        return 1;
+    }
+    // Morrigan variants honour --smt-scaled; everything else comes
+    // from the registry.
+    const bool scaled_morrigan =
+        prefetcher_name == "morrigan" && smt_scaled;
+    auto scaled_factory = [] {
+        return std::make_unique<MorriganPrefetcher>(
+            MorriganParams{}.smtScaled());
+    };
+
     // --sweep: the whole QMM suite, baseline + chosen prefetcher,
     // as one parallel batch through the shared pool and result
     // cache. Per-run observability flags don't apply here.
     if (sweep) {
-        std::string spec_err = checkPrefetcherSpec(prefetcher_name);
-        if (!spec_err.empty()) {
-            std::fprintf(stderr, "%s\n", spec_err.c_str());
-            return 1;
-        }
-        const std::string &kind = prefetcher_name;
         SimConfig sweep_cfg = cfg;
         sweep_cfg.collectMissStream = false;
 
@@ -523,14 +528,10 @@ main(int argc, char **argv)
                 sweep_cfg, "none",
                 qmmWorkloadParams(i)));
         for (unsigned i = 0; i < numQmmWorkloads; ++i) {
-            if (kind == "morrigan" && smt_scaled) {
-                ExperimentJob job = ExperimentJob::with(
-                    sweep_cfg,
-                    [] {
-                        return std::make_unique<MorriganPrefetcher>(
-                            MorriganParams{}.smtScaled());
-                    },
-                    qmmWorkloadParams(i));
+            ExperimentJob job = ExperimentJob::of(
+                sweep_cfg, prefetcher_name, qmmWorkloadParams(i));
+            if (scaled_morrigan) {
+                job.prefetcherFactory = scaled_factory;
                 // Factory jobs are uncacheable; give them a stable
                 // tag so --journal can resume them too.
                 job.journalTag = csprintf(
@@ -540,11 +541,8 @@ main(int argc, char **argv)
                         sweep_cfg.warmupInstructions),
                     static_cast<unsigned long long>(
                         sweep_cfg.simInstructions));
-                jobs.push_back(std::move(job));
-            } else {
-                jobs.push_back(ExperimentJob::of(
-                    sweep_cfg, kind, qmmWorkloadParams(i)));
             }
+            jobs.push_back(std::move(job));
         }
         std::vector<RunOutcome> outcomes = runBatchOutcomes(jobs);
         std::vector<SimResult> base, opt;
@@ -595,10 +593,8 @@ main(int argc, char **argv)
                              f.failure.repro.c_str());
         }
         if (!stats_json_path.empty()) {
-            std::ofstream ofs(stats_json_path);
-            if (!ofs)
-                fatal("cannot open --stats-json file '%s'",
-                      stats_json_path.c_str());
+            std::ofstream ofs;
+            openOutput(ofs, stats_json_path, "--stats-json");
             json::Writer w(ofs);
             w.beginObject();
             w.kv("schema", "morrigan-stats");
@@ -667,74 +663,50 @@ main(int argc, char **argv)
         return failed_rows > 0 ? 2 : 0;
     }
 
-    auto wl = parseWorkloadName(workload_name);
-    if (!wl) {
-        std::fprintf(stderr, "unknown workload %s\n",
-                     workload_name.c_str());
-        return 1;
-    }
-
-    // Construct the prefetcher: Morrigan variants honour
-    // --smt-scaled; everything else comes from the registry.
-    std::unique_ptr<TlbPrefetcher> prefetcher;
-    std::string spec_err = checkPrefetcherSpec(prefetcher_name);
-    if (!spec_err.empty()) {
-        std::fprintf(stderr, "%s\n", spec_err.c_str());
-        return 1;
-    }
-    const std::string &kind = prefetcher_name;
-    if (kind == "morrigan" && smt_scaled)
-        prefetcher = std::make_unique<MorriganPrefetcher>(
-            MorriganParams{}.smtScaled());
-    else
-        prefetcher = makePrefetcher(kind);
-
-    ServerWorkload trace(*wl);
-    Simulator sim(cfg);
-    sim.attachWorkload(&trace, 0);
-
-    std::unique_ptr<ServerWorkload> smt_trace;
-    if (!smt_name.empty()) {
-        auto wl2 = parseWorkloadName(smt_name);
-        if (!wl2) {
-            std::fprintf(stderr, "unknown workload %s\n",
-                         smt_name.c_str());
-            return 1;
+    auto workload = [](const std::string &name) {
+        auto params = parseWorkloadName(name);
+        if (!params) {
+            std::fprintf(stderr, "unknown workload %s\n", name.c_str());
+            std::exit(1);
         }
-        smt_trace = std::make_unique<ServerWorkload>(*wl2);
-        sim.attachWorkload(smt_trace.get(), 1);
-    }
-    if (prefetcher)
-        sim.attachPrefetcher(prefetcher.get());
+        return *params;
+    };
+    const ServerWorkloadParams wl = workload(workload_name);
+    ExperimentJob job =
+        smt_name.empty()
+            ? ExperimentJob::of(cfg, prefetcher_name, wl)
+            : ExperimentJob::smtPair(cfg, prefetcher_name, wl,
+                                     workload(smt_name));
+    if (scaled_morrigan)
+        job.prefetcherFactory = scaled_factory;
 
     // Observability wiring: lifecycle tracing, interval sampling and
     // the JSON stats document are all opt-in and independent, except
     // that --interval implies the tracer (for per-component counts).
-    std::ofstream trace_ofs;
-    if (!trace_path.empty()) {
-        trace_ofs.open(trace_path);
-        if (!trace_ofs)
-            fatal("cannot open --trace file '%s'",
-                  trace_path.c_str());
-        sim.enableTracer(&trace_ofs);
-    } else if (!stats_json_path.empty() || interval > 0) {
-        sim.enableTracer();
-    }
-    std::ofstream interval_ofs;
-    if (interval > 0) {
-        IntervalSampler &sampler = sim.enableIntervalSampler(interval);
-        if (!interval_out_path.empty()) {
-            interval_ofs.open(interval_out_path);
-            if (!interval_ofs)
-                fatal("cannot open --interval-out file '%s'",
-                      interval_out_path.c_str());
-            sampler.setSink(&interval_ofs,
-                            interval_csv ? IntervalFormat::Csv
-                                         : IntervalFormat::Jsonl);
-        }
-    } else if (!interval_out_path.empty() || interval_csv) {
+    std::ofstream trace_ofs, interval_ofs;
+    if (!trace_path.empty())
+        openOutput(trace_ofs, trace_path, "--trace");
+    if (interval == 0 && (!interval_out_path.empty() || interval_csv))
         fatal("--interval-out/--interval-csv require --interval N");
-    }
+    if (interval > 0 && !interval_out_path.empty())
+        openOutput(interval_ofs, interval_out_path, "--interval-out");
+    auto build = [&] {
+        JobAssembly a = buildJob(job);
+        if (trace_ofs.is_open())
+            a.sim->enableTracer(&trace_ofs);
+        else if (!stats_json_path.empty() || interval > 0)
+            a.sim->enableTracer();
+        if (interval > 0) {
+            IntervalSampler &sampler =
+                a.sim->enableIntervalSampler(interval);
+            if (interval_ofs.is_open())
+                sampler.setSink(&interval_ofs,
+                                interval_csv ? IntervalFormat::Csv
+                                             : IntervalFormat::Jsonl);
+        }
+        return a;
+    };
+    JobAssembly assembly = build();
 
     // Checkpoint/resume (single-run mode): a valid snapshot at the
     // given path means a previous invocation of this command was
@@ -743,25 +715,21 @@ main(int argc, char **argv)
     // autosaves so the *next* interruption also resumes. The final
     // result is bit-identical to an uninterrupted run.
     if (!checkpoint_path.empty()) {
-        if (::access(checkpoint_path.c_str(), F_OK) == 0) {
-            try {
-                sim.restoreCheckpoint(checkpoint_path);
-                std::fprintf(
-                    stderr,
-                    "resuming from checkpoint %s (%llu / %llu "
-                    "instructions)\n",
-                    checkpoint_path.c_str(),
-                    static_cast<unsigned long long>(
-                        sim.progressInstructions()),
-                    static_cast<unsigned long long>(
-                        sim.totalInstructions()));
-            } catch (const SnapshotError &e) {
-                warn("discarding checkpoint %s: %s",
-                     checkpoint_path.c_str(), e.what());
-            }
-        }
-        sim.setCheckpointing(checkpoint_path, checkpoint_every);
+        if (restoreOrRebuild(assembly, checkpoint_path, "checkpoint",
+                             build))
+            std::fprintf(
+                stderr,
+                "resuming from checkpoint %s (%llu / %llu "
+                "instructions)\n",
+                checkpoint_path.c_str(),
+                static_cast<unsigned long long>(
+                    assembly.sim->progressInstructions()),
+                static_cast<unsigned long long>(
+                    assembly.sim->totalInstructions()));
+        assembly.sim->setCheckpointing(
+            checkpoint_path, sup.checkpointEveryInstructions);
     }
+    Simulator &sim = *assembly.sim;
 
     const std::uint64_t run_begin_ns = telemetry::nowNs();
     SimResult r = sim.run();
@@ -783,10 +751,8 @@ main(int argc, char **argv)
         ::unlink(checkpoint_path.c_str());
 
     if (!stats_json_path.empty()) {
-        std::ofstream ofs(stats_json_path);
-        if (!ofs)
-            fatal("cannot open --stats-json file '%s'",
-                  stats_json_path.c_str());
+        std::ofstream ofs;
+        openOutput(ofs, stats_json_path, "--stats-json");
         writeStatsJsonDocument(ofs, sim, r, run_seconds);
     }
 
@@ -796,14 +762,11 @@ main(int argc, char **argv)
         // MORRIGAN_JOURNAL) replays it rather than re-simulating.
         SimConfig base_cfg = cfg;
         base_cfg.collectMissStream = false;
-        ExperimentJob job =
-            smt_name.empty()
-                ? ExperimentJob::of(base_cfg, "none",
-                                    *wl)
-                : ExperimentJob::smtPair(base_cfg,
-                                         "none", *wl,
-                                         *parseWorkloadName(smt_name));
-        SimResult b = runBatch({job}).front();
+        ExperimentJob base =
+            job.smt ? ExperimentJob::smtPair(base_cfg, "none", wl,
+                                             job.smtWorkload)
+                    : ExperimentJob::of(base_cfg, "none", wl);
+        SimResult b = runBatch({base}).front();
         std::printf("baseline IPC        %.4f\n", b.ipc);
         std::printf("speedup             %.2f%%\n",
                     speedupPct(b, r));
