@@ -3,7 +3,8 @@
  * Hot-path structure microbenchmarks (ROADMAP item 1).
  *
  * Times each structure the hot-loop speed campaign rewrote --
- * SIMD-lane cache tag scans, SoA associative-table probes, the flat
+ * SIMD-lane cache tag scans and the full cache-hierarchy access,
+ * SoA associative-table probes, the flat
  * open-addressing frequency stack, guided Zipf sampling, the flat
  * page-table fast path, and batched workload generation -- plus the
  * miss-path model structures: prediction-table lookup and RLFU
@@ -21,6 +22,9 @@
  */
 
 #include "bench_util.hh"
+
+#include <unordered_map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/telemetry.hh"
@@ -78,8 +82,40 @@ cacheLookupInsert(std::uint64_t ops)
         if (cache.lookup(line))
             sum += 1;
         else
-            cache.insert(line, (i & 7) == 0);
+            cache.fillMissed(line, (i & 7) == 0);
     }
+    return sum;
+}
+
+/** Physical addresses of qmm_00's first @p n data references,
+ * frames handed out on first touch as the page table would. */
+std::vector<Addr>
+qmmDataStream(std::size_t n)
+{
+    ServerWorkload wl(qmmWorkloadParams(0));
+    std::unordered_map<Vpn, Pfn> frames;
+    std::vector<Addr> paddrs;
+    paddrs.reserve(n);
+    while (paddrs.size() < n) {
+        TraceRecord rec = wl.next();
+        if (!rec.hasData)
+            continue;
+        Pfn pfn = frames.try_emplace(pageOf(rec.dataAddr), frames.size())
+                      .first->second;
+        paddrs.push_back((pfn << pageShift) + pageOffset(rec.dataAddr));
+    }
+    return paddrs;
+}
+
+/** The Table 1 hierarchy (L2 prefetcher on) under a data-reference
+ * stream: the accessThrough() traversal and its fills. */
+std::uint64_t
+memAccess(const std::vector<Addr> &paddrs)
+{
+    MemoryHierarchy mem{MemoryHierarchyParams{}};
+    std::uint64_t sum = 0;
+    for (Addr paddr : paddrs)
+        sum += mem.access(paddr, AccessType::Data).latency;
     return sum;
 }
 
@@ -278,6 +314,11 @@ main()
 
     row("cache-lookup-insert", mops(20'000'000, cacheLookupInsert),
         "Mop/s", "L2-geometry tag scan, Zipf line stream");
+    const std::vector<Addr> dataStream = qmmDataStream(2'000'000);
+    row("mem-access",
+        mops(dataStream.size(),
+             [&](std::uint64_t) { return memAccess(dataStream); }),
+        "Mop/s", "Table 1 hierarchy access, qmm_00 data stream");
     row("assoc-find-insert", mops(20'000'000, assocFindInsert),
         "Mop/s", "STLB-geometry SoA probe/fill mix");
     row("freq-stack", mops(20'000'000, freqStackMix), "Mop/s",

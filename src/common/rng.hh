@@ -44,11 +44,8 @@ class Rng
     next32()
     {
         std::uint64_t old = state_;
-        state_ = old * 6364136223846793005ULL + inc_;
-        std::uint32_t xorshifted =
-            static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
-        std::uint32_t rot = static_cast<std::uint32_t>(old >> 59);
-        return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
+        state_ = old * mult + inc_;
+        return output(old);
     }
 
     /** Next raw 64-bit draw. */
@@ -91,9 +88,15 @@ class Rng
     double
     uniform()
     {
-        // 53 random mantissa bits from two 32-bit draws.
-        std::uint64_t hi = next32() >> 6;   // 26 bits
-        std::uint64_t lo = next32() >> 5;   // 27 bits
+        // 53 random mantissa bits from two 32-bit draws. The second
+        // draw's state s1 and the state after both,
+        // s2 = a^2 s0 + (a + 1) c, are computed from s0 directly, so
+        // the generator's multiply chain advances once per call.
+        std::uint64_t s0 = state_;
+        std::uint64_t s1 = s0 * mult + inc_;
+        state_ = s0 * (mult * mult) + (mult + 1) * inc_;
+        std::uint64_t hi = output(s0) >> 6;   // 26 bits
+        std::uint64_t lo = output(s1) >> 5;   // 27 bits
         return ((hi << 27) | lo) * (1.0 / 9007199254740992.0);
     }
 
@@ -123,6 +126,19 @@ class Rng
     }
 
   private:
+    /** LCG multiplier a of the state step s' = a s + c. */
+    static constexpr std::uint64_t mult = 6364136223846793005ULL;
+
+    /** PCG-XSH-RR output permutation of a pre-step state. */
+    static std::uint32_t
+    output(std::uint64_t old)
+    {
+        std::uint32_t xorshifted =
+            static_cast<std::uint32_t>(((old >> 18) ^ old) >> 27);
+        std::uint32_t rot = static_cast<std::uint32_t>(old >> 59);
+        return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
+    }
+
     std::uint64_t state_;
     std::uint64_t inc_;
 };

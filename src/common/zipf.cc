@@ -20,22 +20,35 @@ ZipfSampler::ZipfSampler(std::size_t n, double theta)
     for (std::size_t i = 0; i < n; ++i)
         cdf_[i] /= acc;
 
-    // Power-of-two bucket count >= 2n keeps most buckets covering at
-    // most one CDF entry (so the guided search is one or two
-    // comparisons) and, crucially, makes u * numBuckets_ an exact
+    // A power-of-two bucket count makes u * numBuckets_ an exact
     // exponent shift: the bucket of u is floor(u * K) with no
-    // floating rounding at the b / K boundaries.
+    // floating rounding at the b / K boundaries. Start at n buckets
+    // and double until no bucket holds two CDF values, so a draw is
+    // one compare; past the cap the bracket search takes over.
+    constexpr std::size_t maxBuckets = std::size_t{1} << 16;
     numBuckets_ = 1;
-    while (numBuckets_ < 2 * n)
+    while (numBuckets_ < n && numBuckets_ < maxBuckets)
         numBuckets_ <<= 1;
-    bucketScale_ = static_cast<double>(numBuckets_);
-    guide_.resize(numBuckets_ + 1);
-    for (std::size_t b = 0; b <= numBuckets_; ++b) {
-        double threshold = static_cast<double>(b) / bucketScale_;
-        auto it =
-            std::lower_bound(cdf_.begin(), cdf_.end(), threshold);
-        guide_[b] = static_cast<std::uint32_t>(
-            it == cdf_.end() ? n - 1 : it - cdf_.begin());
+    for (;;) {
+        bucketScale_ = static_cast<double>(numBuckets_);
+        guide_.resize(numBuckets_ + 1);
+        // One sweep: thresholds b / K rise with b, so the first rank
+        // whose CDF value reaches each one only moves forward.
+        std::size_t rank = 0;
+        std::uint32_t widest = 0;
+        for (std::size_t b = 0; b <= numBuckets_; ++b) {
+            double threshold = static_cast<double>(b) / bucketScale_;
+            while (rank < n && cdf_[rank] < threshold)
+                ++rank;
+            guide_[b] = static_cast<std::uint32_t>(
+                rank == n ? n - 1 : rank);
+            if (b > 0)
+                widest = std::max(widest, guide_[b] - guide_[b - 1]);
+        }
+        oneCompare_ = widest <= 1;
+        if (oneCompare_ || numBuckets_ == maxBuckets)
+            break;
+        numBuckets_ <<= 1;
     }
 }
 

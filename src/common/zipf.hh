@@ -8,11 +8,12 @@
  * drawing hot code pages from a Zipf distribution.
  *
  * Sampling inverts the CDF. A quantized guide table narrows the
- * binary search to the few CDF entries a given uniform draw can
- * resolve to -- the final lower_bound comparisons run on the same CDF
- * values, so the chosen rank is bit-identical to a full-range search
- * while the hot path touches a handful of elements instead of
- * log2(n) scattered ones.
+ * search to the CDF entries a given uniform draw can resolve to --
+ * the final comparisons run on the same CDF values, so the chosen
+ * rank is bit-identical to a full-range lower_bound. The table is
+ * made fine enough that no bucket holds two CDF values, so a draw is
+ * one compare and a select; populations too skewed for that within
+ * the bucket cap keep a short bracketed search.
  */
 
 #ifndef MORRIGAN_COMMON_ZIPF_HH
@@ -55,15 +56,19 @@ class ZipfSampler
         // guide_ brackets the bucket endpoints, so searching only
         // that slice runs the same comparisons a full-range search
         // would.
-        auto first = cdf_.begin() + guide_[b];
-        auto last = cdf_.begin() + guide_[b + 1];
+        std::uint32_t lo = guide_[b];
+        std::uint32_t hi = guide_[b + 1];
+        if (oneCompare_)
+            return cdf_[lo] < u ? hi : lo;
+        auto first = cdf_.begin() + lo;
+        auto last = cdf_.begin() + hi;
         auto it = std::lower_bound(first, last, u);
         // it == last means everything below guide_[b+1] is < u, so
         // the answer is guide_[b+1] itself -- which the constructor
         // already clamped to n - 1, matching the unguided search's
         // end() clamp.
         if (it == last)
-            return guide_[b + 1];
+            return hi;
         return static_cast<std::size_t>(it - cdf_.begin());
     }
 
@@ -81,6 +86,10 @@ class ZipfSampler
     /** Bucket count (power of two) and its double multiplier. */
     std::size_t numBuckets_ = 0;
     double bucketScale_ = 0.0;
+    /** No bucket holds two CDF values (guide_[b + 1] - guide_[b] <=
+     * 1): the bracket is one rank or two adjacent ones, and one
+     * compare picks between them. */
+    bool oneCompare_ = false;
 };
 
 } // namespace morrigan

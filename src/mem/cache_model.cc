@@ -1,22 +1,12 @@
 #include "cache_model.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
 namespace morrigan
 {
-
-namespace
-{
-
-bool
-isPowerOfTwo(std::uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-} // anonymous namespace
 
 CacheModel::CacheModel(const CacheParams &params, StatGroup *parent)
     : params_(params),
@@ -33,11 +23,12 @@ CacheModel::CacheModel(const CacheParams &params, StatGroup *parent)
              "%s: size %u not divisible into %u ways",
              params_.name.c_str(), params_.sizeBytes, params_.ways);
     numSets_ = lines / params_.ways;
-    fatal_if(!isPowerOfTwo(numSets_),
+    fatal_if(!std::has_single_bit(numSets_),
              "%s: set count %u is not a power of two",
              params_.name.c_str(), numSets_);
     tagStride_ =
         (params_.ways + tagLanes - 1) / tagLanes * tagLanes;
+    vectorVictim_ = params_.ways % 4 == 0 && params_.ways <= 64;
     tags_.assign(std::size_t{numSets_} * tagStride_, noLine);
     rec_.assign(std::size_t{numSets_} * tagStride_, 0);
 }

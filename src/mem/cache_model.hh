@@ -16,15 +16,20 @@
  * validity check into the tag compare. Recency words in a parallel
  * lane pack (lastUse << 1) | prefetched: clock values are unique, so
  * comparing packed words orders ways exactly like comparing lastUse,
- * and an invalid way's 0 always loses -- victim selection is a single
- * min-scan that lands on the first invalid way when one exists and on
- * the true LRU way otherwise, exactly the old first-invalid-else-LRU
- * policy.
+ * and an invalid way's 0 always loses -- the victim is the first way
+ * holding the set's minimum word, which is the first invalid way when
+ * one exists and the true LRU way otherwise, exactly the old
+ * first-invalid-else-LRU policy. The minimum is taken without
+ * data-dependent branches: a vector min and an equality mask when the
+ * way count is a multiple of four (AVX2), a conditional-select loop
+ * otherwise. Fills of a line the caller has just seen miss
+ * (fillMissed) skip the residency probe insert() repeats.
  */
 
 #ifndef MORRIGAN_MEM_CACHE_MODEL_HH
 #define MORRIGAN_MEM_CACHE_MODEL_HH
 
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -95,7 +100,9 @@ class CacheModel
     }
 
     /**
-     * Install a line, evicting the LRU way if the set is full.
+     * Install a line, evicting the LRU way if the set is full. A line
+     * already resident is refreshed in place instead (racing fills),
+     * keeping its prefetched bit.
      *
      * @param line Line address.
      * @param is_prefetch Fill caused by a prefetch rather than demand.
@@ -106,37 +113,28 @@ class CacheModel
     {
         std::uint32_t base = baseOf(line);
         std::uint32_t tag = checkedTag(line);
-
-        // Refresh in place if already resident (e.g. racing fills),
-        // keeping the way's prefetched bit, as before.
         int hit = findWay(base, tag);
         if (hit >= 0) {
             std::uint64_t pf = rec_[base + hit] & 1;
             rec_[base + hit] = (++useClock_ << 1) | pf;
             return false;
         }
+        return fillAt(base, tag, is_prefetch);
+    }
 
-        // Min-recency victim scan (padding lanes are excluded: they
-        // would otherwise masquerade as invalid ways).
-        std::uint32_t victim = 0;
-        std::uint64_t bestUse = rec_[base];
-        for (std::uint32_t w = 1; w < params_.ways; ++w) {
-            if (rec_[base + w] < bestUse) {
-                victim = w;
-                bestUse = rec_[base + w];
-            }
-        }
-
-        bool evicted = tags_[base + victim] != noLine;
-        if (evicted)
-            ++evictions_;
-        if (is_prefetch)
-            ++prefetchFills_;
-
-        tags_[base + victim] = tag;
-        rec_[base + victim] =
-            (++useClock_ << 1) | (is_prefetch ? 1 : 0);
-        return evicted;
+    /**
+     * Install a line the caller has just seen miss (lookup() or
+     * contains() returned false with no fill of it since), skipping
+     * insert()'s residency probe. Same result as insert() for such a
+     * line.
+     */
+    bool
+    fillMissed(Addr line, bool is_prefetch = false)
+    {
+        std::uint32_t base = baseOf(line);
+        std::uint32_t tag = checkedTag(line);
+        assert(findWay(base, tag) < 0 && "fillMissed of a resident line");
+        return fillAt(base, tag, is_prefetch);
     }
 
     /**
@@ -199,7 +197,8 @@ class CacheModel
     }
 
     /** Way holding @p tag in the set at @p base, or -1. At most one
-     * way can match: insert() refreshes instead of duplicating. */
+     * way can match: insert() refreshes instead of duplicating, and
+     * fillMissed() is only handed absent lines. */
     int
     findWay(std::uint32_t base, std::uint32_t tag) const
     {
@@ -225,10 +224,73 @@ class CacheModel
 #endif
     }
 
+    /** Put @p tag into the victim way of the set at @p base. */
+    bool
+    fillAt(std::uint32_t base, std::uint32_t tag, bool is_prefetch)
+    {
+        std::uint32_t victim = base + victimWay(base);
+        bool evicted = tags_[victim] != noLine;
+        if (evicted)
+            ++evictions_;
+        if (is_prefetch)
+            ++prefetchFills_;
+        tags_[victim] = tag;
+        rec_[victim] = (++useClock_ << 1) | (is_prefetch ? 1 : 0);
+        return evicted;
+    }
+
+    /** First way of the set at @p base holding the minimum packed
+     * recency word (padding lanes are excluded: they would otherwise
+     * masquerade as invalid ways). */
+    std::uint32_t
+    victimWay(std::uint32_t base) const
+    {
+        const std::uint64_t *rec = rec_.data() + base;
+#if defined(__AVX2__)
+        if (vectorVictim_) {
+            // AVX2 has only a signed 64-bit compare; packed words
+            // stay below 2^63 (the clock would need 2^62 ticks), so
+            // it orders them as unsigned.
+            auto row = [rec](std::uint32_t w) {
+                return _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(rec + w));
+            };
+            auto vmin = [](__m256i a, __m256i b) {
+                return _mm256_blendv_epi8(a, b,
+                                          _mm256_cmpgt_epi64(a, b));
+            };
+            __m256i m = row(0);
+            for (std::uint32_t w = 4; w < params_.ways; w += 4)
+                m = vmin(m, row(w));
+            // Fold the four lanes so each holds the set minimum.
+            m = vmin(m, _mm256_permute4x64_epi64(m, 0x4e));
+            m = vmin(m, _mm256_shuffle_epi32(m, 0x4e));
+            std::uint64_t equal = 0;
+            for (std::uint32_t w = 0; w < params_.ways; w += 4) {
+                int lanes = _mm256_movemask_pd(_mm256_castsi256_pd(
+                    _mm256_cmpeq_epi64(row(w), m)));
+                equal |= static_cast<std::uint64_t>(lanes) << w;
+            }
+            return static_cast<std::uint32_t>(__builtin_ctzll(equal));
+        }
+#endif
+        std::uint32_t victim = 0;
+        std::uint64_t best = rec[0];
+        for (std::uint32_t w = 1; w < params_.ways; ++w) {
+            bool older = rec[w] < best;
+            victim = older ? w : victim;
+            best = older ? rec[w] : best;
+        }
+        return victim;
+    }
+
     CacheParams params_;
     std::uint32_t numSets_;
     /** Lane words per set: ways rounded up to the SIMD width. */
     std::uint32_t tagStride_;
+    /** Victim choice takes the vector path: ways % 4 == 0 and the
+     * equality mask fits 64 bits. */
+    bool vectorVictim_;
     /** 32-bit way tags; padding lanes stay noLine forever. */
     std::vector<std::uint32_t> tags_;
     /** Packed recency, (lastUse << 1) | prefetched; same indexing as

@@ -1,5 +1,7 @@
 #include "dram_model.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace morrigan
@@ -12,7 +14,12 @@ DramModel::DramModel(const DramParams &params, StatGroup *parent)
       rowHits_(&stats_, "row_hits", "open-row hits"),
       rowConflicts_(&stats_, "row_conflicts", "row-buffer conflicts")
 {
-    fatal_if(params_.banks == 0, "DRAM needs at least one bank");
+    fatal_if(!std::has_single_bit(params_.banks),
+             "DRAM bank count %u is not a power of two", params_.banks);
+    fatal_if(!std::has_single_bit(params_.rowBytes),
+             "DRAM row size %u is not a power of two", params_.rowBytes);
+    rowShift_ = static_cast<unsigned>(std::countr_zero(params_.rowBytes));
+    bankShift_ = static_cast<unsigned>(std::countr_zero(params_.banks));
     openRow_.assign(params_.banks, -1);
 }
 
@@ -20,10 +27,10 @@ Cycle
 DramModel::access(Addr addr)
 {
     ++accessesStat_;
-    std::uint64_t row = addr / params_.rowBytes;
+    std::uint64_t row = addr >> rowShift_;
     std::uint32_t bank =
-        static_cast<std::uint32_t>(row % params_.banks);
-    row /= params_.banks;
+        static_cast<std::uint32_t>(row & (params_.banks - 1));
+    row >>= bankShift_;
 
     Cycle latency;
     if (openRow_[bank] == static_cast<std::int64_t>(row)) {

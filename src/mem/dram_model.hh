@@ -24,8 +24,8 @@ namespace morrigan
 /** Static configuration of the DRAM model. */
 struct DramParams
 {
-    std::uint32_t banks = 8;
-    std::uint32_t rowBytes = 8 * 1024;
+    std::uint32_t banks = 8;            //!< Power of two.
+    std::uint32_t rowBytes = 8 * 1024;  //!< Power of two.
     /** Core cycles per DRAM timing parameter (tRP = tRCD = tCAS). */
     Cycle tParam = 12 * 3;  //!< 12 mem cycles at a 3x core clock ratio.
 };
@@ -48,6 +48,8 @@ class DramModel
 
   private:
     DramParams params_;
+    unsigned rowShift_;   //!< log2(rowBytes)
+    unsigned bankShift_;  //!< log2(banks)
     std::vector<std::int64_t> openRow_;  //!< -1 when bank is closed.
 
     StatGroup stats_;

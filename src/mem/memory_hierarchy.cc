@@ -27,6 +27,9 @@ MemoryHierarchy::accessThrough(Addr line, CacheModel &l1)
     l2_.prefetchSet(line);
     llc_.prefetchSet(line);
 
+    // Every fill below installs a line the level's lookup just
+    // missed (the L2 prefetch fills only lines past it), so none
+    // repeats the residency probe.
     MemAccessResult res;
     res.latency = l1.params().latency;
     if (l1.lookup(line)) {
@@ -37,7 +40,7 @@ MemoryHierarchy::accessThrough(Addr line, CacheModel &l1)
     res.latency += l2_.params().latency;
     if (l2_.lookup(line)) {
         res.servedBy = MemLevel::L2;
-        l1.insert(line);
+        l1.fillMissed(line);
         return res;
     }
     maybeL2Prefetch(line);
@@ -45,16 +48,16 @@ MemoryHierarchy::accessThrough(Addr line, CacheModel &l1)
     res.latency += llc_.params().latency;
     if (llc_.lookup(line)) {
         res.servedBy = MemLevel::LLC;
-        l2_.insert(line);
-        l1.insert(line);
+        l2_.fillMissed(line);
+        l1.fillMissed(line);
         return res;
     }
 
     res.latency += dram_.access(line << lineShift);
     res.servedBy = MemLevel::Dram;
-    llc_.insert(line);
-    l2_.insert(line);
-    l1.insert(line);
+    llc_.fillMissed(line);
+    l2_.fillMissed(line);
+    l1.fillMissed(line);
     return res;
 }
 
@@ -69,7 +72,7 @@ MemoryHierarchy::maybeL2Prefetch(Addr missed_line)
     for (std::uint32_t d = 1; d <= params_.l2PrefetchDepth; ++d) {
         Addr line = missed_line + d;
         if (!l2_.contains(line)) {
-            l2_.insert(line, true);
+            l2_.fillMissed(line, true);
             ++l2PrefetchIssued_;
         }
     }
@@ -109,9 +112,9 @@ MemoryHierarchy::prefetchInstructionLine(Addr paddr)
         latency += llc_.params().latency;
         if (!llc_.contains(line)) {
             latency += dram_.access(paddr);
-            llc_.insert(line, true);
+            llc_.fillMissed(line, true);
         }
-        l2_.insert(line, true);
+        l2_.fillMissed(line, true);
     }
     return latency;
 }

@@ -53,3 +53,19 @@ TEST(Dram, StreamingIsMostlyRowHits)
         d.access(a);
     EXPECT_GT(d.rowHits(), d.rowConflicts() * 10);
 }
+
+TEST(Dram, RejectsGeometryThatIsNotAPowerOfTwo)
+{
+    DramParams banks;
+    banks.banks = 6;
+    EXPECT_EXIT(DramModel{banks}, ::testing::ExitedWithCode(1),
+                "bank count 6 is not a power of two");
+    DramParams rows;
+    rows.rowBytes = 3000;
+    EXPECT_EXIT(DramModel{rows}, ::testing::ExitedWithCode(1),
+                "row size 3000 is not a power of two");
+    DramParams none;
+    none.banks = 0;
+    EXPECT_EXIT(DramModel{none}, ::testing::ExitedWithCode(1),
+                "bank count 0 is not a power of two");
+}

@@ -6,7 +6,8 @@
  * the semantics of the original (pre-rewrite) layout -- AoS cache
  * sets with an explicit valid flag and first-invalid-else-LRU victim
  * choice, AoS associative sets, an unordered_map frequency stack,
- * full-range inverse-CDF Zipf sampling -- and drives the reference
+ * full-range inverse-CDF Zipf sampling, a uniform() built from two
+ * sequential next32() draws -- and drives the reference
  * and the optimised production structure through identical
  * pseudo-random operation sequences, comparing every observable
  * result. The production structures claim bit-identical behaviour;
@@ -24,6 +25,7 @@
 
 #include "common/assoc_table.hh"
 #include "common/rng.hh"
+#include "common/snapshot.hh"
 #include "common/zipf.hh"
 #include "core/frequency_stack.hh"
 #include "mem/cache_model.hh"
@@ -173,11 +175,24 @@ driveCacheDiff(const CacheParams &params, std::uint64_t seed,
             ASSERT_EQ(opt.lookup(line), ref.lookup(line))
                 << "lookup diverged at op " << i;
             break;
-          case 3:
-          case 4: {
+          case 3: {
             bool pf = rng.chance(0.3);
             ASSERT_EQ(opt.insert(line, pf), ref.insert(line, pf))
                 << "insert diverged at op " << i;
+            break;
+          }
+          case 4: {
+            // fillMissed is only defined for absent lines; for those
+            // it must do exactly what insert does.
+            bool pf = rng.chance(0.3);
+            if (ref.contains(line)) {
+                ASSERT_EQ(opt.insert(line, pf), ref.insert(line, pf))
+                    << "insert diverged at op " << i;
+            } else {
+                ASSERT_EQ(opt.fillMissed(line, pf),
+                          ref.insert(line, pf))
+                    << "fillMissed diverged at op " << i;
+            }
             break;
           }
           case 5:
@@ -404,8 +419,14 @@ TEST(HotpathDiff, CacheModelMatchesAosReference)
     // LLC-like: 16 ways (two AVX2 rows per set).
     driveCacheDiff(CacheParams{"llc", 256 * 1024, 16, 10, 16}, 2,
                    200000);
-    // Ways not a multiple of the SIMD width exercise row padding.
+    // Ways not a multiple of the SIMD width exercise row padding and
+    // the scalar victim choice.
     driveCacheDiff(CacheParams{"odd", 24 * 1024, 6, 4, 8}, 3, 200000);
+    // Multiples of four below and between the SIMD rows take the
+    // vector victim choice with one and three recency vectors.
+    driveCacheDiff(CacheParams{"quad", 16 * 1024, 4, 4, 8}, 4, 200000);
+    driveCacheDiff(CacheParams{"dozen", 48 * 1024, 12, 4, 8}, 5,
+                   200000);
 }
 
 TEST(HotpathDiff, AssocTableMatchesAosReference)
@@ -417,8 +438,16 @@ TEST(HotpathDiff, AssocTableMatchesAosReference)
 
 TEST(HotpathDiff, ZipfGuidedSearchMatchesFullRange)
 {
+    // The workload factory's populations and skews: hot code pages
+    // (32-240, theta 0.2-0.8), request types (6-63, 0.85-1.1), hot
+    // data pages (256-512, 0.4-0.9) and lines per page (64, 0.9);
+    // plus odd sizes, a singleton, and a population past the guide's
+    // bucket cap, which keeps the bracketed search.
     const std::pair<std::size_t, double> cases[] = {
-        {320, 0.98}, {64, 0.9}, {777, 1.21}, {1, 0.5}};
+        {32, 0.8},    {140, 0.2},   {240, 0.45},  {6, 0.9},
+        {36, 0.85},   {63, 1.1},    {256, 0.4},   {448, 0.9},
+        {512, 0.65},  {64, 0.9},    {320, 0.98},  {777, 1.21},
+        {1, 0.5},     {32768, 0.8}};
     for (auto [n, theta] : cases) {
         ZipfSampler z(n, theta);
         // Rebuild the CDF exactly as the sampler's constructor does
@@ -446,6 +475,59 @@ TEST(HotpathDiff, ZipfGuidedSearchMatchesFullRange)
                 << "guided sample diverged at draw " << i << " (n="
                 << n << ", theta=" << theta << ")";
         }
+    }
+}
+
+TEST(HotpathDiff, RngUniformMatchesTwoDraws)
+{
+    // The original uniform(): two sequential next32() draws.
+    auto twoDraws = [](Rng &r) {
+        std::uint64_t hi = r.next32() >> 6;
+        std::uint64_t lo = r.next32() >> 5;
+        return ((hi << 27) | lo) * (1.0 / 9007199254740992.0);
+    };
+    const std::pair<std::uint64_t, std::uint64_t> streams[] = {
+        {0x853c49e6748fea9bULL, 0xda3e39cb94b95bdbULL},
+        {0, 0},
+        {7, 0x33},
+        {~std::uint64_t{0}, ~std::uint64_t{0}},
+        {0x9000, 0x51}};
+    for (auto [seed, stream] : streams) {
+        Rng opt(seed, stream), ref(seed, stream);
+        Rng ops(seed ^ 0x5a5a, 0x66);
+        for (int i = 0; i < 100000; ++i) {
+            if (i == 50000) {
+                // Resume from a mid-stream snapshot.
+                SnapshotWriter w;
+                opt.save(w);
+                SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+                Rng resumed;
+                resumed.restore(r);
+                opt = resumed;
+            }
+            switch (ops.below(4)) {
+              case 0:
+              case 1:
+                ASSERT_EQ(opt.uniform(), twoDraws(ref))
+                    << "uniform diverged at op " << i;
+                break;
+              case 2: {
+                std::uint32_t bound = ops.below(1000) + 1;
+                ASSERT_EQ(opt.below(bound), ref.below(bound))
+                    << "below diverged at op " << i;
+                break;
+              }
+              default: {
+                double p = ops.uniform();
+                ASSERT_EQ(opt.chance(p), twoDraws(ref) < p)
+                    << "chance diverged at op " << i;
+              }
+            }
+        }
+        SnapshotWriter a, b;
+        opt.save(a);
+        ref.save(b);
+        EXPECT_EQ(a.payload(), b.payload());
     }
 }
 
