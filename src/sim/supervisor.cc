@@ -5,7 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -179,6 +179,34 @@ tailOf(const std::string &s, std::size_t keep = 2000)
     return "..." + s.substr(start);
 }
 
+RunOutcome
+failedOutcome(RunStatus status, std::string what, int signal = 0,
+              std::string stderr_tail = {})
+{
+    RunOutcome o;
+    o.status = status;
+    o.failure.what = std::move(what);
+    o.failure.signal = signal;
+    o.failure.stderrTail = std::move(stderr_tail);
+    return o;
+}
+
+/** Run one attempt on the calling thread: Ok with its output, or
+ * Failed with the exception text. */
+RunOutcome
+executeCaught(const ExperimentJob &job, const JobExecutionOptions &opts)
+{
+    try {
+        RunOutcome o;
+        o.output = executeJob(job, opts);
+        return o;
+    } catch (const std::exception &e) {
+        return failedOutcome(RunStatus::Failed, e.what());
+    } catch (...) {
+        return failedOutcome(RunStatus::Failed, "unknown exception");
+    }
+}
+
 /**
  * Sandbox child body: run the job, write exactly one journal record
  * for it to the result pipe -- status "ok" with the result, check
@@ -194,55 +222,16 @@ runChildJob(const ExperimentJob &job, const std::string &key,
     // report only what this job adds.
     const std::uint64_t structural_before =
         check::invariantViolations();
-    RunOutcome o;
-    try {
-        o.output = executeJob(job, opts);
+    RunOutcome o = executeCaught(job, opts);
+    if (o.ok())
         o.structuralViolations =
             check::invariantViolations() - structural_before;
-    } catch (const std::exception &e) {
-        o.status = RunStatus::Failed;
-        o.failure.what = e.what();
-    } catch (...) {
-        o.status = RunStatus::Failed;
-        o.failure.what = "unknown exception";
-    }
     std::ostringstream ss;
     writeJournalLine(ss, key, o);
     const std::string doc = ss.str();
     io::writeAll(result_fd, doc.data(), doc.size());
     ::_exit(o.ok() ? 0 : 2);
 }
-
-/** Shared scheduler bookkeeping: an attempt waiting to start. */
-struct PendingAttempt
-{
-    std::size_t idx;  //!< index into the batch
-    unsigned attempt; //!< 1-based attempt number
-    Clock::time_point notBefore;
-};
-
-/** Thread-mode completion signalling. Slots keep a shared_ptr to
- * this so a watchdog-abandoned thread can still safely finish and
- * notify after the scheduler has moved on. */
-struct SchedulerSignal
-{
-    std::mutex m;
-    std::condition_variable cv;
-};
-
-struct ThreadAttempt
-{
-    std::shared_ptr<SchedulerSignal> signal;
-    /** Owned copy of the job: a watchdog-abandoned (detached)
-     * thread may outlive Supervisor::run() and the caller's batch
-     * vector, so it must never hold a pointer into them. */
-    ExperimentJob job;
-    JobExecutionOptions opts;
-    std::atomic<bool> done{false};
-    bool threw = false;
-    std::string what;
-    ExperimentOutput output;
-};
 
 /** Process-wide default-policy override (the CLI flags). */
 std::mutex defaultOptionsMutex;
@@ -321,7 +310,8 @@ class ProgressMeter
     std::uint64_t instructions_ = 0;
 };
 
-/** Simulated-instruction budget a finalized job contributes to the
+/** Warmup + measurement instructions a job simulates: what its
+ * watchdog deadline scales with and what a finalized job adds to the
  * campaign throughput figure. */
 std::uint64_t
 jobInstructionBudget(const ExperimentJob &job)
@@ -443,8 +433,7 @@ derivedJobTimeoutMs(const ExperimentJob &job,
     // simulator sustains well over 1M instructions/s, so 50 us per
     // 1k instructions is an order of magnitude of slack. An attempt
     // resuming from a checkpoint only pays for the remainder.
-    const std::uint64_t budget =
-        job.cfg.warmupInstructions + job.cfg.simInstructions;
+    const std::uint64_t budget = jobInstructionBudget(job);
     const std::uint64_t remaining =
         budget - std::min(executed_instructions, budget);
     return 60'000 + remaining / 20;
@@ -664,8 +653,12 @@ Supervisor::jobs() const
     return opt_.jobs > 0 ? opt_.jobs : defaultJobs();
 }
 
+namespace
+{
+
+/** Stable identity for cache + journal; "" = anonymous. */
 std::string
-Supervisor::jobKey(const ExperimentJob &job) const
+jobKey(const ExperimentJob &job)
 {
     if (job.cacheable())
         return experimentKey(job.cfg, job.kind, job.workload,
@@ -677,31 +670,35 @@ Supervisor::jobKey(const ExperimentJob &job) const
     return "";
 }
 
+/** Snapshot-store paths for one execution of @p job; empty when the
+ * store is off or the job is not eligible. */
 JobExecutionOptions
-Supervisor::jobOptions(const ExperimentJob &job,
-                       const std::string &key) const
+jobOptions(const SupervisorOptions &opt, const ExperimentJob &job,
+           const std::string &key)
 {
     // Only cacheable jobs snapshot: everything else either cannot be
     // saved (checked runs, miss-stream collection) or has no stable
     // identity to key the image by (factory prefetchers).
     JobExecutionOptions opts;
-    if (!job.cacheable() || opt_.snapshotDir.empty())
+    if (!job.cacheable() || opt.snapshotDir.empty())
         return opts;
-    opts.checkpointPath = snapshotPath(opt_.snapshotDir, "ckpt", key);
-    opts.checkpointEvery = opt_.checkpointEveryInstructions;
+    opts.checkpointPath = snapshotPath(opt.snapshotDir, "ckpt", key);
+    opts.checkpointEvery = opt.checkpointEveryInstructions;
     opts.warmupImagePath = snapshotPath(
-        opt_.snapshotDir, "warm",
+        opt.snapshotDir, "warm",
         warmupKey(job.cfg, job.kind, job.workload,
                   job.smt ? &job.smtWorkload : nullptr));
     return opts;
 }
 
+/** Watchdog deadline for an attempt, accounting for the progress
+ * recorded in the job's checkpoint (if any). */
 std::uint64_t
-Supervisor::attemptTimeoutMs(const ExperimentJob &job,
-                             const JobExecutionOptions &opts) const
+attemptTimeoutMs(const SupervisorOptions &opt, const ExperimentJob &job,
+                 const JobExecutionOptions &opts)
 {
-    if (opt_.jobTimeoutMs > 0)
-        return opt_.jobTimeoutMs;
+    if (opt.jobTimeoutMs > 0)
+        return opt.jobTimeoutMs;
     std::uint64_t executed = 0;
     SnapshotHeader hdr;
     if (!opts.checkpointPath.empty() &&
@@ -709,6 +706,429 @@ Supervisor::attemptTimeoutMs(const ExperimentJob &job,
         executed = hdr.progressInstructions;
     return derivedJobTimeoutMs(job, executed);
 }
+
+/** One attempt: queued until @c notBefore, then sized and launched
+ * by the scheduler. */
+struct Attempt
+{
+    std::size_t idx = 0; //!< index into the batch
+    unsigned number = 1; //!< 1-based attempt number
+    Clock::time_point notBefore = {};
+    JobExecutionOptions opts = {};
+    std::uint64_t timeoutMs = 0;
+    Clock::time_point launched = {}, deadline = {};
+};
+
+/** An attempt that ended: Ok with its output, or a failure (status,
+ * what, signal, stderr tail), retried only if @c retryable. */
+struct FinishedAttempt
+{
+    Attempt attempt;
+    RunOutcome outcome;
+    bool retryable = true;
+};
+
+/** Completion signalling shared by the thread executor and its
+ * workers, so an abandoned worker can still finish and notify after
+ * the executor is gone. */
+struct SchedulerSignal
+{
+    std::mutex m;
+    std::condition_variable cv;
+};
+
+/** A worker's own copy of its job and its result slot, shared with
+ * the executor: an abandoned (detached) worker may outlive
+ * Supervisor::run() and the caller's batch vector, so it must never
+ * hold a pointer into them. */
+struct ThreadAttempt
+{
+    ExperimentJob job;
+    /** Empty until the worker finishes; guarded by SchedulerSignal::m. */
+    std::optional<RunOutcome> outcome;
+};
+
+/**
+ * Worker threads; contain C++ exceptions only. A std::thread cannot
+ * be killed, so a worker past its deadline is abandoned (it may still
+ * finish into its private ThreadAttempt, which nothing reads). That
+ * timeout is terminal: the abandoned thread may still be executing
+ * this very job (two concurrent runs would share process-global
+ * state) and keeps occupying a core, so a retry would oversubscribe
+ * the worker budget.
+ */
+class ThreadExecutor
+{
+  public:
+    std::size_t running() const { return active_.size(); }
+
+    void
+    launch(const ExperimentJob &job, const std::string &, Attempt a)
+    {
+        auto att = std::make_shared<ThreadAttempt>(ThreadAttempt{job, {}});
+        std::thread th([att, signal = signal_, opts = a.opts] {
+            RunOutcome o = executeCaught(att->job, opts);
+            {
+                std::lock_guard<std::mutex> g(signal->m);
+                att->outcome = std::move(o);
+            }
+            signal->cv.notify_all();
+        });
+        active_.push_back({std::move(att), std::move(th), std::move(a)});
+    }
+
+    Clock::time_point
+    nextDeadline() const
+    {
+        Clock::time_point next = Clock::time_point::max();
+        for (const Active &a : active_)
+            next = std::min(next, a.attempt.deadline);
+        return next;
+    }
+
+    void
+    wait(Clock::time_point until, std::vector<FinishedAttempt> &done)
+    {
+        std::unique_lock<std::mutex> lk(signal_->m);
+        signal_->cv.wait_until(lk, until, [&] {
+            return std::ranges::any_of(active_, [](const Active &a) {
+                return a.att->outcome.has_value();
+            });
+        });
+        const Clock::time_point now = Clock::now();
+        for (auto it = active_.begin(); it != active_.end();) {
+            if (it->att->outcome) {
+                it->th.join();
+                done.push_back(
+                    {std::move(it->attempt), std::move(*it->att->outcome)});
+            } else if (now >= it->attempt.deadline) {
+                it->th.detach();
+                done.push_back(
+                    {std::move(it->attempt),
+                     failedOutcome(
+                         RunStatus::TimedOut,
+                         csprintf("exceeded %llu ms watchdog deadline "
+                                  "(thread abandoned; timed-out jobs "
+                                  "are not retried in thread mode -- "
+                                  "use --isolate for hard kills and "
+                                  "retries)",
+                                  static_cast<unsigned long long>(
+                                      it->attempt.timeoutMs))),
+                     /*retryable=*/false});
+            } else {
+                ++it;
+                continue;
+            }
+            it = active_.erase(it);
+        }
+    }
+
+  private:
+    struct Active
+    {
+        std::shared_ptr<ThreadAttempt> att;
+        std::thread th;
+        Attempt attempt;
+    };
+
+    std::shared_ptr<SchedulerSignal> signal_ =
+        std::make_shared<SchedulerSignal>();
+    std::vector<Active> active_;
+};
+
+/**
+ * One fork()ed child per attempt, which sends its outcome back as one
+ * journal record. Contains crashes and OOM kills. A child past its
+ * deadline is SIGKILLed; the kill really ends the attempt, so its
+ * timeout may be retried. The scheduler stays single-threaded in this
+ * mode (children provide the parallelism), so fork() never races
+ * another of our threads holding a lock.
+ */
+class ForkExecutor
+{
+    struct Child
+    {
+        Attempt attempt;
+        std::string key;
+        pid_t pid;
+        int fd[2];               //!< result pipe, stderr pipe
+        std::string buf[2] = {}; //!< what each pipe delivered
+        bool watchdogKilled = false;
+    };
+
+  public:
+    std::size_t running() const { return children_.size(); }
+
+    void
+    launch(const ExperimentJob &job, const std::string &key, Attempt a)
+    {
+        int rp[2], ep[2];
+        pid_t pid = -1;
+        {
+            telemetry::ScopedSpan span(telemetry::Phase::SandboxSpawn);
+            if (::pipe(rp) != 0 || ::pipe(ep) != 0)
+                fatal("pipe: %s", std::strerror(errno));
+            pid = ::fork();
+        }
+        if (pid < 0)
+            fatal("fork: %s", std::strerror(errno));
+        if (pid == 0) {
+            ::close(rp[0]);
+            ::close(ep[0]);
+            ::dup2(ep[1], 2);
+            ::close(ep[1]);
+            runChildJob(job, key, a.opts, rp[1]);
+        }
+        ::close(rp[1]);
+        ::close(ep[1]);
+        children_.push_back(Child{std::move(a), key, pid, {rp[0], ep[0]}});
+    }
+
+    Clock::time_point
+    nextDeadline() const
+    {
+        Clock::time_point next = Clock::time_point::max();
+        for (const Child &c : children_)
+            if (!c.watchdogKilled)
+                next = std::min(next, c.attempt.deadline);
+        return next;
+    }
+
+    void
+    wait(Clock::time_point until, std::vector<FinishedAttempt> &done)
+    {
+        // Two entries per child (result, stderr); poll() skips the
+        // negative fd of a pipe already at EOF.
+        std::vector<pollfd> fds;
+        for (const Child &c : children_)
+            for (int fd : c.fd)
+                fds.push_back({fd, POLLIN, 0});
+        const long long wait_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                until - Clock::now())
+                .count();
+        {
+            telemetry::ScopedSpan span(telemetry::Phase::SandboxWait);
+            io::pollRetry(fds.data(), static_cast<nfds_t>(fds.size()),
+                          static_cast<int>(std::clamp(wait_ms + 1, 0LL,
+                                                      60'000LL)));
+        }
+        for (std::size_t fi = 0; fi < fds.size(); ++fi) {
+            if (!(fds[fi].revents & (POLLIN | POLLHUP | POLLERR)))
+                continue;
+            Child &c = children_[fi / 2];
+            char chunk[4096];
+            const ssize_t n =
+                io::readRetry(c.fd[fi % 2], chunk, sizeof(chunk));
+            if (n > 0) {
+                c.buf[fi % 2].append(chunk, static_cast<std::size_t>(n));
+            } else {
+                ::close(c.fd[fi % 2]);
+                c.fd[fi % 2] = -1;
+            }
+        }
+
+        const Clock::time_point now = Clock::now();
+        for (auto it = children_.begin(); it != children_.end();) {
+            if (it->fd[0] < 0 && it->fd[1] < 0) {
+                int status = 0;
+                io::waitpidRetry(it->pid, &status, 0);
+                done.push_back(classify(*it, status));
+                it = children_.erase(it);
+                continue;
+            }
+            if (now >= it->attempt.deadline && !it->watchdogKilled) {
+                ::kill(it->pid, SIGKILL);
+                it->watchdogKilled = true;
+            }
+            ++it;
+        }
+    }
+
+  private:
+    /** Diagnose a reaped child from its wait status and its reply. */
+    static FinishedAttempt
+    classify(Child &c, int status)
+    {
+        const std::string tail = tailOf(c.buf[1]);
+        const int sig = WIFSIGNALED(status) ? WTERMSIG(status) : 0;
+        const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+        FinishedAttempt f{std::move(c.attempt), {}};
+        RunOutcome &o = f.outcome;
+        std::string key;
+        const bool parsed =
+            sig == 0 && parseJournalLine(c.buf[0], key, o, nullptr) &&
+            key == c.key;
+        if (sig != 0 && c.watchdogKilled)
+            o = failedOutcome(RunStatus::TimedOut,
+                              csprintf("exceeded %llu ms watchdog "
+                                       "deadline (child killed)",
+                                       static_cast<unsigned long long>(
+                                           f.attempt.timeoutMs)),
+                              sig, tail);
+        else if (sig != 0)
+            o = failedOutcome(RunStatus::Crashed,
+                              csprintf("terminated by signal %d (%s)",
+                                       sig, strsignal(sig)),
+                              sig, tail);
+        else if (parsed && !o.ok())
+            o = failedOutcome(RunStatus::Failed, o.failure.what, 0, tail);
+        else if (!parsed || code != 0)
+            o = failedOutcome(RunStatus::Failed,
+                              csprintf("child exited with status %d "
+                                       "without a parseable result",
+                                       code),
+                              0, tail);
+        return f;
+    }
+
+    std::vector<Child> children_;
+};
+
+/** The scheduler's own thread, one attempt at a time: under
+ * --isolate, for jobs whose output cannot cross the result pipe
+ * (miss-stream collection). No watchdog, no crash containment. */
+class InlineExecutor
+{
+  public:
+    std::size_t running() const { return job_ ? 1 : 0; }
+
+    void
+    launch(const ExperimentJob &job, const std::string &, Attempt a)
+    {
+        job_ = &job;
+        attempt_ = std::move(a);
+    }
+
+    Clock::time_point nextDeadline() const { return Clock::time_point::max(); }
+
+    void
+    wait(Clock::time_point, std::vector<FinishedAttempt> &done)
+    {
+        RunOutcome o = executeCaught(*job_, attempt_.opts);
+        done.push_back({std::move(attempt_), std::move(o)});
+        job_ = nullptr;
+    }
+
+  private:
+    const ExperimentJob *job_ = nullptr;
+    Attempt attempt_;
+};
+
+/** One Supervisor::run() call, as the attempt scheduler sees it. */
+struct Campaign
+{
+    const SupervisorOptions &opt;
+    const std::vector<ExperimentJob> &batch;
+    const std::vector<std::string> &keys;
+    std::vector<RunOutcome> &out;
+    CampaignJournal &journal;
+    ProgressMeter meter;
+};
+
+/**
+ * The attempt scheduler: run batch indices @p work on @p ex, at most
+ * @p slots at a time, until each has a final outcome. It alone holds
+ * the pending-attempt queue, sizes each attempt before launch,
+ * computes the next wake-up and decides, once per ended attempt,
+ * whether to retry or finalise. An executor only launches, waits and
+ * reaps: running(), launch(job, key, attempt), nextDeadline() (the
+ * earliest watchdog deadline it has yet to act on) and wait(until,
+ * done), which blocks until an attempt ends, a deadline passes or
+ * @p until, and appends every attempt that ended to @p done.
+ */
+template <class Executor>
+void
+scheduleAttempts(Campaign &c, Executor &&ex, unsigned slots,
+                 const std::vector<std::size_t> &work)
+{
+    std::deque<Attempt> pending;
+    for (std::size_t w : work)
+        pending.push_back({w});
+
+    // Retry, or finalise: publish the outcome the moment it is final,
+    // so the journal checkpoints progress job by job (a campaign
+    // killed mid-flight resumes with every finished job) and a
+    // finished job's mid-run checkpoint, now dead weight, goes.
+    auto settle = [&](FinishedAttempt &f) {
+        const std::size_t i = f.attempt.idx;
+        const unsigned n = f.attempt.number;
+        const std::string &key = c.keys[i];
+        if (!f.outcome.ok() && f.retryable && n < c.opt.maxAttempts) {
+            // Jitter hashed from the job's identity: a rerun of the
+            // campaign schedules identically.
+            const std::uint64_t delay = retryDelayMs(
+                key.empty() ? jobLabel(c.batch[i]) : key, n + 1, c.opt);
+            pending.push_back({i, n + 1,
+                               Clock::now() +
+                                   std::chrono::milliseconds(delay)});
+            c.meter.retryScheduled();
+            return;
+        }
+        RunOutcome &o = c.out[i] = std::move(f.outcome);
+        o.attempts = n;
+        o.durationMs = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                Clock::now() - f.attempt.launched)
+                .count());
+        if (!o.ok()) {
+            o.failure.status = o.status;
+            o.failure.repro = jobReproCommand(c.batch[i]);
+        }
+        if (o.ok() && c.opt.useCache && c.batch[i].cacheable())
+            ResultCache::global().insert(key, o.output.result);
+        if (!key.empty() && c.journal.enabled())
+            c.journal.record(key, o);
+        if (o.ok() && !f.attempt.opts.checkpointPath.empty())
+            ::unlink(f.attempt.opts.checkpointPath.c_str());
+        c.meter.jobDone(jobInstructionBudget(c.batch[i]));
+    };
+
+    std::vector<FinishedAttempt> finished;
+    while (!pending.empty() || ex.running() > 0) {
+        // Launch every eligible attempt a free slot can take. Its
+        // deadline is sized to what is left: a retry resuming from
+        // the previous attempt's checkpoint gets a budget for the
+        // remaining instructions. Both are read before launch, so a
+        // forked child and its parent agree on the starting image.
+        const Clock::time_point now = Clock::now();
+        for (auto it = pending.begin();
+             it != pending.end() && ex.running() < slots;) {
+            if (it->notBefore > now) {
+                ++it;
+                continue;
+            }
+            Attempt a = std::move(*it);
+            it = pending.erase(it);
+            const ExperimentJob &job = c.batch[a.idx];
+            a.opts = jobOptions(c.opt, job, c.keys[a.idx]);
+            a.timeoutMs = attemptTimeoutMs(c.opt, job, a.opts);
+            a.launched = Clock::now();
+            a.deadline =
+                a.launched + std::chrono::milliseconds(a.timeoutMs);
+            ex.launch(job, c.keys[a.idx], std::move(a));
+        }
+
+        // Wake at the next deadline, or at the next retry if a slot
+        // is free for it.
+        Clock::time_point next = ex.nextDeadline();
+        if (ex.running() < slots)
+            for (const Attempt &p : pending)
+                next = std::min(next, p.notBefore);
+        if (ex.running() == 0) {
+            telemetry::ScopedSpan span(telemetry::Phase::RetryBackoff);
+            std::this_thread::sleep_until(next);
+        } else {
+            ex.wait(next, finished);
+        }
+        for (FinishedAttempt &f : finished)
+            settle(f);
+        finished.clear();
+        c.meter.maybePrint(ex.running());
+    }
+}
+
+} // namespace
 
 std::vector<RunOutcome>
 Supervisor::run(const std::vector<ExperimentJob> &batch)
@@ -749,41 +1169,25 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
         work.push_back(i);
     }
 
-    // Publish a finalized outcome the moment the scheduler settles
-    // it: the journal then checkpoints progress job by job, so a
-    // campaign killed mid-flight resumes with every finished job,
-    // and the finished job's mid-run checkpoint is dead weight.
-    PublishFn publish = [&](std::size_t i) {
-        const RunOutcome &o = out[i];
-        if (o.ok() && opt_.useCache && batch[i].cacheable())
-            cache.insert(keys[i], o.output.result);
-        if (!keys[i].empty() && journal.enabled())
-            journal.record(keys[i], o);
-        const std::string ckpt =
-            jobOptions(batch[i], keys[i]).checkpointPath;
-        if (o.ok() && !ckpt.empty())
-            ::unlink(ckpt.c_str());
-    };
-
-    // Everything the planner did not hand to a scheduler was served
-    // without simulating; the progress line reports that share.
-    const std::size_t served = batch.size() - work.size();
-
+    // Everything the planner did not hand to the scheduler was
+    // served without simulating; the progress line reports that
+    // share.
+    Campaign campaign{opt_, batch, keys, out, journal,
+                      ProgressMeter(opt_.progressEveryMs, work.size(),
+                                    batch.size() - work.size(),
+                                    batch.size())};
+    const unsigned slots = std::max(1u, jobs());
     if (opt_.isolate) {
         // Jobs whose outputs cannot cross the result pipe run
         // inline (uncontained); everything else forks.
-        std::vector<std::size_t> sandboxed;
-        for (std::size_t w : work) {
-            if (batch[w].cfg.collectMissStream) {
-                out[w] = superviseInline(batch[w], keys[w]);
-                publish(w);
-            } else {
-                sandboxed.push_back(w);
-            }
-        }
-        runSandboxed(batch, sandboxed, keys, out, publish, served);
+        std::vector<std::size_t> inline_work, forked;
+        for (std::size_t w : work)
+            (batch[w].cfg.collectMissStream ? inline_work : forked)
+                .push_back(w);
+        scheduleAttempts(campaign, InlineExecutor{}, 1, inline_work);
+        scheduleAttempts(campaign, ForkExecutor{}, slots, forked);
     } else {
-        runThreaded(batch, work, keys, out, publish, served);
+        scheduleAttempts(campaign, ThreadExecutor{}, slots, work);
     }
 
     // A copy carries the representative's result, but it was not
@@ -805,467 +1209,6 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
                                           out[i].attempts,
                                           out[i].durationMs);
     return out;
-}
-
-RunOutcome
-Supervisor::superviseInline(const ExperimentJob &job,
-                            const std::string &key)
-{
-    const std::string retry_key = key.empty() ? jobLabel(job) : key;
-    RunOutcome o;
-    for (unsigned attempt = 1; attempt <= opt_.maxAttempts;
-         ++attempt) {
-        if (attempt > 1) {
-            telemetry::ScopedSpan span(
-                telemetry::Phase::RetryBackoff);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                retryDelayMs(retry_key, attempt, opt_)));
-        }
-        const Clock::time_point began = Clock::now();
-        auto attempt_ms = [&] {
-            return static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    Clock::now() - began)
-                    .count());
-        };
-        try {
-            o.output = executeJob(job);
-            o.status = RunStatus::Ok;
-            o.attempts = attempt;
-            o.durationMs = attempt_ms();
-            return o;
-        } catch (const std::exception &e) {
-            o.failure.what = e.what();
-        } catch (...) {
-            o.failure.what = "unknown exception";
-        }
-        o.status = RunStatus::Failed;
-        o.failure.status = RunStatus::Failed;
-        o.failure.repro = jobReproCommand(job);
-        o.attempts = attempt;
-        o.durationMs = attempt_ms();
-    }
-    return o;
-}
-
-void
-Supervisor::runThreaded(const std::vector<ExperimentJob> &batch,
-                        const std::vector<std::size_t> &work,
-                        const std::vector<std::string> &keys,
-                        std::vector<RunOutcome> &out,
-                        const PublishFn &publish, std::size_t served)
-{
-    if (work.empty())
-        return;
-    const unsigned nthreads = std::max<unsigned>(
-        1, static_cast<unsigned>(
-               std::min<std::size_t>(jobs(), work.size())));
-    auto signal = std::make_shared<SchedulerSignal>();
-
-    std::deque<PendingAttempt> pending;
-    const Clock::time_point start = Clock::now();
-    for (std::size_t w : work)
-        pending.push_back({w, 1, start});
-
-    ProgressMeter meter(opt_.progressEveryMs, work.size(), served,
-                        batch.size());
-
-    struct Active
-    {
-        std::shared_ptr<ThreadAttempt> att;
-        std::thread th;
-        std::size_t idx;
-        unsigned attempt;
-        Clock::time_point deadline;
-        std::uint64_t timeoutMs;
-        Clock::time_point launched;
-    };
-    std::vector<Active> active;
-
-    auto elapsed_ms = [](Clock::time_point since) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - since)
-                .count());
-    };
-
-    auto handle_failure = [&](std::size_t idx, unsigned attempt,
-                              RunStatus status,
-                              const std::string &what,
-                              bool allow_retry,
-                              std::uint64_t duration_ms) {
-        if (allow_retry && attempt < opt_.maxAttempts) {
-            const std::string retry_key =
-                keys[idx].empty() ? jobLabel(batch[idx]) : keys[idx];
-            pending.push_back(
-                {idx, attempt + 1,
-                 Clock::now() +
-                     std::chrono::milliseconds(retryDelayMs(
-                         retry_key, attempt + 1, opt_))});
-            meter.retryScheduled();
-            return;
-        }
-        RunOutcome &o = out[idx];
-        o.status = status;
-        o.attempts = attempt;
-        o.durationMs = duration_ms;
-        o.failure.status = status;
-        o.failure.what = what;
-        o.failure.repro = jobReproCommand(batch[idx]);
-        publish(idx);
-        meter.jobDone(jobInstructionBudget(batch[idx]));
-    };
-
-    while (!pending.empty() || !active.empty()) {
-        Clock::time_point now = Clock::now();
-
-        // Launch every eligible attempt a free worker slot can take.
-        for (auto it = pending.begin();
-             it != pending.end() && active.size() < nthreads;) {
-            if (it->notBefore > now) {
-                ++it;
-                continue;
-            }
-            auto att = std::make_shared<ThreadAttempt>();
-            att->signal = signal;
-            att->job = batch[it->idx];
-            att->opts = jobOptions(att->job, keys[it->idx]);
-            std::thread th([att] {
-                ExperimentOutput result;
-                bool threw = false;
-                std::string what;
-                try {
-                    result = executeJob(att->job, att->opts);
-                } catch (const std::exception &e) {
-                    threw = true;
-                    what = e.what();
-                } catch (...) {
-                    threw = true;
-                    what = "unknown exception";
-                }
-                {
-                    std::lock_guard<std::mutex> g(att->signal->m);
-                    att->output = std::move(result);
-                    att->threw = threw;
-                    att->what = std::move(what);
-                    att->done.store(true, std::memory_order_release);
-                }
-                att->signal->cv.notify_all();
-            });
-            const std::uint64_t tmo =
-                attemptTimeoutMs(att->job, att->opts);
-            active.push_back({std::move(att), std::move(th),
-                              it->idx, it->attempt,
-                              now + std::chrono::milliseconds(tmo),
-                              tmo, now});
-            it = pending.erase(it);
-        }
-
-        // Sleep until the next completion, deadline, or retry time.
-        Clock::time_point next = Clock::time_point::max();
-        for (const Active &a : active)
-            next = std::min(next, a.deadline);
-        if (active.size() < nthreads)
-            for (const PendingAttempt &p : pending)
-                next = std::min(next, p.notBefore);
-        {
-            std::unique_lock<std::mutex> lk(signal->m);
-            bool any_done = false;
-            for (const Active &a : active)
-                if (a.att->done.load(std::memory_order_acquire)) {
-                    any_done = true;
-                    break;
-                }
-            if (!any_done && next != Clock::time_point::max())
-                signal->cv.wait_until(lk, next);
-        }
-
-        now = Clock::now();
-        for (auto it = active.begin(); it != active.end();) {
-            if (it->att->done.load(std::memory_order_acquire)) {
-                it->th.join();
-                if (!it->att->threw) {
-                    RunOutcome &o = out[it->idx];
-                    o.status = RunStatus::Ok;
-                    o.output = std::move(it->att->output);
-                    o.attempts = it->attempt;
-                    o.durationMs = elapsed_ms(it->launched);
-                    publish(it->idx);
-                    meter.jobDone(
-                        jobInstructionBudget(batch[it->idx]));
-                } else {
-                    handle_failure(it->idx, it->attempt,
-                                   RunStatus::Failed,
-                                   it->att->what, true,
-                                   elapsed_ms(it->launched));
-                }
-                it = active.erase(it);
-            } else if (now >= it->deadline) {
-                // Watchdog without a sandbox: we cannot kill a
-                // std::thread, so abandon it (it may still finish
-                // into its private ThreadAttempt, which nothing
-                // reads) and move on. No retry: the abandoned
-                // thread may still be executing this very job
-                // (process-global state would be shared by two
-                // concurrent runs) and keeps occupying a core, so
-                // a retry would oversubscribe the worker budget.
-                // --isolate is the retry-capable mode for hangs.
-                it->th.detach();
-                handle_failure(
-                    it->idx, it->attempt, RunStatus::TimedOut,
-                    csprintf("exceeded %llu ms watchdog deadline "
-                             "(thread abandoned; timed-out jobs are "
-                             "not retried in thread mode -- use "
-                             "--isolate for hard kills and retries)",
-                             static_cast<unsigned long long>(
-                                 it->timeoutMs)),
-                    false, elapsed_ms(it->launched));
-                it = active.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        meter.maybePrint(active.size());
-    }
-}
-
-void
-Supervisor::runSandboxed(const std::vector<ExperimentJob> &batch,
-                         const std::vector<std::size_t> &work,
-                         const std::vector<std::string> &keys,
-                         std::vector<RunOutcome> &out,
-                         const PublishFn &publish, std::size_t served)
-{
-    if (work.empty())
-        return;
-    const unsigned nchildren = std::max<unsigned>(
-        1, static_cast<unsigned>(
-               std::min<std::size_t>(jobs(), work.size())));
-
-    std::deque<PendingAttempt> pending;
-    const Clock::time_point start = Clock::now();
-    for (std::size_t w : work)
-        pending.push_back({w, 1, start});
-
-    ProgressMeter meter(opt_.progressEveryMs, work.size(), served,
-                        batch.size());
-
-    struct Child
-    {
-        pid_t pid;
-        std::size_t idx;
-        unsigned attempt;
-        int resultFd;
-        int stderrFd;
-        std::string resultBuf;
-        std::string stderrBuf;
-        Clock::time_point deadline;
-        std::uint64_t timeoutMs;
-        Clock::time_point launched;
-        bool watchdogKilled = false;
-    };
-    std::vector<Child> children;
-
-    auto elapsed_ms = [](Clock::time_point since) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - since)
-                .count());
-    };
-
-    auto handle_failure = [&](const Child &c, RunStatus status,
-                              const std::string &what, int sig) {
-        if (c.attempt < opt_.maxAttempts) {
-            const std::string retry_key = keys[c.idx].empty()
-                                              ? jobLabel(batch[c.idx])
-                                              : keys[c.idx];
-            pending.push_back(
-                {c.idx, c.attempt + 1,
-                 Clock::now() +
-                     std::chrono::milliseconds(retryDelayMs(
-                         retry_key, c.attempt + 1, opt_))});
-            meter.retryScheduled();
-            return;
-        }
-        RunOutcome &o = out[c.idx];
-        o.status = status;
-        o.attempts = c.attempt;
-        o.durationMs = elapsed_ms(c.launched);
-        o.failure.status = status;
-        o.failure.what = what;
-        o.failure.signal = sig;
-        o.failure.stderrTail = tailOf(c.stderrBuf);
-        o.failure.repro = jobReproCommand(batch[c.idx]);
-        publish(c.idx);
-        meter.jobDone(jobInstructionBudget(batch[c.idx]));
-    };
-
-    auto classify = [&](Child &c, int status) {
-        if (WIFSIGNALED(status)) {
-            const int sig = WTERMSIG(status);
-            if (c.watchdogKilled)
-                handle_failure(
-                    c, RunStatus::TimedOut,
-                    csprintf("exceeded %llu ms watchdog deadline "
-                             "(child killed)",
-                             static_cast<unsigned long long>(
-                                 c.timeoutMs)),
-                    sig);
-            else
-                handle_failure(c, RunStatus::Crashed,
-                               csprintf("terminated by signal %d "
-                                        "(%s)",
-                                        sig, strsignal(sig)),
-                               sig);
-            return;
-        }
-        const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-        std::string key;
-        RunOutcome o;
-        const bool parsed =
-            parseJournalLine(c.resultBuf, key, o, nullptr) &&
-            key == keys[c.idx];
-        if (parsed && o.ok() && code == 0) {
-            o.attempts = c.attempt;
-            o.durationMs = elapsed_ms(c.launched);
-            out[c.idx] = std::move(o);
-            publish(c.idx);
-            meter.jobDone(jobInstructionBudget(batch[c.idx]));
-        } else if (parsed && !o.ok()) {
-            handle_failure(c, RunStatus::Failed, o.failure.what, 0);
-        } else {
-            handle_failure(
-                c, RunStatus::Failed,
-                csprintf("child exited with status %d without a "
-                         "parseable result",
-                         code),
-                0);
-        }
-    };
-
-    while (!pending.empty() || !children.empty()) {
-        Clock::time_point now = Clock::now();
-
-        // Fork every eligible attempt a free slot can take. The
-        // scheduler itself stays single-threaded, so fork() never
-        // races another of our threads holding a lock.
-        for (auto it = pending.begin();
-             it != pending.end() && children.size() < nchildren;) {
-            if (it->notBefore > now) {
-                ++it;
-                continue;
-            }
-            int rp[2], ep[2];
-            JobExecutionOptions opts;
-            std::uint64_t tmo = 0;
-            pid_t pid = -1;
-            {
-                telemetry::ScopedSpan span(
-                    telemetry::Phase::SandboxSpawn);
-                if (::pipe(rp) != 0)
-                    fatal("pipe: %s", std::strerror(errno));
-                if (::pipe(ep) != 0)
-                    fatal("pipe: %s", std::strerror(errno));
-                // The deadline is sized to what is left: a retry
-                // that resumes from the previous attempt's
-                // checkpoint gets a budget for the remaining
-                // instructions, not the whole run again (read before
-                // fork so parent and child agree on which image the
-                // attempt starts from).
-                opts = jobOptions(batch[it->idx], keys[it->idx]);
-                tmo = attemptTimeoutMs(batch[it->idx], opts);
-                pid = ::fork();
-            }
-            if (pid < 0)
-                fatal("fork: %s", std::strerror(errno));
-            if (pid == 0) {
-                ::close(rp[0]);
-                ::close(ep[0]);
-                ::dup2(ep[1], 2);
-                ::close(ep[1]);
-                runChildJob(batch[it->idx], keys[it->idx], opts,
-                            rp[1]);
-            }
-            ::close(rp[1]);
-            ::close(ep[1]);
-            children.push_back(
-                {pid, it->idx, it->attempt, rp[0], ep[0], "", "",
-                 now + std::chrono::milliseconds(tmo), tmo, now});
-            it = pending.erase(it);
-        }
-
-        // Wait for output, a deadline, or a retry becoming ready.
-        std::vector<pollfd> fds;
-        std::vector<std::pair<std::size_t, bool>> fd_owner;
-        for (std::size_t ci = 0; ci < children.size(); ++ci) {
-            if (children[ci].resultFd >= 0) {
-                fds.push_back({children[ci].resultFd, POLLIN, 0});
-                fd_owner.emplace_back(ci, true);
-            }
-            if (children[ci].stderrFd >= 0) {
-                fds.push_back({children[ci].stderrFd, POLLIN, 0});
-                fd_owner.emplace_back(ci, false);
-            }
-        }
-        Clock::time_point next = Clock::time_point::max();
-        for (const Child &c : children)
-            if (!c.watchdogKilled)
-                next = std::min(next, c.deadline);
-        if (children.size() < nchildren)
-            for (const PendingAttempt &p : pending)
-                next = std::min(next, p.notBefore);
-        int poll_ms = -1;
-        if (next != Clock::time_point::max()) {
-            auto delta =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    next - Clock::now())
-                    .count();
-            poll_ms = delta < 0
-                          ? 0
-                          : static_cast<int>(std::min<long long>(
-                                delta + 1, 60'000));
-        }
-        {
-            telemetry::ScopedSpan span(
-                telemetry::Phase::SandboxWait);
-            io::pollRetry(fds.data(),
-                          static_cast<nfds_t>(fds.size()), poll_ms);
-        }
-
-        for (std::size_t fi = 0; fi < fds.size(); ++fi) {
-            if (!(fds[fi].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            Child &c = children[fd_owner[fi].first];
-            const bool is_result = fd_owner[fi].second;
-            int &fd = is_result ? c.resultFd : c.stderrFd;
-            std::string &buf = is_result ? c.resultBuf : c.stderrBuf;
-            char chunk[4096];
-            const ssize_t n = io::readRetry(fd, chunk, sizeof(chunk));
-            if (n > 0) {
-                buf.append(chunk, static_cast<std::size_t>(n));
-            } else {
-                ::close(fd);
-                fd = -1;
-            }
-        }
-
-        now = Clock::now();
-        for (auto it = children.begin(); it != children.end();) {
-            if (it->resultFd < 0 && it->stderrFd < 0) {
-                int status = 0;
-                io::waitpidRetry(it->pid, &status, 0);
-                classify(*it, status);
-                it = children.erase(it);
-            } else {
-                if (now >= it->deadline && !it->watchdogKilled) {
-                    ::kill(it->pid, SIGKILL);
-                    it->watchdogKilled = true;
-                }
-                ++it;
-            }
-        }
-        meter.maybePrint(children.size());
-    }
 }
 
 } // namespace morrigan

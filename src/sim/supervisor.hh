@@ -5,20 +5,18 @@
  * Every batch -- sweeps, figure benches, the tournament, fuzz
  * families -- runs through Supervisor::run(). It plans the batch
  * (journal replays, ResultCache hits, one representative per repeated
- * cacheable key), fans the remaining jobs out across worker threads
- * or sandboxed children, and returns outcomes in submission order,
+ * cacheable key) and hands the remaining jobs to one attempt
+ * scheduler, which returns outcomes in submission order,
  * bit-identical to serial execution for any worker count. Around
  * every ExperimentJob it draws a fault boundary:
  *
- *  - exceptions (and, in sandbox mode, SIGSEGV/SIGABRT/OOM kills)
- *    in one job are captured as a per-job failure instead of
+ *  - a fault in one job is captured as a per-job failure instead of
  *    aborting the batch;
  *  - a watchdog enforces a per-job wall-clock deadline, derived
  *    from the instruction budget unless pinned;
- *  - failed jobs (and, in sandbox mode, timed-out ones) are
- *    retried a bounded number of times with exponential backoff
- *    and deterministic jitter (seeded from the job key, so reruns
- *    schedule identically);
+ *  - failed attempts are retried a bounded number of times with
+ *    exponential backoff and deterministic jitter (seeded from the
+ *    job key, so reruns schedule identically);
  *  - with SupervisorOptions::snapshotDir set, cacheable jobs
  *    autosave snapshots (see DESIGN.md §12) and a retried attempt
  *    resumes from the last checkpoint -- with a watchdog deadline
@@ -31,22 +29,23 @@
  *    which the CLIs and bench artifacts emit so degraded campaigns
  *    report what is missing instead of silently dropping rows.
  *
- * Sandbox mode (SupervisorOptions::isolate, --isolate,
- * MORRIGAN_ISOLATE=1) forks one child per job and ships the outcome
- * back over a pipe as one journal record; the scheduler then runs
- * single-threaded in the parent (children provide the parallelism),
- * which keeps fork() safe. Thread mode (the default) contains C++
- * exceptions only; a crash still takes the process down, and a
- * timed-out job's thread is abandoned, not killed -- and because the
- * abandoned thread may still be running that job, thread-mode
- * timeouts are terminal (never retried).
+ * One attempt scheduler owns the attempt queue, the backoff and the
+ * retry-or-finalise decision; an executor only launches, waits and
+ * reaps. Thread mode (the default) runs attempts on worker threads
+ * and contains C++ exceptions only; a hung thread is abandoned, not
+ * killed, and as it may still be running that job, its timeout is
+ * never retried. Sandbox mode (SupervisorOptions::isolate, --isolate,
+ * MORRIGAN_ISOLATE=1) forks one child per attempt, which sends its
+ * outcome back as one journal record; crashes are contained, hung
+ * children are SIGKILLed and retried, and the single-threaded
+ * scheduler keeps fork() safe. There, miss-stream jobs (whose output
+ * cannot cross the pipe) run inline, uncontained.
  */
 
 #ifndef MORRIGAN_SIM_SUPERVISOR_HH
 #define MORRIGAN_SIM_SUPERVISOR_HH
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -283,50 +282,6 @@ class Supervisor
     static void setDefaultOptions(const SupervisorOptions &opt);
 
   private:
-    /** Stable identity for cache + journal; "" = anonymous. */
-    std::string jobKey(const ExperimentJob &job) const;
-
-    /** Snapshot-store paths for one execution of @p job; empty
-     * when the store is off or the job is not eligible. */
-    JobExecutionOptions jobOptions(const ExperimentJob &job,
-                                   const std::string &key) const;
-
-    /** Watchdog deadline for an attempt, accounting for the
-     * progress recorded in the job's checkpoint (if any). */
-    std::uint64_t attemptTimeoutMs(const ExperimentJob &job,
-                                   const JobExecutionOptions &opts)
-        const;
-
-    /** Called by the schedulers the moment a job's outcome is
-     * final, so the journal checkpoints progress incrementally (a
-     * campaign killed mid-flight keeps every finished job). */
-    using PublishFn = std::function<void(std::size_t)>;
-
-    /** Run indices @p work of @p batch on worker threads (faults =
-     * exceptions; timeouts abandon the thread). @p served counts the
-     * batch's jobs the planner served without simulating (for the
-     * progress line). */
-    void runThreaded(const std::vector<ExperimentJob> &batch,
-                     const std::vector<std::size_t> &work,
-                     const std::vector<std::string> &keys,
-                     std::vector<RunOutcome> &out,
-                     const PublishFn &publish, std::size_t served);
-
-    /** Run indices @p work of @p batch in fork-sandboxed children,
-     * up to jobs() at a time, writing outcomes into @p out. Each
-     * child sends its outcome back as one journal record. */
-    void runSandboxed(const std::vector<ExperimentJob> &batch,
-                      const std::vector<std::size_t> &work,
-                      const std::vector<std::string> &keys,
-                      std::vector<RunOutcome> &out,
-                      const PublishFn &publish, std::size_t served);
-
-    /** Sandbox-mode fallback for jobs whose outputs cannot cross a
-     * pipe (miss-stream collection): run on the calling thread with
-     * retries but no crash containment or watchdog. */
-    RunOutcome superviseInline(const ExperimentJob &job,
-                               const std::string &key);
-
     SupervisorOptions opt_;
 };
 

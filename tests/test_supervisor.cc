@@ -5,9 +5,10 @@
  * count, threaded or sandboxed), submission order, factory / SMT /
  * miss-stream jobs, worker-count resolution, fault containment
  * (thread and sandbox modes), watchdog timeouts, deterministic retry
- * scheduling, journal checkpoint/resume (bit-identical, tolerant of
- * torn writes), the sandbox result pipe, the progress line, failure
- * manifests and degraded-mode batch results.
+ * scheduling, retries that recover in either mode, journal
+ * checkpoint/resume (bit-identical, tolerant of torn writes), the
+ * sandbox result pipe, the progress line, failure manifests and
+ * degraded-mode batch results.
  */
 
 #include <gtest/gtest.h>
@@ -175,6 +176,43 @@ class HangingPrefetcher : public TlbPrefetcher
     }
 };
 
+/**
+ * Fails its first iSTLB miss once per marker: when @p marker does not
+ * exist yet it creates it, then throws (or, with @p crash, dies by
+ * SIGSEGV). The marker is a file so the state survives fork(): the
+ * retried attempt, in a new child or thread, finds it and runs clean.
+ */
+class FlakyPrefetcher : public TlbPrefetcher
+{
+  public:
+    FlakyPrefetcher(std::string marker, bool crash)
+        : marker_(std::move(marker)), crash_(crash)
+    {
+    }
+
+    const char *name() const override { return "flaky"; }
+
+    void
+    onInstrStlbMiss(Vpn, Addr, unsigned,
+                    std::vector<PrefetchRequest> &) override
+    {
+        if (checked_)
+            return;
+        checked_ = true;
+        if (std::ifstream(marker_).good())
+            return;
+        std::ofstream(marker_) << "failed once\n";
+        if (crash_)
+            std::raise(SIGSEGV);
+        throw std::runtime_error("flaky prefetcher's first miss");
+    }
+
+  private:
+    std::string marker_;
+    bool crash_;
+    bool checked_ = false;
+};
+
 ExperimentJob
 goodJob(const SimConfig &cfg, unsigned workload_index)
 {
@@ -295,16 +333,22 @@ TEST(Supervisor, MissStreamBatchMatchesSerial)
     sim.run();
     const MissStreamStats &serial = sim.missStream();
 
-    std::vector<RunOutcome> outcomes = Supervisor(executeAll(2)).run(
-        {ExperimentJob::of(cfg, "none", qmmWorkloadParams(2))});
-    ASSERT_EQ(outcomes.size(), 1u);
-    ASSERT_TRUE(outcomes[0].ok());
-    const MissStreamStats &pooled = outcomes[0].output.missStream;
-    EXPECT_EQ(serial.totalMisses(), pooled.totalMisses());
-    EXPECT_EQ(serial.distinctPages(), pooled.distinctPages());
-    EXPECT_EQ(serial.pagesCoveringFraction(0.9),
-              pooled.pagesCoveringFraction(0.9));
-    EXPECT_EQ(serial.deltaCdfAt(10), pooled.deltaCdfAt(10));
+    // Thread mode, and --isolate, where miss-stream jobs run inline
+    // because their output cannot cross the result pipe.
+    for (const SupervisorOptions &opt :
+         {executeAll(2), executeAll(2, true)}) {
+        SCOPED_TRACE(opt.isolate ? "isolated" : "threaded");
+        std::vector<RunOutcome> outcomes = Supervisor(opt).run(
+            {ExperimentJob::of(cfg, "none", qmmWorkloadParams(2))});
+        ASSERT_EQ(outcomes.size(), 1u);
+        ASSERT_TRUE(outcomes[0].ok());
+        const MissStreamStats &pooled = outcomes[0].output.missStream;
+        EXPECT_EQ(serial.totalMisses(), pooled.totalMisses());
+        EXPECT_EQ(serial.distinctPages(), pooled.distinctPages());
+        EXPECT_EQ(serial.pagesCoveringFraction(0.9),
+                  pooled.pagesCoveringFraction(0.9));
+        EXPECT_EQ(serial.deltaCdfAt(10), pooled.deltaCdfAt(10));
+    }
 }
 
 TEST(SupervisorJobs, EnvOverridesHardware)
@@ -397,6 +441,57 @@ TEST(Supervisor, ThreadModeRetriesThenFails)
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].status, RunStatus::Failed);
     EXPECT_EQ(out[0].attempts, 3u);
+}
+
+namespace
+{
+
+/** A job that fails its first attempt and passes its second must
+ * come back ok after exactly two attempts, with the result of a
+ * clean run. */
+void
+expectRetryThenSuccess(bool isolate)
+{
+    const SimConfig cfg = quickConfig();
+    const ServerWorkloadParams wl = qmmWorkloadParams(1);
+    const std::string marker = tempPath(
+        isolate ? "flaky_isolated.marker" : "flaky_threaded.marker");
+    std::remove(marker.c_str());
+
+    SupervisorOptions opt = executeAll(2, isolate);
+    opt.maxAttempts = 2;
+    opt.backoffBaseMs = 1;
+    opt.backoffCapMs = 2;
+    std::vector<RunOutcome> out = Supervisor(opt).run(
+        {ExperimentJob::with(
+            cfg,
+            [marker, isolate] {
+                return std::make_unique<FlakyPrefetcher>(marker, isolate);
+            },
+            wl)});
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_TRUE(out[0].ok()) << out[0].failure.what;
+    EXPECT_EQ(out[0].attempts, 2u);
+
+    // The marker now exists, so a serial run is the clean run.
+    FlakyPrefetcher serial_pref(marker, isolate);
+    expectIdentical(runWorkloadWith(cfg, &serial_pref, wl),
+                    out[0].output.result);
+    std::remove(marker.c_str());
+}
+
+} // namespace
+
+TEST(Supervisor, ThreadModeRetrySucceeds)
+{
+    // The first attempt throws.
+    expectRetryThenSuccess(/*isolate=*/false);
+}
+
+TEST(Supervisor, IsolateRetrySucceeds)
+{
+    // The first attempt's child dies by SIGSEGV.
+    expectRetryThenSuccess(/*isolate=*/true);
 }
 
 TEST(Supervisor, RunBatchDegradedMode)

@@ -36,6 +36,7 @@
 #include "core/morrigan.hh"
 #include "core/prefetcher_registry.hh"
 #include "sim/experiment.hh"
+#include "sim/result_cache.hh"
 #include "sim/simulator.hh"
 #include "workload/workload_factory.hh"
 
@@ -533,14 +534,13 @@ main(int argc, char **argv)
             if (scaled_morrigan) {
                 job.prefetcherFactory = scaled_factory;
                 // Factory jobs are uncacheable; give them a stable
-                // tag so --journal can resume them too.
-                job.journalTag = csprintf(
-                    "sweep:smt-scaled:%s:warmup=%llu:instr=%llu",
-                    qmmWorkloadParams(i).name.c_str(),
-                    static_cast<unsigned long long>(
-                        sweep_cfg.warmupInstructions),
-                    static_cast<unsigned long long>(
-                        sweep_cfg.simInstructions));
+                // tag naming every key field (PB size, walker, ...)
+                // so --journal resumes them, and only under the
+                // configuration that recorded them.
+                job.journalTag =
+                    "sweep:smt-scaled:" +
+                    experimentKey(sweep_cfg, "morrigan",
+                                  qmmWorkloadParams(i));
             }
             jobs.push_back(std::move(job));
         }
