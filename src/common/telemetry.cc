@@ -172,6 +172,10 @@ counterName(Counter c)
       case Counter::TraceEventsDropped:
         return "trace_events_dropped";
       case Counter::FsFaultsInjected: return "fs_faults_injected";
+      case Counter::TraceFeedConsumerWaits:
+        return "trace_feed_consumer_waits";
+      case Counter::TraceFeedProducerWaits:
+        return "trace_feed_producer_waits";
     }
     return "unknown";
 }

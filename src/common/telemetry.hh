@@ -109,9 +109,11 @@ enum class Counter : std::uint8_t {
     Fsyncs,               //!< fsync/fdatasync calls issued
     TraceEventsDropped,   //!< events discarded at the per-thread cap
     FsFaultsInjected,     //!< faults injected by MORRIGAN_FAULT_FS
+    TraceFeedConsumerWaits, //!< simulator waited for generated records
+    TraceFeedProducerWaits, //!< generator waited for room or a grant
 };
 
-inline constexpr std::size_t counterCount = 9;
+inline constexpr std::size_t counterCount = 11;
 
 /** Stable snake_case name of @p c. */
 const char *counterName(Counter c);

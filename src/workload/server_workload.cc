@@ -310,8 +310,8 @@ void
 ServerWorkload::nextBlock(TraceRecord *out, unsigned n)
 {
     // Same record/RNG sequence as n calls through the base class; the
-    // override exists so the simulator's block loop devirtualises the
-    // per-instruction call and keeps the generator state hot.
+    // override exists so the trace feed's chunked fill devirtualises
+    // the per-instruction call and keeps the generator state hot.
     for (unsigned i = 0; i < n; ++i)
         out[i] = next();
 }
@@ -436,7 +436,10 @@ ServerWorkload::restore(SnapshotReader &r)
     streamPos_ = r.u64();
     if (currentType_ >= paths_.size() ||
         pathPos_ >= paths_[currentType_].size() ||
-        currentPage_ >= params_.codePages)
+        currentPage_ >= params_.codePages ||
+        currentOffset_ >= pageBytes || currentOffset_ % 4 != 0 ||
+        streamPos_ >= static_cast<std::uint64_t>(params_.dataColdPages) *
+                          (pageBytes / lineBytes))
         throw SnapshotError("workload '" + params_.name +
                             "': run state out of range");
 }

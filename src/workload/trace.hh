@@ -46,11 +46,12 @@ class TraceSource
     virtual TraceRecord next() = 0;
 
     /**
-     * Produce the next @p n instructions into @p out. Equivalent to n
-     * calls of next(); sources override it so the simulator's dispatch
-     * loop pays one virtual call per block instead of per instruction
-     * (and the source's generator state stays register-resident across
-     * the block).
+     * Produce the next @p n instructions into @p out. Must equal n
+     * calls of next() for every n: the simulator's trace feed fills
+     * its ring in chunks of whatever size fits. Sources override it
+     * so a chunk pays one virtual call instead of one per instruction
+     * (and the source's generator state stays register-resident
+     * across the chunk).
      */
     virtual void
     nextBlock(TraceRecord *out, unsigned n)

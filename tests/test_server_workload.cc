@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "workload/server_workload.hh"
@@ -172,6 +176,89 @@ TEST(WorkloadFactory, SpecPresetsAreSmallFootprint)
         ServerWorkload w(p);
         for (int k = 0; k < 100; ++k)
             w.next();
+    }
+}
+
+TEST(ServerWorkload, NextBlockChunksMatchNext)
+{
+    // The simulator's trace feed fills its ring with nextBlock() calls
+    // of whatever size fits; any chunking must give the n x next()
+    // stream, across phase changes too.
+    ServerWorkloadParams p = qmmWorkloadParams(2);
+    p.phaseInterval = 4000;
+    ServerWorkload chunked(p), serial(p);
+    const unsigned sizes[] = {1, 7, 8, 128, 1000};
+    std::vector<TraceRecord> out(1000);
+    std::uint64_t produced = 0;
+    for (unsigned round = 0; produced < 20'000; ++round) {
+        const unsigned n = sizes[round % std::size(sizes)];
+        chunked.nextBlock(out.data(), n);
+        for (unsigned i = 0; i < n; ++i, ++produced) {
+            const TraceRecord want = serial.next();
+            ASSERT_EQ(out[i].pc, want.pc) << "record " << produced;
+            ASSERT_EQ(out[i].hasData, want.hasData);
+            ASSERT_EQ(out[i].dataAddr, want.dataAddr);
+        }
+    }
+    EXPECT_GE(chunked.phaseChanges(), 4u);
+    EXPECT_EQ(chunked.phaseChanges(), serial.phaseChanges());
+}
+
+namespace
+{
+
+/**
+ * @p w's snapshot with the u64 run-state field @p back_bytes from the
+ * end of the payload replaced by @p value. The payload ends with
+ * currentOffset_, runRemaining_, instrCount_, nextPhaseAt_,
+ * phaseChanges_ (u64 each), deviating_ (one byte), streamPos_ (u64).
+ */
+std::string
+patchedSnapshot(const ServerWorkload &w, std::size_t back_bytes,
+                std::uint64_t value)
+{
+    SnapshotWriter writer;
+    w.save(writer);
+    std::string payload = writer.payload();
+    const std::size_t at = payload.size() - back_bytes;
+    for (unsigned i = 0; i < 8; ++i)
+        payload[at + i] = static_cast<char>(value >> (8 * i));
+    return payload;
+}
+
+constexpr std::size_t currentOffsetBack = 49;
+constexpr std::size_t streamPosBack = 8;
+
+} // namespace
+
+TEST(ServerWorkload, RestoreRejectsOutOfRangeRunState)
+{
+    const ServerWorkloadParams p = qmmWorkloadParams(0);
+    ServerWorkload w(p);
+    for (int i = 0; i < 1000; ++i)
+        w.next();
+    const std::uint64_t stream_end =
+        std::uint64_t{p.dataColdPages} * (pageBytes / lineBytes);
+
+    // The patch offsets are right: in-range values restore.
+    for (auto [back, value] :
+         {std::pair{currentOffsetBack, pageBytes - 4},
+          std::pair{streamPosBack, stream_end - 1}}) {
+        ServerWorkload fresh(p);
+        SnapshotReader r = SnapshotReader::fromPayload(
+            patchedSnapshot(w, back, value));
+        EXPECT_NO_THROW(fresh.restore(r));
+        EXPECT_NO_THROW(r.finish());
+    }
+    for (auto [back, value] :
+         {std::pair{currentOffsetBack, pageBytes},
+          std::pair{currentOffsetBack, Addr{6}},
+          std::pair{streamPosBack, stream_end}}) {
+        ServerWorkload fresh(p);
+        SnapshotReader r = SnapshotReader::fromPayload(
+            patchedSnapshot(w, back, value));
+        EXPECT_THROW(fresh.restore(r), SnapshotError)
+            << "field at -" << back << " = " << value;
     }
 }
 

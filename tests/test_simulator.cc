@@ -2,7 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "core/morrigan.hh"
+#include "core/prefetcher_registry.hh"
 #include "sim/experiment.hh"
 #include "workload/workload_factory.hh"
 
@@ -215,4 +228,286 @@ TEST(Simulator, MissStreamCollection)
     sim.attachWorkload(&trace, 0);
     SimResult r = sim.run();
     EXPECT_EQ(sim.missStream().totalMisses(), r.istlbMisses);
+}
+
+// ---------------------------------------------------------------
+// The trace feed: generation runs on a producer thread per workload.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** A ServerWorkload that counts the records it produced and logs the
+ * count each time it is saved. */
+class CountingSource : public TraceSource
+{
+  public:
+    explicit CountingSource(const ServerWorkloadParams &p) : inner_(p)
+    {
+    }
+
+    TraceRecord
+    next() override
+    {
+        ++produced_;
+        return inner_.next();
+    }
+
+    void
+    nextBlock(TraceRecord *out, unsigned n) override
+    {
+        inner_.nextBlock(out, n);
+        produced_ += n;
+    }
+
+    const std::string &name() const override { return inner_.name(); }
+
+    std::vector<std::pair<Vpn, std::uint64_t>>
+    mappedRegions() const override
+    {
+        return inner_.mappedRegions();
+    }
+
+    void
+    save(SnapshotWriter &w) const override
+    {
+        savedAt_.push_back(produced_);
+        inner_.save(w);
+    }
+
+    std::uint64_t produced() const { return produced_; }
+    const std::vector<std::uint64_t> &savedAt() const { return savedAt_; }
+    const ServerWorkload &inner() const { return inner_; }
+
+  private:
+    ServerWorkload inner_;
+    std::uint64_t produced_ = 0;
+    mutable std::vector<std::uint64_t> savedAt_;
+};
+
+/**
+ * Records per thread after which a serial run saves, and (in
+ * @p total) how many it generates in all: Simulator::run()'s
+ * round-robin loop restated one 8-record round at a time.
+ */
+std::vector<std::uint64_t>
+serialSavePoints(const SimConfig &cfg, unsigned threads,
+                 std::uint64_t every, bool warmup_image,
+                 std::uint64_t *total)
+{
+    std::vector<std::uint64_t> points;
+    std::uint64_t records = 0;
+    std::uint64_t next_save = every;
+    auto phase = [&](std::uint64_t length, std::uint64_t base) {
+        for (std::uint64_t done = 0; done < length;) {
+            done += 8 * threads;
+            records += 8;
+            if (base + done >= next_save) {
+                points.push_back(records);
+                while (next_save <= base + done)
+                    next_save += every;
+            }
+        }
+    };
+    phase(cfg.warmupInstructions, 0);
+    if (warmup_image)
+        points.push_back(records);
+    phase(cfg.simInstructions, cfg.warmupInstructions);
+    *total = records;
+    return points;
+}
+
+std::string
+serialized(const TraceSource &source)
+{
+    SnapshotWriter w;
+    source.save(w);
+    return w.payload();
+}
+
+/** Run with autosave (and a warmup image) and check every save saw
+ * each source exactly where serial generation would have left it. */
+void
+expectExactSavePoints(unsigned threads, bool warmup_image)
+{
+    SimConfig cfg;
+    cfg.warmupInstructions = 30'004;
+    cfg.simInstructions = 90'000;
+    const std::uint64_t every = 10'001;  // not a multiple of 16
+
+    std::vector<std::unique_ptr<CountingSource>> sources;
+    Simulator sim(cfg);
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        sources.push_back(
+            std::make_unique<CountingSource>(qmmWorkloadParams(tid)));
+        sim.attachWorkload(sources.back().get(), tid);
+    }
+    std::unique_ptr<TlbPrefetcher> pref = makePrefetcher("morrigan");
+    sim.attachPrefetcher(pref.get());
+
+    const std::string stem = testing::TempDir() + "feed-" +
+                             std::to_string(::getpid()) + "-" +
+                             std::to_string(threads);
+    sim.setCheckpointing(stem + ".ckpt", every);
+    if (warmup_image)
+        sim.setWarmupImagePath(stem + ".image");
+    sim.run();
+    ::unlink((stem + ".ckpt").c_str());
+    ::unlink((stem + ".image").c_str());
+
+    std::uint64_t total = 0;
+    const std::vector<std::uint64_t> want =
+        serialSavePoints(cfg, threads, every, warmup_image, &total);
+    ASSERT_GT(want.size(), 10u);
+    for (unsigned tid = 0; tid < threads; ++tid) {
+        const CountingSource &src = *sources[tid];
+        EXPECT_EQ(src.savedAt(), want) << "thread " << tid;
+        // The producer never ran past the end of the run.
+        EXPECT_EQ(src.produced(), total);
+        ServerWorkload serial(qmmWorkloadParams(tid));
+        for (std::uint64_t i = 0; i < total; ++i)
+            serial.next();
+        EXPECT_EQ(serialized(src.inner()), serialized(serial))
+            << "thread " << tid;
+    }
+}
+
+/** A ServerWorkload that throws instead of producing record @p k. */
+class ThrowingSource : public TraceSource
+{
+  public:
+    ThrowingSource(const ServerWorkloadParams &p, std::uint64_t k)
+        : inner_(p), left_(k)
+    {
+    }
+
+    TraceRecord
+    next() override
+    {
+        if (left_-- == 0)
+            throw std::runtime_error("source fault");
+        return inner_.next();
+    }
+
+    const std::string &name() const override { return inner_.name(); }
+
+    std::vector<std::pair<Vpn, std::uint64_t>>
+    mappedRegions() const override
+    {
+        return inner_.mappedRegions();
+    }
+
+  private:
+    ServerWorkload inner_;
+    std::uint64_t left_;
+};
+
+/** Calls @p onMiss(miss number) on every iSTLB miss. */
+template <typename OnMiss>
+class CallbackPrefetcher : public TlbPrefetcher
+{
+  public:
+    explicit CallbackPrefetcher(OnMiss on_miss) : onMiss_(on_miss) {}
+
+    const char *name() const override { return "callback"; }
+
+    void
+    onInstrStlbMiss(Vpn, Addr, unsigned,
+                    std::vector<PrefetchRequest> &) override
+    {
+        onMiss_(++misses_);
+    }
+
+  private:
+    OnMiss onMiss_;
+    std::uint64_t misses_ = 0;
+};
+
+std::size_t
+liveThreads()
+{
+    return static_cast<std::size_t>(std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator()));
+}
+
+double
+processCpuSeconds()
+{
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(ru.ru_utime.tv_usec +
+                                      ru.ru_stime.tv_usec);
+}
+
+} // namespace
+
+TEST(TraceFeed, ExactAtEverySavePoint)
+{
+    expectExactSavePoints(1, true);
+}
+
+TEST(TraceFeed, ExactAtEverySavePointSmt)
+{
+    expectExactSavePoints(2, true);
+}
+
+TEST(TraceFeed, ExactAcrossWarmupBoundaryWithoutImage)
+{
+    expectExactSavePoints(1, false);
+}
+
+TEST(TraceFeed, SourceExceptionRethrowsOnCaller)
+{
+    const std::size_t threads_before = liveThreads();
+    ThrowingSource src(workload(), 100'003);
+    Simulator sim(quickConfig());
+    sim.attachWorkload(&src, 0);
+    try {
+        sim.run();
+        FAIL() << "run() returned";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "source fault");
+    }
+    EXPECT_EQ(liveThreads(), threads_before);
+}
+
+TEST(TraceFeed, ConsumerExceptionJoinsProducer)
+{
+    const std::size_t threads_before = liveThreads();
+    auto fail = [](std::uint64_t miss) {
+        if (miss == 200)
+            throw std::runtime_error("prefetcher fault");
+    };
+    CallbackPrefetcher<decltype(fail)> pref(fail);
+    ServerWorkload a(qmmWorkloadParams(0)), b(qmmWorkloadParams(1));
+    Simulator sim(quickConfig());
+    sim.attachWorkload(&a, 0);
+    sim.attachWorkload(&b, 1);
+    sim.attachPrefetcher(&pref);
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(liveThreads(), threads_before);
+}
+
+TEST(TraceFeed, BlockedProducerSleeps)
+{
+    // While the simulation stalls, the producer fills the ring and
+    // then has nothing to do: it must sleep, not spin.
+    double stall_cpu = -1.0;
+    auto stall = [&stall_cpu](std::uint64_t miss) {
+        if (miss != 100)
+            return;
+        const double before = processCpuSeconds();
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        stall_cpu = processCpuSeconds() - before;
+    };
+    CallbackPrefetcher<decltype(stall)> pref(stall);
+    ServerWorkload trace(workload());
+    Simulator sim(quickConfig());
+    sim.attachWorkload(&trace, 0);
+    sim.attachPrefetcher(&pref);
+    sim.run();
+    ASSERT_GE(stall_cpu, 0.0);
+    EXPECT_LT(stall_cpu, 0.050);
 }

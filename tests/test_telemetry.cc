@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/json_reader.hh"
 #include "common/telemetry.hh"
 #include "sim/result_cache.hh"
@@ -208,6 +209,37 @@ TEST_F(TelemetryCounters, AggregatesAcrossThreadsIncludingRetired)
               threads * 512u);
     EXPECT_EQ(r.phase(tel::Phase::WorkerRun).count,
               static_cast<std::uint64_t>(threads));
+}
+
+TEST_F(TelemetryCounters, TraceFeedWaitsCountedOnlyWhenEnabled)
+{
+    SimConfig cfg;
+    cfg.warmupInstructions = 20'000;
+    cfg.simInstructions = 60'000;
+    const ExperimentJob job =
+        ExperimentJob::of(cfg, "morrigan", qmmWorkloadParams(0));
+    const auto waits = [] {
+        const tel::Report r = tel::snapshot();
+        return r.counter(tel::Counter::TraceFeedConsumerWaits) +
+               r.counter(tel::Counter::TraceFeedProducerWaits);
+    };
+
+    executeJob(job);
+    EXPECT_EQ(waits(), 0u) << "disabled telemetry counted waits";
+
+    // One side of the ring always waits for the other at some point.
+    tel::setEnabled(true);
+    executeJob(job);
+    tel::setEnabled(false);
+    EXPECT_GT(waits(), 0u);
+
+    std::ostringstream os;
+    json::Writer w(os);
+    tel::writeReportJson(w, tel::snapshot());
+    EXPECT_NE(os.str().find("\"trace_feed_consumer_waits\""),
+              std::string::npos);
+    EXPECT_NE(os.str().find("\"trace_feed_producer_waits\""),
+              std::string::npos);
 }
 
 TEST_F(TelemetryTrace, ChromeTraceIsWellFormed)
