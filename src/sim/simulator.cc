@@ -1,11 +1,13 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "icache/fnl_mma.hh"
 #include "sim/result_cache.hh"
+#include "sim/trace_feed.hh"
 
 namespace morrigan
 {
@@ -628,50 +630,53 @@ Simulator::run()
     // generation runs on the feed threads, outside this span.
     telemetry::ScopedSpan span(telemetry::Phase::SimRun);
 
-    // Each workload runs on its own producer thread (trace_feed.hh).
-    // The guard stops and joins them on every exit, exceptions
-    // included, so no producer outlives run().
-    struct FeedGuard
-    {
-        std::unique_ptr<TraceFeed> (&feeds)[2];
-        ~FeedGuard()
-        {
-            for (auto &feed : feeds)
-                feed.reset();
-        }
-    } guard{feeds_};
+    // Each workload runs on its own producer thread (trace_feed.hh);
+    // the feeds' destructors stop and join them on every exit,
+    // exceptions included, so no producer outlives run().
+    std::optional<TraceFeed> feeds[2];
     for (unsigned tid = 0; tid < numThreads_; ++tid)
-        feeds_[tid] = std::make_unique<TraceFeed>(*workloads_[tid]);
-
-    // The producers may run ahead only to the next save point: there
-    // every granted record has been simulated, so the sources stand
-    // exactly where serial generation would have left them.
-    std::uint64_t rounds = 0;
-    std::uint64_t grantedRounds = 0;
-    auto grantToSavePoint = [&] {
-        grantedRounds = rounds + roundsToSavePoint();
-        for (unsigned tid = 0; tid < numThreads_; ++tid)
-            feeds_[tid]->grant(grantedRounds * blockSize);
-    };
-    grantToSavePoint();
+        feeds[tid].emplace(*workloads_[tid]);
 
     // Basic-block-grained round robin between SMT threads. Progress
     // within the phase is c_.instructions (it starts from zero at
     // construction and again at the measurement reset), which makes
     // the loop resumable: a restored simulator re-enters here and
     // continues with the same round boundaries.
+    constexpr unsigned blockSize = 8;
+    const std::uint64_t perRound = std::uint64_t{blockSize} * numThreads_;
+    std::uint64_t granted = 0;  // records per thread
+
+    // Each segment runs to the phase target or to the next autosave,
+    // whichever comes first, and the producers may run ahead exactly
+    // that far: at its end every granted record has been simulated,
+    // so the sources stand where serial generation would leave them.
     auto step = [&](std::uint64_t target) {
         while (c_.instructions < target) {
-            for (unsigned tid = 0; tid < numThreads_; ++tid) {
-                TraceFeed &feed = *feeds_[tid];
-                const TraceRecord *block = feed.acquire(blockSize);
-                for (unsigned i = 0; i < blockSize; ++i)
-                    simulateInstruction(block[i], tid);
-                feed.release(blockSize);
+            std::uint64_t left = target - c_.instructions;
+            if (checkpointEvery_ != 0) {
+                const std::uint64_t progress = progressInstructions();
+                left = std::min(left, nextCheckpointAt_ > progress
+                                          ? nextCheckpointAt_ - progress
+                                          : 0);
             }
+            const std::uint64_t rounds = std::max<std::uint64_t>(
+                1, (left + perRound - 1) / perRound);
+            granted += rounds * blockSize;
+            for (unsigned tid = 0; tid < numThreads_; ++tid)
+                feeds[tid]->grant(granted);
+            for (std::uint64_t r = 0; r < rounds; ++r) {
+                for (unsigned tid = 0; tid < numThreads_; ++tid) {
+                    TraceFeed &feed = *feeds[tid];
+                    const TraceRecord *block = feed.acquire(blockSize);
+                    for (unsigned i = 0; i < blockSize; ++i)
+                        simulateInstruction(block[i], tid);
+                    feed.release(blockSize);
+                }
+            }
+            for (unsigned tid = 0; tid < numThreads_; ++tid)
+                panic_if(!feeds[tid]->drained(),
+                         "trace feed %u not drained at a save point", tid);
             maybeCheckpoint();
-            if (++rounds == grantedRounds)
-                grantToSavePoint();
         }
     };
 
@@ -686,7 +691,6 @@ Simulator::run()
             } catch (const SnapshotError &e) {
                 warn("warmup image not written: %s", e.what());
             }
-            grantToSavePoint();
         }
     }
 
@@ -749,45 +753,6 @@ Simulator::maybeCheckpoint()
     }
 }
 
-std::uint64_t
-Simulator::roundsToSavePoint() const
-{
-    const std::uint64_t perRound =
-        std::uint64_t{blockSize} * numThreads_;
-    // Rounds step() runs to take an instruction count from @p from
-    // to at least @p to.
-    const auto roundsTo = [perRound](std::uint64_t from,
-                                     std::uint64_t to) {
-        return from < to ? (to - from + perRound - 1) / perRound : 0;
-    };
-
-    // Mirror run(): the rest of this phase, then -- unless the
-    // warmup image is due at the boundary -- the measurement phase.
-    std::uint64_t rounds = 0;
-    bool measuring = measurePhase_;
-    std::uint64_t done = c_.instructions;
-    for (;;) {
-        const std::uint64_t phaseRounds = roundsTo(
-            done,
-            measuring ? cfg_.simInstructions : cfg_.warmupInstructions);
-        if (checkpointEvery_ != 0 && phaseRounds != 0) {
-            // maybeCheckpoint() saves after the first round whose
-            // progress reaches nextCheckpointAt_.
-            const std::uint64_t progress =
-                (measuring ? cfg_.warmupInstructions : 0) + done;
-            const std::uint64_t toSave = std::max<std::uint64_t>(
-                1, roundsTo(progress, nextCheckpointAt_));
-            if (toSave <= phaseRounds)
-                return rounds + toSave;
-        }
-        rounds += phaseRounds;
-        if (measuring || !warmupImagePath_.empty())
-            return rounds;
-        measuring = true;
-        done = 0;
-    }
-}
-
 namespace
 {
 
@@ -808,9 +773,6 @@ firstKeyField(const std::string &a, const std::string &b)
 void
 Simulator::save(SnapshotWriter &w) const
 {
-    for (const auto &feed : feeds_)
-        panic_if(feed && !feed->drained(),
-                 "snapshot taken between trace-feed save points");
     if (checker_)
         throw SnapshotError(
             "differential-checker state is not snapshottable "

@@ -42,7 +42,6 @@
 #include "sim/interval_sampler.hh"
 #include "sim/prefetch_tracer.hh"
 #include "sim/sim_config.hh"
-#include "sim/trace_feed.hh"
 #include "tlb/prefetch_buffer.hh"
 #include "tlb/tlb_hierarchy.hh"
 #include "vm/page_table.hh"
@@ -197,9 +196,6 @@ class Simulator
         std::array<std::uint64_t, 8> pbHitDistance{};
     };
 
-    /** Instructions per thread per scheduling round. */
-    static constexpr unsigned blockSize = 8;
-
     Cycle now() const { return static_cast<Cycle>(cycles_); }
     /** Whether the PB participates in demand miss handling. */
     bool pbActive() const;
@@ -226,9 +222,6 @@ class Simulator
     void beginMeasurementPhase();
     /** Autosave when the checkpoint interval has elapsed. */
     void maybeCheckpoint();
-    /** Scheduling rounds from here to the next point where run() may
-     * save (autosave, warmup image) or, failing that, to its end. */
-    std::uint64_t roundsToSavePoint() const;
 
     SimConfig cfg_;
     StatGroup rootStats_;
@@ -256,8 +249,6 @@ class Simulator
 
     TraceSource *workloads_[2] = {nullptr, nullptr};
     unsigned numThreads_ = 0;
-    /** Each workload's producer thread; live only inside run(). */
-    std::unique_ptr<TraceFeed> feeds_[2];
 
     double cycles_ = 0.0;
     double measureStartCycles_ = 0.0;

@@ -13,7 +13,8 @@
 
 #include <gtest/gtest.h>
 
-#include <pthread.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -175,6 +176,48 @@ class HangingPrefetcher : public TlbPrefetcher
             std::this_thread::sleep_for(std::chrono::seconds(1));
     }
 };
+
+/** Set to let every GatedHangingPrefetcher go on. */
+std::atomic<bool> hangReleased{false};
+/** Kernel thread id of the last GatedHangingPrefetcher's creator. */
+std::atomic<pid_t> hangTid{0};
+
+/**
+ * Hangs in the simulation loop like HangingPrefetcher, but only until
+ * hangReleased is set, so an abandoned thread-mode worker can be let
+ * finish. It is created on the worker thread and records that
+ * thread's id in hangTid.
+ */
+class GatedHangingPrefetcher : public TlbPrefetcher
+{
+  public:
+    GatedHangingPrefetcher() { hangTid.store(::gettid()); }
+
+    const char *name() const override { return "gated-hanging"; }
+
+    void
+    onInstrStlbMiss(Vpn, Addr, unsigned,
+                    std::vector<PrefetchRequest> &) override
+    {
+        while (!hangReleased.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+};
+
+/** Whether kernel thread @p tid of this process is gone within
+ * @p timeout. */
+bool
+threadExits(pid_t tid, std::chrono::seconds timeout)
+{
+    const std::string task = "/proc/self/task/" + std::to_string(tid);
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (::access(task.c_str(), F_OK) == 0) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return true;
+}
 
 /**
  * Fails its first iSTLB miss once per marker: when @p marker does not
@@ -581,14 +624,30 @@ TEST(Supervisor, ThreadModeTimeoutIsTerminal)
     opt.useCache = false;
     Supervisor sup(opt);
 
+    hangReleased.store(false);
+    hangTid.store(0);
     std::vector<RunOutcome> out = sup.run(
-        {faultyJob<HangingPrefetcher>(cfg, "test:hang-thread")});
+        {faultyJob<GatedHangingPrefetcher>(cfg, "test:hang-thread")});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].status, RunStatus::TimedOut);
     EXPECT_EQ(out[0].attempts, 1u);
     EXPECT_NE(
         out[0].failure.what.find("not retried in thread mode"),
         std::string::npos);
+
+    // Let the orphan finish and wait until its thread is gone, so
+    // later tests fork a single-threaded process: under TSan, a child
+    // of a multi-threaded fork may not start threads, and every
+    // sandboxed simulation starts its trace-feed threads.
+    hangReleased.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (hangTid.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_NE(hangTid.load(), 0) << "the orphan never started its job";
+    EXPECT_TRUE(threadExits(hangTid.load(), std::chrono::seconds(60)))
+        << "the released orphan thread did not exit";
 }
 
 TEST(Supervisor, CrashAndHangBatchCompletes)
@@ -993,27 +1052,34 @@ TEST(Supervisor, RunBatchSingleSurvivingPair)
 namespace
 {
 
-/** Pelts @p target with SIGUSR1 every ~1ms until told to stop. */
+/**
+ * Pelts this process with SIGUSR1 every ~1ms until destroyed. The
+ * pelter is a child process rather than a thread, so the campaign
+ * under the storm still forks a single-threaded process; its
+ * scheduling thread is the one that takes the signals.
+ */
+/** SIGUSR1s this process has taken. */
+volatile std::sig_atomic_t stormHits = 0;
+
 struct SignalStorm
 {
-    explicit SignalStorm(pthread_t target)
-        : target_(target), pelter_([this] {
-              while (!stop_.load(std::memory_order_relaxed)) {
-                  pthread_kill(target_, SIGUSR1);
-                  std::this_thread::sleep_for(
-                      std::chrono::milliseconds(1));
-              }
-          })
+    SignalStorm() : pelter_(::fork())
     {
+        if (pelter_ == 0) {
+            const pid_t target = ::getppid();
+            while (::kill(target, SIGUSR1) == 0)
+                ::usleep(1000);
+            ::_exit(0);
+        }
     }
     ~SignalStorm()
     {
-        stop_.store(true);
-        pelter_.join();
+        if (pelter_ > 0) {
+            ::kill(pelter_, SIGKILL);
+            ::waitpid(pelter_, nullptr, 0);
+        }
     }
-    pthread_t target_;
-    std::atomic<bool> stop_{false};
-    std::thread pelter_;
+    pid_t pelter_;
 };
 
 } // namespace
@@ -1021,14 +1087,14 @@ struct SignalStorm
 TEST(Supervisor, EintrStormYieldsBitIdenticalOutcomes)
 {
     // A sandboxed campaign's pipe/waitpid/poll protocol must be
-    // EINTR-clean: pelt the scheduling thread with harmless signals
+    // EINTR-clean: pelt the scheduling process with harmless signals
     // (handler installed WITHOUT SA_RESTART, so every blocking call
     // really does take the EINTR path) and require outcomes
     // bit-identical to an undisturbed run -- journal records
     // included.
     struct sigaction sa, old_sa;
     std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = [](int) {};
+    sa.sa_handler = [](int) { stormHits = stormHits + 1; };
     sa.sa_flags = 0; // deliberately no SA_RESTART
     ASSERT_EQ(::sigaction(SIGUSR1, &sa, &old_sa), 0);
 
@@ -1052,10 +1118,12 @@ TEST(Supervisor, EintrStormYieldsBitIdenticalOutcomes)
 
     std::vector<RunOutcome> stormed;
     {
-        SignalStorm storm(pthread_self());
+        SignalStorm storm;
+        ASSERT_GT(storm.pelter_, 0) << "fork: " << std::strerror(errno);
         stormed = Supervisor(opt).run(jobs);
     }
     ::sigaction(SIGUSR1, &old_sa, nullptr);
+    EXPECT_GT(stormHits, 0) << "the storm never reached this process";
 
     ASSERT_EQ(stormed.size(), reference.size());
     for (std::size_t i = 0; i < stormed.size(); ++i) {
