@@ -1,0 +1,102 @@
+/**
+ * @file
+ * One field list per record.
+ *
+ * A record (SimConfig and its nested params, ServerWorkloadParams,
+ * SimResult, the simulator's counters, the interval sampler's
+ * records) declares beside its definition one
+ *
+ *     template <RecordOf<Rec> Self, class V>
+ *     friend constexpr void visitFields(Self &rec, V &&v);
+ *
+ * calling `v(name, rec.member[, tag])` once per member, in
+ * declaration order. The cache keys, the JSON records, the snapshot
+ * encodings and the tests walk that list instead of keeping their
+ * own. A nested record is one visit; consumers that want its fields
+ * recurse with visitFields(). The names are the key or JSON
+ * spellings the consumers emit.
+ */
+
+#ifndef MORRIGAN_COMMON_FIELDS_HH
+#define MORRIGAN_COMMON_FIELDS_HH
+
+#include <concepts>
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
+
+namespace morrigan
+{
+
+/** How consumers treat a visited field. */
+enum class FieldTag : std::uint8_t
+{
+    Plain,        //!< keyed and serialized
+    MeasureOnly,  //!< config: in experiment keys, not warmup keys
+    /** Neither keyed nor serialized: a label fixed by position
+     * (CacheParams::name) or a value carried beside the record
+     * (SimResult::checkReport). */
+    Unrecorded,
+};
+
+/** @p Self is record @p T, possibly const. */
+template <class Self, class T>
+concept RecordOf = std::same_as<std::remove_const_t<Self>, T>;
+
+namespace fields_detail
+{
+
+struct NoVisit
+{
+    template <class T>
+    constexpr void
+    operator()(const char *, T &, FieldTag = FieldTag::Plain) const
+    {
+    }
+};
+
+struct AnyMember
+{
+    template <class T>
+    constexpr operator T() const noexcept;
+};
+
+/** Members of aggregate @p T: the longest `T{AnyMember...}`. */
+template <class T, class... Init>
+constexpr std::size_t
+memberCount()
+{
+    if constexpr (requires { T{Init{}..., AnyMember{}}; })
+        return memberCount<T, Init..., AnyMember>();
+    else
+        return sizeof...(Init);
+}
+
+} // namespace fields_detail
+
+/** Types that declare visitFields(). */
+template <class T>
+concept Record = requires(T &r) {
+    visitFields(r, fields_detail::NoVisit{});
+};
+
+/**
+ * Whether visitFields() makes one visit per member of @p T. Each
+ * record is followed by `static_assert(visitsEveryField<Rec>())`, so
+ * a member added without a visit does not compile.
+ */
+template <class T>
+constexpr bool
+visitsEveryField()
+{
+    T rec{};
+    std::size_t visits = 0;
+    visitFields(rec, [&](const char *, auto &, FieldTag = {}) {
+        ++visits;
+    });
+    return visits == fields_detail::memberCount<T>();
+}
+
+} // namespace morrigan
+
+#endif // MORRIGAN_COMMON_FIELDS_HH

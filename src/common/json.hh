@@ -28,8 +28,10 @@ namespace morrigan::json
 {
 
 /** Version of the --stats-json document schema.
- * v2: build_info object; optional telemetry section (--telemetry). */
-inline constexpr int statsSchemaVersion = 2;
+ * v2: build_info object; optional telemetry section (--telemetry).
+ * v3: `result` is the full campaign-journal result record
+ * (writeSimResultJson(): every SimResult field, doubles at %.17g). */
+inline constexpr int statsSchemaVersion = 3;
 /** Version of the JSONL prefetch-trace event schema. */
 inline constexpr int traceSchemaVersion = 1;
 /** Version of the interval time-series record schema.

@@ -39,10 +39,13 @@
 #ifndef MORRIGAN_COMMON_SNAPSHOT_HH
 #define MORRIGAN_COMMON_SNAPSHOT_HH
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+
+#include "common/fields.hh"
 
 namespace morrigan
 {
@@ -116,6 +119,17 @@ class SnapshotWriter
 
     void str(const std::string &s);
 
+    /** Every member of record @p rec (common/fields.hh) in visit
+     * order: doubles as f64, 32- and 64-bit integers as u32/u64,
+     * arrays element by element. */
+    template <class Rec>
+    void
+    fields(const Rec &rec)
+    {
+        visitFields(rec, [this](const char *, const auto &v,
+                                FieldTag = FieldTag::Plain) { put(v); });
+    }
+
     const std::string &payload() const { return buf_; }
 
     /**
@@ -131,6 +145,16 @@ class SnapshotWriter
 
   private:
     void raw(const void *data, std::size_t size);
+
+    void put(double v) { f64(v); }
+    void put(std::uint32_t v) { u32(v); }
+    void put(std::uint64_t v) { u64(v); }
+    template <std::size_t N>
+    void put(const std::array<std::uint64_t, N> &a)
+    {
+        for (std::uint64_t v : a)
+            u64(v);
+    }
 
     std::string buf_;
 };
@@ -178,6 +202,15 @@ class SnapshotReader
 
     std::string str();
 
+    /** Read back what SnapshotWriter::fields() wrote. */
+    template <class Rec>
+    void
+    fields(Rec &rec)
+    {
+        visitFields(rec, [this](const char *, auto &v,
+                                FieldTag = FieldTag::Plain) { get(v); });
+    }
+
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return buf_.size() - pos_; }
 
@@ -188,6 +221,16 @@ class SnapshotReader
     SnapshotReader() = default;
 
     const std::uint8_t *take(std::size_t size);
+
+    void get(double &v) { v = f64(); }
+    void get(std::uint32_t &v) { v = u32(); }
+    void get(std::uint64_t &v) { v = u64(); }
+    template <std::size_t N>
+    void get(std::array<std::uint64_t, N> &a)
+    {
+        for (std::uint64_t &v : a)
+            v = u64();
+    }
 
     std::string buf_;
     std::size_t pos_ = 0;

@@ -38,6 +38,7 @@
 #include <immintrin.h>
 #endif
 
+#include "common/fields.hh"
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "common/stats.hh"
@@ -54,7 +55,19 @@ struct CacheParams
     std::uint32_t ways = 8;
     Cycle latency = 4;          //!< Hit latency contribution.
     std::uint32_t mshrs = 8;    //!< Miss status holding registers.
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<CacheParams> Self, class V>
+    friend constexpr void visitFields(Self &c, V &&v)
+    {
+        v("name", c.name, FieldTag::Unrecorded);
+        v("size", c.sizeBytes);
+        v("ways", c.ways);
+        v("lat", c.latency);
+        v("mshrs", c.mshrs);
+    }
 };
+static_assert(visitsEveryField<CacheParams>());
 
 /**
  * A set-associative, LRU, tag-only cache.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -28,7 +29,17 @@ struct DramParams
     std::uint32_t rowBytes = 8 * 1024;  //!< Power of two.
     /** Core cycles per DRAM timing parameter (tRP = tRCD = tCAS). */
     Cycle tParam = 12 * 3;  //!< 12 mem cycles at a 3x core clock ratio.
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<DramParams> Self, class V>
+    friend constexpr void visitFields(Self &d, V &&v)
+    {
+        v("banks", d.banks);
+        v("rowBytes", d.rowBytes);
+        v("tParam", d.tParam);
+    }
 };
+static_assert(visitsEveryField<DramParams>());
 
 /** Open-row DRAM with fixed per-access timing. */
 class DramModel

@@ -44,7 +44,21 @@ struct MemoryHierarchyParams
     bool l2Prefetcher = true;
     /** Lines fetched ahead by the L2 prefetcher on a demand miss. */
     std::uint32_t l2PrefetchDepth = 2;
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<MemoryHierarchyParams> Self, class V>
+    friend constexpr void visitFields(Self &m, V &&v)
+    {
+        v("l1i", m.l1i);
+        v("l1d", m.l1d);
+        v("l2", m.l2);
+        v("llc", m.llc);
+        v("dram", m.dram);
+        v("l2Prefetcher", m.l2Prefetcher);
+        v("l2PrefetchDepth", m.l2PrefetchDepth);
+    }
 };
+static_assert(visitsEveryField<MemoryHierarchyParams>());
 
 /**
  * The cache hierarchy + DRAM. All addresses are physical byte

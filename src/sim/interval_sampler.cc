@@ -1,6 +1,7 @@
 #include "interval_sampler.hh"
 
 #include <cstdio>
+#include <type_traits>
 #include <utility>
 
 #include "common/json.hh"
@@ -97,18 +98,13 @@ writeSampleJson(json::Writer &w, const IntervalSample &s,
                 const WallCols *wall = nullptr)
 {
     w.beginObject();
-    w.kv("epoch", s.epoch);
-    w.kv("instructions", s.instructions);
-    w.kv("instr_delta", s.instrDelta);
-    w.kv("cycle_delta", s.cycleDelta);
-    w.kv("istlb_misses", s.istlbMisses);
-    w.kv("istlb_mpki", s.istlbMpki);
-    w.kv("pb_hits", s.pbHits);
-    w.kv("pb_hit_rate", s.pbHitRate);
-    w.kv("demand_walks_instr", s.demandWalksInstr);
-    w.kv("prefetch_walks", s.prefetchWalks);
-    w.kv("freq_resets", s.freqResets);
-    w.kv("walker_occupancy", s.walkerOccupancy);
+    // The scalars; the per-component arrays nest under "components".
+    visitFields(s, [&w](const char *key, const auto &v,
+                        FieldTag = FieldTag::Plain) {
+        if constexpr (std::is_arithmetic_v<
+                          std::remove_cvref_t<decltype(v)>>)
+            w.kv(key, v);
+    });
     if (wall) {
         w.kv("wall_ms", wall->wallMs);
         w.kv("delta_instrs_per_sec", wall->deltaInstrsPerSec);
@@ -215,73 +211,16 @@ IntervalSampler::writeRingJson(std::ostream &os) const
     w.endArray();
 }
 
-namespace
-{
-
-void
-saveInputs(SnapshotWriter &w, const IntervalInputs &in)
-{
-    w.u64(in.instructions);
-    w.f64(in.cycles);
-    w.u64(in.istlbMisses);
-    w.u64(in.pbHits);
-    w.u64(in.demandWalksInstr);
-    w.u64(in.prefetchWalks);
-    w.u64(in.freqResets);
-    w.u64(in.walkerBusyPortCycles);
-    w.u32(in.walkerPorts);
-    for (std::uint64_t v : in.issued)
-        w.u64(v);
-    for (std::uint64_t v : in.hits)
-        w.u64(v);
-}
-
-void
-loadInputs(SnapshotReader &r, IntervalInputs &in)
-{
-    in.instructions = r.u64();
-    in.cycles = r.f64();
-    in.istlbMisses = r.u64();
-    in.pbHits = r.u64();
-    in.demandWalksInstr = r.u64();
-    in.prefetchWalks = r.u64();
-    in.freqResets = r.u64();
-    in.walkerBusyPortCycles = r.u64();
-    in.walkerPorts = r.u32();
-    for (std::uint64_t &v : in.issued)
-        v = r.u64();
-    for (std::uint64_t &v : in.hits)
-        v = r.u64();
-}
-
-} // anonymous namespace
-
 void
 IntervalSampler::save(SnapshotWriter &w) const
 {
     w.section("interval_sampler");
     w.u64(interval_);
-    saveInputs(w, prev_);
+    w.fields(prev_);
     w.u64(epochs_);
     w.u64(ring_.size());
-    for (const IntervalSample &s : ring_) {
-        w.u64(s.epoch);
-        w.u64(s.instructions);
-        w.u64(s.instrDelta);
-        w.f64(s.cycleDelta);
-        w.u64(s.istlbMisses);
-        w.f64(s.istlbMpki);
-        w.u64(s.pbHits);
-        w.f64(s.pbHitRate);
-        w.u64(s.demandWalksInstr);
-        w.u64(s.prefetchWalks);
-        w.u64(s.freqResets);
-        w.f64(s.walkerOccupancy);
-        for (std::uint64_t v : s.issued)
-            w.u64(v);
-        for (std::uint64_t v : s.hits)
-            w.u64(v);
-    }
+    for (const IntervalSample &s : ring_)
+        w.fields(s);
 }
 
 void
@@ -290,7 +229,7 @@ IntervalSampler::restore(SnapshotReader &r)
     r.section("interval_sampler");
     if (r.u64() != interval_)
         throw SnapshotError("interval sampler epoch length mismatch");
-    loadInputs(r, prev_);
+    r.fields(prev_);
     epochs_ = r.u64();
     std::uint64_t count = r.u64();
     if (count > ringCapacity_)
@@ -298,22 +237,7 @@ IntervalSampler::restore(SnapshotReader &r)
     ring_.clear();
     for (std::uint64_t i = 0; i < count; ++i) {
         IntervalSample s;
-        s.epoch = r.u64();
-        s.instructions = r.u64();
-        s.instrDelta = r.u64();
-        s.cycleDelta = r.f64();
-        s.istlbMisses = r.u64();
-        s.istlbMpki = r.f64();
-        s.pbHits = r.u64();
-        s.pbHitRate = r.f64();
-        s.demandWalksInstr = r.u64();
-        s.prefetchWalks = r.u64();
-        s.freqResets = r.u64();
-        s.walkerOccupancy = r.f64();
-        for (std::uint64_t &v : s.issued)
-            v = r.u64();
-        for (std::uint64_t &v : s.hits)
-            v = r.u64();
+        r.fields(s);
         ring_.push(s);
     }
 }

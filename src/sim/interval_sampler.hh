@@ -32,6 +32,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "sim/prefetch_tracer.hh"
 
@@ -55,7 +56,25 @@ struct IntervalInputs
      * tracer is attached). */
     std::array<std::uint64_t, PrefetchTracer::numComponents> issued{};
     std::array<std::uint64_t, PrefetchTracer::numComponents> hits{};
+
+    /** The fields, in snapshot order (common/fields.hh). */
+    template <RecordOf<IntervalInputs> Self, class V>
+    friend constexpr void visitFields(Self &in, V &&v)
+    {
+        v("instructions", in.instructions);
+        v("cycles", in.cycles);
+        v("istlbMisses", in.istlbMisses);
+        v("pbHits", in.pbHits);
+        v("demandWalksInstr", in.demandWalksInstr);
+        v("prefetchWalks", in.prefetchWalks);
+        v("freqResets", in.freqResets);
+        v("walkerBusyPortCycles", in.walkerBusyPortCycles);
+        v("walkerPorts", in.walkerPorts);
+        v("issued", in.issued);
+        v("hits", in.hits);
+    }
 };
+static_assert(visitsEveryField<IntervalInputs>());
 
 /** One derived epoch record (all rates are interval-local). */
 struct IntervalSample
@@ -74,7 +93,29 @@ struct IntervalSample
     double walkerOccupancy = 0.0;    //!< busy port-cycles fraction
     std::array<std::uint64_t, PrefetchTracer::numComponents> issued{};
     std::array<std::uint64_t, PrefetchTracer::numComponents> hits{};
+
+    /** The fields, with their JSON keys, in snapshot order
+     * (common/fields.hh). */
+    template <RecordOf<IntervalSample> Self, class V>
+    friend constexpr void visitFields(Self &s, V &&v)
+    {
+        v("epoch", s.epoch);
+        v("instructions", s.instructions);
+        v("instr_delta", s.instrDelta);
+        v("cycle_delta", s.cycleDelta);
+        v("istlb_misses", s.istlbMisses);
+        v("istlb_mpki", s.istlbMpki);
+        v("pb_hits", s.pbHits);
+        v("pb_hit_rate", s.pbHitRate);
+        v("demand_walks_instr", s.demandWalksInstr);
+        v("prefetch_walks", s.prefetchWalks);
+        v("freq_resets", s.freqResets);
+        v("walker_occupancy", s.walkerOccupancy);
+        v("issued", s.issued);
+        v("hits", s.hits);
+    }
 };
+static_assert(visitsEveryField<IntervalSample>());
 
 /**
  * Fixed-capacity ring of epoch records.

@@ -10,12 +10,13 @@
  * every binary section that needs it.
  *
  * Keys are canonical field-by-field serialisations of the full
- * configuration (experimentKey()); nothing is hashed in memory, so
- * there are no collision concerns. The cache is memory-only and does
- * no file I/O: the durable store that carries results across
- * processes is the campaign journal (sim/supervisor.hh,
- * MORRIGAN_JOURNAL=<file>), whose records use the SimResult
- * serialisation below.
+ * configuration (experimentKey()), walked through the records'
+ * visitFields() lists (common/fields.hh); nothing is hashed in
+ * memory, so there are no collision concerns. The cache is
+ * memory-only and does no file I/O: the durable store that carries
+ * results across processes is the campaign journal
+ * (sim/supervisor.hh, MORRIGAN_JOURNAL=<file>), whose records use
+ * the SimResult serialisation below.
  *
  * All entry points are thread-safe: Supervisor workers insert
  * results concurrently.
@@ -39,9 +40,10 @@ namespace morrigan
 {
 
 /**
- * Canonical cache key for one experiment. Enumerates every field of
- * the configuration and the workload parameters (and the SMT partner
- * workload when @p smt is non-null), prefixed with a schema version
+ * Canonical cache key for one experiment. Enumerates every visited
+ * field of the configuration and the workload parameters (and the SMT
+ * partner workload when @p smt is non-null), prefixed with a schema
+ * version
  * so key layout changes invalidate old journal records. Two
  * experiments share a key iff they would produce bit-identical
  * SimResults.
@@ -68,6 +70,10 @@ std::string warmupKey(const SimConfig &cfg, const std::string &kind,
  * configuration identity every simulator snapshot carries. */
 std::string warmupConfigKey(const SimConfig &cfg);
 
+/** The first `name=value` field of canonical key @p a that @p b does
+ * not match, for naming how two configurations differ. */
+std::string firstKeyField(const std::string &a, const std::string &b);
+
 /** FNV-1a digest of a canonical key, for deriving snapshot file
  * names and retry jitter. */
 std::uint64_t cacheKeyDigest(const std::string &key);
@@ -82,17 +88,17 @@ std::uint64_t cacheKeyDigest(const std::string &key);
 std::string snapshotPath(const std::string &dir, const char *stem,
                          const std::string &key);
 
-/** Serialize a SimResult as one JSON object (full precision). */
+/** Serialize a SimResult as one JSON object: every recorded field of
+ * visitFields(SimResult), doubles at full precision. This is the
+ * campaign-journal record and the `result` of `--stats-json`. */
 void writeSimResultJson(std::ostream &os, const SimResult &r);
 
 /**
- * Parse a SimResult previously written by writeSimResultJson().
- * Returns false (leaving @p out untouched) on malformed input.
+ * Parse a SimResult written by writeSimResultJson() from a parsed
+ * JSON object (a campaign-journal record, which is also what a
+ * sandboxed child sends back). Returns false, leaving @p out
+ * untouched, unless every recorded field is present and well-formed.
  */
-bool parseSimResultJson(const std::string &text, SimResult &out);
-
-/** Same, from an already-parsed JSON object (a campaign-journal
- * record, which is also what a sandboxed child sends back). */
 bool simResultFromJson(const json::Value &doc, SimResult &out);
 
 /** The keyed in-process result cache. */

@@ -5,7 +5,9 @@
  * SimConfig bundles every structural parameter of Table 1 plus the
  * study switches the evaluation needs (perfect iSTLB, P2TLB, ASAP,
  * I-cache translation-cost modelling, SMT). SimResult carries every
- * number the paper's figures report.
+ * number the paper's figures report. Both list their fields once, in
+ * visitFields() (common/fields.hh): SimConfig's names are its
+ * experiment-key names, SimResult's its JSON record keys.
  */
 
 #ifndef MORRIGAN_SIM_SIM_CONFIG_HH
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "mem/memory_hierarchy.hh"
 #include "vm/page_table.hh"
 #include "tlb/tlb_hierarchy.hh"
@@ -148,7 +151,39 @@ struct SimConfig
      * --inject.
      */
     std::uint64_t injectWalkerBugPeriod = 0;
+
+    /** The fields, in experiment-key order (common/fields.hh). */
+    template <RecordOf<SimConfig> Self, class V>
+    friend constexpr void visitFields(Self &c, V &&v)
+    {
+        v("mem", c.mem);
+        v("tlb", c.tlb);
+        v("walker", c.walker);
+        v("pbEntries", c.pbEntries);
+        v("pbLatency", c.pbLatency);
+        v("width", c.width);
+        v("dataMlpFactor", c.dataMlpFactor);
+        v("fetchOverlapFactor", c.fetchOverlapFactor);
+        v("frontendRedirectPenalty", c.frontendRedirectPenalty);
+        v("pageTableDepth", c.pageTableDepth);
+        v("pageTableFormat", c.pageTableFormat);
+        v("contextSwitchInterval", c.contextSwitchInterval);
+        v("prefetchOnStlbHits", c.prefetchOnStlbHits);
+        v("correctingWalks", c.correctingWalks);
+        v("perfectIstlb", c.perfectIstlb);
+        v("prefetchIntoStlb", c.prefetchIntoStlb);
+        v("icachePref", c.icachePref);
+        v("icacheTranslationCost", c.icacheTranslationCost);
+        v("warmupInstructions", c.warmupInstructions);
+        v("simInstructions", c.simInstructions, FieldTag::MeasureOnly);
+        v("collectMissStream", c.collectMissStream,
+          FieldTag::MeasureOnly);
+        v("smtThread1VpnOffset", c.smtThread1VpnOffset);
+        v("checkLevel", c.checkLevel);
+        v("injectWalkerBugPeriod", c.injectWalkerBugPeriod);
+    }
 };
+static_assert(visitsEveryField<SimConfig>());
 
 /** Everything a simulation run reports. */
 struct SimResult
@@ -219,12 +254,61 @@ struct SimResult
      * run (reference-model view; 0 when checking is off). */
     std::uint64_t checkMappedPages = 0;
     /**
-     * Human-readable mismatch report (empty when clean). Not
-     * serialized into the result cache: checked runs are never
-     * cached (ExperimentJob::cacheable()).
+     * Human-readable mismatch report (empty when clean). Not part of
+     * the result record: checked runs are never cached
+     * (ExperimentJob::cacheable()), and the campaign journal carries
+     * the report beside the record.
      */
     std::string checkReport;
+
+    /** The fields, with their JSON record keys (common/fields.hh). */
+    template <RecordOf<SimResult> Self, class V>
+    friend constexpr void visitFields(Self &r, V &&v)
+    {
+        v("workload", r.workload);
+        v("prefetcher", r.prefetcher);
+        v("instructions", r.instructions);
+        v("cycles", r.cycles);
+        v("ipc", r.ipc);
+        v("l1i_mpki", r.l1iMpki);
+        v("itlb_mpki", r.itlbMpki);
+        v("istlb_mpki", r.istlbMpki);
+        v("dstlb_mpki", r.dstlbMpki);
+        v("istlb_misses", r.istlbMisses);
+        v("dstlb_misses", r.dstlbMisses);
+        v("pb_hits", r.pbHits);
+        v("pb_hits_irip", r.pbHitsIrip);
+        v("pb_hits_sdp", r.pbHitsSdp);
+        v("pb_hits_icache", r.pbHitsICache);
+        v("istlb_cycle_fraction", r.istlbCycleFraction);
+        v("icache_cycle_fraction", r.icacheCycleFraction);
+        v("data_cycle_fraction", r.dataCycleFraction);
+        v("coverage", r.coverage);
+        v("demand_walks", r.demandWalks);
+        v("demand_walks_instr", r.demandWalksInstr);
+        v("demand_walk_refs", r.demandWalkRefs);
+        v("demand_walk_refs_instr", r.demandWalkRefsInstr);
+        v("prefetch_walks", r.prefetchWalks);
+        v("prefetch_walk_refs", r.prefetchWalkRefs);
+        v("prefetch_walk_refs_by_level", r.prefetchWalkRefsByLevel);
+        v("mean_demand_walk_latency_instr",
+          r.meanDemandWalkLatencyInstr);
+        v("mean_demand_walk_latency_data", r.meanDemandWalkLatencyData);
+        v("icache_prefetches", r.icachePrefetches);
+        v("icache_cross_page_prefetches", r.icacheCrossPagePrefetches);
+        v("icache_cross_page_needing_walk",
+          r.icacheCrossPageNeedingWalk);
+        v("icache_cross_page_pb_hits", r.icacheCrossPagePbHits);
+        v("pb_hit_distance", r.pbHitDistance);
+        v("context_switches", r.contextSwitches);
+        v("correcting_walks", r.correctingWalks);
+        v("checked_translations", r.checkedTranslations);
+        v("check_mismatches", r.checkMismatches);
+        v("check_mapped_pages", r.checkMappedPages);
+        v("check_report", r.checkReport, FieldTag::Unrecorded);
+    }
 };
+static_assert(visitsEveryField<SimResult>());
 
 } // namespace morrigan
 

@@ -753,23 +753,6 @@ Simulator::maybeCheckpoint()
     }
 }
 
-namespace
-{
-
-/** The first `name=value` field of canonical key @p a that @p b
- * does not match, for naming a configuration mismatch. */
-std::string
-firstKeyField(const std::string &a, const std::string &b)
-{
-    const std::size_t i =
-        std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
-        a.begin();
-    const std::size_t begin = i > 0 ? a.rfind(';', i - 1) + 1 : 0;
-    return a.substr(begin, a.find(';', begin) - begin);
-}
-
-} // namespace
-
 void
 Simulator::save(SnapshotWriter &w) const
 {
@@ -806,37 +789,8 @@ Simulator::save(SnapshotWriter &w) const
     w.u64(nextSampleAt_);
 
     // Measurement counters.
-    w.u64(c_.instructions);
-    w.u64(c_.l1iMisses);
-    w.u64(c_.itlbMisses);
-    w.u64(c_.istlbMisses);
-    w.u64(c_.dstlbMisses);
-    w.u64(c_.pbHits);
-    w.u64(c_.pbHitsIrip);
-    w.u64(c_.pbHitsSdp);
-    w.u64(c_.pbHitsICache);
-    w.f64(c_.istlbStallCycles);
-    w.f64(c_.icacheStallCycles);
-    w.f64(c_.dataStallCycles);
-    w.u64(c_.demandWalksInstr);
-    w.u64(c_.demandWalksData);
-    w.u64(c_.demandWalkRefsInstr);
-    w.u64(c_.demandWalkRefsData);
-    w.u64(c_.prefetchWalks);
-    w.u64(c_.prefetchWalkRefs);
-    for (std::uint64_t v : c_.prefetchWalkRefsByLevel)
-        w.u64(v);
-    w.f64(c_.demandWalkLatInstrSum);
-    w.f64(c_.demandWalkLatDataSum);
-    w.u64(c_.prefetchesDiscarded);
-    w.u64(c_.icachePrefetches);
-    w.u64(c_.icacheCrossPage);
-    w.u64(c_.icacheCrossPageNeedingWalk);
-    w.u64(c_.icacheCrossPagePbHits);
-    w.u64(c_.contextSwitches);
-    w.u64(c_.correctingWalks);
-    for (std::uint64_t v : c_.pbHitDistance)
-        w.u64(v);
+    static_assert(visitsEveryField<Counters>());
+    w.fields(c_);
 
     // In-flight I-prefetch line fills (drained in readyAt order).
     auto fills = pendingLineFills_;
@@ -906,37 +860,7 @@ Simulator::restore(SnapshotReader &r)
     instrDemandWalkSeq_ = r.u64();
     nextSampleAt_ = r.u64();
 
-    c_.instructions = r.u64();
-    c_.l1iMisses = r.u64();
-    c_.itlbMisses = r.u64();
-    c_.istlbMisses = r.u64();
-    c_.dstlbMisses = r.u64();
-    c_.pbHits = r.u64();
-    c_.pbHitsIrip = r.u64();
-    c_.pbHitsSdp = r.u64();
-    c_.pbHitsICache = r.u64();
-    c_.istlbStallCycles = r.f64();
-    c_.icacheStallCycles = r.f64();
-    c_.dataStallCycles = r.f64();
-    c_.demandWalksInstr = r.u64();
-    c_.demandWalksData = r.u64();
-    c_.demandWalkRefsInstr = r.u64();
-    c_.demandWalkRefsData = r.u64();
-    c_.prefetchWalks = r.u64();
-    c_.prefetchWalkRefs = r.u64();
-    for (std::uint64_t &v : c_.prefetchWalkRefsByLevel)
-        v = r.u64();
-    c_.demandWalkLatInstrSum = r.f64();
-    c_.demandWalkLatDataSum = r.f64();
-    c_.prefetchesDiscarded = r.u64();
-    c_.icachePrefetches = r.u64();
-    c_.icacheCrossPage = r.u64();
-    c_.icacheCrossPageNeedingWalk = r.u64();
-    c_.icacheCrossPagePbHits = r.u64();
-    c_.contextSwitches = r.u64();
-    c_.correctingWalks = r.u64();
-    for (std::uint64_t &v : c_.pbHitDistance)
-        v = r.u64();
+    r.fields(c_);
 
     pendingLineFills_ = {};
     std::uint64_t fills = r.u64();

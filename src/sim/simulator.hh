@@ -194,6 +194,42 @@ class Simulator
         /** PB hit use-distance histogram: buckets <=1,2,4,...,>64
          * misses between insert and hit. */
         std::array<std::uint64_t, 8> pbHitDistance{};
+
+        /** The fields, in snapshot order (common/fields.hh). */
+        template <RecordOf<Counters> Self, class V>
+        friend constexpr void visitFields(Self &c, V &&v)
+        {
+            v("instructions", c.instructions);
+            v("l1iMisses", c.l1iMisses);
+            v("itlbMisses", c.itlbMisses);
+            v("istlbMisses", c.istlbMisses);
+            v("dstlbMisses", c.dstlbMisses);
+            v("pbHits", c.pbHits);
+            v("pbHitsIrip", c.pbHitsIrip);
+            v("pbHitsSdp", c.pbHitsSdp);
+            v("pbHitsICache", c.pbHitsICache);
+            v("istlbStallCycles", c.istlbStallCycles);
+            v("icacheStallCycles", c.icacheStallCycles);
+            v("dataStallCycles", c.dataStallCycles);
+            v("demandWalksInstr", c.demandWalksInstr);
+            v("demandWalksData", c.demandWalksData);
+            v("demandWalkRefsInstr", c.demandWalkRefsInstr);
+            v("demandWalkRefsData", c.demandWalkRefsData);
+            v("prefetchWalks", c.prefetchWalks);
+            v("prefetchWalkRefs", c.prefetchWalkRefs);
+            v("prefetchWalkRefsByLevel", c.prefetchWalkRefsByLevel);
+            v("demandWalkLatInstrSum", c.demandWalkLatInstrSum);
+            v("demandWalkLatDataSum", c.demandWalkLatDataSum);
+            v("prefetchesDiscarded", c.prefetchesDiscarded);
+            v("icachePrefetches", c.icachePrefetches);
+            v("icacheCrossPage", c.icacheCrossPage);
+            v("icacheCrossPageNeedingWalk",
+              c.icacheCrossPageNeedingWalk);
+            v("icacheCrossPagePbHits", c.icacheCrossPagePbHits);
+            v("contextSwitches", c.contextSwitches);
+            v("correctingWalks", c.correctingWalks);
+            v("pbHitDistance", c.pbHitDistance);
+        }
     };
 
     Cycle now() const { return static_cast<Cycle>(cycles_); }

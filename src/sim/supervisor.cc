@@ -27,7 +27,9 @@
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 #include "common/telemetry.hh"
+#include "sim/config_flags.hh"
 #include "sim/result_cache.hh"
+#include "workload/workload_factory.hh"
 
 namespace morrigan
 {
@@ -36,27 +38,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** Validated env-var integer (same contract as parseJobsValue). */
-std::uint64_t
-parseEnvU64(const char *what, const char *s, std::uint64_t min_value,
-            std::uint64_t max_value)
-{
-    if (!s || *s == '\0' ||
-        !std::isdigit(static_cast<unsigned char>(*s)))
-        fatal("%s: '%s' is not a non-negative integer", what,
-              s ? s : "");
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (*end != '\0')
-        fatal("%s: trailing junk in '%s'", what, s);
-    if (errno == ERANGE || v < min_value || v > max_value)
-        fatal("%s: %s out of range [%llu, %llu]", what, s,
-              static_cast<unsigned long long>(min_value),
-              static_cast<unsigned long long>(max_value));
-    return v;
-}
 
 std::optional<RunStatus>
 runStatusFromName(const std::string &name)
@@ -341,9 +322,9 @@ SupervisorOptions::fromEnv()
         o.isolate = *e != '\0' && std::string(e) != "0";
     if (const char *e = std::getenv("MORRIGAN_JOB_TIMEOUT"))
         o.jobTimeoutMs =
-            parseEnvU64("MORRIGAN_JOB_TIMEOUT", e, 1, 86'400) * 1000;
+            parseU64OrDie("MORRIGAN_JOB_TIMEOUT", e, 1, 86'400) * 1000;
     if (const char *e = std::getenv("MORRIGAN_JOB_RETRIES"))
-        o.maxAttempts = 1 + static_cast<unsigned>(parseEnvU64(
+        o.maxAttempts = 1 + static_cast<unsigned>(parseU64OrDie(
                                 "MORRIGAN_JOB_RETRIES", e, 0, 100));
     if (const char *e = std::getenv("MORRIGAN_JOURNAL"))
         o.journalPath = e;
@@ -359,11 +340,11 @@ SupervisorOptions::fromEnv()
         o.snapshotDir = e;
     if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_EVERY"))
         o.checkpointEveryInstructions =
-            parseEnvU64("MORRIGAN_CHECKPOINT_EVERY", e, 0,
-                        std::uint64_t{1} << 40);
+            parseU64OrDie("MORRIGAN_CHECKPOINT_EVERY", e, 0,
+                          std::uint64_t{1} << 40);
     if (const char *e = std::getenv("MORRIGAN_PROGRESS_MS"))
         o.progressEveryMs =
-            parseEnvU64("MORRIGAN_PROGRESS_MS", e, 1, 3'600'000);
+            parseU64OrDie("MORRIGAN_PROGRESS_MS", e, 1, 3'600'000);
     return o;
 }
 
@@ -479,47 +460,37 @@ jobReproCommand(const ExperimentJob &job)
             return "# non-CLI job: " + job.journalTag;
         return "# job uses a custom prefetcher factory; no CLI repro";
     }
-    const SimConfig &c = job.cfg;
-    std::string cmd = "./build/tools/morrigan-sim";
-    cmd += " --workload " + job.workload.name;
+    std::string cmd =
+        "./build/tools/morrigan-sim --workload " + job.workload.name;
     if (job.smt)
         cmd += " --smt-with " + job.smtWorkload.name;
     // The job's spec string is the CLI spelling by construction.
-    cmd += csprintf(" --prefetcher %s", job.kind.c_str());
-    cmd += csprintf(" --warmup %llu --instructions %llu",
-                    static_cast<unsigned long long>(
-                        c.warmupInstructions),
-                    static_cast<unsigned long long>(
-                        c.simInstructions));
-    if (c.pageTableDepth != 4)
-        cmd += csprintf(" --pt-depth %u", c.pageTableDepth);
-    if (c.walker.asap)
-        cmd += " --asap";
-    if (c.perfectIstlb)
-        cmd += " --perfect-istlb";
-    if (c.prefetchIntoStlb)
-        cmd += " --p2tlb";
-    if (c.icachePref == ICachePrefKind::None)
-        cmd += " --icache none";
-    else if (c.icachePref == ICachePrefKind::FnlMma)
-        cmd += " --icache fnl-mma";
-    if (!c.icacheTranslationCost)
-        cmd += " --no-icache-xlat";
-    if (c.prefetchOnStlbHits)
-        cmd += " --prefetch-on-hits";
-    if (c.contextSwitchInterval > 0)
-        cmd += csprintf(" --ctx-switch %llu",
-                        static_cast<unsigned long long>(
-                            c.contextSwitchInterval));
-    if (c.pbEntries != SimConfig{}.pbEntries)
-        cmd += csprintf(" --pb-entries %u", c.pbEntries);
-    if (c.checkLevel > 0)
-        cmd += csprintf(" --check-level %d", c.checkLevel);
-    if (c.injectWalkerBugPeriod > 0)
-        cmd += csprintf(" --inject %llu",
-                        static_cast<unsigned long long>(
-                            c.injectWalkerBugPeriod));
-    return cmd;
+    cmd += " --prefetcher " + job.kind;
+    // Print the command only if morrigan-sim's own parse of it --
+    // the flag table and the workload names -- rebuilds this job.
+    SimConfig cfg;
+    for (const ConfigFlag &f : configFlags()) {
+        if (auto value = configFlagValue(f, job.cfg)) {
+            cmd += std::string(" ") + f.flag;
+            if (f.arg)
+                cmd += " " + *value;
+            applyConfigFlag(cfg, f, value->c_str());
+        }
+    }
+    auto cli = [](const ServerWorkloadParams &w) {
+        // A name the CLI does not know names no workload at all.
+        return parseWorkloadName(w.name).value_or(
+            ServerWorkloadParams{.name = ""});
+    };
+    const ServerWorkloadParams wl = cli(job.workload);
+    const ServerWorkloadParams smt = cli(job.smtWorkload);
+    const std::string want =
+        experimentKey(job.cfg, job.kind, job.workload,
+                      job.smt ? &job.smtWorkload : nullptr);
+    const std::string got =
+        experimentKey(cfg, job.kind, wl, job.smt ? &smt : nullptr);
+    return got == want ? cmd
+                       : "# non-CLI job: " + firstKeyField(want, got);
 }
 
 CampaignJournal::CampaignJournal(const std::string &path)

@@ -221,9 +221,11 @@ std::uint64_t retryDelayMs(const std::string &key, unsigned attempt,
 std::string jobLabel(const ExperimentJob &job);
 
 /**
- * Best-effort repro command for a job. Jobs expressible as a
- * morrigan-sim invocation get one; factory/synthetic jobs get a
- * comment carrying the journal tag.
+ * Repro command for a job: the morrigan-sim invocation whose parse
+ * (configFlags() and parseWorkloadName()) rebuilds the job's
+ * experimentKey(). A job the CLI cannot express gets the comment
+ * `# non-CLI job: <first differing key field>` instead; factory jobs
+ * get one carrying their journal tag.
  */
 std::string jobReproCommand(const ExperimentJob &job);
 

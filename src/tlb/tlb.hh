@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/assoc_table.hh"
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -32,7 +33,19 @@ struct TlbParams
     std::uint32_t ways = 4;
     Cycle latency = 1;
     std::uint32_t mshrs = 4;
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<TlbParams> Self, class V>
+    friend constexpr void visitFields(Self &t, V &&v)
+    {
+        v("name", t.name, FieldTag::Unrecorded);
+        v("entries", t.entries);
+        v("ways", t.ways);
+        v("lat", t.latency);
+        v("mshrs", t.mshrs);
+    }
 };
+static_assert(visitsEveryField<TlbParams>());
 
 /** One cached translation. */
 struct TlbEntry

@@ -26,7 +26,17 @@ struct TlbHierarchyParams
     TlbParams itlb{"itlb", 128, 8, 1, 4};
     TlbParams dtlb{"dtlb", 64, 4, 1, 4};
     TlbParams stlb{"stlb", 1536, 6, 8, 4};
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<TlbHierarchyParams> Self, class V>
+    friend constexpr void visitFields(Self &t, V &&v)
+    {
+        v("itlb", t.itlb);
+        v("dtlb", t.dtlb);
+        v("stlb", t.stlb);
+    }
 };
+static_assert(visitsEveryField<TlbHierarchyParams>());
 
 /** Level that served a TLB lookup. */
 enum class TlbHitLevel : std::uint8_t { L1, Stlb, Miss };

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "common/assoc_table.hh"
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -29,7 +30,19 @@ struct PscParams
     std::uint32_t pdEntries = 32;
     std::uint32_t pdWays = 4;
     Cycle latency = 2;
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<PscParams> Self, class V>
+    friend constexpr void visitFields(Self &p, V &&v)
+    {
+        v("pml4", p.pml4Entries);
+        v("pdp", p.pdpEntries);
+        v("pd", p.pdEntries);
+        v("pdWays", p.pdWays);
+        v("lat", p.latency);
+    }
 };
+static_assert(visitsEveryField<PscParams>());
 
 /**
  * Split page structure cache.

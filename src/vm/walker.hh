@@ -45,7 +45,17 @@ struct WalkerParams
     /** Model ASAP-style page-walk prefetching. */
     bool asap = false;
     PscParams psc{};
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<WalkerParams> Self, class V>
+    friend constexpr void visitFields(Self &w, V &&v)
+    {
+        v("ports", w.ports);
+        v("asap", w.asap);
+        v("psc", w.psc);
+    }
 };
+static_assert(visitsEveryField<WalkerParams>());
 
 /** Outcome of one page walk. */
 struct WalkResult

@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "common/zipf.hh"
 #include "workload/trace.hh"
@@ -118,7 +119,39 @@ struct ServerWorkloadParams
     std::uint64_t phaseInterval = 3'000'000;
     /** Fraction of request paths regenerated at a phase change. */
     double phaseShuffleFraction = 0.10;
+
+    /** The fields, with their cache-key names (common/fields.hh). */
+    template <RecordOf<ServerWorkloadParams> Self, class V>
+    friend constexpr void visitFields(Self &w, V &&v)
+    {
+        v("name", w.name);
+        v("seed", w.seed);
+        v("codePages", w.codePages);
+        v("codeSegments", w.codeSegments);
+        v("segmentGapPages", w.segmentGapPages);
+        v("hotCodePages", w.hotCodePages);
+        v("zipfTheta", w.zipfTheta);
+        v("hotShare", w.hotShare);
+        v("warmCodePages", w.warmCodePages);
+        v("warmShare", w.warmShare);
+        v("numRequestTypes", w.numRequestTypes);
+        v("typeZipfTheta", w.typeZipfTheta);
+        v("meanPathLength", w.meanPathLength);
+        v("meanRunLength", w.meanRunLength);
+        v("pNearSuccessor", w.pNearSuccessor);
+        v("pDeviate", w.pDeviate);
+        v("dataAccessProb", w.dataAccessProb);
+        v("dataHotPages", w.dataHotPages);
+        v("dataHotZipf", w.dataHotZipf);
+        v("dataColdPages", w.dataColdPages);
+        v("dataColdProb", w.dataColdProb);
+        v("dataStreamFraction", w.dataStreamFraction);
+        v("dataHugePages", w.dataHugePages);
+        v("phaseInterval", w.phaseInterval);
+        v("phaseShuffleFraction", w.phaseShuffleFraction);
+    }
 };
+static_assert(visitsEveryField<ServerWorkloadParams>());
 
 /** The generator. */
 class ServerWorkload : public TraceSource

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <type_traits>
 
 #include "core/morrigan.hh"
 #include "sim/experiment.hh"
@@ -17,7 +18,11 @@
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
+#include "sim_result_fields.hh"
+
 using namespace morrigan;
+using morrigan::test::expectSameResult;
+using morrigan::test::sampleResult;
 
 namespace
 {
@@ -31,92 +36,56 @@ quickConfig()
     return cfg;
 }
 
-/** A SimResult with every field set to a distinctive value. */
-SimResult
-sampleResult()
+/** A SimResult from JSON text, as the journal reader decodes one. */
+bool
+parseSimResultJson(const std::string &text, SimResult &out)
 {
-    SimResult r;
-    r.workload = "qmm_07";
-    r.prefetcher = "morrigan";
-    r.instructions = 10'000'000;
-    r.cycles = 12'345'678.25;
-    r.ipc = 0.810000000000000053; // not representable exactly
-    r.l1iMpki = 12.5;
-    r.itlbMpki = 3.0 / 7.0;
-    r.istlbMpki = 1.0 / 3.0;
-    r.dstlbMpki = 2.25;
-    r.istlbMisses = 4242;
-    r.dstlbMisses = 9999;
-    r.pbHits = 1200;
-    r.pbHitsIrip = 700;
-    r.pbHitsSdp = 400;
-    r.pbHitsICache = 100;
-    r.istlbCycleFraction = 0.0625;
-    r.icacheCycleFraction = 0.125;
-    r.dataCycleFraction = 0.5;
-    r.coverage = 0.43;
-    r.demandWalks = 11;
-    r.demandWalksInstr = 7;
-    r.demandWalkRefs = 44;
-    r.demandWalkRefsInstr = 28;
-    r.prefetchWalks = 5;
-    r.prefetchWalkRefs = 20;
-    r.prefetchWalkRefsByLevel = {1, 2, 3, 4};
-    r.meanDemandWalkLatencyInstr = 137.5;
-    r.meanDemandWalkLatencyData = 1.0 / 7.0;
-    r.icachePrefetches = 3141;
-    r.icacheCrossPagePrefetches = 59;
-    r.icacheCrossPageNeedingWalk = 26;
-    r.icacheCrossPagePbHits = 5;
-    r.pbHitDistance = {8, 7, 6, 5, 4, 3, 2, 1};
-    r.contextSwitches = 3;
-    r.correctingWalks = 17;
-    return r;
+    json::Value doc;
+    return json::Reader(text).parse(doc) && simResultFromJson(doc, out);
 }
 
-void
-expectSameResult(const SimResult &a, const SimResult &b)
+/**
+ * A visitFields() visitor that changes the @p target-th keyed leaf
+ * field of a record (nested records are walked, Unrecorded labels
+ * skipped) and reports its dotted name and tag. `name` stays empty
+ * when the record has no such field.
+ */
+struct PerturbOneField
 {
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.prefetcher, b.prefetcher);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.l1iMpki, b.l1iMpki);
-    EXPECT_EQ(a.itlbMpki, b.itlbMpki);
-    EXPECT_EQ(a.istlbMpki, b.istlbMpki);
-    EXPECT_EQ(a.dstlbMpki, b.dstlbMpki);
-    EXPECT_EQ(a.istlbMisses, b.istlbMisses);
-    EXPECT_EQ(a.dstlbMisses, b.dstlbMisses);
-    EXPECT_EQ(a.pbHits, b.pbHits);
-    EXPECT_EQ(a.pbHitsIrip, b.pbHitsIrip);
-    EXPECT_EQ(a.pbHitsSdp, b.pbHitsSdp);
-    EXPECT_EQ(a.pbHitsICache, b.pbHitsICache);
-    EXPECT_EQ(a.istlbCycleFraction, b.istlbCycleFraction);
-    EXPECT_EQ(a.icacheCycleFraction, b.icacheCycleFraction);
-    EXPECT_EQ(a.dataCycleFraction, b.dataCycleFraction);
-    EXPECT_EQ(a.coverage, b.coverage);
-    EXPECT_EQ(a.demandWalks, b.demandWalks);
-    EXPECT_EQ(a.demandWalksInstr, b.demandWalksInstr);
-    EXPECT_EQ(a.demandWalkRefs, b.demandWalkRefs);
-    EXPECT_EQ(a.demandWalkRefsInstr, b.demandWalkRefsInstr);
-    EXPECT_EQ(a.prefetchWalks, b.prefetchWalks);
-    EXPECT_EQ(a.prefetchWalkRefs, b.prefetchWalkRefs);
-    EXPECT_EQ(a.prefetchWalkRefsByLevel, b.prefetchWalkRefsByLevel);
-    EXPECT_EQ(a.meanDemandWalkLatencyInstr,
-              b.meanDemandWalkLatencyInstr);
-    EXPECT_EQ(a.meanDemandWalkLatencyData,
-              b.meanDemandWalkLatencyData);
-    EXPECT_EQ(a.icachePrefetches, b.icachePrefetches);
-    EXPECT_EQ(a.icacheCrossPagePrefetches,
-              b.icacheCrossPagePrefetches);
-    EXPECT_EQ(a.icacheCrossPageNeedingWalk,
-              b.icacheCrossPageNeedingWalk);
-    EXPECT_EQ(a.icacheCrossPagePbHits, b.icacheCrossPagePbHits);
-    EXPECT_EQ(a.pbHitDistance, b.pbHitDistance);
-    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
-    EXPECT_EQ(a.correctingWalks, b.correctingWalks);
-}
+    explicit PerturbOneField(std::size_t t) : target(t) {}
+
+    std::size_t target;
+    std::size_t seen = 0;
+    std::string prefix;
+    std::string name;
+    FieldTag tag = FieldTag::Plain;
+
+    template <class T>
+    void
+    operator()(const char *n, T &v, FieldTag t = FieldTag::Plain)
+    {
+        if (t == FieldTag::Unrecorded)
+            return;
+        if constexpr (Record<T>) {
+            const std::size_t outer = prefix.size();
+            prefix += n;
+            prefix += '.';
+            visitFields(v, *this);
+            prefix.resize(outer);
+        } else if (seen++ == target) {
+            name = prefix + n;
+            tag = t;
+            if constexpr (std::is_same_v<T, bool>)
+                v = !v;
+            else if constexpr (std::is_enum_v<T>)
+                v = static_cast<T>(static_cast<unsigned>(v) + 1);
+            else if constexpr (std::is_same_v<T, std::string>)
+                v += "x";
+            else
+                v += 1;
+        }
+    }
+};
 
 } // namespace
 
@@ -124,43 +93,94 @@ TEST(ExperimentKey, DistinguishesEveryInput)
 {
     const SimConfig cfg = quickConfig();
     const ServerWorkloadParams wl = qmmWorkloadParams(0);
-    const std::string base =
-        experimentKey(cfg, "none", wl);
+    const ServerWorkloadParams partner = qmmWorkloadParams(1);
+    const std::string base = experimentKey(cfg, "none", wl);
+    const std::string warm = warmupKey(cfg, "none", wl);
+    const std::string smt_key = experimentKey(cfg, "none", wl, &partner);
 
     // Same inputs -> same key.
     EXPECT_EQ(base, experimentKey(cfg, "none", wl));
-
-    // Different prefetcher kind.
+    // Different prefetcher kind; SMT partner presence.
     EXPECT_NE(base, experimentKey(cfg, "morrigan", wl));
-
-    // Different workload (seed only differs).
-    ServerWorkloadParams wl2 = wl;
-    wl2.seed += 1;
-    EXPECT_NE(base, experimentKey(cfg, "none", wl2));
-
-    // Different config knobs, including nested params.
-    SimConfig c2 = cfg;
-    c2.simInstructions += 1;
-    EXPECT_NE(base, experimentKey(c2, "none", wl));
-    SimConfig c3 = cfg;
-    c3.pbEntries *= 2;
-    EXPECT_NE(base, experimentKey(c3, "none", wl));
-    SimConfig c4 = cfg;
-    c4.tlb.stlb.entries *= 2;
-    EXPECT_NE(base, experimentKey(c4, "none", wl));
-    SimConfig c5 = cfg;
-    c5.mem.l2.latency += 1;
-    EXPECT_NE(base, experimentKey(c5, "none", wl));
-
-    // SMT partner presence and identity.
-    const ServerWorkloadParams partner = qmmWorkloadParams(1);
-    const std::string smt_key =
-        experimentKey(cfg, "none", wl, &partner);
     EXPECT_NE(base, smt_key);
-    ServerWorkloadParams partner2 = partner;
-    partner2.seed += 1;
-    EXPECT_NE(smt_key, experimentKey(cfg, "none", wl,
-                                     &partner2));
+
+    // Every keyed SimConfig field, nested params included, is in the
+    // experiment key, and in the warmup key unless it only sets what
+    // is measured.
+    std::size_t config_fields = 0;
+    for (;; ++config_fields) {
+        SimConfig c = cfg;
+        PerturbOneField p{config_fields};
+        visitFields(c, p);
+        if (p.name.empty())
+            break;
+        SCOPED_TRACE(p.name);
+        EXPECT_NE(base, experimentKey(c, "none", wl));
+        if (p.tag == FieldTag::MeasureOnly)
+            EXPECT_EQ(warm, warmupKey(c, "none", wl));
+        else
+            EXPECT_NE(warm, warmupKey(c, "none", wl));
+    }
+    EXPECT_EQ(config_fields, 61u);
+
+    // Every workload field, of the workload and of the SMT partner.
+    std::size_t workload_fields = 0;
+    for (;; ++workload_fields) {
+        ServerWorkloadParams w = wl;
+        ServerWorkloadParams w2 = partner;
+        PerturbOneField p{workload_fields};
+        PerturbOneField p2{workload_fields};
+        visitFields(w, p);
+        visitFields(w2, p2);
+        if (p.name.empty())
+            break;
+        SCOPED_TRACE(p.name);
+        EXPECT_NE(base, experimentKey(cfg, "none", w));
+        EXPECT_NE(warm, warmupKey(cfg, "none", w));
+        EXPECT_NE(smt_key, experimentKey(cfg, "none", wl, &w2));
+    }
+    EXPECT_EQ(workload_fields, 25u);
+}
+
+/**
+ * The key strings name every journal record and snapshot file, so
+ * their bytes are a compatibility contract: existing journals and
+ * snapshots were written under these digests, and a change to any of
+ * them makes all of those miss. A deliberate key change bumps
+ * json::resultCacheSchemaVersion and re-records them.
+ */
+TEST(ExperimentKey, DigestsArePinned)
+{
+    const ServerWorkloadParams qmm0 = qmmWorkloadParams(0);
+    const ServerWorkloadParams qmm1 = qmmWorkloadParams(1);
+    SimConfig fig18; // Figure 18: 1920-entry 15-way STLB
+    fig18.tlb.stlb.entries = 1920;
+    fig18.tlb.stlb.ways = 15;
+    struct Case
+    {
+        const char *what;
+        SimConfig cfg;
+        const ServerWorkloadParams *smt;
+        std::uint64_t experiment, warmup, config;
+    };
+    const Case cases[] = {
+        {"default", SimConfig{}, nullptr, 0x78368bffad386fedULL,
+         0x087745ca401bd274ULL, 0x656ba9cb5700f362ULL},
+        {"fig18", fig18, nullptr, 0x6ab5a8776cec2edeULL,
+         0xc61ea21af1929a65ULL, 0x8b9993f4f41c3c29ULL},
+        {"smt", SimConfig{}, &qmm1, 0x0a8d75333c4a4992ULL,
+         0x4a13779605ee9609ULL, 0x656ba9cb5700f362ULL},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        EXPECT_EQ(cacheKeyDigest(
+                      experimentKey(c.cfg, "morrigan", qmm0, c.smt)),
+                  c.experiment);
+        EXPECT_EQ(cacheKeyDigest(
+                      warmupKey(c.cfg, "morrigan", qmm0, c.smt)),
+                  c.warmup);
+        EXPECT_EQ(cacheKeyDigest(warmupConfigKey(c.cfg)), c.config);
+    }
 }
 
 TEST(ResultCacheJson, RoundTripsBitExactly)

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,12 +34,16 @@
 #include "common/json_reader.hh"
 #include "core/morrigan.hh"
 #include "core/tlb_prefetcher.hh"
+#include "sim/config_flags.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
+#include "sim_result_fields.hh"
+
 using namespace morrigan;
+using morrigan::test::expectSameResult;
 
 namespace
 {
@@ -61,54 +66,6 @@ serialConfig()
     cfg.warmupInstructions = 100'000;
     cfg.simInstructions = 300'000;
     return cfg;
-}
-
-/** Every field of SimResult compared exactly (doubles included:
- * determinism means bit-identical, not merely close). Supervised
- * results must match direct serial execution, in any worker count or
- * mode, journal replay included. */
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.prefetcher, b.prefetcher);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.l1iMpki, b.l1iMpki);
-    EXPECT_EQ(a.itlbMpki, b.itlbMpki);
-    EXPECT_EQ(a.istlbMpki, b.istlbMpki);
-    EXPECT_EQ(a.dstlbMpki, b.dstlbMpki);
-    EXPECT_EQ(a.istlbMisses, b.istlbMisses);
-    EXPECT_EQ(a.dstlbMisses, b.dstlbMisses);
-    EXPECT_EQ(a.pbHits, b.pbHits);
-    EXPECT_EQ(a.pbHitsIrip, b.pbHitsIrip);
-    EXPECT_EQ(a.pbHitsSdp, b.pbHitsSdp);
-    EXPECT_EQ(a.pbHitsICache, b.pbHitsICache);
-    EXPECT_EQ(a.istlbCycleFraction, b.istlbCycleFraction);
-    EXPECT_EQ(a.icacheCycleFraction, b.icacheCycleFraction);
-    EXPECT_EQ(a.dataCycleFraction, b.dataCycleFraction);
-    EXPECT_EQ(a.coverage, b.coverage);
-    EXPECT_EQ(a.demandWalks, b.demandWalks);
-    EXPECT_EQ(a.demandWalksInstr, b.demandWalksInstr);
-    EXPECT_EQ(a.demandWalkRefs, b.demandWalkRefs);
-    EXPECT_EQ(a.demandWalkRefsInstr, b.demandWalkRefsInstr);
-    EXPECT_EQ(a.prefetchWalks, b.prefetchWalks);
-    EXPECT_EQ(a.prefetchWalkRefs, b.prefetchWalkRefs);
-    EXPECT_EQ(a.prefetchWalkRefsByLevel, b.prefetchWalkRefsByLevel);
-    EXPECT_EQ(a.meanDemandWalkLatencyInstr,
-              b.meanDemandWalkLatencyInstr);
-    EXPECT_EQ(a.meanDemandWalkLatencyData,
-              b.meanDemandWalkLatencyData);
-    EXPECT_EQ(a.icachePrefetches, b.icachePrefetches);
-    EXPECT_EQ(a.icacheCrossPagePrefetches,
-              b.icacheCrossPagePrefetches);
-    EXPECT_EQ(a.icacheCrossPageNeedingWalk,
-              b.icacheCrossPageNeedingWalk);
-    EXPECT_EQ(a.icacheCrossPagePbHits, b.icacheCrossPagePbHits);
-    EXPECT_EQ(a.pbHitDistance, b.pbHitDistance);
-    EXPECT_EQ(a.contextSwitches, b.contextSwitches);
-    EXPECT_EQ(a.correctingWalks, b.correctingWalks);
 }
 
 /** Scheduler options that force every job to execute exactly once:
@@ -311,7 +268,7 @@ TEST(Supervisor, DeterministicAcrossWorkerCounts)
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             SCOPED_TRACE(serial[i].workload + "/" +
                          serial[i].prefetcher);
-            expectIdentical(serial[i], results[i]);
+            expectSameResult(serial[i], results[i]);
         }
     }
 }
@@ -349,7 +306,7 @@ TEST(Supervisor, FactoryJobsMatchSerialRunWith)
                              },
                              wl)});
     ASSERT_EQ(results.size(), 1u);
-    expectIdentical(serial, results[0]);
+    expectSameResult(serial, results[0]);
 }
 
 TEST(Supervisor, SmtJobsMatchSerialRunSmtPair)
@@ -362,7 +319,7 @@ TEST(Supervisor, SmtJobsMatchSerialRunSmtPair)
     std::vector<SimResult> results = runAllOk(
         executeAll(2), {ExperimentJob::smtPair(cfg, "none", a, b)});
     ASSERT_EQ(results.size(), 1u);
-    expectIdentical(serial, results[0]);
+    expectSameResult(serial, results[0]);
 }
 
 TEST(Supervisor, MissStreamBatchMatchesSerial)
@@ -458,9 +415,9 @@ TEST(Supervisor, ThreadModeContainsExceptions)
 
     EXPECT_TRUE(out[0].ok());
     EXPECT_TRUE(out[2].ok());
-    expectIdentical(out[0].output.result,
-                    runWorkload(cfg, "none",
-                                qmmWorkloadParams(1)));
+    expectSameResult(out[0].output.result,
+                     runWorkload(cfg, "none",
+                                 qmmWorkloadParams(1)));
 
     EXPECT_EQ(out[1].status, RunStatus::Failed);
     EXPECT_EQ(out[1].attempts, 1u);
@@ -518,8 +475,8 @@ expectRetryThenSuccess(bool isolate)
 
     // The marker now exists, so a serial run is the clean run.
     FlakyPrefetcher serial_pref(marker, isolate);
-    expectIdentical(runWorkloadWith(cfg, &serial_pref, wl),
-                    out[0].output.result);
+    expectSameResult(runWorkloadWith(cfg, &serial_pref, wl),
+                     out[0].output.result);
     std::remove(marker.c_str());
 }
 
@@ -580,9 +537,9 @@ TEST(Supervisor, IsolateContainsSigsegv)
     ASSERT_EQ(out.size(), 2u);
 
     EXPECT_TRUE(out[0].ok());
-    expectIdentical(out[0].output.result,
-                    runWorkload(cfg, "none",
-                                qmmWorkloadParams(4)));
+    expectSameResult(out[0].output.result,
+                     runWorkload(cfg, "none",
+                                 qmmWorkloadParams(4)));
     EXPECT_FALSE(out[1].ok());
     EXPECT_EQ(out[1].attempts, 1u);
 }
@@ -766,8 +723,8 @@ TEST(Supervisor, JournalResumeBitIdentical)
     for (std::size_t i = 0; i < full.size(); ++i) {
         SCOPED_TRACE(i);
         ASSERT_TRUE(resumed[i].ok());
-        expectIdentical(reference[i].output.result,
-                        resumed[i].output.result);
+        expectSameResult(reference[i].output.result,
+                         resumed[i].output.result);
     }
 
     // A third run replays everything.
@@ -802,7 +759,7 @@ TEST(Supervisor, SandboxPipeCarriesCheckReport)
     EXPECT_EQ(s.checkMismatches, t.checkMismatches);
     EXPECT_EQ(isolated[0].structuralViolations,
               threaded[0].structuralViolations);
-    expectIdentical(t, s);
+    expectSameResult(t, s);
 }
 
 TEST(Supervisor, ProgressHitRateIsTheBatchsOwn)
@@ -1129,8 +1086,8 @@ TEST(Supervisor, EintrStormYieldsBitIdenticalOutcomes)
     for (std::size_t i = 0; i < stormed.size(); ++i) {
         SCOPED_TRACE(i);
         ASSERT_TRUE(stormed[i].ok());
-        expectIdentical(reference[i].output.result,
-                        stormed[i].output.result);
+        expectSameResult(reference[i].output.result,
+                         stormed[i].output.result);
     }
 
     // The journal written under the storm is intact: a resume
@@ -1139,4 +1096,99 @@ TEST(Supervisor, EintrStormYieldsBitIdenticalOutcomes)
     for (const RunOutcome &o : resumed)
         EXPECT_TRUE(o.fromJournal);
     std::remove(journal.c_str());
+}
+
+namespace
+{
+
+/** The experiment a printed repro command runs, parsed the way
+ * morrigan-sim parses its flags. */
+std::string
+reproKey(const std::string &cmd)
+{
+    std::istringstream in(cmd);
+    std::vector<std::string> tokens;
+    for (std::string t; in >> t;)
+        tokens.push_back(t);
+    std::optional<ServerWorkloadParams> wl, smt;
+    std::string kind;
+    SimConfig cfg;
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+        if (tokens[i] == "--workload") {
+            wl = parseWorkloadName(tokens[++i]);
+        } else if (tokens[i] == "--smt-with") {
+            smt = parseWorkloadName(tokens[++i]);
+        } else if (tokens[i] == "--prefetcher") {
+            kind = tokens[++i];
+        } else {
+            const ConfigFlag *f = findConfigFlag(tokens[i]);
+            if (!f || (f->arg && i + 1 == tokens.size()))
+                return "unparsable: " + cmd;
+            EXPECT_EQ(applyConfigFlag(cfg, *f,
+                                      f->arg ? tokens[++i].c_str()
+                                             : nullptr),
+                      "");
+        }
+    }
+    if (!wl)
+        return "unparsable: " + cmd;
+    return experimentKey(cfg, kind, *wl, smt ? &*smt : nullptr);
+}
+
+} // namespace
+
+TEST(JobRepro, NonCliConfigsNameTheFieldInsteadOfAWrongCommand)
+{
+    const ServerWorkloadParams wl = qmmWorkloadParams(3);
+    SimConfig fig18; // Figure 18's enlarged STLB
+    fig18.tlb.stlb.entries = 1920;
+    fig18.tlb.stlb.ways = 15;
+    SimConfig ports; // bench_ablations' walker-port sweep
+    ports.walker.ports = 2;
+    SimConfig hashed; // Section 4.3
+    hashed.pageTableFormat = PageTableFormat::Hashed;
+    hashed.correctingWalks = true;
+    ServerWorkloadParams reseeded = wl;
+    reseeded.seed += 1;
+
+    EXPECT_EQ(jobReproCommand(ExperimentJob::of(fig18, "morrigan", wl)),
+              "# non-CLI job: tlb.stlb.entries=1920");
+    EXPECT_EQ(jobReproCommand(ExperimentJob::of(ports, "morrigan", wl)),
+              "# non-CLI job: walker.ports=2");
+    EXPECT_EQ(jobReproCommand(ExperimentJob::of(hashed, "morrigan", wl)),
+              "# non-CLI job: pageTableFormat=1");
+    EXPECT_EQ(jobReproCommand(
+                  ExperimentJob::of(SimConfig{}, "morrigan", reseeded)),
+              "# non-CLI job: wl.seed=" + std::to_string(reseeded.seed));
+
+    const ExperimentJob plain = ExperimentJob::of(SimConfig{}, "morrigan", wl);
+    EXPECT_EQ(jobReproCommand(plain),
+              "./build/tools/morrigan-sim --workload qmm_03 "
+              "--prefetcher morrigan");
+}
+
+TEST(JobRepro, EveryTableFlagRoundTrips)
+{
+    for (const ConfigFlag &f : configFlags()) {
+        SCOPED_TRACE(f.flag);
+        SimConfig cfg = quickConfig();
+        const std::uint64_t before = f.field.get(cfg);
+        std::uint64_t value = f.min != before ? f.min : f.min + 1;
+        if (!f.arg)
+            value = 1;
+        else if (!f.names.empty())
+            value = before == 0 ? 1 : 0;
+        f.field.set(cfg, value);
+        ASSERT_NE(f.field.get(cfg), before);
+
+        const ExperimentJob job = ExperimentJob::smtPair(
+            cfg, "morrigan", qmmWorkloadParams(3), qmmWorkloadParams(4));
+        const std::string cmd = jobReproCommand(job);
+        ASSERT_NE(cmd.front(), '#') << cmd;
+        EXPECT_NE(cmd.find(std::string(" ") + f.flag), std::string::npos)
+            << cmd;
+        EXPECT_EQ(reproKey(cmd),
+                  experimentKey(cfg, "morrigan", job.workload,
+                                &job.smtWorkload));
+    }
 }

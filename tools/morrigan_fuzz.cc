@@ -16,7 +16,6 @@
  *   morrigan-fuzz --seeds 5 --inject 50      # validate the checker
  */
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +25,7 @@
 #include "check/fuzz.hh"
 #include "check/invariants.hh"
 #include "common/logging.hh"
+#include "sim/config_flags.hh"
 #include "sim/job.hh"
 
 using namespace morrigan;
@@ -71,25 +71,6 @@ usage()
         "seed\n");
 }
 
-std::uint64_t
-parseU64(const std::string &flag, const char *s,
-         std::uint64_t min_value, std::uint64_t max_value)
-{
-    if (!s || *s == '\0' || *s == '-')
-        fatal("%s: '%s' is not a non-negative integer",
-              flag.c_str(), s ? s : "");
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (*end != '\0')
-        fatal("%s: trailing junk in '%s'", flag.c_str(), s);
-    if (errno == ERANGE || v < min_value || v > max_value)
-        fatal("%s: %s out of range [%llu, %llu]", flag.c_str(), s,
-              static_cast<unsigned long long>(min_value),
-              static_cast<unsigned long long>(max_value));
-    return v;
-}
-
 } // namespace
 
 int
@@ -111,24 +92,24 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (arg == "--seeds") {
-            opt.seeds = parseU64(arg, next(), 1, 1u << 20);
+            opt.seeds = parseU64OrDie(arg, next(), 1, 1u << 20);
         } else if (arg == "--seed-base") {
             opt.seedBase =
-                parseU64(arg, next(), 0, std::uint64_t{1} << 62);
+                parseU64OrDie(arg, next(), 0, std::uint64_t{1} << 62);
         } else if (arg == "--instructions") {
             opt.instructions =
-                parseU64(arg, next(), 1, std::uint64_t{1} << 32);
+                parseU64OrDie(arg, next(), 1, std::uint64_t{1} << 32);
         } else if (arg == "--warmup") {
             opt.warmupInstructions =
-                parseU64(arg, next(), 0, std::uint64_t{1} << 32);
+                parseU64OrDie(arg, next(), 0, std::uint64_t{1} << 32);
         } else if (arg == "--check") {
             opt.checkLevel = std::max(opt.checkLevel, 1);
         } else if (arg == "--check-level") {
             opt.checkLevel =
-                static_cast<int>(parseU64(arg, next(), 1, 2));
+                static_cast<int>(parseU64OrDie(arg, next(), 1, 2));
         } else if (arg == "--inject") {
             opt.injectPeriod =
-                parseU64(arg, next(), 1, std::uint64_t{1} << 40);
+                parseU64OrDie(arg, next(), 1, std::uint64_t{1} << 40);
         } else if (arg == "--artifact-dir") {
             opt.artifactDir = next();
         } else if (arg == "--jobs") {
@@ -137,7 +118,7 @@ main(int argc, char **argv)
             opt.isolate = true;
         } else if (arg == "--job-timeout") {
             opt.jobTimeoutMs =
-                parseU64(arg, next(), 1, 86'400) * 1000;
+                parseU64OrDie(arg, next(), 1, 86'400) * 1000;
         } else if (arg == "--journal") {
             opt.journalPath = next();
         } else if (arg == "--no-m5") {

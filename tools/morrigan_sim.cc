@@ -19,7 +19,6 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +34,7 @@
 #include "common/telemetry.hh"
 #include "core/morrigan.hh"
 #include "core/prefetcher_registry.hh"
+#include "sim/config_flags.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
 #include "sim/simulator.hh"
@@ -55,29 +55,16 @@ usage()
         "  --smt-with NAME       colocate a second workload (SMT)\n"
         "  --prefetcher SPEC     none, a registered prefetcher, or\n"
         "                        a 'a+b' hybrid composition\n"
-        "  --smt-scaled          double Morrigan's tables (SMT)\n"
-        "  --warmup N            warmup instructions "
-        "(default 1000000)\n"
-        "  --instructions N      measured instructions "
-        "(default 4000000)\n"
-        "  --pt-depth N          page table depth 4|5\n"
-        "  --asap                enable ASAP walk acceleration\n"
-        "  --perfect-istlb       idealised instruction STLB\n"
-        "  --p2tlb               prefetch into the STLB (no PB)\n"
-        "  --icache NAME         none|next-line|fnl-mma\n"
-        "  --no-icache-xlat      free translations for I-cache "
-        "prefetches\n"
-        "  --prefetch-on-hits    engage prefetcher on STLB hits too\n"
-        "  --ctx-switch N        context switch every N "
-        "instructions\n"
-        "  --pb-entries N        prefetch buffer capacity\n"
+        "  --smt-scaled          double Morrigan's tables (SMT)\n");
+    for (const ConfigFlag &f : configFlags()) {
+        const std::string flag =
+            f.arg ? std::string(f.flag) + " " + f.arg : f.flag;
+        std::printf("  %-22s%s\n", flag.c_str(), f.help);
+    }
+    std::printf(
         "  --check               cross-check every demand "
         "translation against the golden reference model "
         "(MORRIGAN_CHECK=1 does the same)\n"
-        "  --check-level N       check level 1|2 (2 adds heavyweight "
-        "structural invariants; implies --check)\n"
-        "  --inject N            corrupt every Nth instruction "
-        "demand walk (checker validation)\n"
         "  --stats               dump the component statistics tree\n"
         "  --stats-json FILE     write the versioned JSON stats "
         "document\n"
@@ -87,8 +74,6 @@ usage()
         "  --interval-out FILE   stream interval epochs to FILE\n"
         "  --interval-csv        CSV instead of JSONL for "
         "--interval-out\n"
-        "  --miss-stream         print the miss-stream "
-        "characterisation\n"
         "  --baseline            also run the no-prefetch baseline "
         "and report speedup\n"
         "  --jobs N              parallel worker count (default: "
@@ -134,30 +119,6 @@ usage()
     }
 }
 
-/**
- * Validated numeric option parsing: fatal()s on junk, trailing
- * garbage, or out-of-range values instead of silently using 0 the
- * way bare atoi would.
- */
-std::uint64_t
-parseU64(const std::string &flag, const char *s,
-         std::uint64_t min_value, std::uint64_t max_value)
-{
-    if (!s || *s == '\0' || *s == '-')
-        fatal("%s: '%s' is not a non-negative integer",
-              flag.c_str(), s ? s : "");
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (*end != '\0')
-        fatal("%s: trailing junk in '%s'", flag.c_str(), s);
-    if (errno == ERANGE || v < min_value || v > max_value)
-        fatal("%s: %s out of range [%llu, %llu]", flag.c_str(), s,
-              static_cast<unsigned long long>(min_value),
-              static_cast<unsigned long long>(max_value));
-    return v;
-}
-
 void
 printResult(const SimResult &r)
 {
@@ -200,41 +161,11 @@ printResult(const SimResult &r)
                         r.contextSwitches));
 }
 
-/** Key run-level results as a JSON object. */
-void
-writeResultJson(std::ostream &os, const SimResult &r)
-{
-    json::Writer w(os);
-    w.beginObject();
-    w.kv("instructions", r.instructions);
-    w.kv("cycles", r.cycles);
-    w.kv("ipc", r.ipc);
-    w.kv("l1i_mpki", r.l1iMpki);
-    w.kv("itlb_mpki", r.itlbMpki);
-    w.kv("istlb_mpki", r.istlbMpki);
-    w.kv("dstlb_mpki", r.dstlbMpki);
-    w.kv("istlb_misses", r.istlbMisses);
-    w.kv("pb_hits", r.pbHits);
-    w.kv("pb_hits_irip", r.pbHitsIrip);
-    w.kv("pb_hits_sdp", r.pbHitsSdp);
-    w.kv("pb_hits_icache", r.pbHitsICache);
-    w.kv("coverage", r.coverage);
-    w.kv("istlb_cycle_fraction", r.istlbCycleFraction);
-    w.kv("demand_walks", r.demandWalks);
-    w.kv("demand_walks_instr", r.demandWalksInstr);
-    w.kv("demand_walk_refs", r.demandWalkRefs);
-    w.kv("prefetch_walks", r.prefetchWalks);
-    w.kv("prefetch_walk_refs", r.prefetchWalkRefs);
-    w.kv("mean_demand_walk_latency_instr",
-         r.meanDemandWalkLatencyInstr);
-    w.kv("context_switches", r.contextSwitches);
-    w.endObject();
-}
-
 /**
- * The full --stats-json document: schema header, run identity, key
- * results, the whole StatGroup tree, and -- when enabled -- the
- * prefetch lifecycle summary and the interval epoch ring.
+ * The full --stats-json document: schema header, run identity, the
+ * result record (the campaign journal's), the whole StatGroup tree,
+ * and -- when enabled -- the prefetch lifecycle summary and the
+ * interval epoch ring.
  */
 void
 writeStatsJsonDocument(std::ostream &os, Simulator &sim,
@@ -252,7 +183,7 @@ writeStatsJsonDocument(std::ostream &os, Simulator &sim,
     w.kv("workload", r.workload);
     w.kv("prefetcher", r.prefetcher);
     w.key("result").rawValue(
-        [&](std::ostream &o) { writeResultJson(o, r); });
+        [&](std::ostream &o) { writeSimResultJson(o, r); });
     w.key("stats").rawValue(
         [&](std::ostream &o) { sim.rootStats().writeJson(o); });
     if (sim.tracer())
@@ -330,13 +261,9 @@ main(int argc, char **argv)
     std::string workload_name = "qmm_00";
     std::string smt_name;
     std::string prefetcher_name = "morrigan";
-    std::string icache_name = "next-line";
     SimConfig cfg;
-    cfg.warmupInstructions = 1'000'000;
-    cfg.simInstructions = 4'000'000;
     bool smt_scaled = false;
     bool dump_stats = false;
-    bool miss_stream = false;
     bool with_baseline = false;
     bool sweep = false;
     std::string stats_json_path;
@@ -355,10 +282,9 @@ main(int argc, char **argv)
     // env is resolved here, at the CLI boundary, so SimConfig (and
     // with it every experiment cache key) stays a pure function of
     // the flags.
-    int check_level = 0;
     if (const char *e = std::getenv("MORRIGAN_CHECK"))
         if (*e != '\0' && std::string(e) != "0")
-            check_level = 1;
+            cfg.checkLevel = 1;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -383,7 +309,7 @@ main(int argc, char **argv)
             telemetry_on = true;
         } else if (arg == "--progress") {
             sup.progressEveryMs =
-                parseU64(arg, next(), 1, 3'600'000);
+                parseU64OrDie(arg, next(), 1, 3'600'000);
         } else if (arg == "--workload") {
             workload_name = next();
         } else if (arg == "--smt-with") {
@@ -392,41 +318,13 @@ main(int argc, char **argv)
             prefetcher_name = next();
         } else if (arg == "--smt-scaled") {
             smt_scaled = true;
-        } else if (arg == "--warmup") {
-            cfg.warmupInstructions =
-                parseU64(arg, next(), 0, std::uint64_t{1} << 40);
-        } else if (arg == "--instructions") {
-            cfg.simInstructions =
-                parseU64(arg, next(), 1, std::uint64_t{1} << 40);
-        } else if (arg == "--pt-depth") {
-            cfg.pageTableDepth =
-                static_cast<unsigned>(parseU64(arg, next(), 4, 5));
-        } else if (arg == "--asap") {
-            cfg.walker.asap = true;
-        } else if (arg == "--perfect-istlb") {
-            cfg.perfectIstlb = true;
-        } else if (arg == "--p2tlb") {
-            cfg.prefetchIntoStlb = true;
-        } else if (arg == "--icache") {
-            icache_name = next();
-        } else if (arg == "--no-icache-xlat") {
-            cfg.icacheTranslationCost = false;
-        } else if (arg == "--prefetch-on-hits") {
-            cfg.prefetchOnStlbHits = true;
-        } else if (arg == "--ctx-switch") {
-            cfg.contextSwitchInterval =
-                parseU64(arg, next(), 0, std::uint64_t{1} << 40);
-        } else if (arg == "--pb-entries") {
-            cfg.pbEntries = static_cast<std::uint32_t>(
-                parseU64(arg, next(), 1, 1u << 20));
+        } else if (const ConfigFlag *f = findConfigFlag(arg)) {
+            const std::string error =
+                applyConfigFlag(cfg, *f, f->arg ? next() : nullptr);
+            if (!error.empty())
+                fatal("%s", error.c_str());
         } else if (arg == "--check") {
-            check_level = std::max(check_level, 1);
-        } else if (arg == "--check-level") {
-            check_level = static_cast<int>(
-                parseU64(arg, next(), 1, 2));
-        } else if (arg == "--inject") {
-            cfg.injectWalkerBugPeriod =
-                parseU64(arg, next(), 1, std::uint64_t{1} << 40);
+            cfg.checkLevel = std::max(cfg.checkLevel, 1);
         } else if (arg == "--stats") {
             dump_stats = true;
         } else if (arg == "--stats-json") {
@@ -435,14 +333,11 @@ main(int argc, char **argv)
             trace_path = next();
         } else if (arg == "--interval") {
             interval =
-                parseU64(arg, next(), 1, std::uint64_t{1} << 40);
+                parseU64OrDie(arg, next(), 1, std::uint64_t{1} << 40);
         } else if (arg == "--interval-out") {
             interval_out_path = next();
         } else if (arg == "--interval-csv") {
             interval_csv = true;
-        } else if (arg == "--miss-stream") {
-            miss_stream = true;
-            cfg.collectMissStream = true;
         } else if (arg == "--baseline") {
             with_baseline = true;
         } else if (arg == "--jobs") {
@@ -453,17 +348,17 @@ main(int argc, char **argv)
             sup.isolate = true;
         } else if (arg == "--job-timeout") {
             sup.jobTimeoutMs =
-                parseU64(arg, next(), 1, 86'400) * 1000;
+                parseU64OrDie(arg, next(), 1, 86'400) * 1000;
         } else if (arg == "--retries") {
             sup.maxAttempts = 1 + static_cast<unsigned>(
-                                      parseU64(arg, next(), 0, 100));
+                                      parseU64OrDie(arg, next(), 0, 100));
         } else if (arg == "--journal") {
             sup.journalPath = next();
         } else if (arg == "--checkpoint") {
             checkpoint_path = next();
         } else if (arg == "--checkpoint-every") {
             sup.checkpointEveryInstructions =
-                parseU64(arg, next(), 0, std::uint64_t{1} << 40);
+                parseU64OrDie(arg, next(), 0, std::uint64_t{1} << 40);
         } else if (arg == "--snapshot-dir") {
             sup.snapshotDir = next();
         } else {
@@ -480,26 +375,13 @@ main(int argc, char **argv)
     if (!trace_events_path.empty())
         telemetry::setTracing(true);
 
-    cfg.checkLevel = check_level;
-    if (check_level > 0) {
+    if (cfg.checkLevel > 0) {
         // Arm the structural invariant hooks to the same level
         // unless the user pinned MORRIGAN_CHECK_LEVEL themselves.
         // The env is read lazily on first use, which is after this.
         setenv("MORRIGAN_CHECK_LEVEL",
-               std::to_string(check_level).c_str(),
+               std::to_string(cfg.checkLevel).c_str(),
                /*overwrite=*/0);
-    }
-
-    if (icache_name == "none")
-        cfg.icachePref = ICachePrefKind::None;
-    else if (icache_name == "next-line")
-        cfg.icachePref = ICachePrefKind::NextLine;
-    else if (icache_name == "fnl-mma")
-        cfg.icachePref = ICachePrefKind::FnlMma;
-    else {
-        std::fprintf(stderr, "unknown I-cache prefetcher %s\n",
-                     icache_name.c_str());
-        return 1;
     }
 
     std::string spec_err = checkPrefetcherSpec(prefetcher_name);
@@ -639,7 +521,7 @@ main(int argc, char **argv)
 
         exportTraceEvents(trace_events_path);
 
-        if (check_level > 0) {
+        if (cfg.checkLevel > 0) {
             std::uint64_t checked = 0, mismatched = 0;
             for (const RunOutcome &o : outcomes) {
                 if (!o.ok())
@@ -772,7 +654,7 @@ main(int argc, char **argv)
                     speedupPct(b, r));
     }
 
-    if (miss_stream) {
+    if (cfg.collectMissStream) {
         const MissStreamStats &ms = sim.missStream();
         std::printf("\n-- iSTLB miss stream --\n");
         std::printf("misses              %llu (%zu distinct pages)\n",
