@@ -71,50 +71,36 @@ sampleWorkload(Rng &rng, bool allow_huge, const char *tag)
     return w;
 }
 
-/** Format a few load-bearing dimensions for the failure report. */
+} // namespace
+
 std::string
 describeCase(const FuzzCase &fc)
 {
+    // Every keyed config and workload field off its default, under
+    // its cache-key name ("tlb.stlb.ways=6", "wl.seed=..."). The
+    // custom Morrigan geometry is not in the key; it follows.
+    const ServerWorkloadParams plain{};
+    std::istringstream key(experimentKey(
+        fc.cfg, fc.kind, fc.workload, fc.smt ? &fc.smtWorkload : nullptr));
+    std::istringstream base(experimentKey(SimConfig{}, fc.kind, plain,
+                                          fc.smt ? &plain : nullptr));
     std::ostringstream os;
-    os << "stlb=" << fc.cfg.tlb.stlb.entries << "x"
-       << fc.cfg.tlb.stlb.ways
-       << " pb=" << fc.cfg.pbEntries
-       << " psc=" << fc.cfg.walker.psc.pml4Entries << "/"
-       << fc.cfg.walker.psc.pdpEntries << "/"
-       << fc.cfg.walker.psc.pdEntries
-       << " depth=" << fc.cfg.pageTableDepth
-       << (fc.cfg.pageTableFormat == PageTableFormat::Hashed
-               ? " hashed"
-               : " radix")
-       << " pref=";
+    for (std::string field, dflt; std::getline(key, field, ';');)
+        if (!std::getline(base, dflt, ';') || field != dflt)
+            os << field << ' ';
+    os << "pref=";
     if (fc.customMorrigan) {
         os << "morrigan[";
-        for (std::size_t i = 0; i < fc.morrigan.irip.tables.size();
-             ++i) {
-            if (i)
-                os << ",";
-            os << fc.morrigan.irip.tables[i].entries << "e"
-               << fc.morrigan.irip.tables[i].slots << "s";
-        }
-        os << (fc.morrigan.sdpEnabled ? "+sdp" : "-sdp") << "]";
+        for (const PrtGeometry &t : fc.morrigan.irip.tables)
+            os << t.entries << "e" << t.slots << "s,";
+        os << "reset=" << fc.morrigan.irip.freqResetInterval
+           << (fc.morrigan.sdpEnabled ? ",+sdp" : ",-sdp")
+           << (fc.morrigan.sdpAlwaysOn ? ",sdp-always" : "") << "]";
     } else {
         os << prefetcherDisplayName(fc.kind);
     }
-    os << " icache="
-       << (fc.cfg.icachePref == ICachePrefKind::FnlMma
-               ? "fnl+mma"
-               : fc.cfg.icachePref == ICachePrefKind::None
-                     ? "none"
-                     : "next-line")
-       << " cs=" << fc.cfg.contextSwitchInterval
-       << " wl=" << fc.workload.name
-       << " zipf=" << fc.workload.zipfTheta;
-    if (fc.smt)
-        os << " smt+" << fc.smtWorkload.name;
     return os.str();
 }
-
-} // namespace
 
 FuzzCase
 sampleCase(std::uint64_t seed, const FuzzOptions &opt)

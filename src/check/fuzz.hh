@@ -117,6 +117,10 @@ struct FuzzCase
     std::string summary;
 };
 
+/** The one-line summary of @p fc: every keyed config and workload
+ * field that differs from its default, then the prefetcher. */
+std::string describeCase(const FuzzCase &fc);
+
 /** Deterministically sample the configuration point of @p seed. */
 FuzzCase sampleCase(std::uint64_t seed, const FuzzOptions &opt);
 

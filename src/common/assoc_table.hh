@@ -2,28 +2,34 @@
  * @file
  * Generic set-associative lookup table with true-LRU replacement.
  *
- * Shared by the TLBs, the prefetch buffer, and the page structure
- * caches. The key is hashed to a set by its low-order bits, matching
- * hardware index functions for page-grained keys.
+ * Shared by the TLBs, the prefetch buffer, the page structure caches
+ * and the prefetcher tables. The key is hashed to a set by its
+ * low-order bits, matching hardware index functions for page-grained
+ * keys.
  *
- * Storage is struct-of-arrays: contiguous key / valid / lastUse /
- * payload lanes indexed by (set * ways + way). A lookup touches only
- * the key and valid lanes -- one short contiguous slice per probe --
- * instead of striding through full Entry records, and the LRU victim
- * scan reduces over the contiguous lastUse slice. Semantics (way
- * scan order, victim choice, LRU updates, snapshot byte order) are
- * identical to the original array-of-structs layout; the
- * differential tests in tests/test_hotpath_diff.cc drive both
- * layouts through identical op sequences to prove it.
+ * Storage is struct-of-arrays: contiguous key / recency / payload
+ * lanes indexed by (set * ways + way), scanned by the shared kernel
+ * (common/set_kernel.hh). Validity lives in the recency lane: 0
+ * marks an invalid way. Keys have no spare sentinel value (DP keys
+ * its table by PageDelta, where -1 is live), so every probe uses the
+ * kernel's recency-masked scan, and a fill takes the kernel's
+ * first-invalid-else-LRU victim. Semantics (way scan order, victim
+ * choice, LRU updates, snapshot byte order) are identical to the
+ * original array-of-structs layout; the differential tests in
+ * tests/test_hotpath_diff.cc drive both layouts through identical op
+ * sequences to prove it.
  */
 
 #ifndef MORRIGAN_COMMON_ASSOC_TABLE_HH
 #define MORRIGAN_COMMON_ASSOC_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "logging.hh"
+#include "set_kernel.hh"
 #include "snapshot.hh"
 
 namespace morrigan
@@ -32,7 +38,7 @@ namespace morrigan
 /**
  * A set-associative table mapping KeyT to ValueT.
  *
- * @tparam KeyT Unsigned integral key (e.g. a Vpn).
+ * @tparam KeyT Integral key (a Vpn; DP's signed PageDelta).
  * @tparam ValueT Arbitrary copyable payload.
  */
 template <typename KeyT, typename ValueT>
@@ -56,49 +62,34 @@ class SetAssocTable
         setMask_ = numSets_ - 1;
         keys_.assign(entries, KeyT{});
         values_.assign(entries, ValueT{});
-        valid_.assign(entries, 0);
-        lastUse_.assign(entries, 0);
+        rec_.assign(entries, 0);
     }
 
     /** Look up a key, updating LRU. @return payload or nullptr. */
     ValueT *
     find(KeyT key)
     {
-        const std::uint32_t base = baseOf(key);
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t i = base + w;
-            if (valid_[i] && keys_[i] == key) {
-                lastUse_[i] = ++useClock_;
-                return &values_[i];
-            }
-        }
-        return nullptr;
+        const std::uint32_t i = indexOf(key);
+        if (i == noIndex)
+            return nullptr;
+        rec_[i] = ++useClock_;
+        return &values_[i];
     }
 
     /** Look up without touching LRU state. */
     const ValueT *
     probe(KeyT key) const
     {
-        const std::uint32_t base = baseOf(key);
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t i = base + w;
-            if (valid_[i] && keys_[i] == key)
-                return &values_[i];
-        }
-        return nullptr;
+        const std::uint32_t i = indexOf(key);
+        return i == noIndex ? nullptr : &values_[i];
     }
 
     /** Mutable probe without touching LRU state. */
     ValueT *
     probe(KeyT key)
     {
-        const std::uint32_t base = baseOf(key);
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t i = base + w;
-            if (valid_[i] && keys_[i] == key)
-                return &values_[i];
-        }
-        return nullptr;
+        const std::uint32_t i = indexOf(key);
+        return i == noIndex ? nullptr : &values_[i];
     }
 
     /**
@@ -115,97 +106,56 @@ class SetAssocTable
     insert(KeyT key, ValueT value, KeyT *evicted_key = nullptr,
            ValueT *evicted_value = nullptr)
     {
-        return insertImpl(key, std::move(value), false, evicted_key,
-                          evicted_value);
-    }
-
-    /**
-     * Insert only if a free way is available in the key's set; never
-     * evicts. @return true if the value was installed.
-     */
-    bool
-    insertNoEvict(KeyT key, ValueT value)
-    {
-        bool installed = true;
-        insertImpl(key, std::move(value), true, nullptr, nullptr,
-                   &installed);
-        return installed;
-    }
-
-  private:
-    bool
-    insertImpl(KeyT key, ValueT value, bool no_evict,
-               KeyT *evicted_key, ValueT *evicted_value,
-               bool *installed = nullptr)
-    {
-        const std::uint32_t base = baseOf(key);
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t i = base + w;
-            if (valid_[i] && keys_[i] == key) {
-                values_[i] = std::move(value);
-                lastUse_[i] = ++useClock_;
-                return false;
-            }
-        }
-        // Victim: first invalid way, else the minimum-lastUse way
-        // (first one wins ties via the strict < comparison).
-        std::uint32_t victim = base;
-        bool have_victim = false;
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t i = base + w;
-            if (!valid_[i]) {
-                victim = i;
-                have_victim = true;
-                break;
-            }
-            if (!have_victim || lastUse_[i] < lastUse_[victim]) {
-                victim = i;
-                have_victim = true;
-            }
-        }
-        if (no_evict && valid_[victim]) {
-            if (installed)
-                *installed = false;
+        const std::uint32_t hit = indexOf(key);
+        if (hit != noIndex) {
+            values_[hit] = std::move(value);
+            rec_[hit] = ++useClock_;
             return false;
         }
-        const bool evicted = valid_[victim] != 0;
+        const std::uint32_t victim = victimOf(key);
+        const bool evicted = rec_[victim] != 0;
         if (evicted && evicted_key)
             *evicted_key = keys_[victim];
         if (evicted && evicted_value)
             *evicted_value = values_[victim];
         keys_[victim] = key;
         values_[victim] = std::move(value);
-        valid_[victim] = 1;
-        lastUse_[victim] = ++useClock_;
+        rec_[victim] = ++useClock_;
         if (!evicted)
             ++population_;
         return evicted;
     }
 
-  public:
+    /**
+     * Insert only if the key is present or a free way is available in
+     * its set; never evicts. @return true if the value was installed.
+     */
+    bool
+    insertNoEvict(KeyT key, ValueT value)
+    {
+        if (indexOf(key) == noIndex && rec_[victimOf(key)] != 0)
+            return false;
+        insert(key, std::move(value));
+        return true;
+    }
 
     /** Remove a key. @return true if it was present. */
     bool
     erase(KeyT key)
     {
-        const std::uint32_t base = baseOf(key);
-        for (std::uint32_t w = 0; w < ways_; ++w) {
-            const std::uint32_t i = base + w;
-            if (valid_[i] && keys_[i] == key) {
-                valid_[i] = 0;
-                --population_;
-                return true;
-            }
-        }
-        return false;
+        const std::uint32_t i = indexOf(key);
+        if (i == noIndex)
+            return false;
+        rec_[i] = 0;
+        --population_;
+        return true;
     }
 
     /** Remove every entry. */
     void
     flush()
     {
-        std::fill(valid_.begin(), valid_.end(),
-                  static_cast<std::uint8_t>(0));
+        std::fill(rec_.begin(), rec_.end(), std::uint64_t{0});
         population_ = 0;
     }
 
@@ -216,7 +166,7 @@ class SetAssocTable
     {
         const std::uint32_t n = numSets_ * ways_;
         for (std::uint32_t i = 0; i < n; ++i)
-            if (valid_[i])
+            if (rec_[i] != 0)
                 fn(keys_[i], values_[i]);
     }
 
@@ -244,11 +194,11 @@ class SetAssocTable
         w.u64(useClock_);
         const std::uint32_t n = numSets_ * ways_;
         for (std::uint32_t i = 0; i < n; ++i) {
-            w.b(valid_[i] != 0);
-            if (!valid_[i])
+            w.b(rec_[i] != 0);
+            if (rec_[i] == 0)
                 continue;
             w.u64(static_cast<std::uint64_t>(keys_[i]));
-            w.u64(lastUse_[i]);
+            w.u64(rec_[i]);
             save_value(w, values_[i]);
         }
     }
@@ -257,7 +207,8 @@ class SetAssocTable
      * Restore a table saved with identical geometry.
      *
      * @param load_value Callable (SnapshotReader&, ValueT&).
-     * @throws SnapshotError on a geometry mismatch.
+     * @throws SnapshotError on a geometry mismatch or a valid way
+     * whose recency word set_kernel::validRecency() rejects.
      */
     template <typename LoadV>
     void
@@ -276,25 +227,48 @@ class SetAssocTable
         population_ = 0;
         const std::uint32_t n = numSets_ * ways_;
         for (std::uint32_t i = 0; i < n; ++i) {
-            valid_[i] = r.b() ? 1 : 0;
-            if (!valid_[i]) {
+            if (!r.b()) {
                 keys_[i] = KeyT{};
                 values_[i] = ValueT{};
-                lastUse_[i] = 0;
+                rec_[i] = 0;
                 continue;
             }
             keys_[i] = static_cast<KeyT>(r.u64());
-            lastUse_[i] = r.u64();
+            rec_[i] = r.u64();
+            if (!set_kernel::validRecency(rec_[i]))
+                throw SnapshotError(
+                    "assoc table: valid way with recency " +
+                    std::to_string(rec_[i]));
             load_value(r, values_[i]);
             ++population_;
         }
     }
 
   private:
+    static constexpr std::uint32_t noIndex = ~std::uint32_t{0};
+
     std::uint32_t
     baseOf(KeyT key) const
     {
         return (static_cast<std::uint32_t>(key) & setMask_) * ways_;
+    }
+
+    /** Lane index of the valid way holding @p key, or noIndex. */
+    std::uint32_t
+    indexOf(KeyT key) const
+    {
+        const std::uint32_t base = baseOf(key);
+        const int w = set_kernel::findKey(keys_.data() + base,
+                                          rec_.data() + base, ways_, key);
+        return w < 0 ? noIndex : base + static_cast<std::uint32_t>(w);
+    }
+
+    /** Lane index of the way a fill of @p key takes. */
+    std::uint32_t
+    victimOf(KeyT key) const
+    {
+        const std::uint32_t base = baseOf(key);
+        return base + set_kernel::victimWay(rec_.data() + base, ways_);
     }
 
     std::uint32_t ways_;
@@ -302,8 +276,8 @@ class SetAssocTable
     std::uint32_t setMask_;
     std::vector<KeyT> keys_;
     std::vector<ValueT> values_;
-    std::vector<std::uint8_t> valid_;
-    std::vector<std::uint64_t> lastUse_;
+    /** Recency words: 0 for an invalid way, else its last use. */
+    std::vector<std::uint64_t> rec_;
     std::uint64_t useClock_ = 0;
     std::uint32_t population_ = 0;
 };

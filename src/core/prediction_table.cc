@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/set_kernel.hh"
 
 namespace morrigan
 {
@@ -53,7 +54,7 @@ PredictionTable::PredictionTable(const PrtGeometry &geom,
         ++setShift_;
     entries_.assign(geom_.entries, PrtEntry{});
     tags_.assign(geom_.entries, 0);
-    valid_.assign(geom_.entries, 0);
+    rec_.assign(geom_.entries, 0);
     for (PrtEntry &e : entries_)
         e.slots.resize(geom_.slots);
     freqScratch_.assign(geom_.ways, 0);
@@ -79,12 +80,9 @@ PredictionTable::tagOf(Vpn vpn) const
 std::uint32_t
 PredictionTable::findIdx(std::uint32_t base, std::uint16_t tag) const
 {
-    for (std::uint32_t w = 0; w < geom_.ways; ++w) {
-        const std::uint32_t i = base + w;
-        if (valid_[i] && tags_[i] == tag)
-            return i;
-    }
-    return noIdx;
+    int w = set_kernel::findKey(tags_.data() + base, rec_.data() + base,
+                                geom_.ways, tag);
+    return w < 0 ? noIdx : base + static_cast<std::uint32_t>(w);
 }
 
 PrtEntry *
@@ -93,7 +91,7 @@ PredictionTable::lookup(Vpn vpn)
     std::uint32_t i = findIdx(baseOf(vpn), tagOf(vpn));
     if (i == noIdx)
         return nullptr;
-    entries_[i].lastUse = ++useClock_;
+    rec_[i] = ++useClock_;
     return &entries_[i];
 }
 
@@ -116,19 +114,15 @@ PredictionTable::selectVictim(std::uint32_t base)
 {
     const std::uint32_t ways = geom_.ways;
 
-    // Invalid ways first.
-    for (std::uint32_t w = 0; w < ways; ++w)
-        if (!valid_[base + w])
-            return base + w;
+    // Invalid ways first, under every policy.
+    const std::uint32_t lru =
+        base + set_kernel::victimWay(rec_.data() + base, ways);
+    if (rec_[lru] == 0)
+        return lru;
 
     switch (policy_) {
-      case ReplacementPolicy::Lru: {
-        std::uint32_t victim = base;
-        for (std::uint32_t w = 0; w < ways; ++w)
-            if (entries_[base + w].lastUse < entries_[victim].lastUse)
-                victim = base + w;
-        return victim;
-      }
+      case ReplacementPolicy::Lru:
+        return lru;
       case ReplacementPolicy::Random:
         return base + rng_.below(ways);
       case ReplacementPolicy::Lfu: {
@@ -141,8 +135,8 @@ PredictionTable::selectVictim(std::uint32_t base)
         std::uint32_t best = f[0];
         for (std::uint32_t w = 0; w < ways; ++w) {
             if (f[w] < best ||
-                (f[w] == best && entries_[base + w].lastUse <
-                                     entries_[base + victim].lastUse)) {
+                (f[w] == best &&
+                 rec_[base + w] < rec_[base + victim])) {
                 victim = w;
                 best = f[w];
             }
@@ -190,25 +184,22 @@ PredictionTable::install(Vpn vpn, PrtSlotList slots, Vpn *evicted_vpn)
         PrtEntry &e = entries_[i];
         e.vpn = vpn;
         e.slots = slots;
-        e.lastUse = ++useClock_;
+        rec_[i] = ++useClock_;
         return false;
     }
 
     const std::uint32_t v = selectVictim(base);
     PrtEntry &victim = entries_[v];
-    bool evicted = victim.valid;
+    bool evicted = rec_[v] != 0;
     if (evicted && evicted_vpn)
         *evicted_vpn = victim.vpn;
     if (!evicted)
         ++population_;
 
-    victim.tag = tag;
     victim.vpn = vpn;
     victim.slots = slots;
-    victim.lastUse = ++useClock_;
-    victim.valid = true;
     tags_[v] = tag;
-    valid_[v] = 1;
+    rec_[v] = ++useClock_;
     return evicted;
 }
 
@@ -218,11 +209,9 @@ PredictionTable::erase(Vpn vpn)
     std::uint32_t i = findIdx(baseOf(vpn), tagOf(vpn));
     if (i == noIdx)
         return false;
-    PrtEntry &e = entries_[i];
-    e.valid = false;
-    for (PrtSlot &s : e.slots)
+    for (PrtSlot &s : entries_[i].slots)
         s = PrtSlot{};
-    valid_[i] = 0;
+    rec_[i] = 0;
     --population_;
     return true;
 }
@@ -230,13 +219,10 @@ PredictionTable::erase(Vpn vpn)
 void
 PredictionTable::flush()
 {
-    for (PrtEntry &e : entries_) {
-        e.valid = false;
+    for (PrtEntry &e : entries_)
         for (PrtSlot &s : e.slots)
             s = PrtSlot{};
-    }
-    std::fill(valid_.begin(), valid_.end(),
-              static_cast<std::uint8_t>(0));
+    std::fill(rec_.begin(), rec_.end(), std::uint64_t{0});
     population_ = 0;
 }
 
@@ -308,13 +294,14 @@ PredictionTable::save(SnapshotWriter &w) const
     w.u32(geom_.ways);
     w.u32(geom_.slots);
     w.u64(useClock_);
-    for (const PrtEntry &e : entries_) {
-        w.b(e.valid);
-        if (!e.valid)
+    for (std::uint32_t i = 0; i < geom_.entries; ++i) {
+        const PrtEntry &e = entries_[i];
+        w.b(rec_[i] != 0);
+        if (rec_[i] == 0)
             continue;
-        w.u32(e.tag);
+        w.u32(tags_[i]);
         w.u64(e.vpn);
-        w.u64(e.lastUse);
+        w.u64(rec_[i]);
         w.u64(e.slots.size());
         for (const PrtSlot &s : e.slots) {
             w.b(s.valid);
@@ -345,13 +332,16 @@ PredictionTable::restore(SnapshotReader &r)
         if (!live) {
             e = PrtEntry{};
             tags_[i] = 0;
-            valid_[i] = 0;
+            rec_[i] = 0;
             continue;
         }
-        e.valid = true;
-        e.tag = static_cast<std::uint16_t>(r.u32());
+        tags_[i] = static_cast<std::uint16_t>(r.u32());
         e.vpn = r.u64();
-        e.lastUse = r.u64();
+        rec_[i] = r.u64();
+        if (!set_kernel::validRecency(rec_[i]))
+            throw SnapshotError("prediction table '" + geom_.name +
+                                "': valid entry with recency " +
+                                std::to_string(rec_[i]));
         std::uint64_t nslots = r.u64();
         if (nslots > PrtSlotList::maxSlots)
             throw SnapshotError("prediction table '" + geom_.name +
@@ -362,8 +352,6 @@ PredictionTable::restore(SnapshotReader &r)
             s.distance = r.i64();
             s.confidence = r.u8();
         }
-        tags_[i] = e.tag;
-        valid_[i] = 1;
         ++population_;
     }
 }

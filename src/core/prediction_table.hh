@@ -16,12 +16,14 @@
  *
  * Hot-path layout: entries live in one flat set-major array whose
  * prediction slots are inline fixed-capacity storage (no per-entry
- * heap vector), and the tag/valid pair of every way is mirrored into
- * contiguous search lanes so a lookup touches two small arrays
- * instead of striding through full entries. The lanes are an
- * implementation detail kept in sync by the mutating methods; the
- * PrtEntry view handed to callers is authoritative for everything
- * else (slots, vpn, lastUse).
+ * heap vector). The partial tags and the recency words sit in
+ * separate contiguous lanes that the shared kernel
+ * (common/set_kernel.hh) scans: a lookup is its recency-masked scan
+ * (a recency word of 0 marks an invalid way), and every policy first
+ * takes its victim choice, which returns an invalid way when the set
+ * has one and otherwise the LRU way -- the Lru policy's answer.
+ * Random, LFU and RLFU only run on a full set. The PrtEntry view
+ * handed to callers holds the rest (vpn, slots).
  */
 
 #ifndef MORRIGAN_CORE_PREDICTION_TABLE_HH
@@ -116,17 +118,15 @@ struct PrtGeometry
     std::uint32_t slots = 1;
 };
 
-/** A full prediction-table entry (exposed for tests/inspection). */
+/** The payload of a prediction-table entry (exposed for tests and
+ * inspection); its tag and recency live in the table's lanes. */
 struct PrtEntry
 {
-    std::uint16_t tag = 0;
     /** Full VPN kept as model bookkeeping: the frequency stack is
      * indexed by page. Hardware would pair the stack with the same
      * partial tags. */
     Vpn vpn = 0;
     PrtSlotList slots;
-    std::uint64_t lastUse = 0;
-    bool valid = false;
 };
 
 /** One table of the IRIP ensemble. */
@@ -203,9 +203,9 @@ class PredictionTable
     void
     forEach(Fn &&fn) const
     {
-        for (const PrtEntry &e : entries_)
-            if (e.valid)
-                fn(e);
+        for (std::size_t i = 0; i < entries_.size(); ++i)
+            if (rec_[i] != 0)
+                fn(entries_[i]);
     }
 
     static constexpr unsigned tagBits = 16;
@@ -220,7 +220,8 @@ class PredictionTable
   private:
     std::uint32_t baseOf(Vpn vpn) const;
     std::uint16_t tagOf(Vpn vpn) const;
-    /** Way-lane scan from @p base. @return flat index or UINT32_MAX. */
+    /** Kernel scan of the set at @p base. @return flat index or
+     * UINT32_MAX. */
     std::uint32_t findIdx(std::uint32_t base, std::uint16_t tag) const;
     std::uint32_t selectVictim(std::uint32_t base);
 
@@ -232,9 +233,10 @@ class PredictionTable
     unsigned setShift_;
     /** Flat set-major entry storage. */
     std::vector<PrtEntry> entries_;
-    /** Contiguous search lanes mirroring entries_[i].tag / .valid. */
+    /** Partial tags, indexed like entries_. */
     std::vector<std::uint16_t> tags_;
-    std::vector<std::uint8_t> valid_;
+    /** Recency words: 0 for an invalid way, else its last use. */
+    std::vector<std::uint64_t> rec_;
     /** Per-way victim-selection scratch (gathered freqs, sort order),
      * sized once so selectVictim never allocates. */
     std::vector<std::uint32_t> freqScratch_;

@@ -26,9 +26,7 @@ CacheModel::CacheModel(const CacheParams &params, StatGroup *parent)
     fatal_if(!std::has_single_bit(numSets_),
              "%s: set count %u is not a power of two",
              params_.name.c_str(), numSets_);
-    tagStride_ =
-        (params_.ways + tagLanes - 1) / tagLanes * tagLanes;
-    vectorVictim_ = params_.ways % 4 == 0 && params_.ways <= 64;
+    tagStride_ = set_kernel::paddedWays(params_.ways);
     tags_.assign(std::size_t{numSets_} * tagStride_, noLine);
     rec_.assign(std::size_t{numSets_} * tagStride_, 0);
 }
@@ -48,13 +46,9 @@ CacheModel::invalidate(Addr line)
 void
 CacheModel::flush()
 {
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        std::size_t base = std::size_t{set} * tagStride_;
-        for (std::uint32_t w = 0; w < params_.ways; ++w) {
-            tags_[base + w] = noLine;
-            rec_[base + w] = 0;
-        }
-    }
+    // Padding lanes already hold these values.
+    std::fill(tags_.begin(), tags_.end(), noLine);
+    std::fill(rec_.begin(), rec_.end(), std::uint64_t{0});
 }
 
 void

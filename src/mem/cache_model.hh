@@ -8,22 +8,17 @@
  * is recorded for configuration fidelity (Table 1) and exposed to the
  * timing model, which uses it to bound the data-side overlap window.
  *
- * Hot-path layout: the model is physically addressed and physical
- * memory is bounded well below 2^32 lines, so way tags live in a flat
- * 32-bit lane (set rows padded to the SIMD width) -- a whole set is
- * one or two vector compares under AVX2, and at most a 64-byte scan
- * otherwise. Invalid ways hold the sentinel tag noLine, folding the
- * validity check into the tag compare. Recency words in a parallel
- * lane pack (lastUse << 1) | prefetched: clock values are unique, so
- * comparing packed words orders ways exactly like comparing lastUse,
- * and an invalid way's 0 always loses -- the victim is the first way
- * holding the set's minimum word, which is the first invalid way when
- * one exists and the true LRU way otherwise, exactly the old
- * first-invalid-else-LRU policy. The minimum is taken without
- * data-dependent branches: a vector min and an equality mask when the
- * way count is a multiple of four (AVX2), a conditional-select loop
- * otherwise. Fills of a line the caller has just seen miss
- * (fillMissed) skip the residency probe insert() repeats.
+ * Hot-path layout: the lanes and scans of common/set_kernel.hh. The
+ * model is physically addressed and physical memory is bounded well
+ * below 2^32 lines, so way tags live in a flat 32-bit lane (set rows
+ * padded to the SIMD width) scanned by the kernel's sentinel form:
+ * invalid ways hold the tag noLine, folding the validity check into
+ * the tag compare. Recency words in a parallel lane pack
+ * (lastUse << 1) | prefetched: clock values are unique, so comparing
+ * packed words orders ways exactly like comparing lastUse, and an
+ * invalid way's 0 always loses to the kernel's victim choice. Fills
+ * of a line the caller has just seen miss (fillMissed) skip the
+ * residency probe insert() repeats.
  */
 
 #ifndef MORRIGAN_MEM_CACHE_MODEL_HH
@@ -34,12 +29,9 @@
 #include <string>
 #include <vector>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "common/fields.hh"
 #include "common/logging.hh"
+#include "common/set_kernel.hh"
 #include "common/snapshot.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -186,9 +178,6 @@ class CacheModel
      * so all-ones cannot occur (enforced by checkedTag). */
     static constexpr std::uint32_t noLine = ~std::uint32_t{0};
 
-    /** Tag-row padding so a set is whole SIMD vectors. */
-    static constexpr std::uint32_t tagLanes = 8;
-
     /** First lane index of the set holding @p line. */
     std::uint32_t baseOf(Addr line) const
     {
@@ -215,33 +204,17 @@ class CacheModel
     int
     findWay(std::uint32_t base, std::uint32_t tag) const
     {
-#if defined(__AVX2__)
-        const __m256i needle =
-            _mm256_set1_epi32(static_cast<int>(tag));
-        for (std::uint32_t w = 0; w < tagStride_; w += tagLanes) {
-            __m256i row = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(tags_.data() +
-                                                  base + w));
-            int m = _mm256_movemask_epi8(
-                _mm256_cmpeq_epi32(row, needle));
-            if (m)
-                return static_cast<int>(w) +
-                       (__builtin_ctz(static_cast<unsigned>(m)) >> 2);
-        }
-        return -1;
-#else
-        for (std::uint32_t w = 0; w < params_.ways; ++w)
-            if (tags_[base + w] == tag)
-                return static_cast<int>(w);
-        return -1;
-#endif
+        return set_kernel::findTag(tags_.data() + base, params_.ways,
+                                   tag);
     }
 
     /** Put @p tag into the victim way of the set at @p base. */
     bool
     fillAt(std::uint32_t base, std::uint32_t tag, bool is_prefetch)
     {
-        std::uint32_t victim = base + victimWay(base);
+        std::uint32_t victim =
+            base + set_kernel::victimWay(rec_.data() + base,
+                                         params_.ways);
         bool evicted = tags_[victim] != noLine;
         if (evicted)
             ++evictions_;
@@ -252,62 +225,15 @@ class CacheModel
         return evicted;
     }
 
-    /** First way of the set at @p base holding the minimum packed
-     * recency word (padding lanes are excluded: they would otherwise
-     * masquerade as invalid ways). */
-    std::uint32_t
-    victimWay(std::uint32_t base) const
-    {
-        const std::uint64_t *rec = rec_.data() + base;
-#if defined(__AVX2__)
-        if (vectorVictim_) {
-            // AVX2 has only a signed 64-bit compare; packed words
-            // stay below 2^63 (the clock would need 2^62 ticks), so
-            // it orders them as unsigned.
-            auto row = [rec](std::uint32_t w) {
-                return _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(rec + w));
-            };
-            auto vmin = [](__m256i a, __m256i b) {
-                return _mm256_blendv_epi8(a, b,
-                                          _mm256_cmpgt_epi64(a, b));
-            };
-            __m256i m = row(0);
-            for (std::uint32_t w = 4; w < params_.ways; w += 4)
-                m = vmin(m, row(w));
-            // Fold the four lanes so each holds the set minimum.
-            m = vmin(m, _mm256_permute4x64_epi64(m, 0x4e));
-            m = vmin(m, _mm256_shuffle_epi32(m, 0x4e));
-            std::uint64_t equal = 0;
-            for (std::uint32_t w = 0; w < params_.ways; w += 4) {
-                int lanes = _mm256_movemask_pd(_mm256_castsi256_pd(
-                    _mm256_cmpeq_epi64(row(w), m)));
-                equal |= static_cast<std::uint64_t>(lanes) << w;
-            }
-            return static_cast<std::uint32_t>(__builtin_ctzll(equal));
-        }
-#endif
-        std::uint32_t victim = 0;
-        std::uint64_t best = rec[0];
-        for (std::uint32_t w = 1; w < params_.ways; ++w) {
-            bool older = rec[w] < best;
-            victim = older ? w : victim;
-            best = older ? rec[w] : best;
-        }
-        return victim;
-    }
-
     CacheParams params_;
     std::uint32_t numSets_;
-    /** Lane words per set: ways rounded up to the SIMD width. */
+    /** Lane words per set: set_kernel::paddedWays(ways). */
     std::uint32_t tagStride_;
-    /** Victim choice takes the vector path: ways % 4 == 0 and the
-     * equality mask fits 64 bits. */
-    bool vectorVictim_;
     /** 32-bit way tags; padding lanes stay noLine forever. */
     std::vector<std::uint32_t> tags_;
     /** Packed recency, (lastUse << 1) | prefetched; same indexing as
-     * tags_, padding lanes stay 0 and are never scanned. */
+     * tags_, padding lanes stay 0 and are never scanned (they would
+     * otherwise masquerade as invalid ways). */
     std::vector<std::uint64_t> rec_;
     std::uint64_t useClock_ = 0;
 

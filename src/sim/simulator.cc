@@ -198,23 +198,9 @@ Simulator::issueTlbPrefetch(const PrefetchRequest &req)
     }
 
     WalkResult wr =
-        walker_.walk(req.vpn, WalkKind::Prefetch, now(), false);
-    ++c_.prefetchWalks;
-    c_.prefetchWalkRefs += wr.memRefs;
-    for (unsigned i = 0; i < 4; ++i)
-        c_.prefetchWalkRefsByLevel[i] += wr.refsByLevel[i];
-
-    if (!wr.success) {
-        // Non-faulting prefetch to an unmapped page.
-        if (tracer_)
-            tracer_->onDropped(req.tag, trace_id,
-                               PrefetchDropReason::Unmapped, now());
-        return;
-    }
-
-    if (tracer_)
-        tracer_->onWalkComplete(req.tag, trace_id, wr.latency,
-                                wr.memRefs, wr.completeCycle);
+        prefetchWalk(req.vpn, req.tag, trace_id, tracer_ != nullptr);
+    if (!wr.success)
+        return;  // non-faulting prefetch to an unmapped page
 
     if (cfg_.prefetchIntoStlb) {
         tlbs_.fillStlbOnly(req.vpn, wr.pfn, AccessType::Instruction);
@@ -237,6 +223,26 @@ Simulator::issueTlbPrefetch(const PrefetchRequest &req)
                 : PrefetchProducer::SdpSpatial;
         issueSpatialFills(req.vpn, wr.completeCycle, spatial_producer);
     }
+}
+
+WalkResult
+Simulator::prefetchWalk(Vpn vpn, const PrefetchTag &tag,
+                        std::uint64_t trace_id, bool traced)
+{
+    WalkResult wr = walker_.walk(vpn, WalkKind::Prefetch, now(), false);
+    ++c_.prefetchWalks;
+    c_.prefetchWalkRefs += wr.memRefs;
+    for (unsigned i = 0; i < 4; ++i)
+        c_.prefetchWalkRefsByLevel[i] += wr.refsByLevel[i];
+    if (!traced)
+        return wr;
+    if (wr.success)
+        tracer_->onWalkComplete(tag, trace_id, wr.latency, wr.memRefs,
+                                wr.completeCycle);
+    else
+        tracer_->onDropped(tag, trace_id, PrefetchDropReason::Unmapped,
+                           now());
+    return wr;
 }
 
 void
@@ -433,23 +439,10 @@ Simulator::handleICachePrefetches(Addr pc, bool l1i_miss, Pfn cur_pfn,
                 if (traced)
                     entry.traceId =
                         tracer_->onIssued(entry.tag, tvpn, now());
-                WalkResult wr = walker_.walk(tvpn, WalkKind::Prefetch,
-                                             now(), false);
-                ++c_.prefetchWalks;
-                c_.prefetchWalkRefs += wr.memRefs;
-                for (unsigned i = 0; i < 4; ++i)
-                    c_.prefetchWalkRefsByLevel[i] += wr.refsByLevel[i];
-                if (!wr.success) {
-                    if (traced)
-                        tracer_->onDropped(
-                            entry.tag, entry.traceId,
-                            PrefetchDropReason::Unmapped, now());
+                WalkResult wr =
+                    prefetchWalk(tvpn, entry.tag, entry.traceId, traced);
+                if (!wr.success)
                     continue;
-                }
-                if (traced)
-                    tracer_->onWalkComplete(entry.tag, entry.traceId,
-                                            wr.latency, wr.memRefs,
-                                            wr.completeCycle);
                 tpfn = wr.pfn;
                 translation_delay = wr.completeCycle - now();
                 entry.pfn = wr.pfn;

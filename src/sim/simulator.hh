@@ -244,6 +244,10 @@ class Simulator
     Pfn resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid);
     void engagePrefetcher(Vpn vpn, Addr pc, unsigned tid);
     void issueTlbPrefetch(const PrefetchRequest &req);
+    /** Prefetch walk of @p vpn: counted, and its end (drop or
+     * completion) traced when @p traced. */
+    WalkResult prefetchWalk(Vpn vpn, const PrefetchTag &tag,
+                            std::uint64_t trace_id, bool traced);
     void pbInsert(Vpn vpn, const PbEntry &entry);
     void issueSpatialFills(Vpn target, Cycle ready_at,
                            PrefetchProducer producer);

@@ -1,8 +1,14 @@
-/** @file Unit tests for the generic set-associative table. */
+/** @file Unit tests for the set-associative kernel and the generic
+ * set-associative table. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/assoc_table.hh"
+#include "common/rng.hh"
+#include "common/set_kernel.hh"
 #include "common/types.hh"
 
 using namespace morrigan;
@@ -149,3 +155,34 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Geometry{64, 64}, Geometry{64, 4},
                       Geometry{128, 32}, Geometry{1536, 6},
                       Geometry{2, 2}, Geometry{32, 1}));
+
+TEST(SetKernel, VictimIsFirstSmallestWord)
+{
+    // Way counts 1..64 cover the vector path (multiples of four) and
+    // the scalar one. Ties -- several invalid ways, whose word is 0 --
+    // go to the lowest way, so a fill's storage position (and with it
+    // the snapshot byte order) is fixed.
+    Rng rng(5, 0x99);
+    std::vector<std::uint64_t> rec(64);
+    for (std::uint32_t ways = 1; ways <= 64; ++ways) {
+        for (int trial = 0; trial < 200; ++trial) {
+            for (std::uint32_t w = 0; w < ways; ++w)
+                rec[w] = rng.chance(0.3) ? 0 : 1 + rng.below(8);
+            auto want = std::min_element(rec.begin(), rec.begin() + ways) -
+                        rec.begin();
+            ASSERT_EQ(set_kernel::victimWay(rec.data(), ways), want)
+                << ways << " ways, trial " << trial;
+        }
+    }
+}
+
+TEST(SetKernel, MaskedScanMatchesOnlyValidWays)
+{
+    // -1 and 0 are live PageDelta keys; only the recency word tells
+    // a valid way from an invalid one.
+    const PageDelta keys[4] = {-1, 0, -1, 0};
+    const std::uint64_t rec[4] = {0, 0, 7, 3};
+    EXPECT_EQ(set_kernel::findKey(keys, rec, 4, PageDelta{-1}), 2);
+    EXPECT_EQ(set_kernel::findKey(keys, rec, 4, PageDelta{0}), 3);
+    EXPECT_EQ(set_kernel::findKey(keys, rec, 2, PageDelta{0}), -1);
+}

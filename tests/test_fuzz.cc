@@ -211,6 +211,36 @@ TEST(FuzzSampling, SeedsCoverDistinctConfigurations)
     EXPECT_GE(std::distance(summaries.begin(), last), 4);
 }
 
+TEST(FuzzSampling, SummaryNamesEverySampledField)
+{
+    // Cases differing in one sampled field -- config or workload --
+    // get different summaries, which name the field by its key.
+    FuzzCase a = sampleCase(17, FuzzOptions{});
+    a.smt = true;
+    a.smtWorkload = a.workload;
+    FuzzCase ports = a;
+    ports.cfg.walker.ports = a.cfg.walker.ports == 1 ? 2 : 1;
+    FuzzCase cold = a;
+    cold.smtWorkload.dataColdProb *= 2;
+    FuzzCase reset = a;
+    reset.customMorrigan = true;
+    reset.morrigan.irip.freqResetInterval *= 2;
+
+    const std::string base = describeCase(a);
+    EXPECT_NE(describeCase(ports), base);
+    EXPECT_NE(describeCase(ports).find(
+                  "walker.ports=" +
+                  std::to_string(ports.cfg.walker.ports)),
+              std::string::npos)
+        << describeCase(ports);
+    EXPECT_NE(describeCase(cold), base);
+    EXPECT_NE(describeCase(cold).find("smt.dataColdProb="),
+              std::string::npos)
+        << describeCase(cold);
+    a.customMorrigan = true;
+    EXPECT_NE(describeCase(reset), describeCase(a));
+}
+
 TEST(FuzzSampling, ReproCommandNamesTheSeed)
 {
     FuzzOptions opt;

@@ -6,6 +6,7 @@
  * the semantics of the original (pre-rewrite) layout -- AoS cache
  * sets with an explicit valid flag and first-invalid-else-LRU victim
  * choice, AoS associative sets, an unordered_map frequency stack,
+ * AoS LRU prediction tables,
  * full-range inverse-CDF Zipf sampling, a uniform() built from two
  * sequential next32() draws -- and drives the reference
  * and the optimised production structure through identical
@@ -20,7 +21,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/assoc_table.hh"
@@ -28,6 +31,7 @@
 #include "common/snapshot.hh"
 #include "common/zipf.hh"
 #include "core/frequency_stack.hh"
+#include "core/prediction_table.hh"
 #include "mem/cache_model.hh"
 #include "vm/page_table.hh"
 
@@ -352,23 +356,46 @@ class RefAssoc
     std::uint32_t population_ = 0;
 };
 
+// Signed keys (DP's PageDelta) are drawn around zero, so -1 and 0 --
+// values no key lane could spare as an invalid marker -- are live;
+// the reference holds them as their two's-complement uint64 images,
+// which index and compare alike. Halfway through, the table is
+// replaced by its own snapshot.
+template <typename KeyT = std::uint64_t>
 void
 driveAssocDiff(std::uint32_t entries, std::uint32_t ways,
                std::uint64_t seed, int ops)
 {
-    SetAssocTable<std::uint64_t, std::uint32_t> opt(entries, ways);
+    using Table = SetAssocTable<KeyT, std::uint32_t>;
+    Table opt(entries, ways);
     RefAssoc ref(entries, ways);
     Rng rng(seed, 0x22);
     const std::uint32_t universe = 4 * entries;
+    const KeyT offset = std::is_signed_v<KeyT> ? universe / 2 : 0;
+    auto save_value = [](SnapshotWriter &w, const std::uint32_t &v) {
+        w.u32(v);
+    };
+    auto load_value = [](SnapshotReader &r, std::uint32_t &v) {
+        v = r.u32();
+    };
 
     for (int i = 0; i < ops; ++i) {
-        std::uint64_t key = rng.below(universe);
+        if (i == ops / 2) {
+            SnapshotWriter w;
+            opt.save(w, save_value);
+            SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+            Table resumed(entries, ways);
+            resumed.restore(r, load_value);
+            opt = resumed;
+        }
+        KeyT key = static_cast<KeyT>(rng.below(universe)) - offset;
+        const auto rkey = static_cast<std::uint64_t>(key);
         std::uint32_t value = rng.next32();
         switch (rng.below(6)) {
           case 0:
           case 1: {
             std::uint32_t *a = opt.find(key);
-            std::uint32_t *b = ref.find(key);
+            std::uint32_t *b = ref.find(rkey);
             ASSERT_EQ(a != nullptr, b != nullptr)
                 << "find diverged at op " << i;
             if (a)
@@ -378,7 +405,7 @@ driveAssocDiff(std::uint32_t entries, std::uint32_t ways,
           case 2: {
             const auto &copt = opt;
             const std::uint32_t *a = copt.probe(key);
-            const std::uint32_t *b = ref.probe(key);
+            const std::uint32_t *b = ref.probe(rkey);
             ASSERT_EQ(a != nullptr, b != nullptr)
                 << "probe diverged at op " << i;
             if (a)
@@ -386,25 +413,215 @@ driveAssocDiff(std::uint32_t entries, std::uint32_t ways,
             break;
           }
           case 3: {
-            std::uint64_t ek_a = 0, ek_b = 0;
+            KeyT ek_a = 0;
+            std::uint64_t ek_b = 0;
             std::uint32_t ev_a = 0, ev_b = 0;
             bool ea = opt.insert(key, value, &ek_a, &ev_a);
-            bool eb = ref.insert(key, value, &ek_b, &ev_b);
+            bool eb = ref.insert(rkey, value, &ek_b, &ev_b);
             ASSERT_EQ(ea, eb) << "insert diverged at op " << i;
             if (ea) {
-                ASSERT_EQ(ek_a, ek_b);
+                ASSERT_EQ(static_cast<std::uint64_t>(ek_a), ek_b);
                 ASSERT_EQ(ev_a, ev_b);
             }
             break;
           }
           case 4:
             ASSERT_EQ(opt.insertNoEvict(key, value),
-                      ref.insertNoEvict(key, value))
+                      ref.insertNoEvict(rkey, value))
                 << "insertNoEvict diverged at op " << i;
             break;
           default:
-            ASSERT_EQ(opt.erase(key), ref.erase(key))
+            ASSERT_EQ(opt.erase(key), ref.erase(rkey))
                 << "erase diverged at op " << i;
+        }
+        ASSERT_EQ(opt.population(), ref.population());
+    }
+}
+
+// ---------------------------------------------------------------
+// Reference LRU prediction table: AoS entries carrying their own
+// valid flag, partial tag and lastUse; first invalid way, else the
+// first way with the smallest lastUse.
+// ---------------------------------------------------------------
+class RefPrt
+{
+  public:
+    explicit RefPrt(const PrtGeometry &g)
+        : numSets_(g.entries / g.ways), slots_(g.slots),
+          sets_(numSets_, std::vector<Entry>(g.ways))
+    {
+        while ((1u << setShift_) < numSets_)
+            ++setShift_;
+    }
+
+    /** @return the entry for @p vpn, updating recency if @p touch. */
+    const PrtSlotList *
+    find(Vpn vpn, bool touch)
+    {
+        for (Entry &e : setOf(vpn)) {
+            if (e.valid && e.tag == tagOf(vpn)) {
+                if (touch)
+                    e.lastUse = ++clock_;
+                return &e.slots;
+            }
+        }
+        return nullptr;
+    }
+
+    bool
+    install(Vpn vpn, PrtSlotList slots, Vpn *evicted_vpn)
+    {
+        slots.resize(slots_);
+        std::vector<Entry> &set = setOf(vpn);
+        for (Entry &e : set) {
+            if (e.valid && e.tag == tagOf(vpn)) {
+                e.vpn = vpn;
+                e.slots = slots;
+                e.lastUse = ++clock_;
+                return false;
+            }
+        }
+        Entry *victim = nullptr;
+        for (Entry &e : set) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (!victim || e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        bool evicted = victim->valid;
+        if (evicted)
+            *evicted_vpn = victim->vpn;
+        else
+            ++population_;
+        *victim = Entry{true, tagOf(vpn), vpn, slots, ++clock_};
+        return evicted;
+    }
+
+    bool
+    erase(Vpn vpn)
+    {
+        for (Entry &e : setOf(vpn)) {
+            if (e.valid && e.tag == tagOf(vpn)) {
+                e.valid = false;
+                --population_;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : sets_)
+            for (Entry &e : set)
+                e.valid = false;
+        population_ = 0;
+    }
+
+    std::uint32_t population() const { return population_; }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        std::uint16_t tag = 0;
+        Vpn vpn = 0;
+        PrtSlotList slots;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::uint16_t
+    tagOf(Vpn vpn) const
+    {
+        std::uint64_t v = vpn >> setShift_;
+        return static_cast<std::uint16_t>(v ^ (v >> 16) ^ (v >> 32));
+    }
+
+    std::vector<Entry> &setOf(Vpn vpn)
+    {
+        return sets_[static_cast<std::uint32_t>(vpn) & (numSets_ - 1)];
+    }
+
+    std::uint32_t numSets_;
+    std::uint32_t slots_;
+    unsigned setShift_ = 0;
+    std::vector<std::vector<Entry>> sets_;
+    std::uint64_t clock_ = 0;
+    std::uint32_t population_ = 0;
+};
+
+void
+expectSameSlots(const PrtSlotList &a, const PrtSlotList &b, int op)
+{
+    ASSERT_EQ(a.size(), b.size()) << "slot count diverged at op " << op;
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        ASSERT_EQ(a[s].valid, b[s].valid) << "op " << op;
+        ASSERT_EQ(a[s].distance, b[s].distance) << "op " << op;
+        ASSERT_EQ(a[s].confidence, b[s].confidence) << "op " << op;
+    }
+}
+
+void
+drivePrtDiff(const PrtGeometry &geom, std::uint64_t seed, int ops)
+{
+    FrequencyStack freq(0);
+    Rng policy_rng(seed, 0x77);
+    PredictionTable opt(geom, ReplacementPolicy::Lru, freq, policy_rng);
+    RefPrt ref(geom);
+    Rng rng(seed, 0x88);
+    // Far from zero so the folded partial tags see high VPN bits.
+    const Vpn first = 0x7f3a5c000;
+    const std::uint32_t universe = 4 * geom.entries;
+
+    for (int i = 0; i < ops; ++i) {
+        Vpn vpn = first + rng.below(universe);
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+          case 2: {
+            PrtEntry *a = opt.lookup(vpn);
+            const PrtSlotList *b = ref.find(vpn, true);
+            ASSERT_EQ(a != nullptr, b != nullptr)
+                << "lookup diverged at op " << i;
+            if (a)
+                expectSameSlots(a->slots, *b, i);
+            break;
+          }
+          case 3: {
+            const PrtEntry *a = std::as_const(opt).probe(vpn);
+            const PrtSlotList *b = ref.find(vpn, false);
+            ASSERT_EQ(a != nullptr, b != nullptr)
+                << "probe diverged at op " << i;
+            break;
+          }
+          case 4:
+          case 5: {
+            PrtSlotList slots;
+            for (std::uint32_t n = rng.below(geom.slots + 1); n > 0; --n)
+                slots.push_back(
+                    {static_cast<PageDelta>(rng.below(64)) - 32,
+                     static_cast<std::uint8_t>(rng.below(4)),
+                     rng.chance(0.7)});
+            Vpn ev_a = 0, ev_b = 0;
+            bool ea = opt.install(vpn, slots, &ev_a);
+            bool eb = ref.install(vpn, slots, &ev_b);
+            ASSERT_EQ(ea, eb) << "install diverged at op " << i;
+            if (ea) {
+                ASSERT_EQ(ev_a, ev_b) << "victim diverged at op " << i;
+            }
+            break;
+          }
+          default:
+            if (rng.chance(0.01)) {
+                opt.flush();
+                ref.flush();
+            } else {
+                ASSERT_EQ(opt.erase(vpn), ref.erase(vpn))
+                    << "erase diverged at op " << i;
+            }
         }
         ASSERT_EQ(opt.population(), ref.population());
     }
@@ -431,9 +648,29 @@ TEST(HotpathDiff, CacheModelMatchesAosReference)
 
 TEST(HotpathDiff, AssocTableMatchesAosReference)
 {
+    // Multiples of four up to 64 take the kernel's vector victim
+    // choice (one to sixteen recency vectors), others the scalar one.
     driveAssocDiff(64, 4, 1, 100000);    // iTLB-like
     driveAssocDiff(1536, 12, 2, 100000); // STLB-like
     driveAssocDiff(64, 64, 3, 100000);   // fully associative
+    driveAssocDiff(96, 6, 4, 100000);    // scalar victim
+    driveAssocDiff(128, 8, 5, 100000);
+    driveAssocDiff(256, 16, 6, 100000);
+}
+
+TEST(HotpathDiff, SignedKeyAssocTableMatchesAosReference)
+{
+    // DP's distance table: 128 x 8 keyed by PageDelta.
+    driveAssocDiff<PageDelta>(128, 8, 7, 100000);
+    driveAssocDiff<PageDelta>(96, 6, 8, 100000);
+}
+
+TEST(HotpathDiff, LruPredictionTableMatchesAosReference)
+{
+    // IRIP's geometries: PRT-S1/S2/S4 (128 x 32) and PRT-S8 (64 x 16).
+    drivePrtDiff({"prt_s1", 128, 32, 1}, 1, 100000);
+    drivePrtDiff({"prt_s4", 128, 32, 4}, 2, 100000);
+    drivePrtDiff({"prt_s8", 64, 16, 8}, 3, 100000);
 }
 
 TEST(HotpathDiff, ZipfGuidedSearchMatchesFullRange)

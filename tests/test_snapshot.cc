@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assoc_table.hh"
 #include "common/rng.hh"
 #include "common/snapshot.hh"
 #include "common/zipf.hh"
@@ -747,6 +748,116 @@ TEST(Snapshot, CacheModelLaneLayoutRoundTrip)
             ASSERT_EQ(a.insert(line, pf), b.insert(line, pf))
                 << "op " << i;
         }
+    }
+}
+
+TEST(Snapshot, AssocTableRoundTripIsByteEqual)
+{
+    // Validity lives in the recency lane; the byte stream still
+    // carries an explicit valid flag per way. Signed keys include
+    // -1 and 0.
+    SetAssocTable<PageDelta, std::uint32_t> a(64, 8);
+    Rng rng(12, 0x67);
+    for (int i = 0; i < 5000; ++i) {
+        PageDelta key = static_cast<PageDelta>(rng.below(256)) - 128;
+        if (rng.chance(0.6))
+            a.insert(key, rng.next32());
+        else if (rng.chance(0.5))
+            a.find(key);
+        else
+            a.erase(key);
+    }
+    auto save_value = [](SnapshotWriter &w, const std::uint32_t &v) {
+        w.u32(v);
+    };
+    auto load_value = [](SnapshotReader &r, std::uint32_t &v) {
+        v = r.u32();
+    };
+    SnapshotWriter w1;
+    a.save(w1, save_value);
+    SetAssocTable<PageDelta, std::uint32_t> b(64, 8);
+    SnapshotReader r = SnapshotReader::fromPayload(w1.payload());
+    b.restore(r, load_value);
+    SnapshotWriter w2;
+    b.save(w2, save_value);
+    EXPECT_EQ(w1.payload(), w2.payload());
+    EXPECT_EQ(a.population(), b.population());
+}
+
+TEST(Snapshot, PredictionTableRoundTripIsByteEqual)
+{
+    FrequencyStack freq(0);
+    Rng rng(13, 0x68);
+    PrtGeometry geom{"prt_s2", 128, 32, 2};
+    PredictionTable a(geom, ReplacementPolicy::Lru, freq, rng);
+    for (int i = 0; i < 5000; ++i) {
+        Vpn vpn = 0x4000 + rng.below(512);
+        if (rng.chance(0.5))
+            a.install(vpn, {});
+        else if (rng.chance(0.5))
+            a.addDistance(vpn, static_cast<PageDelta>(rng.below(9)) - 4);
+        else if (!a.lookup(vpn))
+            a.erase(vpn + 1);
+    }
+    SnapshotWriter w1;
+    a.save(w1);
+    PredictionTable b(geom, ReplacementPolicy::Lru, freq, rng);
+    SnapshotReader r = SnapshotReader::fromPayload(w1.payload());
+    b.restore(r);
+    SnapshotWriter w2;
+    b.save(w2);
+    EXPECT_EQ(w1.payload(), w2.payload());
+    EXPECT_EQ(a.population(), b.population());
+}
+
+TEST(Snapshot, ValidWayWithoutRecencyRejected)
+{
+    // A recency word of 0 marks an invalid way, so a snapshot whose
+    // valid way carries it -- or a word past the range the victim
+    // choice orders -- cannot be restored faithfully.
+    for (std::uint64_t use : {std::uint64_t{0}, std::uint64_t{1} << 63}) {
+        SnapshotWriter w;
+        w.section("assoc_table");
+        w.u32(2);  // ways
+        w.u32(1);  // sets
+        w.u64(5);  // clock
+        w.b(true);
+        w.u64(7);  // key
+        w.u64(use);
+        w.u32(42); // payload
+        w.b(false);
+        SetAssocTable<Vpn, std::uint32_t> t(2, 2);
+        SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+        EXPECT_THROW(t.restore(r,
+                               [](SnapshotReader &rr, std::uint32_t &v) {
+                                   v = rr.u32();
+                               }),
+                     SnapshotError)
+            << "recency " << use;
+    }
+    for (std::uint64_t use : {std::uint64_t{0}, std::uint64_t{1} << 63}) {
+        SnapshotWriter w;
+        w.section("prt");
+        w.str("t");
+        w.u32(2);  // entries
+        w.u32(2);  // ways
+        w.u32(1);  // slots
+        w.u64(5);  // clock
+        w.b(true);
+        w.u32(3);  // tag
+        w.u64(7);  // vpn
+        w.u64(use);
+        w.u64(1);  // slot count
+        w.b(true);
+        w.i64(1);
+        w.u8(0);
+        w.b(false);
+        FrequencyStack freq(0);
+        Rng rng(1);
+        PredictionTable t({"t", 2, 2, 1}, ReplacementPolicy::Lru, freq,
+                          rng);
+        SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+        EXPECT_THROW(t.restore(r), SnapshotError) << "recency " << use;
     }
 }
 
