@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -13,6 +14,7 @@
 #include "common/snapshot.hh"
 #include "common/telemetry.hh"
 #include "sim/result_cache.hh"
+#include "sim/run_counters.hh"
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
@@ -162,7 +164,7 @@ sampleCase(std::uint64_t seed, const FuzzOptions &opt)
         fc.kind = "morrigan";
     } else {
         // Draw from the registry: every plugin flagged fuzzable gets
-        // sampled, so new competitors inherit M1-M6 coverage the
+        // sampled, so new competitors inherit M1-M7 coverage the
         // moment they register. One slot in eight composes a random
         // hybrid so composite dispatch is fuzzed too.
         std::vector<std::string> fuzzable;
@@ -313,6 +315,19 @@ evaluateSeedInvariants(const SeedRunSet &rs, bool inject_expected)
                           rs.none.dstlbMisses),
                       static_cast<unsigned long long>(
                           rs.doubledStlb.dstlbMisses)));
+
+    // M7: every measured cycle is charged to exactly one bucket.
+    auto ledger = [&](const char *name, const SimResult *r) {
+        if (!r || r->cycles <= 0.0)
+            return;
+        const double err = cycleFractionSum(*r) - 1.0;
+        if (std::abs(err) > ledgerTolerance(r->instructions))
+            fail(csprintf("M7: %s run's cycle fractions sum to 1%+.3g",
+                          name, err));
+    };
+    ledger("base", &rs.base);
+    for (const auto &o : others)
+        ledger(o.name, o.r);
 
     // M4: disjoint address spaces are architecturally additive.
     if (rs.hasSmt) {

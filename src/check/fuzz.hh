@@ -38,7 +38,10 @@
  *   M6  running with self-profiling telemetry enabled
  *       (common/telemetry.hh) produces a bit-identical result to
  *       running with it disabled -- observation must never perturb
- *       simulation.
+ *       simulation;
+ *   M7  every run of the family charges each measured cycle to
+ *       exactly one bucket: its five cycle fractions sum to 1 within
+ *       ledgerTolerance() (sim/run_counters.hh).
  *
  * Every run also carries the differential checker (checkLevel >= 1),
  * so any translation the fast simulator resolves to the wrong frame
@@ -141,7 +144,7 @@ struct SeedRunSet
 
 /**
  * Evaluate the differential check plus metamorphic invariants M1-M4
- * over one seed's run family; returns one message per violated
+ * and M7 over one seed's run family; returns one message per violated
  * property (empty == seed passed).
  *
  * @param inject_expected The base run carried fault injection, so

@@ -20,6 +20,7 @@
 #ifndef MORRIGAN_COMMON_FIELDS_HH
 #define MORRIGAN_COMMON_FIELDS_HH
 
+#include <array>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -95,6 +96,24 @@ visitsEveryField()
         ++visits;
     });
     return visits == fields_detail::memberCount<T>();
+}
+
+/** Visit the same field of @p a and @p b together:
+ * `v(name, a.member, b.member)`, in visitFields() order. */
+template <Record T, class V>
+void
+visitFieldPairs(T &a, const T &b, V &&v)
+{
+    std::array<const void *, fields_detail::memberCount<T>()> bs{};
+    std::size_t i = 0;
+    visitFields(b, [&](const char *, const auto &f, FieldTag = {}) {
+        bs[i++] = &f;
+    });
+    i = 0;
+    visitFields(a, [&](const char *name, auto &f, FieldTag = {}) {
+        using F = std::remove_reference_t<decltype(f)>;
+        v(name, f, *static_cast<const F *>(bs[i++]));
+    });
 }
 
 } // namespace morrigan

@@ -21,8 +21,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "common/fields.hh"
 
 namespace morrigan::json
 {
@@ -30,15 +34,20 @@ namespace morrigan::json
 /** Version of the --stats-json document schema.
  * v2: build_info object; optional telemetry section (--telemetry).
  * v3: `result` is the full campaign-journal result record
- * (writeSimResultJson(): every SimResult field, doubles at %.17g). */
-inline constexpr int statsSchemaVersion = 3;
+ * (writeSimResultJson(): every SimResult field, doubles at %.17g).
+ * v4: the result record gains base_cycle_fraction and
+ * context_switch_cycle_fraction; the five cycle fractions sum to 1. */
+inline constexpr int statsSchemaVersion = 4;
 /** Version of the JSONL prefetch-trace event schema. */
 inline constexpr int traceSchemaVersion = 1;
 /** Version of the interval time-series record schema.
  * v2: streamed rows gain wall_ms and delta_instrs_per_sec (absent
  * from the deterministic in-memory ring mirrored into --stats-json;
- * readers must treat both as optional). */
-inline constexpr int intervalSchemaVersion = 2;
+ * readers must treat both as optional).
+ * v3: an epoch carries `delta`, the change of every EpochCounters
+ * field (sim/interval_sampler.hh); CSV columns are the same fields
+ * under dotted names. */
+inline constexpr int intervalSchemaVersion = 3;
 /** Version of the BENCH_*.json artifact schema.
  * v2: top-level build_info provenance object. */
 inline constexpr int benchSchemaVersion = 2;
@@ -56,8 +65,10 @@ inline constexpr int resultCacheSchemaVersion = 3;
 /** Version of the campaign-journal JSONL record schema
  * (sim/supervisor.hh). Still v1 after the optional duration_ms key
  * was added: the reader tolerates its absence, and a bump would
- * force every resumed campaign to rerun finished jobs. */
-inline constexpr int journalSchemaVersion = 1;
+ * force every resumed campaign to rerun finished jobs.
+ * v2: the result record gains the base and context-switch cycle
+ * fractions, so v1 records are reported stale and rerun. */
+inline constexpr int journalSchemaVersion = 2;
 
 /** Write @p s as a quoted, escaped JSON string. */
 inline void
@@ -227,6 +238,43 @@ class Writer
     std::vector<bool> needComma_;
     bool pendingValue_ = false;
 };
+
+/**
+ * The fields of record @p rec (common/fields.hh) as members of the
+ * open object: nested records nest, arrays are arrays, doubles print
+ * at %.17g so they read back bit-exactly, and Unrecorded fields are
+ * left out.
+ */
+template <class R>
+void
+writeFields(Writer &w, const R &rec)
+{
+    visitFields(rec, [&w](const char *key, const auto &v,
+                          FieldTag tag = FieldTag::Plain) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if (tag == FieldTag::Unrecorded)
+            return;
+        w.key(key);
+        if constexpr (std::is_same_v<T, double>) {
+            char buf[48];
+            std::snprintf(buf, sizeof(buf), "%.17g", v);
+            w.rawValue([&](std::ostream &o) { o << buf; });
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            w.value(std::string_view(v));
+        } else if constexpr (std::is_integral_v<T>) {
+            w.value(v);
+        } else if constexpr (Record<T>) {
+            w.beginObject();
+            writeFields(w, v);
+            w.endObject();
+        } else {
+            w.beginArray();
+            for (std::uint64_t e : v)
+                w.value(e);
+            w.endArray();
+        }
+    });
+}
 
 } // namespace morrigan::json
 

@@ -56,7 +56,7 @@ namespace morrigan
  * version differs (re-simulating is always safe, reinterpreting
  * stale bytes never is).
  */
-constexpr std::uint32_t snapshotSchemaVersion = 2;
+constexpr std::uint32_t snapshotSchemaVersion = 3;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error
@@ -155,6 +155,8 @@ class SnapshotWriter
         for (std::uint64_t v : a)
             u64(v);
     }
+    template <Record R>
+    void put(const R &nested) { fields(nested); }
 
     std::string buf_;
 };
@@ -231,6 +233,8 @@ class SnapshotReader
         for (std::uint64_t &v : a)
             v = u64();
     }
+    template <Record R>
+    void get(R &nested) { fields(nested); }
 
     std::string buf_;
     std::size_t pos_ = 0;

@@ -92,20 +92,14 @@ MemoryHierarchy::walkerAccess(Addr paddr)
     return accessThrough(lineOf(paddr), l1d_);
 }
 
-bool
-MemoryHierarchy::instructionLineInL1(Addr paddr) const
-{
-    return l1i_.contains(lineOf(paddr));
-}
-
-Cycle
+std::optional<Cycle>
 MemoryHierarchy::prefetchInstructionLine(Addr paddr)
 {
     Addr line = lineOf(paddr);
+    if (l1i_.contains(line))
+        return std::nullopt;
     l2_.prefetchSet(line);
     llc_.prefetchSet(line);
-    if (l1i_.contains(line))
-        return 0;
 
     Cycle latency = l2_.params().latency;
     if (!l2_.contains(line)) {

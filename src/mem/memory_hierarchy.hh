@@ -13,6 +13,7 @@
 #define MORRIGAN_MEM_MEMORY_HIERARCHY_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -76,18 +77,15 @@ class MemoryHierarchy
     /** Page-walker reference (takes the data path). */
     MemAccessResult walkerAccess(Addr paddr);
 
-    /** Whether the instruction line already sits in L1I. */
-    bool instructionLineInL1(Addr paddr) const;
-
     /**
      * Start an instruction-line prefetch: fills L2/LLC immediately
      * (the fill is in flight there) and returns the latency until the
-     * line could reach the L1I. The caller schedules
-     * commitInstructionPrefetch() at that time, which models prefetch
-     * timeliness: a line whose fill (or translation) has not
-     * completed cannot serve a demand fetch.
+     * line could reach the L1I, or nothing when the line already sits
+     * in the L1I. The caller schedules commitInstructionPrefetch() at
+     * that time, which models prefetch timeliness: a line whose fill
+     * (or translation) has not completed cannot serve a demand fetch.
      */
-    Cycle prefetchInstructionLine(Addr paddr);
+    std::optional<Cycle> prefetchInstructionLine(Addr paddr);
 
     /** Complete an in-flight instruction prefetch into the L1I. */
     void commitInstructionPrefetch(Addr paddr);

@@ -1,8 +1,8 @@
 #include "interval_sampler.hh"
 
 #include <cstdio>
+#include <string>
 #include <type_traits>
-#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -14,8 +14,7 @@ namespace morrigan
 
 IntervalSampler::IntervalSampler(std::uint64_t interval,
                                  std::size_t ring_capacity)
-    : interval_(interval), ringCapacity_(ring_capacity),
-      ring_(ring_capacity == 0 ? 1 : ring_capacity)
+    : interval_(interval), ringCapacity_(ring_capacity)
 {
     fatal_if(interval_ == 0, "interval sampler needs a nonzero epoch");
     fatal_if(ringCapacity_ == 0, "interval ring needs capacity");
@@ -30,111 +29,95 @@ IntervalSampler::setSink(std::ostream *os, IntervalFormat format)
 }
 
 void
-IntervalSampler::beginMeasurement()
+IntervalSampler::beginMeasurement(const EpochCounters &baseline)
 {
-    prev_ = IntervalInputs{};
+    prev_ = baseline;
     epochs_ = 0;
     ring_.clear();
     wallAnchorNs_ = telemetry::nowNs();
     lastEmitNs_ = wallAnchorNs_;
 }
 
-const IntervalSample &
-IntervalSampler::record(const IntervalInputs &in)
-{
-    IntervalSample s;
-    s.epoch = epochs_++;
-    s.instructions = in.instructions;
-    s.instrDelta = in.instructions - prev_.instructions;
-    s.cycleDelta = in.cycles - prev_.cycles;
-    s.istlbMisses = in.istlbMisses - prev_.istlbMisses;
-    s.pbHits = in.pbHits - prev_.pbHits;
-    s.demandWalksInstr =
-        in.demandWalksInstr - prev_.demandWalksInstr;
-    s.prefetchWalks = in.prefetchWalks - prev_.prefetchWalks;
-    s.freqResets = in.freqResets - prev_.freqResets;
-    s.istlbMpki =
-        s.instrDelta
-            ? static_cast<double>(s.istlbMisses) /
-                  (static_cast<double>(s.instrDelta) / 1000.0)
-            : 0.0;
-    s.pbHitRate = s.istlbMisses
-                      ? static_cast<double>(s.pbHits) /
-                            static_cast<double>(s.istlbMisses)
-                      : 0.0;
-    std::uint64_t busy_delta =
-        in.walkerBusyPortCycles - prev_.walkerBusyPortCycles;
-    double port_capacity =
-        s.cycleDelta * static_cast<double>(in.walkerPorts);
-    s.walkerOccupancy =
-        port_capacity > 0.0
-            ? static_cast<double>(busy_delta) / port_capacity
-            : 0.0;
-    for (unsigned c = 0; c < PrefetchTracer::numComponents; ++c) {
-        s.issued[c] = in.issued[c] - prev_.issued[c];
-        s.hits[c] = in.hits[c] - prev_.hits[c];
-    }
-    prev_ = in;
-
-    const IntervalSample &stored = ring_.push(s);
-    if (sink_)
-        emit(stored);
-    return stored;
-}
-
 namespace
 {
 
-/** Wall-clock columns appended to streamed rows only; the ring and
- * its JSON mirror stay deterministic. */
-struct WallCols
-{
-    double wallMs;
-    double deltaInstrsPerSec;
-};
-
+/** @p d -= @p p, field by field through nested records and arrays. */
+template <class T>
 void
-writeSampleJson(json::Writer &w, const IntervalSample &s,
-                const WallCols *wall = nullptr)
+subtract(T &d, const T &p)
 {
-    w.beginObject();
-    // The scalars; the per-component arrays nest under "components".
-    visitFields(s, [&w](const char *key, const auto &v,
-                        FieldTag = FieldTag::Plain) {
-        if constexpr (std::is_arithmetic_v<
-                          std::remove_cvref_t<decltype(v)>>)
-            w.kv(key, v);
-    });
-    if (wall) {
-        w.kv("wall_ms", wall->wallMs);
-        w.kv("delta_instrs_per_sec", wall->deltaInstrsPerSec);
+    if constexpr (Record<T>) {
+        visitFieldPairs(d, p, [](const char *, auto &x, const auto &y) {
+            subtract(x, y);
+        });
+    } else if constexpr (std::is_arithmetic_v<T>) {
+        d -= p;
+    } else {
+        for (std::size_t i = 0; i < d.size(); ++i)
+            d[i] -= p[i];
     }
-    w.key("components").beginObject();
-    for (unsigned c = 0; c < PrefetchTracer::numComponents; ++c) {
-        if (s.issued[c] == 0 && s.hits[c] == 0)
-            continue;
-        w.key(PrefetchTracer::componentName(c)).beginObject();
-        w.kv("issued", s.issued[c]);
-        w.kv("hits", s.hits[c]);
-        w.endObject();
-    }
-    w.endObject();
-    w.endObject();
 }
 
-/** Sum issued/hits over the component range [lo, hi). */
-std::pair<std::uint64_t, std::uint64_t>
-sumRange(const IntervalSample &s, unsigned lo, unsigned hi)
+/** f(column, value) for every scalar of @p rec, nested records and
+ * array elements flattened to dotted column names. */
+template <class R, class F>
+void
+forEachColumn(const R &rec, const std::string &prefix, F &&f)
 {
-    std::uint64_t issued = 0, hits = 0;
-    for (unsigned c = lo; c < hi; ++c) {
-        issued += s.issued[c];
-        hits += s.hits[c];
-    }
-    return {issued, hits};
+    visitFields(rec, [&](const char *key, const auto &v,
+                         FieldTag = FieldTag::Plain) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        const std::string name = prefix + key;
+        if constexpr (Record<T>) {
+            forEachColumn(v, name + ".", f);
+        } else if constexpr (std::is_arithmetic_v<T>) {
+            f(name, v);
+        } else {
+            for (std::size_t i = 0; i < v.size(); ++i)
+                f(name + "." + std::to_string(i), v[i]);
+        }
+    });
 }
 
 } // namespace
+
+const IntervalSample &
+IntervalSampler::record(const EpochCounters &now, unsigned walker_ports)
+{
+    telemetry::ScopedSpan span(telemetry::Phase::IntervalSample);
+    IntervalSample s;
+    s.epoch = epochs_++;
+    s.instructions = now.counters.instructions;
+    s.delta = now;
+    subtract(s.delta, prev_);
+    prev_ = now;
+
+    // The derived rates, all interval-local.
+    const RunCounters &d = s.delta.counters;
+    s.istlbMpki =
+        d.instructions
+            ? static_cast<double>(d.istlbMisses) /
+                  (static_cast<double>(d.instructions) / 1000.0)
+            : 0.0;
+    s.pbHitRate = d.istlbMisses
+                      ? static_cast<double>(d.pbHits) /
+                            static_cast<double>(d.istlbMisses)
+                      : 0.0;
+    double port_capacity =
+        s.delta.cycles * static_cast<double>(walker_ports);
+    s.walkerOccupancy =
+        port_capacity > 0.0
+            ? static_cast<double>(s.delta.walkerBusyPortCycles) /
+                  port_capacity
+            : 0.0;
+
+    ring_.push_back(s);
+    if (ring_.size() > ringCapacity_)
+        ring_.pop_front();
+    if (sink_)
+        emit(ring_.back());
+    return ring_.back();
+}
 
 void
 IntervalSampler::emit(const IntervalSample &s)
@@ -149,56 +132,44 @@ IntervalSampler::emit(const IntervalSample &s)
         wallAnchorNs_ = now;
         lastEmitNs_ = now;
     }
-    WallCols wall;
-    wall.wallMs = 1e-6 * static_cast<double>(now - wallAnchorNs_);
-    std::uint64_t elapsed = now - lastEmitNs_;
-    wall.deltaInstrsPerSec =
-        elapsed > 0 ? static_cast<double>(s.instrDelta) /
-                          (1e-9 * static_cast<double>(elapsed))
-                    : 0.0;
+    const double wall_ms = 1e-6 * static_cast<double>(now - wallAnchorNs_);
+    const std::uint64_t elapsed = now - lastEmitNs_;
+    const double instrs_per_sec =
+        elapsed > 0
+            ? static_cast<double>(s.delta.counters.instructions) /
+                  (1e-9 * static_cast<double>(elapsed))
+            : 0.0;
     lastEmitNs_ = now;
 
+    // Streamed rows only carry the wall-clock columns; the ring and
+    // its JSON mirror stay deterministic.
     if (format_ == IntervalFormat::Jsonl) {
         json::Writer w(*sink_);
-        writeSampleJson(w, s, &wall);
+        w.beginObject();
+        json::writeFields(w, s);
+        w.kv("wall_ms", wall_ms);
+        w.kv("delta_instrs_per_sec", instrs_per_sec);
+        w.endObject();
         *sink_ << '\n';
         return;
     }
-    // CSV: aggregate the per-table components per engine so the
-    // column set stays fixed.
+    // CSV: the same fields, one column per scalar.
     if (!wroteCsvHeader_) {
-        *sink_ << "epoch,instructions,instr_delta,cycle_delta,"
-                  "istlb_misses,istlb_mpki,pb_hits,pb_hit_rate,"
-                  "demand_walks_instr,prefetch_walks,freq_resets,"
-                  "walker_occupancy,irip_issued,irip_hits,"
-                  "sdp_issued,sdp_hits,icache_issued,icache_hits,"
-                  "wall_ms,delta_instrs_per_sec\n";
+        forEachColumn(s, "", [this](const std::string &name, auto) {
+            *sink_ << name << ',';
+        });
+        *sink_ << "wall_ms,delta_instrs_per_sec\n";
         wroteCsvHeader_ = true;
     }
-    auto [irip_issued, irip_hits] =
-        sumRange(s, 0, PrefetchTracer::kSdp);  // tables + spatial
-    auto [sdp_issued, sdp_hits] =
-        sumRange(s, PrefetchTracer::kSdp, PrefetchTracer::kICache);
-    auto [ic_issued, ic_hits] =
-        sumRange(s, PrefetchTracer::kICache,
-                 PrefetchTracer::kICache + 1);
+    const std::streamsize precision = sink_->precision(17);
+    forEachColumn(s, "", [this](const std::string &, auto v) {
+        *sink_ << v << ',';
+    });
+    sink_->precision(precision);
     char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.2f", s.cycleDelta);
-    *sink_ << s.epoch << ',' << s.instructions << ','
-           << s.instrDelta << ',' << buf << ',' << s.istlbMisses
-           << ',';
-    std::snprintf(buf, sizeof(buf), "%.4f", s.istlbMpki);
-    *sink_ << buf << ',' << s.pbHits << ',';
-    std::snprintf(buf, sizeof(buf), "%.4f", s.pbHitRate);
-    *sink_ << buf << ',' << s.demandWalksInstr << ','
-           << s.prefetchWalks << ',' << s.freqResets << ',';
-    std::snprintf(buf, sizeof(buf), "%.4f", s.walkerOccupancy);
-    *sink_ << buf << ',' << irip_issued << ',' << irip_hits << ','
-           << sdp_issued << ',' << sdp_hits << ',' << ic_issued
-           << ',' << ic_hits << ',';
-    std::snprintf(buf, sizeof(buf), "%.3f,%.0f", wall.wallMs,
-                  wall.deltaInstrsPerSec);
-    *sink_ << buf << '\n';
+    std::snprintf(buf, sizeof(buf), "%.3f,%.0f\n", wall_ms,
+                  instrs_per_sec);
+    *sink_ << buf;
 }
 
 void
@@ -206,8 +177,11 @@ IntervalSampler::writeRingJson(std::ostream &os) const
 {
     json::Writer w(os);
     w.beginArray();
-    for (const IntervalSample &s : ring_)
-        writeSampleJson(w, s);
+    for (const IntervalSample &s : ring_) {
+        w.beginObject();
+        json::writeFields(w, s);
+        w.endObject();
+    }
     w.endArray();
 }
 
@@ -238,7 +212,7 @@ IntervalSampler::restore(SnapshotReader &r)
     for (std::uint64_t i = 0; i < count; ++i) {
         IntervalSample s;
         r.fields(s);
-        ring_.push(s);
+        ring_.push_back(s);
     }
 }
 

@@ -164,27 +164,7 @@ writeSimResultJson(std::ostream &os, const SimResult &r)
 {
     json::Writer w(os);
     w.beginObject();
-    visitFields(r, [&w](const char *key, const auto &v,
-                        FieldTag tag = FieldTag::Plain) {
-        using T = std::remove_cvref_t<decltype(v)>;
-        if (tag == FieldTag::Unrecorded)
-            return;
-        if constexpr (std::is_same_v<T, double>) {
-            // %.17g doubles survive a decimal round-trip bit-exactly.
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            w.key(key).rawValue([&](std::ostream &o) { o << buf; });
-        } else if constexpr (std::is_same_v<T, std::string>) {
-            w.kv(key, std::string_view(v));
-        } else if constexpr (std::is_integral_v<T>) {
-            w.kv(key, v);
-        } else {
-            w.key(key).beginArray();
-            for (std::uint64_t e : v)
-                w.value(e);
-            w.endArray();
-        }
-    });
+    json::writeFields(w, r);
     w.endObject();
 }
 

@@ -19,6 +19,7 @@
 
 #include "common/fields.hh"
 #include "mem/memory_hierarchy.hh"
+#include "sim/run_counters.hh"
 #include "vm/page_table.hh"
 #include "tlb/tlb_hierarchy.hh"
 #include "vm/walker.hh"
@@ -213,6 +214,11 @@ struct SimResult
     double icacheCycleFraction = 0.0;
     /** Fraction of cycles charged to the data side. */
     double dataCycleFraction = 0.0;
+    /** Fraction of cycles that are the 1/width base charge. */
+    double baseCycleFraction = 0.0;
+    /** Fraction of cycles charged to context switches. The five
+     * fractions sum to 1 up to rounding (cycleFractionSum()). */
+    double contextSwitchCycleFraction = 0.0;
     /** Fraction of iSTLB misses served by the PB (miss coverage). */
     double coverage = 0.0;
 
@@ -283,6 +289,9 @@ struct SimResult
         v("istlb_cycle_fraction", r.istlbCycleFraction);
         v("icache_cycle_fraction", r.icacheCycleFraction);
         v("data_cycle_fraction", r.dataCycleFraction);
+        v("base_cycle_fraction", r.baseCycleFraction);
+        v("context_switch_cycle_fraction",
+          r.contextSwitchCycleFraction);
         v("coverage", r.coverage);
         v("demand_walks", r.demandWalks);
         v("demand_walks_instr", r.demandWalksInstr);
@@ -309,6 +318,24 @@ struct SimResult
     }
 };
 static_assert(visitsEveryField<SimResult>());
+
+/** The result's share of each cycle bucket, indexed by Stall. */
+inline constexpr double SimResult::*cycleFraction[numStalls] = {
+    &SimResult::istlbCycleFraction, &SimResult::icacheCycleFraction,
+    &SimResult::dataCycleFraction,  &SimResult::baseCycleFraction,
+    &SimResult::contextSwitchCycleFraction,
+};
+
+/** The cycle fractions' sum: 1 up to ledgerTolerance() whenever the
+ * run measured cycles. */
+inline double
+cycleFractionSum(const SimResult &r)
+{
+    double sum = 0.0;
+    for (double SimResult::*f : cycleFraction)
+        sum += r.*f;
+    return sum;
+}
 
 } // namespace morrigan
 

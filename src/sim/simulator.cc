@@ -1,8 +1,10 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
+#include "check/invariants.hh"
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "icache/fnl_mma.hh"
@@ -266,9 +268,8 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
 
     // L1 I-TLB miss: the STLB lookup is on the critical path.
     ++c_.itlbMisses;
-    Cycle stlb_lat = tlbs_.stlb().params().latency;
-    cycles_ += static_cast<double>(stlb_lat);
-    c_.istlbStallCycles += static_cast<double>(stlb_lat);
+    charge(Stall::Istlb,
+           static_cast<double>(tlbs_.stlb().params().latency));
     if (tr.level == TlbHitLevel::Stlb) {
         // With P2TLB, STLB entries can come straight from prefetches
         // that were never demand-verified; cross-check them here.
@@ -300,8 +301,7 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
     Pfn pfn = 0;
     bool covered = false;
     if (pbActive()) {
-        cycles_ += static_cast<double>(pb_.latency());
-        c_.istlbStallCycles += static_cast<double>(pb_.latency());
+        charge(Stall::Istlb, static_cast<double>(pb_.latency()));
         PbLookupResult pr = pb_.lookupAndConsume(vpn, now());
         if (pr.hit) {
             covered = true;
@@ -331,10 +331,8 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
             if (pr.pending) {
                 // Walk still in flight: wait for it instead of
                 // issuing a new one (partial coverage).
-                double wait = static_cast<double>(
-                    pr.entry.readyAt - now());
-                cycles_ += wait;
-                c_.istlbStallCycles += wait;
+                charge(Stall::Istlb, static_cast<double>(
+                                         pr.entry.readyAt - now()));
             }
             pfn = pr.entry.pfn;
             if (checker_)
@@ -354,10 +352,8 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
         ++c_.demandWalksInstr;
         c_.demandWalkRefsInstr += wr.memRefs;
         c_.demandWalkLatInstrSum += static_cast<double>(wr.latency);
-        double stall = static_cast<double>(
-            wr.latency + cfg_.frontendRedirectPenalty);
-        cycles_ += stall;
-        c_.istlbStallCycles += stall;
+        charge(Stall::Istlb, static_cast<double>(
+                                 wr.latency + cfg_.frontendRedirectPenalty));
         pfn = wr.pfn;
         ++instrDemandWalkSeq_;
         if (cfg_.injectWalkerBugPeriod != 0 &&
@@ -453,11 +449,11 @@ Simulator::handleICachePrefetches(Addr pc, bool l1i_miss, Pfn cur_pfn,
         }
 
         Addr paddr = (tpfn << pageShift) + pageOffset(target);
-        if (mem_.instructionLineInL1(paddr))
-            continue;
-        Cycle fill_latency = mem_.prefetchInstructionLine(paddr);
-        pendingLineFills_.emplace(
-            now() + translation_delay + fill_latency, paddr);
+        std::optional<Cycle> fill_latency =
+            mem_.prefetchInstructionLine(paddr);
+        if (fill_latency)
+            pendingLineFills_.emplace(
+                now() + translation_delay + *fill_latency, paddr);
     }
 }
 
@@ -476,11 +472,10 @@ Simulator::fetchLine(Addr pc, unsigned tid)
         ++c_.l1iMisses;
         // The L1 hit latency is pipelined; the miss portion stalls
         // the frontend, partially hidden by fetch-ahead.
-        double stall = static_cast<double>(
-                           mr.latency - mem_.l1i().params().latency) *
-                       cfg_.fetchOverlapFactor;
-        cycles_ += stall;
-        c_.icacheStallCycles += stall;
+        charge(Stall::Icache,
+               static_cast<double>(mr.latency -
+                                   mem_.l1i().params().latency) *
+                   cfg_.fetchOverlapFactor);
     }
 
     handleICachePrefetches(pc, l1i_miss, pfn, tid);
@@ -496,10 +491,8 @@ Simulator::handleData(Addr va, unsigned tid)
     double mlp = cfg_.dataMlpFactor;
 
     if (tr.level == TlbHitLevel::Stlb) {
-        double stall = static_cast<double>(
-                           tlbs_.stlb().params().latency) * mlp;
-        cycles_ += stall;
-        c_.dataStallCycles += stall;
+        charge(Stall::Data,
+               static_cast<double>(tlbs_.stlb().params().latency) * mlp);
     } else if (tr.level == TlbHitLevel::Miss) {
         telemetry::ScopedSpan span(telemetry::Phase::DataWalk);
         ++c_.dstlbMisses;
@@ -508,8 +501,7 @@ Simulator::handleData(Addr va, unsigned tid)
         ++c_.demandWalksData;
         c_.demandWalkRefsData += wr.memRefs;
         c_.demandWalkLatDataSum += static_cast<double>(wr.latency);
-        cycles_ += static_cast<double>(wr.latency) * mlp;
-        c_.dataStallCycles += static_cast<double>(wr.latency) * mlp;
+        charge(Stall::Data, static_cast<double>(wr.latency) * mlp);
         pfn = wr.pfn;
         if (checker_)
             checker_->onTranslation(
@@ -522,11 +514,10 @@ Simulator::handleData(Addr va, unsigned tid)
     Addr paddr = (pfn << pageShift) + pageOffset(va);
     MemAccessResult mr = mem_.access(paddr, AccessType::Data);
     if (mr.servedBy != MemLevel::L1) {
-        double stall = static_cast<double>(
-                           mr.latency - mem_.l1d().params().latency) *
-                       mlp;
-        cycles_ += stall;
-        c_.dataStallCycles += stall;
+        charge(Stall::Data,
+               static_cast<double>(mr.latency -
+                                   mem_.l1d().params().latency) *
+                   mlp);
     }
 }
 
@@ -541,13 +532,13 @@ Simulator::contextSwitch()
         prefetcher_->onContextSwitch();
     // A context switch also costs a direct penalty (kernel entry,
     // state save/restore); charge a small constant.
-    cycles_ += 2000.0;
+    charge(Stall::ContextSwitch, 2000.0);
 }
 
 void
 Simulator::simulateInstruction(const TraceRecord &rec, unsigned tid)
 {
-    cycles_ += invWidth_;
+    charge(Stall::Base, invWidth_);
     ++c_.instructions;
     if (cfg_.contextSwitchInterval != 0 &&
         ++sinceContextSwitch_ >= cfg_.contextSwitchInterval) {
@@ -574,41 +565,40 @@ Simulator::simulateInstruction(const TraceRecord &rec, unsigned tid)
 void
 Simulator::takeIntervalSample()
 {
-    telemetry::ScopedSpan span(telemetry::Phase::IntervalSample);
-    IntervalInputs in;
-    in.instructions = c_.instructions;
-    in.cycles = cycles_ - measureStartCycles_;
-    in.istlbMisses = c_.istlbMisses;
-    in.pbHits = c_.pbHits;
-    in.demandWalksInstr = c_.demandWalksInstr;
-    in.prefetchWalks = c_.prefetchWalks;
-    in.freqResets =
-        prefetcher_ ? prefetcher_->frequencyStackResets() : 0;
-    in.walkerBusyPortCycles = walker_.busyPortCycles();
-    in.walkerPorts = walker_.ports();
+    sampler_->record(epochCounters(), walker_.ports());
+}
+
+EpochCounters
+Simulator::epochCounters() const
+{
+    EpochCounters e{c_, cycles_ - measureStartCycles_,
+                    walker_.busyPortCycles(),
+                    prefetcher_ ? prefetcher_->frequencyStackResets() : 0};
     if (tracer_) {
         for (unsigned comp = 0;
              comp < PrefetchTracer::numComponents; ++comp) {
             PrefetchTracer::Outcomes o = tracer_->outcomes(comp);
-            in.issued[comp] = o.issued;
-            in.hits[comp] = o.hits();
+            e.issued[comp] = o.issued;
+            e.hits[comp] = o.hits();
         }
     }
-    sampler_->record(in);
+    return e;
 }
 
 void
 Simulator::beginMeasurementPhase()
 {
     measurePhase_ = true;
-    c_ = Counters{};
+    c_ = RunCounters{};
     rootStats_.resetAll();
     missStream_ = MissStreamStats{};
     measureStartCycles_ = cycles_;
     if (tracer_)
         tracer_->beginMeasurement(now());
     if (sampler_) {
-        sampler_->beginMeasurement();
+        // The prefetcher's frequency-stack resets are not measurement
+        // state: the first epoch counts from where warmup left them.
+        sampler_->beginMeasurement(epochCounters());
         nextSampleAt_ = sampler_->interval();
     }
 }
@@ -696,6 +686,16 @@ Simulator::run()
         takeIntervalSample();
     if (tracer_)
         tracer_->finalize(pb_, now());
+    // Every cycle is charged to exactly one bucket.
+    const double measured = cycles_ - measureStartCycles_;
+    double buckets = 0.0;
+    for (double RunCounters::*b : stallBucket)
+        buckets += c_.*b;
+    MORRIGAN_CHECK_INVARIANT(1,
+                             std::abs(buckets - measured) <=
+                                 ledgerTolerance(c_.instructions) * cycles_,
+                             "cycle ledger: buckets sum to %.17g of %.17g",
+                             buckets, measured);
     return buildResult();
 }
 
@@ -782,7 +782,6 @@ Simulator::save(SnapshotWriter &w) const
     w.u64(nextSampleAt_);
 
     // Measurement counters.
-    static_assert(visitsEveryField<Counters>());
     w.fields(c_);
 
     // In-flight I-prefetch line fills (drained in readyAt order).
@@ -931,12 +930,9 @@ Simulator::buildResult() const
     r.pbHitsIrip = c_.pbHitsIrip;
     r.pbHitsSdp = c_.pbHitsSdp;
     r.pbHitsICache = c_.pbHitsICache;
-    r.istlbCycleFraction =
-        r.cycles > 0.0 ? c_.istlbStallCycles / r.cycles : 0.0;
-    r.icacheCycleFraction =
-        r.cycles > 0.0 ? c_.icacheStallCycles / r.cycles : 0.0;
-    r.dataCycleFraction =
-        r.cycles > 0.0 ? c_.dataStallCycles / r.cycles : 0.0;
+    for (unsigned b = 0; b < numStalls; ++b)
+        r.*cycleFraction[b] =
+            r.cycles > 0.0 ? c_.*stallBucket[b] / r.cycles : 0.0;
     r.coverage = c_.istlbMisses > 0
                      ? static_cast<double>(c_.pbHits) /
                        static_cast<double>(c_.istlbMisses)

@@ -41,6 +41,7 @@
 #include "mem/memory_hierarchy.hh"
 #include "sim/interval_sampler.hh"
 #include "sim/prefetch_tracer.hh"
+#include "sim/run_counters.hh"
 #include "sim/sim_config.hh"
 #include "tlb/prefetch_buffer.hh"
 #include "tlb/tlb_hierarchy.hh"
@@ -147,6 +148,10 @@ class Simulator
         return cfg_.warmupInstructions + cfg_.simInstructions;
     }
 
+    /** The cumulative counters an interval epoch differences (the
+     * measurement counters plus the values that live elsewhere). */
+    EpochCounters epochCounters() const;
+
     /** iSTLB miss stream recorded during measurement (when
      * SimConfig::collectMissStream is set). */
     const MissStreamStats &missStream() const { return missStream_; }
@@ -156,83 +161,18 @@ class Simulator
     PageTableWalker &walker() { return walker_; }
     PrefetchBuffer &pb() { return pb_; }
     MemoryHierarchy &mem() { return mem_; }
-    PageTable &pageTable() { return pageTable_; }
     StatGroup &rootStats() { return rootStats_; }
 
   private:
-    /** Measurement counters, reset after warmup. */
-    struct Counters
-    {
-        std::uint64_t instructions = 0;
-        std::uint64_t l1iMisses = 0;
-        std::uint64_t itlbMisses = 0;
-        std::uint64_t istlbMisses = 0;
-        std::uint64_t dstlbMisses = 0;
-        std::uint64_t pbHits = 0;
-        std::uint64_t pbHitsIrip = 0;
-        std::uint64_t pbHitsSdp = 0;
-        std::uint64_t pbHitsICache = 0;
-        double istlbStallCycles = 0.0;
-        double icacheStallCycles = 0.0;
-        double dataStallCycles = 0.0;
-        std::uint64_t demandWalksInstr = 0;
-        std::uint64_t demandWalksData = 0;
-        std::uint64_t demandWalkRefsInstr = 0;
-        std::uint64_t demandWalkRefsData = 0;
-        std::uint64_t prefetchWalks = 0;
-        std::uint64_t prefetchWalkRefs = 0;
-        std::array<std::uint64_t, 4> prefetchWalkRefsByLevel{};
-        double demandWalkLatInstrSum = 0.0;
-        double demandWalkLatDataSum = 0.0;
-        std::uint64_t prefetchesDiscarded = 0;
-        std::uint64_t icachePrefetches = 0;
-        std::uint64_t icacheCrossPage = 0;
-        std::uint64_t icacheCrossPageNeedingWalk = 0;
-        std::uint64_t icacheCrossPagePbHits = 0;
-        std::uint64_t contextSwitches = 0;
-        std::uint64_t correctingWalks = 0;
-        /** PB hit use-distance histogram: buckets <=1,2,4,...,>64
-         * misses between insert and hit. */
-        std::array<std::uint64_t, 8> pbHitDistance{};
-
-        /** The fields, in snapshot order (common/fields.hh). */
-        template <RecordOf<Counters> Self, class V>
-        friend constexpr void visitFields(Self &c, V &&v)
-        {
-            v("instructions", c.instructions);
-            v("l1iMisses", c.l1iMisses);
-            v("itlbMisses", c.itlbMisses);
-            v("istlbMisses", c.istlbMisses);
-            v("dstlbMisses", c.dstlbMisses);
-            v("pbHits", c.pbHits);
-            v("pbHitsIrip", c.pbHitsIrip);
-            v("pbHitsSdp", c.pbHitsSdp);
-            v("pbHitsICache", c.pbHitsICache);
-            v("istlbStallCycles", c.istlbStallCycles);
-            v("icacheStallCycles", c.icacheStallCycles);
-            v("dataStallCycles", c.dataStallCycles);
-            v("demandWalksInstr", c.demandWalksInstr);
-            v("demandWalksData", c.demandWalksData);
-            v("demandWalkRefsInstr", c.demandWalkRefsInstr);
-            v("demandWalkRefsData", c.demandWalkRefsData);
-            v("prefetchWalks", c.prefetchWalks);
-            v("prefetchWalkRefs", c.prefetchWalkRefs);
-            v("prefetchWalkRefsByLevel", c.prefetchWalkRefsByLevel);
-            v("demandWalkLatInstrSum", c.demandWalkLatInstrSum);
-            v("demandWalkLatDataSum", c.demandWalkLatDataSum);
-            v("prefetchesDiscarded", c.prefetchesDiscarded);
-            v("icachePrefetches", c.icachePrefetches);
-            v("icacheCrossPage", c.icacheCrossPage);
-            v("icacheCrossPageNeedingWalk",
-              c.icacheCrossPageNeedingWalk);
-            v("icacheCrossPagePbHits", c.icacheCrossPagePbHits);
-            v("contextSwitches", c.contextSwitches);
-            v("correctingWalks", c.correctingWalks);
-            v("pbHitDistance", c.pbHitDistance);
-        }
-    };
-
     Cycle now() const { return static_cast<Cycle>(cycles_); }
+    /** Advance the clock by @p cycles and count them in @p bucket:
+     * the one writer of cycles_ outside restore(). */
+    void
+    charge(Stall bucket, double cycles)
+    {
+        cycles_ += cycles;
+        c_.*stallBucket[static_cast<unsigned>(bucket)] += cycles;
+    }
     /** Whether the PB participates in demand miss handling. */
     bool pbActive() const;
     Addr threadAddr(Addr va, unsigned tid) const;
@@ -256,7 +196,9 @@ class Simulator
     void handleData(Addr va, unsigned tid);
     void contextSwitch();
     void drainPendingLineFills();
-    void takeIntervalSample();
+    /** Record one interval epoch: rare, so kept off the
+     * per-instruction path. */
+    [[gnu::cold]] void takeIntervalSample();
     SimResult buildResult() const;
     /** The post-warmup reset: zero the measurement state. */
     void beginMeasurementPhase();
@@ -302,7 +244,7 @@ class Simulator
     std::priority_queue<PendingFill, std::vector<PendingFill>,
                         std::greater<>> pendingLineFills_;
 
-    Counters c_;
+    RunCounters c_;
     MissStreamStats missStream_;
     std::vector<PrefetchRequest> reqScratch_;
     std::vector<Addr> icacheScratch_;

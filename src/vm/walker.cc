@@ -119,8 +119,6 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
         ++prefetchWalks_;
         prefetchMemRefs_ += res.memRefs;
         prefetchLatency_.sample(static_cast<double>(res.latency));
-        for (unsigned i = 0; i < 4; ++i)
-            prefetchRefsByLevel_[i] += res.refsByLevel[i];
     }
     return res;
 }
@@ -133,8 +131,6 @@ PageTableWalker::save(SnapshotWriter &w) const
     w.u64(portBusyUntil_.size());
     for (Cycle c : portBusyUntil_)
         w.u64(c);
-    for (std::uint64_t v : prefetchRefsByLevel_)
-        w.u64(v);
 }
 
 void
@@ -146,8 +142,6 @@ PageTableWalker::restore(SnapshotReader &r)
         throw SnapshotError("walker port count mismatch");
     for (Cycle &c : portBusyUntil_)
         c = r.u64();
-    for (std::uint64_t &v : prefetchRefsByLevel_)
-        v = r.u64();
 }
 
 } // namespace morrigan

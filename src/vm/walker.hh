@@ -117,17 +117,6 @@ class PageTableWalker
     {
         return prefetchMemRefs_.value();
     }
-    /** Prefetch-walk refs by serving hierarchy level. */
-    std::uint64_t
-    prefetchRefsAtLevel(MemLevel level) const
-    {
-        return prefetchRefsByLevel_[static_cast<unsigned>(level)];
-    }
-    double
-    meanDemandWalkLatency() const
-    {
-        return demandLatency_.mean();
-    }
 
     /**
      * Cumulative port-cycles spent walking (each walk contributes its
@@ -142,8 +131,8 @@ class PageTableWalker
 
     unsigned ports() const { return params_.ports; }
 
-    /** Serialize port occupancy + PSC + raw per-level accounting
-     * (the page table saves itself; counters ride the stats tree). */
+    /** Serialize port occupancy + PSC (the page table saves
+     * itself; counters ride the stats tree). */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
@@ -163,7 +152,6 @@ class PageTableWalker
     Counter busyPortCycles_;
     Distribution demandLatency_;
     Distribution prefetchLatency_;
-    std::array<std::uint64_t, 4> prefetchRefsByLevel_{};
 };
 
 } // namespace morrigan

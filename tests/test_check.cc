@@ -9,13 +9,16 @@
  * hooks compiled into the hot structures.
  */
 
+#include <cmath>
 #include <cstdlib>
 
 #include <gtest/gtest.h>
 
 #include "check/checker.hh"
 #include "check/invariants.hh"
+#include "core/morrigan.hh"
 #include "sim/experiment.hh"
+#include "sim/run_counters.hh"
 #include "workload/workload_factory.hh"
 
 using namespace morrigan;
@@ -194,4 +197,59 @@ TEST(InvariantHooks, HotStructuresEvaluateCleanlyAtLevel2)
     // paths this run exercises; none of them may fire.
     EXPECT_GT(invariantChecks(), 0u);
     EXPECT_EQ(invariantViolations(), 0u);
+}
+
+// ---------------------------------------------------------------
+// The cycle ledger: every measured cycle lands in one bucket.
+// ---------------------------------------------------------------
+
+TEST(CycleLedger, FractionsSumToOneInEveryMode)
+{
+    struct Mode
+    {
+        const char *name;
+        void (*apply)(SimConfig &);
+        bool smt;
+    };
+    const Mode modes[] = {
+        {"1t", [](SimConfig &) {}, false},
+        {"smt", [](SimConfig &) {}, true},
+        {"ctx-switch",
+         [](SimConfig &c) { c.contextSwitchInterval = 30'000; }, false},
+        {"perfect-istlb", [](SimConfig &c) { c.perfectIstlb = true; },
+         false},
+        {"p2tlb", [](SimConfig &c) { c.prefetchIntoStlb = true; },
+         false},
+        {"fnl-mma",
+         [](SimConfig &c) { c.icachePref = ICachePrefKind::FnlMma; },
+         false},
+    };
+    for (const Mode &m : modes) {
+        SCOPED_TRACE(m.name);
+        SimConfig cfg = checkedConfig();
+        m.apply(cfg);
+        resetInvariantCounters();
+        MorriganPrefetcher morrigan{MorriganParams{}};
+        SimResult r =
+            m.smt ? runSmtPair(cfg, &morrigan, qmmWorkloadParams(0),
+                               qmmWorkloadParams(1))
+                  : runWorkloadWith(cfg, &morrigan, qmmWorkloadParams(0));
+        EXPECT_GT(invariantChecks(), 0u);
+        EXPECT_EQ(invariantViolations(), 0u);
+        ASSERT_GT(r.cycles, 0.0);
+        EXPECT_LE(std::abs(cycleFractionSum(r) - 1.0),
+                  ledgerTolerance(r.instructions));
+        EXPECT_GT(r.baseCycleFraction, 0.0);
+        EXPECT_EQ(r.contextSwitchCycleFraction > 0.0,
+                  cfg.contextSwitchInterval != 0);
+    }
+    resetInvariantCounters();
+}
+
+TEST(CycleLedger, ToleranceCatchesOneDroppedStlbCharge)
+{
+    // 24M cycles over 22M instructions: the rounding bound is under
+    // one cycle, so one 8-cycle STLB charge missing from its bucket
+    // fails the identity.
+    EXPECT_LT(ledgerTolerance(22'000'000) * 24e6, 8.0);
 }

@@ -187,6 +187,22 @@ TEST(FuzzInvariants, M4SmtAdditivityFires)
     EXPECT_TRUE(evaluateSeedInvariants(rs, false).empty());
 }
 
+TEST(FuzzInvariants, M7CycleLedgerGapFires)
+{
+    SeedRunSet rs = cleanSet();
+    rs.soloA.workload = "qmm_00";
+    rs.soloA.instructions = 1'000'000;
+    rs.soloA.cycles = 1'200'000.0;
+    rs.soloA.baseCycleFraction = 250'000.0 / rs.soloA.cycles;
+    rs.soloA.istlbCycleFraction = 950'000.0 / rs.soloA.cycles;
+    EXPECT_TRUE(evaluateSeedInvariants(rs, false).empty());
+
+    // Eight cycles counted in no bucket.
+    rs.soloA.istlbCycleFraction = 949'992.0 / rs.soloA.cycles;
+    EXPECT_TRUE(hasFailure(evaluateSeedInvariants(rs, false),
+                           "M7: solo-a run's cycle fractions"));
+}
+
 TEST(FuzzSampling, SameSeedSamplesSameCase)
 {
     FuzzOptions opt;
@@ -300,7 +316,7 @@ findSeedWithKind(const std::function<bool(const std::string &)> &want,
     return 0;
 }
 
-/** Run a one-seed campaign (all of M1-M6) and expect it green. */
+/** Run a one-seed campaign (all of M1-M7) and expect it green. */
 void
 expectSeedPasses(std::uint64_t seed)
 {
@@ -323,7 +339,7 @@ expectSeedPasses(std::uint64_t seed)
 TEST(FuzzSampling, SamplerDrawsEveryFuzzableRegistryKind)
 {
     // Every plugin flagged fuzzable must be reachable by the config
-    // sampler -- competitors inherit M1-M6 coverage the moment they
+    // sampler -- competitors inherit M1-M7 coverage the moment they
     // register.
     std::vector<std::string> fuzzable;
     for (const PrefetcherPlugin &p :
@@ -352,8 +368,8 @@ TEST(FuzzSampling, SamplerDrawsEveryFuzzableRegistryKind)
 }
 
 // Each new competitor gets a real end-to-end seed through the full
-// M1-M6 invariant family (differential check, zero-budget, doubled
-// STLB, checkpoint/resume and telemetry bit-identity).
+// M1-M7 invariant family (differential check, zero-budget, doubled
+// STLB, checkpoint/resume and telemetry bit-identity, cycle ledger).
 
 TEST(FuzzCampaign, FnlMmaSeedPassesAllInvariants)
 {

@@ -74,12 +74,13 @@ TEST(MemoryHierarchy, L2PrefetcherWarmsNextLines)
 TEST(MemoryHierarchy, InstructionPrefetchDeferredCommit)
 {
     MemoryHierarchy m(noPrefetchParams());
-    Cycle lat = m.prefetchInstructionLine(0x5000);
-    EXPECT_GT(lat, 0u);
+    std::optional<Cycle> lat = m.prefetchInstructionLine(0x5000);
+    ASSERT_TRUE(lat.has_value());
+    EXPECT_GT(*lat, 0u);
     // Not yet in L1I: the fill is still in flight.
-    EXPECT_FALSE(m.instructionLineInL1(0x5000));
+    EXPECT_FALSE(m.l1i().contains(lineOf(0x5000)));
     m.commitInstructionPrefetch(0x5000);
-    EXPECT_TRUE(m.instructionLineInL1(0x5000));
+    EXPECT_TRUE(m.l1i().contains(lineOf(0x5000)));
     MemAccessResult r = m.access(0x5000, AccessType::Instruction);
     EXPECT_EQ(r.servedBy, MemLevel::L1);
 }
@@ -88,7 +89,8 @@ TEST(MemoryHierarchy, PrefetchOfResidentLineIsFree)
 {
     MemoryHierarchy m(noPrefetchParams());
     m.access(0x6000, AccessType::Instruction);
-    EXPECT_EQ(m.prefetchInstructionLine(0x6000), 0u);
+    // A resident line needs no fill: nothing to schedule.
+    EXPECT_FALSE(m.prefetchInstructionLine(0x6000).has_value());
 }
 
 TEST(MemoryHierarchy, LatencyOrderingAcrossLevels)

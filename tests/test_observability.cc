@@ -18,6 +18,8 @@
 #include "sim/simulator.hh"
 #include "workload/workload_factory.hh"
 
+#include "epoch_fields.hh"
+
 using namespace morrigan;
 
 namespace
@@ -147,35 +149,36 @@ TEST(IntervalSampler, ComputesDeltasAcrossEpochs)
     IntervalSampler s(1000);
     s.beginMeasurement();
 
-    IntervalInputs in;
-    in.instructions = 1000;
+    EpochCounters in;
+    in.counters.instructions = 1000;
     in.cycles = 2000.0;
-    in.istlbMisses = 10;
-    in.pbHits = 4;
+    in.counters.istlbMisses = 10;
+    in.counters.pbHits = 4;
     in.freqResets = 1;
     in.walkerBusyPortCycles = 500;
-    in.walkerPorts = 2;
-    const IntervalSample &e0 = s.record(in);
+    const IntervalSample &e0 = s.record(in, 2);
     EXPECT_EQ(e0.epoch, 0u);
-    EXPECT_EQ(e0.instrDelta, 1000u);
-    EXPECT_EQ(e0.istlbMisses, 10u);
+    EXPECT_EQ(e0.delta.counters.instructions, 1000u);
+    EXPECT_EQ(e0.delta.counters.istlbMisses, 10u);
     EXPECT_DOUBLE_EQ(e0.istlbMpki, 10.0);
     EXPECT_DOUBLE_EQ(e0.pbHitRate, 0.4);
     // 500 busy port-cycles over 2000 cycles x 2 ports.
     EXPECT_DOUBLE_EQ(e0.walkerOccupancy, 0.125);
 
-    in.instructions = 2000;
+    in.counters.instructions = 2000;
     in.cycles = 3000.0;
-    in.istlbMisses = 30;   // +20
-    in.pbHits = 14;        // +10
-    in.freqResets = 1;     // unchanged
+    in.counters.istlbMisses = 30;   // +20
+    in.counters.pbHits = 14;        // +10
+    in.freqResets = 1;              // unchanged
     in.walkerBusyPortCycles = 500;
-    const IntervalSample &e1 = s.record(in);
+    const IntervalSample &e1 = s.record(in, 2);
     EXPECT_EQ(e1.epoch, 1u);
-    EXPECT_EQ(e1.istlbMisses, 20u);
+    EXPECT_EQ(e1.instructions, 2000u);
+    EXPECT_EQ(e1.delta.counters.istlbMisses, 20u);
+    EXPECT_DOUBLE_EQ(e1.delta.cycles, 1000.0);
     EXPECT_DOUBLE_EQ(e1.istlbMpki, 20.0);
     EXPECT_DOUBLE_EQ(e1.pbHitRate, 0.5);
-    EXPECT_EQ(e1.freqResets, 0u);
+    EXPECT_EQ(e1.delta.freqResets, 0u);
     EXPECT_DOUBLE_EQ(e1.walkerOccupancy, 0.0);
 
     EXPECT_EQ(s.epochsRecorded(), 2u);
@@ -186,17 +189,17 @@ TEST(IntervalSampler, FinalPartialEpochAndRingBound)
 {
     IntervalSampler s(100, /*ring_capacity=*/3);
     s.beginMeasurement();
-    IntervalInputs in;
+    EpochCounters in;
     for (int i = 1; i <= 4; ++i) {
-        in.instructions = 100u * i;
+        in.counters.instructions = 100u * i;
         in.cycles = 100.0 * i;
-        s.record(in);
+        s.record(in, 1);
     }
     // Final partial epoch: 30 instructions past the last boundary.
-    in.instructions = 430;
+    in.counters.instructions = 430;
     in.cycles = 430.0;
-    const IntervalSample &last = s.record(in);
-    EXPECT_EQ(last.instrDelta, 30u);
+    const IntervalSample &last = s.record(in, 1);
+    EXPECT_EQ(last.delta.counters.instructions, 30u);
     EXPECT_EQ(last.epoch, 4u);
 
     // Ring keeps only the newest 3 of the 5 epochs.
@@ -206,19 +209,46 @@ TEST(IntervalSampler, FinalPartialEpochAndRingBound)
     EXPECT_EQ(s.samples().back().epoch, 4u);
 }
 
+TEST(IntervalSampler, EpochDeltasAddUpToTheRunCounters)
+{
+    // 230k measured instructions at 50k per epoch: four full epochs
+    // and a final partial one, on one thread and on two.
+    for (bool smt : {false, true}) {
+        SCOPED_TRACE(smt ? "smt" : "1t");
+        SimConfig cfg;
+        cfg.warmupInstructions = 50'000;
+        cfg.simInstructions = 230'000;
+        test::EpochRig rig(cfg, smt);
+        IntervalSampler &sampler = rig.sim.enableIntervalSampler(50'000);
+        SimResult r = rig.sim.run();
+        ASSERT_EQ(sampler.epochsRecorded(), 5u);
+        EXPECT_EQ(sampler.samples().back().delta.counters.instructions,
+                  30'000u);
+
+        const EpochCounters start = test::measurementStart(cfg, smt);
+        EXPECT_GT(start.freqResets, 0u);  // warmup left resets behind
+        const EpochCounters end = rig.sim.epochCounters();
+        EXPECT_EQ(end.cycles, r.cycles);
+        test::expectEpochsAddUp(sampler.samples(), start, end);
+    }
+}
+
 TEST(IntervalSampler, StreamsJsonlAndCsv)
 {
     std::ostringstream jsonl;
     IntervalSampler s(10);
     s.setSink(&jsonl, IntervalFormat::Jsonl);
     s.beginMeasurement();
-    IntervalInputs in;
-    in.instructions = 10;
+    EpochCounters in;
+    in.counters.instructions = 10;
     in.cycles = 20.0;
-    in.istlbMisses = 2;
-    s.record(in);
+    in.counters.istlbMisses = 2;
+    in.counters.baseCycles = 2.5;
+    s.record(in, 1);
     EXPECT_TRUE(contains(jsonl.str(), "\"epoch\":0"));
-    EXPECT_TRUE(contains(jsonl.str(), "\"istlb_misses\":2"));
+    EXPECT_TRUE(contains(jsonl.str(), "\"istlbMisses\":2"));
+    EXPECT_TRUE(contains(jsonl.str(), "\"baseCycles\":2.5"));
+    EXPECT_TRUE(contains(jsonl.str(), "\"wall_ms\":"));
     EXPECT_EQ(jsonl.str().back(), '\n');
     EXPECT_TRUE(balancedJson(jsonl.str()));
 
@@ -226,27 +256,36 @@ TEST(IntervalSampler, StreamsJsonlAndCsv)
     IntervalSampler s2(10);
     s2.setSink(&csv, IntervalFormat::Csv);
     s2.beginMeasurement();
-    s2.record(in);
-    // Header line + one data row.
+    s2.record(in, 1);
+    // Header line + one data row, with a value under every column.
     std::string text = csv.str();
     EXPECT_TRUE(contains(text, "epoch,"));
+    EXPECT_TRUE(contains(text, ",delta.counters.istlbMisses,"));
+    EXPECT_TRUE(contains(text, ",delta.counters.baseCycles,"));
+    EXPECT_TRUE(contains(text, ",delta.issued.0,"));
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
+    const std::string header = text.substr(0, text.find('\n'));
+    const std::string row = text.substr(header.size() + 1);
+    EXPECT_EQ(std::count(header.begin(), header.end(), ','),
+              std::count(row.begin(), row.end(), ','));
 }
 
 TEST(IntervalSampler, WriteRingJsonIsBalanced)
 {
     IntervalSampler s(10);
     s.beginMeasurement();
-    IntervalInputs in;
-    in.instructions = 10;
+    EpochCounters in;
+    in.counters.instructions = 10;
     in.cycles = 10.0;
     in.issued[PrefetchTracer::kSdp] = 5;
     in.hits[PrefetchTracer::kSdp] = 2;
-    s.record(in);
+    s.record(in, 1);
     std::ostringstream os;
     s.writeRingJson(os);
     EXPECT_TRUE(balancedJson(os.str())) << os.str();
-    EXPECT_TRUE(contains(os.str(), "\"sdp\""));
+    EXPECT_TRUE(contains(os.str(), "\"issued\":["));
+    // The ring mirror carries no host wall-clock keys.
+    EXPECT_FALSE(contains(os.str(), "wall_ms"));
 }
 
 namespace
@@ -446,7 +485,7 @@ TEST(Observability, EndToEndSimulatorRunReconciles)
     std::uint64_t issued_in_epochs = 0;
     for (const IntervalSample &s : sampler.samples())
         for (unsigned c = 0; c < PrefetchTracer::numComponents; ++c)
-            issued_in_epochs += s.issued[c];
+            issued_in_epochs += s.delta.issued[c];
     EXPECT_EQ(issued_in_epochs, totals.issued);
 
     EXPECT_TRUE(contains(events.str(), "\"ev\":\"meta\""));

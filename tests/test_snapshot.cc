@@ -37,6 +37,8 @@
 #include "sim/supervisor.hh"
 #include "workload/workload_factory.hh"
 
+#include "epoch_fields.hh"
+
 using namespace morrigan;
 
 namespace
@@ -357,6 +359,41 @@ TEST(Snapshot, SimulatorResumeBitIdentical)
     JobExecutionOptions resume_opts;
     resume_opts.checkpointPath = f.path();
     EXPECT_EQ(resultJson(executeJob(job, resume_opts).result), ref);
+}
+
+TEST(Snapshot, ResumedEpochsAddUpToTheRunCounters)
+{
+    // Epochs every 25k measured instructions; autosaves every 33k
+    // executed ones, so the last one lands mid-epoch (46k measured).
+    SimConfig cfg;
+    cfg.warmupInstructions = 20'000;
+    cfg.simInstructions = 60'000;
+    FileGuard f(tempPath("epoch-resume.snap"));
+
+    test::EpochRig straight(cfg, false);
+    IntervalSampler &ref = straight.sim.enableIntervalSampler(25'000);
+    straight.sim.setCheckpointing(f.path(), 33'000);
+    const SimResult want = straight.sim.run();
+    SnapshotHeader hdr;
+    ASSERT_TRUE(readSnapshotHeader(f.path(), hdr));
+    ASSERT_GT(hdr.progressInstructions, cfg.warmupInstructions + 25'000);
+    ASSERT_LT(hdr.progressInstructions, cfg.warmupInstructions + 50'000);
+
+    test::EpochRig resumed(cfg, false);
+    IntervalSampler &got = resumed.sim.enableIntervalSampler(25'000);
+    resumed.sim.restoreCheckpoint(f.path());
+    EXPECT_EQ(resultJson(resumed.sim.run()), resultJson(want));
+
+    // Two full epochs and the final partial one, as if never
+    // interrupted, adding up to the run's counters.
+    ASSERT_EQ(got.epochsRecorded(), 3u);
+    std::ostringstream a, b;
+    ref.writeRingJson(a);
+    got.writeRingJson(b);
+    EXPECT_EQ(a.str(), b.str());
+    test::expectEpochsAddUp(got.samples(),
+                            test::measurementStart(cfg, false),
+                            resumed.sim.epochCounters());
 }
 
 TEST(Snapshot, ResumeFromWarmupCheckpointBitIdentical)
@@ -868,18 +905,18 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
     // numbering, proven by a byte-identical re-save.
     IntervalSampler a(1000, 8);
     a.beginMeasurement();
-    IntervalInputs in;
+    EpochCounters in;
     for (int e = 1; e <= 20; ++e) {
-        in.instructions = 1000ull * e;
+        in.counters.instructions = 1000ull * e;
         in.cycles = 1500.0 * e;
-        in.istlbMisses += 17 + e;
-        in.pbHits += 11;
-        in.demandWalksInstr += 5;
-        in.prefetchWalks += 3;
+        in.counters.istlbMisses += 17 + e;
+        in.counters.pbHits += 11;
+        in.counters.demandWalksInstr += 5;
+        in.counters.prefetchWalks += 3;
+        in.counters.baseCycles += 250.0;
         in.freqResets = e / 7;
         in.walkerBusyPortCycles += 40 + e;
-        in.walkerPorts = 2;
-        a.record(in);
+        a.record(in, 2);
     }
     ASSERT_EQ(a.samples().size(), 8u);
     EXPECT_EQ(a.samples().front().epoch, 12u);
@@ -901,9 +938,9 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
     EXPECT_EQ(ja.str(), jb.str());
 
     // Recording continues seamlessly on the restored ring.
-    in.instructions += 1000;
-    const IntervalSample &sa = a.record(in);
-    const IntervalSample &sb = b.record(in);
+    in.counters.instructions += 1000;
+    const IntervalSample &sa = a.record(in, 2);
+    const IntervalSample &sb = b.record(in, 2);
     EXPECT_EQ(sa.epoch, 20u);
     EXPECT_EQ(sb.epoch, 20u);
     EXPECT_EQ(a.samples().front().epoch, 13u);
