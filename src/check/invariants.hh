@@ -10,13 +10,21 @@
  * the RLFU frequency stack stays monotone within a reset interval
  * and empty immediately after one.
  *
- * The hooks are guarded by the MORRIGAN_CHECK_LEVEL environment
- * variable (resolved once per process):
+ * The hooks inside structures are guarded by the MORRIGAN_CHECK_LEVEL
+ * environment variable (resolved once per process):
  *
  *   0 (default)  hooks compile to a single predictable branch
  *   1            cheap O(1) state checks (capacity, counters)
  *   2            heavyweight checks that re-derive state (successor
  *                set preservation, per-page frequency bounds)
+ *
+ * A structure has no configuration to consult, so its hooks keep that
+ * process-wide latch. A check owned by an object that has its own
+ * level -- the simulator's end-of-run cycle-ledger check, armed by
+ * SimConfig::checkLevel as well -- uses MORRIGAN_CHECK_INVARIANT_IF
+ * with a condition of its own, so library callers (runWorkload,
+ * Supervisor jobs) that set the level in the config get it without
+ * the env var.
  *
  * A violation is reported through reportInvariantViolation(), which
  * warns with the offending detail and bumps a process-wide atomic
@@ -110,13 +118,13 @@ reportInvariantViolation(const std::string &what)
 } // namespace morrigan::check
 
 /**
- * Evaluate a structural invariant when the process check level is at
- * least @p level. The condition is not evaluated below that level, so
- * hooks on hot paths cost one branch when checking is off.
+ * Evaluate an invariant when @p armed holds: count the check and
+ * report a violation if @p cond is false. @p cond is not evaluated
+ * otherwise.
  */
-#define MORRIGAN_CHECK_INVARIANT(level, cond, ...) \
+#define MORRIGAN_CHECK_INVARIANT_IF(armed, cond, ...) \
     do { \
-        if (::morrigan::check::invariantCheckLevel() >= (level)) { \
+        if (armed) { \
             ::morrigan::check::detail::invariantCheckCount \
                 .fetch_add(1, std::memory_order_relaxed); \
             if (!(cond)) \
@@ -124,5 +132,15 @@ reportInvariantViolation(const std::string &what)
                     ::morrigan::csprintf(__VA_ARGS__)); \
         } \
     } while (0)
+
+/**
+ * Evaluate a structural invariant when the process check level is at
+ * least @p level. The condition is not evaluated below that level, so
+ * hooks on hot paths cost one branch when checking is off.
+ */
+#define MORRIGAN_CHECK_INVARIANT(level, cond, ...) \
+    MORRIGAN_CHECK_INVARIANT_IF( \
+        ::morrigan::check::invariantCheckLevel() >= (level), cond, \
+        __VA_ARGS__)
 
 #endif // MORRIGAN_CHECK_INVARIANTS_HH

@@ -46,8 +46,11 @@ inline constexpr int traceSchemaVersion = 1;
  * readers must treat both as optional).
  * v3: an epoch carries `delta`, the change of every EpochCounters
  * field (sim/interval_sampler.hh); CSV columns are the same fields
- * under dotted names. */
-inline constexpr int intervalSchemaVersion = 3;
+ * under dotted names.
+ * v4: every row names this version: a leading `schema` key in the
+ * --stats-json "intervals" rows and the --interval-out JSONL rows, a
+ * leading `schema` column in CSV. A row without it is v3 or older. */
+inline constexpr int intervalSchemaVersion = 4;
 /** Version of the BENCH_*.json artifact schema.
  * v2: top-level build_info provenance object. */
 inline constexpr int benchSchemaVersion = 2;

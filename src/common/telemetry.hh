@@ -147,6 +147,14 @@ bool tracingEnabled();
 std::uint64_t nowNs();
 
 /**
+ * This process's peak resident set in MB (VmHWM of
+ * /proc/self/status), or 0 where that file is unavailable. Unlike
+ * getrusage's ru_maxrss it does not carry over the RSS the process
+ * had before exec, so a launcher's footprint does not set a floor.
+ */
+double peakRssMb();
+
+/**
  * RAII phase span. Construction while telemetry is disabled is free
  * (one branch); while enabled it pushes a frame on the calling
  * thread's span stack and the destructor attributes elapsed time.

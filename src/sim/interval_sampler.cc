@@ -146,6 +146,7 @@ IntervalSampler::emit(const IntervalSample &s)
     if (format_ == IntervalFormat::Jsonl) {
         json::Writer w(*sink_);
         w.beginObject();
+        w.kv("schema", json::intervalSchemaVersion);
         json::writeFields(w, s);
         w.kv("wall_ms", wall_ms);
         w.kv("delta_instrs_per_sec", instrs_per_sec);
@@ -155,6 +156,7 @@ IntervalSampler::emit(const IntervalSample &s)
     }
     // CSV: the same fields, one column per scalar.
     if (!wroteCsvHeader_) {
+        *sink_ << "schema,";
         forEachColumn(s, "", [this](const std::string &name, auto) {
             *sink_ << name << ',';
         });
@@ -162,6 +164,7 @@ IntervalSampler::emit(const IntervalSample &s)
         wroteCsvHeader_ = true;
     }
     const std::streamsize precision = sink_->precision(17);
+    *sink_ << json::intervalSchemaVersion << ',';
     forEachColumn(s, "", [this](const std::string &, auto v) {
         *sink_ << v << ',';
     });
@@ -179,6 +182,7 @@ IntervalSampler::writeRingJson(std::ostream &os) const
     w.beginArray();
     for (const IntervalSample &s : ring_) {
         w.beginObject();
+        w.kv("schema", json::intervalSchemaVersion);
         json::writeFields(w, s);
         w.endObject();
     }

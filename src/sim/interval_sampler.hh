@@ -14,6 +14,8 @@
  * (tests, the --stats-json "intervals" array) and optionally streams
  * each epoch as JSONL (nested as the records are) or CSV (the same
  * fields under dotted names) so no epoch is lost when the ring wraps.
+ * Every row, streamed or in the JSON ring, leads with `schema`, the
+ * json::intervalSchemaVersion it was written under.
  *
  * Streamed rows (since schema v2) additionally carry host wall-clock
  * columns -- wall_ms since measurement start and the interval's

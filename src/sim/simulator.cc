@@ -686,16 +686,18 @@ Simulator::run()
         takeIntervalSample();
     if (tracer_)
         tracer_->finalize(pb_, now());
-    // Every cycle is charged to exactly one bucket.
+    // Every cycle is charged to exactly one bucket. Armed by the
+    // config's check level as well as the process-wide one.
     const double measured = cycles_ - measureStartCycles_;
     double buckets = 0.0;
     for (double RunCounters::*b : stallBucket)
         buckets += c_.*b;
-    MORRIGAN_CHECK_INVARIANT(1,
-                             std::abs(buckets - measured) <=
-                                 ledgerTolerance(c_.instructions) * cycles_,
-                             "cycle ledger: buckets sum to %.17g of %.17g",
-                             buckets, measured);
+    MORRIGAN_CHECK_INVARIANT_IF(
+        cfg_.checkLevel >= 1 || check::invariantCheckLevel() >= 1,
+        std::abs(buckets - measured) <=
+            ledgerTolerance(c_.instructions) * cycles_,
+        "cycle ledger: buckets sum to %.17g of %.17g", buckets,
+        measured);
     return buildResult();
 }
 

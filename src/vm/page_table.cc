@@ -50,10 +50,10 @@ PageTable::newNode()
 std::int32_t
 PageTable::ensureChild(std::int32_t ni, std::uint32_t idx)
 {
-    std::int32_t c = arena_[ni].child[idx];
+    std::int32_t c = arena_[ni].childAt(idx);
     if (c == noNode) {
         c = newNode();  // may reallocate the arena
-        arena_[ni].child[idx] = c;
+        childArrays_.at(arena_[ni].child, idx) = c;
     }
     return c;
 }
@@ -90,12 +90,12 @@ PageTable::walkHashed(Vpn vpn, bool allocate)
 {
     WalkPath path;
     Vpn group = vpn >> 3;
-    const Pfn *leaf = map4k_.find(vpn);
+    const Pfn *leaf = hashLeaves_.find(vpn);
     bool mapped = leaf != nullptr;
     if (!mapped && allocate) {
         Pfn pfn = phys_.allocFrame();
-        map4k_.insert(vpn, pfn);
-        leaf = map4k_.find(vpn);
+        hashLeaves_.insert(vpn, pfn);
+        leaf = hashLeaves_.find(vpn);
         ++mappedPages_;
         mapped = true;
         if (observer_)
@@ -137,10 +137,10 @@ bool
 PageTable::mapPage(Vpn vpn)
 {
     if (format_ == PageTableFormat::Hashed) {
-        if (map4k_.find(vpn))
+        if (hashLeaves_.find(vpn))
             return false;
         Pfn pfn = phys_.allocFrame();
-        map4k_.insert(vpn, pfn);
+        hashLeaves_.insert(vpn, pfn);
         ++mappedPages_;
         unsigned probes = 0;
         findBucket(vpn >> 3, true, &probes);
@@ -156,11 +156,11 @@ PageTable::mapPage(Vpn vpn)
         ni = ensureChild(ni, idx);
     }
     auto leaf_idx = static_cast<std::uint32_t>(radixIndex(vpn, 0));
-    if (arena_[ni].hasLeaf(leaf_idx))
+    Pfn &leaf = frameArrays_.at(arena_[ni].leaf, leaf_idx);
+    if (leaf != noFrame)
         return false;
     Pfn pfn = phys_.allocFrame();
-    arena_[ni].setLeaf(leaf_idx, pfn);
-    map4k_.insert(vpn, pfn);
+    leaf = pfn;
     ++mappedPages_;
     if (observer_)
         observer_->onMap4K(vpn, pfn);
@@ -181,17 +181,16 @@ PageTable::mapLargePage(Vpn vpn)
         ni = ensureChild(ni, idx);
     }
     auto pd_idx = static_cast<std::uint32_t>(radixIndex(base, 1));
-    panic_if(arena_[ni].child[pd_idx] != noNode,
+    panic_if(arena_[ni].childAt(pd_idx) != noNode,
              "2MB mapping over existing 4KB mappings");
-    if (arena_[ni].hasLargeLeaf(pd_idx))
+    Pfn &large = frameArrays_.at(arena_[ni].largeLeaf, pd_idx);
+    if (large != noFrame)
         return false;
     // Allocate a contiguous 2MB frame group.
     Pfn first = phys_.allocFrame();
     for (unsigned i = 1; i < pagesPerLargePage; ++i)
         phys_.allocFrame();
-    arena_[ni].setLargeLeaf(pd_idx, first);
-    map2m_.insert(base, first);
-    anyLarge_ = true;
+    large = first;
     mappedPages_ += pagesPerLargePage;
     if (observer_)
         observer_->onMap2M(base, first);
@@ -221,7 +220,7 @@ PageTable::findLeafNode(Vpn vpn) const
     for (unsigned depth = 0; depth < levels_ - 1; ++depth) {
         unsigned level = levels_ - 1 - depth;
         auto idx = static_cast<std::uint32_t>(radixIndex(vpn, level));
-        ni = arena_[ni].child[idx];
+        ni = arena_[ni].childAt(idx);
         if (ni == noNode)
             return nullptr;
     }
@@ -233,8 +232,6 @@ PageTable::walk(Vpn vpn, bool allocate)
 {
     if (format_ == PageTableFormat::Hashed)
         return walkHashed(vpn, allocate);
-    if (allocate && !isMapped(vpn))
-        mapPage(vpn);
 
     WalkPath path;
     path.levels = levels_;
@@ -246,30 +243,34 @@ PageTable::walk(Vpn vpn, bool allocate)
         path.entryAddr[depth] =
             (n.frame << pageShift) + idx * pteBytes;
         if (depth == levels_ - 1) {
-            if (n.hasLeaf(idx)) {
-                path.pfn = n.leaf[idx];
+            if (Pfn pfn = n.leafAt(idx); pfn != noFrame) {
+                path.pfn = pfn;
                 path.mapped = true;
             }
             break;
         }
         if (level == 1) {
             // A PD entry can be a 2MB leaf (Section 4.3).
-            if (n.hasLargeLeaf(idx)) {
-                path.pfn = n.largeLeaf[idx] +
-                           (vpn & (pagesPerLargePage - 1));
+            if (Pfn base = n.largeLeafAt(idx); base != noFrame) {
+                path.pfn = base + (vpn & (pagesPerLargePage - 1));
                 path.mapped = true;
                 path.large = true;
                 path.levels = depth + 1;  // walk ends at the PD
                 break;
             }
         }
-        ni = n.child[idx];
+        ni = n.childAt(idx);
         if (ni == noNode) {
             // Walk terminates early: the interior entry is absent.
             // Entry addresses below this level stay zero and
             // path.mapped stays false.
             break;
         }
+    }
+    if (allocate && !path.mapped) {
+        // Demand fault: map, then walk the completed path.
+        mapPage(vpn);
+        return walk(vpn, false);
     }
     return path;
 }
@@ -285,7 +286,7 @@ PageTable::lineNeighbors(Vpn vpn, unsigned *count) const
         Vpn group_base = vpn & ~static_cast<Vpn>(ptesPerLine - 1);
         for (unsigned i = 0; i < ptesPerLine; ++i) {
             Vpn cand = group_base + i;
-            if (map4k_.find(cand))
+            if (hashLeaves_.find(cand))
                 out[n++] = cand;
         }
         *count = n;
@@ -300,7 +301,7 @@ PageTable::lineNeighbors(Vpn vpn, unsigned *count) const
         for (unsigned i = 0; i < ptesPerLine; ++i) {
             Vpn cand = group_base + i;
             auto idx = static_cast<std::uint32_t>(radixIndex(cand, 0));
-            if (leaf_node->hasLeaf(idx))
+            if (leaf_node->leafAt(idx) != noFrame)
                 out[n++] = cand;
         }
     }
@@ -312,79 +313,57 @@ void
 PageTable::saveNode(SnapshotWriter &w, const Node &n) const
 {
     w.u64(n.frame);
-    // Leaves, then large leaves, then children -- each in ascending
-    // index order, byte-identical to the sorted-map emission of the
+    // Leaves, then large leaves, then children -- each as a count
+    // followed by (index, value) in ascending index order,
+    // byte-identical to the sorted-map emission of the
     // unordered_map-based layout.
-    std::uint64_t leaf_count = 0;
-    for (std::uint32_t i = 0; i < radixFanout; ++i)
-        leaf_count += n.hasLeaf(i);
-    w.u64(leaf_count);
-    for (std::uint32_t i = 0; i < radixFanout; ++i) {
-        if (n.hasLeaf(i)) {
-            w.u32(i);
-            w.u64(n.leaf[i]);
+    auto emit = [&w](const auto &slots, auto empty, auto &&value) {
+        std::uint64_t count = 0;
+        for (std::uint32_t i = 0; slots && i < radixFanout; ++i)
+            count += slots[i] != empty;
+        w.u64(count);
+        for (std::uint32_t i = 0; slots && i < radixFanout; ++i) {
+            if (slots[i] != empty) {
+                w.u32(i);
+                value(slots[i]);
+            }
         }
-    }
-    std::uint64_t large_count = 0;
-    for (std::uint32_t i = 0; i < radixFanout; ++i)
-        large_count += n.hasLargeLeaf(i);
-    w.u64(large_count);
-    for (std::uint32_t i = 0; i < radixFanout; ++i) {
-        if (n.hasLargeLeaf(i)) {
-            w.u32(i);
-            w.u64(n.largeLeaf[i]);
-        }
-    }
-    std::uint64_t child_count = 0;
-    for (std::uint32_t i = 0; i < radixFanout; ++i)
-        child_count += n.child[i] != noNode;
-    w.u64(child_count);
-    for (std::uint32_t i = 0; i < radixFanout; ++i) {
-        if (n.child[i] != noNode) {
-            w.u32(i);
-            saveNode(w, arena_[n.child[i]]);
-        }
-    }
+    };
+    auto frame = [&w](Pfn pfn) { w.u64(pfn); };
+    emit(n.leaf, noFrame, frame);
+    emit(n.largeLeaf, noFrame, frame);
+    emit(n.child, noNode,
+         [&](std::int32_t c) { saveNode(w, arena_[c]); });
 }
 
 void
-PageTable::restoreNode(SnapshotReader &r, std::int32_t ni, Vpn prefix)
+PageTable::restoreNode(SnapshotReader &r, std::int32_t ni)
 {
     // The arena may reallocate while children are restored, so
     // arena_[ni] is re-resolved after every recursive call.
     arena_[ni] = Node{};
     arena_[ni].frame = r.u64();
-    std::uint64_t leaves = r.u64();
-    for (std::uint64_t i = 0; i < leaves; ++i) {
+    auto index = [&r](const char *what) {
         std::uint32_t idx = r.u32();
         if (idx >= radixFanout)
-            throw SnapshotError("page table leaf index out of range");
-        Pfn pfn = r.u64();
-        arena_[ni].setLeaf(idx, pfn);
-        // Only PT-level nodes carry 4KB leaves, so the accumulated
-        // prefix is the full VPN head.
-        map4k_.insert((prefix << radixBits) | idx, pfn);
+            throw SnapshotError(csprintf(
+                "page table %s index out of range", what));
+        return idx;
+    };
+    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+        std::uint32_t idx = index("leaf");
+        frameArrays_.at(arena_[ni].leaf, idx) = r.u64();
     }
-    std::uint64_t larges = r.u64();
-    for (std::uint64_t i = 0; i < larges; ++i) {
-        std::uint32_t idx = r.u32();
-        if (idx >= radixFanout)
-            throw SnapshotError("page table leaf index out of range");
-        Pfn pfn = r.u64();
-        arena_[ni].setLargeLeaf(idx, pfn);
-        map2m_.insert(((prefix << radixBits) | idx) << radixBits, pfn);
-        anyLarge_ = true;
+    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+        std::uint32_t idx = index("leaf");
+        frameArrays_.at(arena_[ni].largeLeaf, idx) = r.u64();
     }
-    std::uint64_t children = r.u64();
-    for (std::uint64_t i = 0; i < children; ++i) {
-        std::uint32_t idx = r.u32();
-        if (idx >= radixFanout)
-            throw SnapshotError("page table child index out of range");
+    for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+        std::uint32_t idx = index("child");
         arena_.emplace_back();
-        std::int32_t ci =
-            static_cast<std::int32_t>(arena_.size() - 1);
-        arena_[ni].child[idx] = ci;
-        restoreNode(r, ci, (prefix << radixBits) | idx);
+        auto ci = static_cast<std::int32_t>(arena_.size() - 1);
+        childArrays_.at(arena_[ni].child, idx) = ci;
+        restoreNode(r, ci);
     }
 }
 
@@ -402,8 +381,8 @@ PageTable::save(SnapshotWriter &w) const
         for (Vpn b : buckets_)
             w.u64(b);
         std::vector<std::pair<Vpn, Pfn>> leaves;
-        leaves.reserve(map4k_.size());
-        map4k_.forEach([&leaves](Vpn vpn, Pfn pfn) {
+        leaves.reserve(hashLeaves_.size());
+        hashLeaves_.forEach([&leaves](Vpn vpn, Pfn pfn) {
             leaves.emplace_back(vpn, pfn);
         });
         std::sort(leaves.begin(), leaves.end());
@@ -423,12 +402,11 @@ PageTable::restore(SnapshotReader &r)
     if (static_cast<PageTableFormat>(r.u8()) != format_ ||
         r.u32() != levels_)
         throw SnapshotError("page table format/levels mismatch");
-    map4k_.clear(64);
-    map2m_.clear(64);
-    anyLarge_ = false;
     if (format_ == PageTableFormat::Radix) {
         arena_.resize(1);
-        restoreNode(r, 0, 0);
+        childArrays_.clear();
+        frameArrays_.clear();
+        restoreNode(r, 0);
     } else {
         hashBase_ = r.u64();
         std::uint64_t nbuckets = r.u64();
@@ -436,10 +414,11 @@ PageTable::restore(SnapshotReader &r)
             throw SnapshotError("hashed page table size mismatch");
         for (Vpn &b : buckets_)
             b = r.u64();
+        hashLeaves_.clear(64);
         std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {
             Vpn vpn = r.u64();
-            map4k_.insert(vpn, r.u64());
+            hashLeaves_.insert(vpn, r.u64());
         }
     }
     hashProbes_ = r.u64();

@@ -9,24 +9,26 @@
  * "page table locality" property emerge naturally: the leaf PTEs of
  * 8 virtually contiguous pages share one 64-byte cache line.
  *
- * Hot-path organisation: radix nodes live in a bump arena (one
- * std::vector, index-linked) and each node's children / leaves /
- * large leaves are direct 512-slot arrays with valid bitmaps instead
- * of unordered_maps, so a descend step is an array index, not a hash
- * probe. On top of the structural model sits a flat open-addressing
- * VPN -> PFN map fed at mapping creation; translate() answers
- * "mapped? what frame?" in one or two probes for callers that do not
- * need per-level entry addresses (spatial fills, I-cache prefetch
- * translation). The structural walk() remains authoritative for walk
- * addresses and is what the walker drives through the memory
- * hierarchy.
+ * Storage: radix nodes live in an index-linked arena of small
+ * headers. A node holds only the 512-slot arrays its level uses, each
+ * allocated on first use -- child links on interior nodes, 4KB leaf
+ * frames on PT-level nodes, 2MB leaf frames on a PD node that maps a
+ * large page -- so a descend step is an array index and growing the
+ * arena never copies a payload. The tree is the only copy of the
+ * mappings: walk() descends it computing per-level entry addresses
+ * for the walker, and translate() descends it for callers that only
+ * need the frame (spatial fills, I-cache prefetch translation).
+ * The hashed format keeps its leaves in a flat VPN -> PFN map beside
+ * the bucket array.
  */
 
 #ifndef MORRIGAN_VM_PAGE_TABLE_HH
 #define MORRIGAN_VM_PAGE_TABLE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -73,7 +75,7 @@ struct WalkPath
     bool large = false;
 };
 
-/** Result of the flat-map fast-path translation. */
+/** Result of translate(): the frame, without entry addresses. */
 struct TranslateResult
 {
     Pfn pfn = 0;
@@ -154,12 +156,11 @@ class PageTable
     bool isMapped(Vpn vpn) const;
 
     /**
-     * One-probe flat-map translation: the result is exactly
-     * walk(vpn, false)'s {mapped, pfn, large} without touching the
-     * radix structure or computing entry addresses. Use wherever the
-     * caller only needs the frame; the walker must keep using walk().
-     * Defined inline (below the class) -- it runs on TLB fill paths
-     * several times per miss.
+     * Translation without entry addresses: walk(vpn, false)'s
+     * {mapped, pfn, large}, with a 4KB mapping taking precedence over
+     * a 2MB one. Use wherever the caller only needs the frame; the
+     * walker must keep using walk(). Defined inline (below the class)
+     * -- it runs on TLB fill paths several times per miss.
      */
     TranslateResult translate(Vpn vpn) const;
 
@@ -201,48 +202,83 @@ class PageTable
   private:
     /** Absent child / arena link. */
     static constexpr std::int32_t noNode = -1;
+    /** Absent leaf; real frames lie below PhysMem::totalFrames(). */
+    static constexpr Pfn noFrame = ~Pfn{0};
 
     /**
-     * One radix node: direct 512-slot child links and leaf frames
-     * with valid bitmaps. Children are arena indices, so the arena
-     * vector may reallocate freely.
+     * One radix node: a frame and up to three 512-slot arrays, each
+     * null until its first entry is set. Children are arena indices,
+     * so the arena vector may reallocate freely; the arrays live in
+     * SlotArrays blocks and stay put.
      */
     struct Node
     {
         Pfn frame = 0;
-        std::array<std::int32_t, radixFanout> child;
-        std::array<Pfn, radixFanout> leaf{};
-        std::array<Pfn, radixFanout> largeLeaf{};
-        std::array<std::uint64_t, radixFanout / 64> leafValid{};
-        std::array<std::uint64_t, radixFanout / 64> largeValid{};
+        /** Child links (interior nodes). */
+        std::int32_t *child = nullptr;
+        /** 4KB leaf frames (PT-level nodes). */
+        Pfn *leaf = nullptr;
+        /** 2MB leaf base frames (PD nodes with a large mapping). */
+        Pfn *largeLeaf = nullptr;
 
-        Node() { child.fill(noNode); }
-
-        bool
-        hasLeaf(std::uint32_t idx) const
+        std::int32_t childAt(std::uint32_t i) const
         {
-            return (leafValid[idx >> 6] >> (idx & 63)) & 1;
+            return child ? child[i] : noNode;
+        }
+        Pfn leafAt(std::uint32_t i) const
+        {
+            return leaf ? leaf[i] : noFrame;
+        }
+        Pfn largeLeafAt(std::uint32_t i) const
+        {
+            return largeLeaf ? largeLeaf[i] : noFrame;
+        }
+    };
+
+    /**
+     * The 512-slot arrays of one element type, carved from blocks
+     * that double in size (64 arrays, then 128, ... up to 4096): a
+     * table makes a handful of allocations, and an array never moves
+     * once handed out. Slots not yet handed out are never written, so
+     * a fresh block costs address space, not resident memory.
+     */
+    template <class T, T empty>
+    class SlotArrays
+    {
+      public:
+        /** Slot @p i of @p slots, handing out the array (every slot
+         * empty) on first use. */
+        T &
+        at(T *&slots, std::uint32_t i)
+        {
+            if (!slots) {
+                if (left_ == 0) {
+                    left_ = std::size_t{64}
+                            << std::min<std::size_t>(blocks_.size(), 6);
+                    blocks_.emplace_back(new T[left_ * radixFanout]);
+                    next_ = blocks_.back().get();
+                }
+                slots = next_;
+                next_ += radixFanout;
+                --left_;
+                std::fill_n(slots, radixFanout, empty);
+            }
+            return slots[i];
         }
 
-        bool
-        hasLargeLeaf(std::uint32_t idx) const
-        {
-            return (largeValid[idx >> 6] >> (idx & 63)) & 1;
-        }
-
+        /** Drop every array (restore rebuilds the tree). */
         void
-        setLeaf(std::uint32_t idx, Pfn pfn)
+        clear()
         {
-            leaf[idx] = pfn;
-            leafValid[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+            blocks_.clear();
+            left_ = 0;
         }
 
-        void
-        setLargeLeaf(std::uint32_t idx, Pfn pfn)
-        {
-            largeLeaf[idx] = pfn;
-            largeValid[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-        }
+      private:
+        std::vector<std::unique_ptr<T[]>> blocks_;
+        T *next_ = nullptr;
+        /** Arrays still free in the last block. */
+        std::size_t left_ = 0;
     };
 
     /**
@@ -338,16 +374,13 @@ class PageTable
         std::size_t size_ = 0;
     };
 
-    Node *node(std::int32_t i) { return &arena_[i]; }
-    const Node *node(std::int32_t i) const { return &arena_[i]; }
     std::int32_t newNode();
     /** Child at @p idx of arena node @p ni, creating it if needed. */
     std::int32_t ensureChild(std::int32_t ni, std::uint32_t idx);
     const Node *findLeafNode(Vpn vpn) const;
     void saveNode(SnapshotWriter &w, const Node &n) const;
-    /** Rebuild arena node @p ni; @p prefix is the VPN head above it
-     * (used to refeed the flat translation maps). */
-    void restoreNode(SnapshotReader &r, std::int32_t ni, Vpn prefix);
+    /** Rebuild arena node @p ni and its subtree. */
+    void restoreNode(SnapshotReader &r, std::int32_t ni);
     WalkPath walkHashed(Vpn vpn, bool allocate);
     /** Bucket index for a group, probing linearly from its hash;
      * returns the capacity if absent and allocate is false. */
@@ -360,15 +393,14 @@ class PageTable
     PageTableObserver *observer_ = nullptr;
     /** Node arena; index 0 is the root. */
     std::vector<Node> arena_;
-    /** 4KB translations (both formats). */
-    FlatMap map4k_;
-    /** 2MB translations keyed by 512-aligned base VPN -> base PFN. */
-    FlatMap map2m_;
-    /** Monotone: any 2MB mapping ever created (skips the 2M probe
-     * in the overwhelmingly common 4K-only configuration). */
-    bool anyLarge_ = false;
+    /** Child-link arrays of the arena's nodes. */
+    SlotArrays<std::int32_t, noNode> childArrays_;
+    /** Leaf and large-leaf frame arrays of the arena's nodes. */
+    SlotArrays<Pfn, noFrame> frameArrays_;
 
     // --- hashed-format state ---
+    /** 4KB translations: the hashed format's leaf store. */
+    FlatMap hashLeaves_;
     /** Bucket occupancy: group key per bucket; ~0 when free. */
     std::vector<Vpn> buckets_;
     /** Base physical frame of the hashed table array. */
@@ -383,14 +415,37 @@ inline TranslateResult
 PageTable::translate(Vpn vpn) const
 {
     TranslateResult res;
-    if (const Pfn *pfn = map4k_.find(vpn)) {
-        res.pfn = *pfn;
-        res.mapped = true;
+    if (format_ == PageTableFormat::Hashed) {
+        if (const Pfn *pfn = hashLeaves_.find(vpn)) {
+            res.pfn = *pfn;
+            res.mapped = true;
+        }
         return res;
     }
-    if (anyLarge_) {
-        if (const Pfn *base = map2m_.find(largePageBase(vpn))) {
-            res.pfn = *base + (vpn & (pagesPerLargePage - 1));
+    // Descend to the PT node, noting the PD node on the way: its
+    // large leaf answers only when no 4KB leaf does.
+    const Node *n = &arena_[0];
+    const Node *pd = nullptr;
+    for (unsigned level = levels_ - 1; n && level > 0; --level) {
+        if (level == 1)
+            pd = n;
+        std::int32_t c =
+            n->childAt(static_cast<std::uint32_t>(radixIndex(vpn, level)));
+        n = c == noNode ? nullptr : &arena_[c];
+    }
+    if (n) {
+        Pfn pfn = n->leafAt(static_cast<std::uint32_t>(radixIndex(vpn, 0)));
+        if (pfn != noFrame) {
+            res.pfn = pfn;
+            res.mapped = true;
+            return res;
+        }
+    }
+    if (pd) {
+        Pfn base =
+            pd->largeLeafAt(static_cast<std::uint32_t>(radixIndex(vpn, 1)));
+        if (base != noFrame) {
+            res.pfn = base + (vpn & (pagesPerLargePage - 1));
             res.mapped = true;
             res.large = true;
         }

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "common/json.hh"
+#include "common/json_reader.hh"
 #include "common/stats.hh"
 #include "core/morrigan.hh"
 #include "sim/interval_sampler.hh"
@@ -268,6 +269,61 @@ TEST(IntervalSampler, StreamsJsonlAndCsv)
     const std::string row = text.substr(header.size() + 1);
     EXPECT_EQ(std::count(header.begin(), header.end(), ','),
               std::count(row.begin(), row.end(), ','));
+}
+
+TEST(IntervalSampler, EveryArtifactNamesItsSchema)
+{
+    EpochCounters in;
+    in.counters.instructions = 10;
+    in.cycles = 20.0;
+    std::ostringstream jsonl, csv, ring;
+    IntervalSampler streamed(10), tabled(10);
+    streamed.setSink(&jsonl, IntervalFormat::Jsonl);
+    tabled.setSink(&csv, IntervalFormat::Csv);
+    for (IntervalSampler *s : {&streamed, &tabled}) {
+        s->beginMeasurement();
+        s->record(in, 1);
+        in.counters.instructions += 10;
+        s->record(in, 1);
+    }
+    streamed.writeRingJson(ring);
+    const std::string version =
+        std::to_string(json::intervalSchemaVersion);
+
+    // The --stats-json "intervals" array: every row leads with it.
+    const std::string ring_text = ring.str();
+    json::Value rows;
+    ASSERT_TRUE(json::Reader(ring_text).parse(rows)) << ring_text;
+    ASSERT_EQ(rows.array.size(), 2u);
+    for (const json::Value &row : rows.array) {
+        ASSERT_FALSE(row.object.empty());
+        EXPECT_EQ(row.object.front().first, "schema");
+        EXPECT_EQ(row.object.front().second.token, version);
+    }
+
+    // --interval-out JSONL: every line.
+    std::istringstream lines(jsonl.str());
+    std::string line;
+    unsigned count = 0;
+    while (std::getline(lines, line)) {
+        json::Value row;
+        ASSERT_TRUE(json::Reader(line).parse(row)) << line;
+        ASSERT_NE(row.find("schema"), nullptr);
+        EXPECT_EQ(row.find("schema")->token, version);
+        ++count;
+    }
+    EXPECT_EQ(count, 2u);
+
+    // CSV: a leading `schema` column, filled on every row.
+    std::istringstream table(csv.str());
+    ASSERT_TRUE(std::getline(table, line));
+    EXPECT_EQ(line.substr(0, line.find(',')), "schema");
+    count = 0;
+    while (std::getline(table, line)) {
+        EXPECT_EQ(line.substr(0, line.find(',')), version);
+        ++count;
+    }
+    EXPECT_EQ(count, 2u);
 }
 
 TEST(IntervalSampler, WriteRingJsonIsBalanced)

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "vm/page_table.hh"
 
@@ -158,4 +162,162 @@ TEST(PageTable, DistantRegionsUseDifferentInteriorNodes)
               pb.entryAddr[0] >> pageShift);
     EXPECT_NE(pa.entryAddr[1] >> pageShift,
               pb.entryAddr[1] >> pageShift);
+}
+
+// ---------------------------------------------------------------
+// Equivalence over random maps: translate() answers what walk()
+// does, lineNeighbors() reports the mapped 4KB pages of the line,
+// and a saved table restores to one that saves and translates
+// identically.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** Every mapping the table creates, as the observer sees it. */
+struct MappingLog : PageTableObserver
+{
+    std::map<Vpn, Pfn> small;
+    std::map<Vpn, Pfn> large;  //!< 512-aligned base VPN -> base PFN
+
+    void onMap4K(Vpn vpn, Pfn pfn) override { small[vpn] = pfn; }
+    void onMap2M(Vpn base, Pfn pfn) override { large[base] = pfn; }
+
+    /** The expected answer: a 4KB mapping first, then a 2MB one. */
+    TranslateResult
+    expect(Vpn vpn) const
+    {
+        TranslateResult r;
+        if (auto it = small.find(vpn); it != small.end()) {
+            r.pfn = it->second;
+            r.mapped = true;
+        } else if (auto lt = large.find(largePageBase(vpn));
+                   lt != large.end()) {
+            r.pfn = lt->second + (vpn & (pagesPerLargePage - 1));
+            r.mapped = true;
+            r.large = true;
+        }
+        return r;
+    }
+};
+
+void
+expectSameTranslation(const TranslateResult &got,
+                      const TranslateResult &want, Vpn vpn)
+{
+    EXPECT_EQ(got.mapped, want.mapped) << std::hex << vpn;
+    EXPECT_EQ(got.pfn, want.pfn) << std::hex << vpn;
+    EXPECT_EQ(got.large, want.large) << std::hex << vpn;
+}
+
+std::string
+saved(const PageTable &pt)
+{
+    SnapshotWriter w;
+    pt.save(w);
+    return w.payload();
+}
+
+} // namespace
+
+TEST(PageTable, TranslateWalkNeighborsAndRestoreAgreeOnRandomMaps)
+{
+    struct Shape
+    {
+        unsigned levels;
+        PageTableFormat format;
+    };
+    const Shape shapes[] = {{4, PageTableFormat::Radix},
+                            {5, PageTableFormat::Radix},
+                            {4, PageTableFormat::Hashed}};
+    for (const Shape &shape : shapes) {
+        const bool radix = shape.format == PageTableFormat::Radix;
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << shape.levels << " levels, "
+                         << (radix ? "radix" : "hashed") << ", seed "
+                         << seed);
+            std::mt19937_64 rng(seed);
+            const Vpn vpn_bits = radixBits * shape.levels;
+            auto random_vpn = [&] {
+                return rng() & ((Vpn{1} << vpn_bits) - 1);
+            };
+            PhysMem phys{1 << 24, seed};
+            PageTable pt{phys, nullptr, shape.levels, shape.format};
+            MappingLog log;
+            pt.setObserver(&log);
+
+            // 4KB premaps: clusters of contiguous pages in the low
+            // half of the VA space, some spanning a PT boundary.
+            std::vector<Vpn> probes;
+            for (int c = 0; c < 12; ++c) {
+                Vpn base = random_vpn() >> 1;
+                std::uint64_t count = 1 + rng() % 700;
+                pt.mapRange(base, count);
+                probes.push_back(base);
+                probes.push_back(base + count);  // one past the end
+            }
+            // 2MB premaps in the high half (radix only), so no large
+            // region holds a 4KB mapping.
+            const Vpn high = Vpn{1} << (vpn_bits - 1);
+            for (int c = 0; radix && c < 6; ++c) {
+                Vpn base = high | (random_vpn() >> 1);
+                std::uint64_t count = 1 + rng() % 1500;
+                pt.mapLargeRange(base, count);
+                probes.push_back(base);
+                probes.push_back(largePageBase(base) +
+                                 pagesPerLargePage - 1);
+            }
+            // Demand maps: near existing clusters and anywhere.
+            for (int d = 0; d < 200; ++d) {
+                Vpn v = d % 2 ? probes[rng() % probes.size()] +
+                                    rng() % 64
+                              : random_vpn() >> 1;
+                pt.walk(v, true);
+                probes.push_back(v);
+            }
+            // Unmapped probes: random VPNs and the neighbours of
+            // everything mapped.
+            for (int u = 0; u < 500; ++u)
+                probes.push_back(random_vpn());
+            for (const auto &[vpn, pfn] : log.small) {
+                probes.push_back(vpn);
+                probes.push_back(vpn ^ 9);
+            }
+
+            for (Vpn v : probes) {
+                TranslateResult want = log.expect(v);
+                expectSameTranslation(pt.translate(v), want, v);
+                WalkPath path = pt.walk(v, false);
+                expectSameTranslation({path.pfn, path.mapped, path.large},
+                                      want, v);
+                unsigned count = 0;
+                auto neighbors = pt.lineNeighbors(v, &count);
+                std::vector<Vpn> expected;
+                Vpn group = v & ~static_cast<Vpn>(ptesPerLine - 1);
+                for (Vpn c = group; c < group + ptesPerLine; ++c)
+                    if (log.small.count(c))
+                        expected.push_back(c);
+                EXPECT_EQ(std::vector<Vpn>(neighbors.begin(),
+                                           neighbors.begin() + count),
+                          expected)
+                    << std::hex << v;
+            }
+
+            PhysMem phys2{1 << 24, seed};
+            PageTable restored{phys2, nullptr, shape.levels,
+                               shape.format};
+            const std::string image = saved(pt);
+            SnapshotReader r = SnapshotReader::fromPayload(image);
+            restored.restore(r);
+            EXPECT_EQ(r.remaining(), 0u);
+            EXPECT_EQ(saved(restored), image);
+            for (Vpn v : probes) {
+                expectSameTranslation(restored.translate(v),
+                                      pt.translate(v), v);
+                EXPECT_EQ(restored.walk(v, false).entryAddr,
+                          pt.walk(v, false).entryAddr);
+            }
+        }
+    }
 }

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/invariants.hh"
 #include "core/morrigan.hh"
 #include "core/prefetcher_registry.hh"
 #include "sim/experiment.hh"
@@ -209,6 +210,24 @@ TEST(Simulator, StallFractionsAreFractions)
     EXPECT_LE(r.istlbCycleFraction, 1.0);
     EXPECT_LE(r.istlbCycleFraction + r.icacheCycleFraction +
               r.dataCycleFraction, 1.0);
+}
+
+TEST(Simulator, ConfigCheckLevelArmsTheCycleLedgerCheck)
+{
+    // This binary never sets MORRIGAN_CHECK_LEVEL, so only
+    // SimConfig::checkLevel can arm the end-of-run ledger check.
+    ASSERT_EQ(check::invariantCheckLevel(), 0);
+    SimConfig cfg;
+    cfg.warmupInstructions = 20'000;
+    cfg.simInstructions = 100'000;
+    check::resetInvariantCounters();
+    runWorkload(cfg, "morrigan", workload());
+    EXPECT_EQ(check::invariantChecks(), 0u);
+    cfg.checkLevel = 1;
+    runWorkload(cfg, "morrigan", workload());
+    EXPECT_GT(check::invariantChecks(), 0u);
+    EXPECT_EQ(check::invariantViolations(), 0u);
+    check::resetInvariantCounters();
 }
 
 TEST(Simulator, SpecWorkloadsAreNotIstlbIntensive)

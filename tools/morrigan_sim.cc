@@ -208,6 +208,7 @@ writeStatsJsonDocument(std::ostream &os, Simulator &sim,
                       ? static_cast<double>(r.instructions) /
                             run_seconds
                       : 0.0);
+            tw.kv("peak_rss_mb", telemetry::peakRssMb());
             tw.key("report").rawValue([](std::ostream &ro) {
                 json::Writer rw(ro);
                 telemetry::writeReportJson(rw,
