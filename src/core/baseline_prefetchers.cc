@@ -362,11 +362,13 @@ registerBaselinePrefetchers(PrefetcherRegistry &reg)
         "sp", "SP", "sequential prefetcher (next page, stateless)",
         [] { return std::make_unique<SequentialPrefetcher>(); },
         /*fuzzable=*/true, /*tournament=*/true});
+    // ASP never issues on an iSTLB miss (see StridePrefetcher), so
+    // it stays a paper baseline but is no tournament entrant.
     reg.registerPlugin({
         "asp", "ASP",
         "arbitrary stride prefetcher, PC-indexed 128x8 RPT",
         [] { return std::make_unique<StridePrefetcher>(128, 8); },
-        /*fuzzable=*/true, /*tournament=*/true});
+        /*fuzzable=*/true, /*tournament=*/false});
     reg.registerPlugin({
         "dp", "DP", "distance prefetcher, 128x8 distance table",
         [] { return std::make_unique<DistancePrefetcher>(128, 8); },

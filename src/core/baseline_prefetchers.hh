@@ -42,9 +42,11 @@ class SequentialPrefetcher : public TlbPrefetcher
  * miss. When the same PC exhibits a stable page stride the next page
  * at that stride is prefetched.
  *
- * For instruction fetches the "PC" is the fetch address itself, which
- * is exactly why ASP correlates poorly with the iSTLB miss stream
- * (Section 3.4): the feature degenerates and the table thrashes.
+ * For instruction fetches the "PC" is the fetch address itself, so
+ * the missing page is always the PC's own page: a PC's page stride
+ * is identically 0 and ASP never issues a prefetch on the iSTLB miss
+ * stream (Section 3.4's poor correlation, taken to its limit). Its
+ * Figure 9/15 result is the PB-probe latency alone.
  */
 class StridePrefetcher : public TlbPrefetcher
 {

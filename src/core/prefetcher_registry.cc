@@ -6,7 +6,6 @@
 #include "core/fnl_mma_tlb.hh"
 #include "core/mana.hh"
 #include "core/morrigan.hh"
-#include "core/pmp.hh"
 
 namespace morrigan
 {
@@ -21,7 +20,6 @@ PrefetcherRegistry::global()
         registerFnlMmaTlbPrefetcher(r);
         registerManaPrefetcher(r);
         registerFdipPrefetcher(r);
-        registerPmpPrefetcher(r);
         return r;
     }();
     return reg;

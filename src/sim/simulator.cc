@@ -137,14 +137,11 @@ Simulator::issueSpatialFills(Vpn target, Cycle ready_at,
     unsigned count = 0;
     auto neighbors = pageTable_.lineNeighbors(target, &count);
     for (unsigned i = 0; i < count; ++i) {
-        Vpn n = neighbors[i];
+        const auto [n, pfn] = neighbors[i];
         if (n == target || pb_.contains(n))
             continue;
-        TranslateResult p = pageTable_.translate(n);
-        if (!p.mapped)
-            continue;
         PbEntry entry;
-        entry.pfn = p.pfn;
+        entry.pfn = pfn;
         entry.readyAt = ready_at;
         entry.tag.producer = producer;
         entry.tag.sourcePage = target;
@@ -155,7 +152,7 @@ Simulator::issueSpatialFills(Vpn target, Cycle ready_at,
             entry.traceId =
                 tracer_->onIssued(entry.tag, n, now());
         if (cfg_.prefetchIntoStlb) {
-            tlbs_.fillStlbOnly(n, p.pfn, AccessType::Instruction);
+            tlbs_.fillStlbOnly(n, pfn, AccessType::Instruction);
             if (tracer_)
                 tracer_->onStlbFill(entry.tag, entry.traceId, now());
         } else {

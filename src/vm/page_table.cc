@@ -25,12 +25,8 @@ PageTable::PageTable(PhysMem &phys, StatGroup *parent,
     arena_[0].frame = phys_.allocFrame();
     ++tableFrames_;
     if (format_ == PageTableFormat::Hashed) {
-        // One bucket (64 bytes) per aligned 8-page group; size the
-        // array generously (2^20 buckets = 8M pages coverage) and
-        // back it with contiguous physical frames.
-        buckets_.assign(1u << 20, ~Vpn{0});
-        std::uint64_t frames =
-            buckets_.size() * lineBytes / pageBytes;
+        constexpr std::uint64_t frames =
+            hashBuckets * lineBytes / pageBytes;
         hashBase_ = phys_.allocFrame();
         for (std::uint64_t i = 1; i < frames; ++i)
             phys_.allocFrame();
@@ -61,23 +57,22 @@ PageTable::ensureChild(std::int32_t ni, std::uint32_t idx)
 std::uint64_t
 PageTable::findBucket(Vpn group, bool allocate, unsigned *probes)
 {
-    std::uint64_t mask = buckets_.size() - 1;
+    constexpr std::uint64_t mask = hashBuckets - 1;
     // Multiplicative hash of the group number.
     std::uint64_t h = (group * 0x9e3779b97f4a7c15ULL) & mask;
     unsigned n = 0;
     for (;;) {
         ++n;
-        if (buckets_[h] == group) {
+        const Vpn *occupant = buckets_.find(h);
+        if (occupant && *occupant == group) {
             *probes = n;
             return h;
         }
-        if (buckets_[h] == ~Vpn{0}) {
-            if (!allocate) {
-                *probes = n;
-                return buckets_.size();
-            }
-            buckets_[h] = group;
+        if (!occupant) {
             *probes = n;
+            if (!allocate)
+                return hashBuckets;
+            buckets_.insert(h, group);
             return h;
         }
         h = (h + 1) & mask;  // linear probing
@@ -108,7 +103,7 @@ PageTable::walkHashed(Vpn vpn, bool allocate)
     // One memory reference per probed bucket, all within the flat
     // hashed array.
     path.levels = probes;
-    std::uint64_t mask = buckets_.size() - 1;
+    constexpr std::uint64_t mask = hashBuckets - 1;
     std::uint64_t h = (group * 0x9e3779b97f4a7c15ULL) & mask;
     for (unsigned p = 0; p < probes && p < maxPageTableLevels; ++p) {
         path.entryAddr[p] = (hashBase_ << pageShift) + h * lineBytes +
@@ -275,34 +270,34 @@ PageTable::walk(Vpn vpn, bool allocate)
     return path;
 }
 
-std::array<Vpn, ptesPerLine>
+std::array<LinePte, ptesPerLine>
 PageTable::lineNeighbors(Vpn vpn, unsigned *count) const
 {
-    std::array<Vpn, ptesPerLine> out{};
+    std::array<LinePte, ptesPerLine> out{};
     unsigned n = 0;
+    // The 8 PTEs of a 64-byte line cover the aligned group of 8
+    // virtually contiguous pages.
+    Vpn group_base = vpn & ~static_cast<Vpn>(ptesPerLine - 1);
     if (format_ == PageTableFormat::Hashed) {
         // Clustered hashing keeps an aligned 8-page group in one
         // bucket line, so the locality property is identical.
-        Vpn group_base = vpn & ~static_cast<Vpn>(ptesPerLine - 1);
         for (unsigned i = 0; i < ptesPerLine; ++i) {
             Vpn cand = group_base + i;
-            if (hashLeaves_.find(cand))
-                out[n++] = cand;
+            if (const Pfn *pfn = hashLeaves_.find(cand))
+                out[n++] = {cand, *pfn};
         }
         *count = n;
         return out;
     }
     // The leaf PTE of vpn sits at byte (vpn & 511) * 8 of its PT
-    // frame; the 8 PTEs in its 64-byte line cover the aligned group
-    // of 8 virtually contiguous pages.
-    Vpn group_base = vpn & ~static_cast<Vpn>(ptesPerLine - 1);
-    const Node *leaf_node = findLeafNode(vpn);
-    if (leaf_node) {
+    // frame, so the whole group lives in one PT node.
+    if (const Node *leaf_node = findLeafNode(vpn)) {
         for (unsigned i = 0; i < ptesPerLine; ++i) {
             Vpn cand = group_base + i;
-            auto idx = static_cast<std::uint32_t>(radixIndex(cand, 0));
-            if (leaf_node->leafAt(idx) != noFrame)
-                out[n++] = cand;
+            Pfn pfn = leaf_node->leafAt(
+                static_cast<std::uint32_t>(radixIndex(cand, 0)));
+            if (pfn != noFrame)
+                out[n++] = {cand, pfn};
         }
     }
     *count = n;
@@ -377,9 +372,12 @@ PageTable::save(SnapshotWriter &w) const
         saveNode(w, arena_[0]);
     } else {
         w.u64(hashBase_);
-        w.u64(buckets_.size());
-        for (Vpn b : buckets_)
-            w.u64(b);
+        // Every modelled bucket, free ones as ~0.
+        w.u64(hashBuckets);
+        for (std::uint64_t b = 0; b < hashBuckets; ++b) {
+            const Vpn *group = buckets_.find(b);
+            w.u64(group ? *group : ~Vpn{0});
+        }
         std::vector<std::pair<Vpn, Pfn>> leaves;
         leaves.reserve(hashLeaves_.size());
         hashLeaves_.forEach([&leaves](Vpn vpn, Pfn pfn) {
@@ -409,11 +407,13 @@ PageTable::restore(SnapshotReader &r)
         restoreNode(r, 0);
     } else {
         hashBase_ = r.u64();
-        std::uint64_t nbuckets = r.u64();
-        if (nbuckets != buckets_.size())
+        if (r.u64() != hashBuckets)
             throw SnapshotError("hashed page table size mismatch");
-        for (Vpn &b : buckets_)
-            b = r.u64();
+        buckets_.clear(64);
+        for (std::uint64_t b = 0; b < hashBuckets; ++b) {
+            if (Vpn group = r.u64(); group != ~Vpn{0})
+                buckets_.insert(b, group);
+        }
         hashLeaves_.clear(64);
         std::uint64_t n = r.u64();
         for (std::uint64_t i = 0; i < n; ++i) {

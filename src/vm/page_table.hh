@@ -16,10 +16,12 @@
  * large page -- so a descend step is an array index and growing the
  * arena never copies a payload. The tree is the only copy of the
  * mappings: walk() descends it computing per-level entry addresses
- * for the walker, and translate() descends it for callers that only
- * need the frame (spatial fills, I-cache prefetch translation).
- * The hashed format keeps its leaves in a flat VPN -> PFN map beside
- * the bucket array.
+ * for the walker, translate() descends it for callers that only need
+ * the frame (I-cache prefetch translation), and lineNeighbors() reads
+ * a PTE line's frames in one descent (spatial fills).
+ * The hashed format keeps its leaves in a flat VPN -> PFN map, and
+ * its bucket occupancy in a second flat map holding only the buckets
+ * in use.
  */
 
 #ifndef MORRIGAN_VM_PAGE_TABLE_HH
@@ -81,6 +83,13 @@ struct TranslateResult
     Pfn pfn = 0;
     bool mapped = false;
     bool large = false;
+};
+
+/** One mapped 4KB leaf PTE in a page-table cache line. */
+struct LinePte
+{
+    Vpn vpn = 0;
+    Pfn pfn = 0;
 };
 
 /**
@@ -176,13 +185,14 @@ class PageTable
     WalkPath walk(Vpn vpn, bool allocate);
 
     /**
-     * VPNs whose leaf PTEs share the 64-byte cache line with @p vpn's
-     * leaf PTE (including @p vpn itself). Only mapped VPNs are
-     * returned. This is the source of the "free" spatial prefetches
-     * IRIP and SDP exploit.
+     * The 4KB leaf PTEs that share the 64-byte cache line with @p
+     * vpn's leaf PTE (including @p vpn's own), in VPN order: each
+     * mapped page with the frame translate() would return, read in
+     * the one descent. This is the source of the "free" spatial
+     * prefetches IRIP and SDP exploit.
      */
-    std::array<Vpn, ptesPerLine> lineNeighbors(Vpn vpn,
-                                               unsigned *count) const;
+    std::array<LinePte, ptesPerLine> lineNeighbors(Vpn vpn,
+                                                   unsigned *count) const;
 
     std::uint64_t mappedPages() const { return mappedPages_.value(); }
 
@@ -282,9 +292,10 @@ class PageTable
     };
 
     /**
-     * Flat open-addressing VPN -> PFN map (power-of-two capacity,
-     * multiplicative hash, linear probing). ~0 keys mark free slots;
-     * the canonical VA width keeps real VPNs far below that.
+     * Flat open-addressing map of 64-bit keys (VPN -> PFN, bucket ->
+     * group; power-of-two capacity, multiplicative hash, linear
+     * probing). ~0 keys mark free slots; real VPNs and bucket indices
+     * lie far below that.
      */
     class FlatMap
     {
@@ -383,7 +394,7 @@ class PageTable
     void restoreNode(SnapshotReader &r, std::int32_t ni);
     WalkPath walkHashed(Vpn vpn, bool allocate);
     /** Bucket index for a group, probing linearly from its hash;
-     * returns the capacity if absent and allocate is false. */
+     * returns hashBuckets if absent and allocate is false. */
     std::uint64_t findBucket(Vpn group, bool allocate,
                              unsigned *probes);
 
@@ -399,10 +410,17 @@ class PageTable
     SlotArrays<Pfn, noFrame> frameArrays_;
 
     // --- hashed-format state ---
+    /**
+     * Modelled buckets: one 64-byte bucket per aligned 8-page group,
+     * sized generously (2^20 buckets = 8M pages coverage) and backed
+     * by contiguous physical frames.
+     */
+    static constexpr std::uint64_t hashBuckets = std::uint64_t{1} << 20;
     /** 4KB translations: the hashed format's leaf store. */
     FlatMap hashLeaves_;
-    /** Bucket occupancy: group key per bucket; ~0 when free. */
-    std::vector<Vpn> buckets_;
+    /** Occupied buckets: bucket index -> group key. A bucket absent
+     * here is free, so untouched buckets cost no host memory. */
+    FlatMap buckets_;
     /** Base physical frame of the hashed table array. */
     Pfn hashBase_ = 0;
     std::uint64_t hashProbes_ = 0;

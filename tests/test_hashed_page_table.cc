@@ -67,7 +67,7 @@ TEST(HashedPageTable, LineNeighborsPreserved)
     auto n = f.pt.lineNeighbors(0xA002, &count);
     EXPECT_EQ(count, 5u);
     for (unsigned i = 0; i < count; ++i)
-        EXPECT_EQ(n[i] & ~Vpn{7}, Vpn{0xA000});
+        EXPECT_EQ(n[i].vpn & ~Vpn{7}, Vpn{0xA000});
 }
 
 TEST(HashedPageTable, NonAllocatingWalkOfUnmapped)

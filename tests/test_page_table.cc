@@ -114,8 +114,8 @@ TEST(PageTable, LineNeighborsReturnsMappedGroup)
     auto n = f.pt.lineNeighbors(base + 2, &count);
     EXPECT_EQ(count, 5u);
     for (unsigned i = 0; i < count; ++i) {
-        EXPECT_GE(n[i], base);
-        EXPECT_LT(n[i], base + 5);
+        EXPECT_GE(n[i].vpn, base);
+        EXPECT_LT(n[i].vpn, base + 5);
     }
 }
 
@@ -293,15 +293,18 @@ TEST(PageTable, TranslateWalkNeighborsAndRestoreAgreeOnRandomMaps)
                                       want, v);
                 unsigned count = 0;
                 auto neighbors = pt.lineNeighbors(v, &count);
-                std::vector<Vpn> expected;
+                std::vector<Vpn> expected, got;
                 Vpn group = v & ~static_cast<Vpn>(ptesPerLine - 1);
                 for (Vpn c = group; c < group + ptesPerLine; ++c)
                     if (log.small.count(c))
                         expected.push_back(c);
-                EXPECT_EQ(std::vector<Vpn>(neighbors.begin(),
-                                           neighbors.begin() + count),
-                          expected)
-                    << std::hex << v;
+                for (unsigned k = 0; k < count; ++k) {
+                    got.push_back(neighbors[k].vpn);
+                    EXPECT_EQ(neighbors[k].pfn,
+                              log.expect(neighbors[k].vpn).pfn)
+                        << std::hex << neighbors[k].vpn;
+                }
+                EXPECT_EQ(got, expected) << std::hex << v;
             }
 
             PhysMem phys2{1 << 24, seed};

@@ -2,8 +2,9 @@
  * @file
  * Plugin registry, spec handling, hybrid composition, and the
  * per-plugin invariants of the tournament competitors (FNL+MMA,
- * MANA, FDIP, PMP): issue behavior, credit filtering, storage
- * budgets, and snapshot round-trips.
+ * MANA, FDIP): issue behavior, credit filtering, storage budgets,
+ * and snapshot round-trips. Every tournament entrant must also issue
+ * prefetch walks on a short simulation.
  */
 
 #include <algorithm>
@@ -16,8 +17,9 @@
 #include "core/fdip.hh"
 #include "core/fnl_mma_tlb.hh"
 #include "core/mana.hh"
-#include "core/pmp.hh"
 #include "core/prefetcher_registry.hh"
+#include "sim/experiment.hh"
+#include "workload/workload_factory.hh"
 
 using namespace morrigan;
 
@@ -65,7 +67,7 @@ TEST(Registry, GlobalHasAllBuiltinsInRegistrationOrder)
     const std::vector<std::string> expected = {
         "sp", "asp", "dp", "mp", "mp-iso", "mp-unbounded2",
         "mp-unbounded", "morrigan", "morrigan-mono", "fnl-mma",
-        "mana", "fdip", "pmp"};
+        "mana", "fdip"};
     EXPECT_EQ(PrefetcherRegistry::global().names(), expected);
 }
 
@@ -98,6 +100,26 @@ TEST(Registry, UnboundedOraclesAreExcludedFromFuzzAndTournament)
     ASSERT_NE(mp, nullptr);
     EXPECT_TRUE(mp->fuzzable);
     EXPECT_FALSE(mp->tournament);
+}
+
+TEST(Registry, EveryTournamentEntrantIssuesPrefetchWalks)
+{
+    // The tournament's liveness gate at a short window: an entrant
+    // that never issues a prefetch walk ranks only the PB-probe cost.
+    SimConfig cfg;
+    cfg.warmupInstructions = 250000;
+    cfg.simInstructions = 1000000;
+    for (const PrefetcherPlugin &p :
+         PrefetcherRegistry::global().plugins()) {
+        if (!p.tournament)
+            continue;
+        for (unsigned qmm : {0u, 3u}) {
+            SimResult r =
+                runWorkload(cfg, p.name, qmmWorkloadParams(qmm));
+            EXPECT_GT(r.prefetchWalks, 0u)
+                << p.name << " on qmm_0" << qmm;
+        }
+    }
 }
 
 TEST(Registry, EveryPluginFactoryProducesAnInstance)
@@ -664,144 +686,4 @@ TEST(Fdip, ContextSwitchForgetsTraining)
     ASSERT_FALSE(miss(pf, 1).empty());
     pf.onContextSwitch();
     EXPECT_TRUE(miss(pf, 1).empty());
-}
-
-// ---------------------------------------------------------------
-// PMP plugin invariants
-// ---------------------------------------------------------------
-
-namespace
-{
-
-/**
- * Evict whatever set-0 accumulation entries @p pf holds by opening
- * four fresh set-0 regions, forcing the LRU footprints to commit
- * into the pattern table. Regions start at @p filler_region (must be
- * a multiple of 16) and stride by 16 so every one maps to set 0 of
- * the 64-entry / 4-way accumulation table.
- */
-void
-pmpFlushSet0(PmpPrefetcher &pf, Vpn filler_region)
-{
-    for (Vpn r = filler_region; r < filler_region + 64; r += 16)
-        miss(pf, r << 4, /*pc=*/0xdead0);
-}
-
-} // namespace
-
-TEST(Pmp, MergedFootprintPredictsOnRetrigger)
-{
-    PmpPrefetcher pf;
-    const Addr pc = 0x1000;
-    // Two observation laps of region 0x100 with trigger offset 0 and
-    // footprint {0, 1, 3}; each lap's commit (forced by evicting the
-    // accumulation entry) adds +2 to the present positions, so after
-    // two laps positions 1 and 3 clear the threshold of 4.
-    for (int lap = 0; lap < 2; ++lap) {
-        EXPECT_TRUE(miss(pf, 0x1000, pc).empty())
-            << "predicted before the pattern was trained, lap "
-            << lap;
-        miss(pf, 0x1001, pc);
-        miss(pf, 0x1003, pc);
-        pmpFlushSet0(pf, 0x110 + 0x50 * lap);
-    }
-    EXPECT_EQ(pf.committedPatterns(), 2u + /*filler laps*/ 4u);
-
-    auto out = miss(pf, 0x1000, pc);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(issues(out, 0x1001));
-    EXPECT_TRUE(issues(out, 0x1003));
-    EXPECT_FALSE(issues(out, 0x1002));
-    for (const PrefetchRequest &r : out) {
-        EXPECT_TRUE(r.spatial);
-        EXPECT_EQ(r.tag.producer, PrefetchProducer::Other);
-        EXPECT_EQ(r.tag.table, PmpPrefetcher::tagTable);
-    }
-}
-
-TEST(Pmp, RotatedPatternWrapsWithinRegion)
-{
-    PmpPrefetcher pf;
-    const Addr pc = 0x2000;
-    // Train region 0x200 with trigger offset 14 and footprint
-    // {14, 15, 0}: relative positions 0, 1, 2 with the +2 wrapping
-    // around the region boundary.
-    for (int lap = 0; lap < 2; ++lap) {
-        miss(pf, 0x200e, pc);
-        miss(pf, 0x200f, pc);
-        miss(pf, 0x2000, pc);
-        pmpFlushSet0(pf, 0x210 + 0x50 * lap);
-    }
-    // A *different* region triggered at the same (PC, offset)
-    // signature replays the rotated footprint around its own base.
-    auto out = miss(pf, 0x300e, pc);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_TRUE(issues(out, 0x300f));
-    EXPECT_TRUE(issues(out, 0x3000));
-}
-
-TEST(Pmp, CreditFiltersForeignTags)
-{
-    PmpPrefetcher pf;
-    PrefetchTag tag;
-    tag.producer = PrefetchProducer::Other;
-    tag.table = FdipPrefetcher::tagTable;  // someone else's magic
-    pf.creditPbHit(tag);
-    tag.producer = PrefetchProducer::Irip;
-    tag.table = PmpPrefetcher::tagTable;
-    pf.creditPbHit(tag);
-    EXPECT_EQ(pf.creditedHits(), 0u);
-
-    tag.producer = PrefetchProducer::Other;
-    pf.creditPbHit(tag);
-    EXPECT_EQ(pf.creditedHits(), 1u);
-}
-
-TEST(Pmp, StorageBudgetInsideIso)
-{
-    PmpPrefetcher pf;
-    EXPECT_EQ(pf.storageBits(),
-              64u * (16 + 16 + 4 + 16) + 352u * (16 + 48));
-    EXPECT_LE(pf.storageBits(),
-              makePrefetcher("morrigan")->storageBits());
-}
-
-TEST(Pmp, SnapshotRoundTrip)
-{
-    PmpPrefetcher a;
-    const Addr pc = 0x1000;
-    for (int lap = 0; lap < 2; ++lap) {
-        miss(a, 0x1000, pc);
-        miss(a, 0x1001, pc);
-        miss(a, 0x1003, pc);
-        pmpFlushSet0(a, 0x110 + 0x50 * lap);
-    }
-
-    SnapshotWriter w;
-    a.save(w);
-    PmpPrefetcher b;
-    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
-    b.restore(r);
-
-    EXPECT_EQ(b.committedPatterns(), a.committedPatterns());
-    auto out_a = miss(a, 0x1000, pc);
-    auto out_b = miss(b, 0x1000, pc);
-    ASSERT_EQ(out_a.size(), out_b.size());
-    for (std::size_t i = 0; i < out_a.size(); ++i)
-        EXPECT_EQ(out_a[i].vpn, out_b[i].vpn);
-}
-
-TEST(Pmp, ContextSwitchForgetsTraining)
-{
-    PmpPrefetcher pf;
-    const Addr pc = 0x1000;
-    for (int lap = 0; lap < 2; ++lap) {
-        miss(pf, 0x1000, pc);
-        miss(pf, 0x1001, pc);
-        miss(pf, 0x1003, pc);
-        pmpFlushSet0(pf, 0x110 + 0x50 * lap);
-    }
-    ASSERT_FALSE(miss(pf, 0x1000, pc).empty());
-    pf.onContextSwitch();
-    EXPECT_TRUE(miss(pf, 0x1000, pc).empty());
 }

@@ -161,14 +161,18 @@ TEST_P(PageTableProperty, RandomMapWalkConsistency)
         ASSERT_TRUE(frames.insert(pfn).second);
 
     // Line-neighbour closure: neighbours of any mapped page are
-    // mapped pages of the same aligned 8-group.
+    // mapped pages of the same aligned 8-group, each carrying the
+    // frame translate() returns.
     for (const auto &[vpn, pfn] : model) {
         unsigned count = 0;
         auto n = pt.lineNeighbors(vpn, &count);
         ASSERT_GE(count, 1u);
         for (unsigned k = 0; k < count; ++k) {
-            ASSERT_EQ(n[k] & ~Vpn{7}, vpn & ~Vpn{7});
-            ASSERT_TRUE(model.count(n[k]) == 1 || n[k] == vpn);
+            ASSERT_EQ(n[k].vpn & ~Vpn{7}, vpn & ~Vpn{7});
+            ASSERT_TRUE(model.count(n[k].vpn) == 1 || n[k].vpn == vpn);
+            TranslateResult t = pt.translate(n[k].vpn);
+            ASSERT_TRUE(t.mapped);
+            ASSERT_EQ(n[k].pfn, t.pfn);
         }
     }
 }
