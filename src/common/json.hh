@@ -36,8 +36,13 @@ namespace morrigan::json
  * v3: `result` is the full campaign-journal result record
  * (writeSimResultJson(): every SimResult field, doubles at %.17g).
  * v4: the result record gains base_cycle_fraction and
- * context_switch_cycle_fraction; the five cycle fractions sum to 1. */
-inline constexpr int statsSchemaVersion = 4;
+ * context_switch_cycle_fraction; the five cycle fractions sum to 1.
+ * v5: `stats` is flat, one object per component counter record keyed
+ * by its dotted path ("sim.mem.l1i": {"accesses": ..}), with no
+ * `desc` text; a distribution is {count, sum, min, max}; `config`
+ * echoes the run's SimConfig; trace_summary rows gain walk_latency
+ * and late_wait. */
+inline constexpr int statsSchemaVersion = 5;
 /** Version of the JSONL prefetch-trace event schema. */
 inline constexpr int traceSchemaVersion = 1;
 /** Version of the interval time-series record schema.
@@ -245,8 +250,8 @@ class Writer
 /**
  * The fields of record @p rec (common/fields.hh) as members of the
  * open object: nested records nest, arrays are arrays, doubles print
- * at %.17g so they read back bit-exactly, and Unrecorded fields are
- * left out.
+ * at %.17g so they read back bit-exactly, bools as true/false, enums
+ * as their underlying value, and Unrecorded fields are left out.
  */
 template <class R>
 void
@@ -264,8 +269,10 @@ writeFields(Writer &w, const R &rec)
             w.rawValue([&](std::ostream &o) { o << buf; });
         } else if constexpr (std::is_same_v<T, std::string>) {
             w.value(std::string_view(v));
+        } else if constexpr (std::is_enum_v<T>) {
+            w.value(static_cast<std::uint64_t>(v));
         } else if constexpr (std::is_integral_v<T>) {
-            w.value(v);
+            w.value(v);  // bools pick value(bool)
         } else if constexpr (Record<T>) {
             w.beginObject();
             writeFields(w, v);

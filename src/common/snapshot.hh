@@ -4,10 +4,11 @@
  *
  * A snapshot serializes the *entire* mutable state of a simulation --
  * RNG streams, workload-generator state, TLBs, prefetcher tables,
- * caches, page table, walker queues and the stats registry -- into a
- * single binary image, so a run can be interrupted at any checkpoint
- * boundary and resumed bit-identically, and so a warmed-up image can
- * be reused across runs that share everything but the measurement.
+ * caches, page table, walker queues and the component counter
+ * records -- into a single binary image, so a run can be interrupted
+ * at any checkpoint boundary and resumed bit-identically, and so a
+ * warmed-up image can be reused across runs that share everything
+ * but the measurement.
  *
  * Image layout:
  *
@@ -55,8 +56,10 @@ namespace morrigan
  * component's serialized layout changes; readers reject images whose
  * version differs (re-simulating is always safe, reinterpreting
  * stale bytes never is).
+ * v4: the component counter records replace the `stat_group`
+ * sections; a hashed page table writes only its occupied buckets.
  */
-constexpr std::uint32_t snapshotSchemaVersion = 3;
+constexpr std::uint32_t snapshotSchemaVersion = 4;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error

@@ -8,13 +8,7 @@
 namespace morrigan
 {
 
-CacheModel::CacheModel(const CacheParams &params, StatGroup *parent)
-    : params_(params),
-      stats_(params.name, parent),
-      accesses_(&stats_, "accesses", "demand lookups"),
-      misses_(&stats_, "misses", "demand lookup misses"),
-      prefetchFills_(&stats_, "prefetch_fills", "lines filled by prefetch"),
-      evictions_(&stats_, "evictions", "valid lines evicted")
+CacheModel::CacheModel(const CacheParams &params) : params_(params)
 {
     fatal_if(params_.ways == 0, "%s: zero ways", params_.name.c_str());
     std::uint32_t lines =

@@ -33,7 +33,6 @@
 #include "common/logging.hh"
 #include "common/set_kernel.hh"
 #include "common/snapshot.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace morrigan
@@ -69,7 +68,30 @@ static_assert(visitsEveryField<CacheParams>());
 class CacheModel
 {
   public:
-    CacheModel(const CacheParams &params, StatGroup *parent = nullptr);
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. */
+    struct Stats
+    {
+        /** demand lookups */
+        std::uint64_t accesses = 0;
+        /** demand lookup misses */
+        std::uint64_t misses = 0;
+        /** lines filled by prefetch */
+        std::uint64_t prefetchFills = 0;
+        /** valid lines evicted */
+        std::uint64_t evictions = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("accesses", s.accesses);
+            v("misses", s.misses);
+            v("prefetch_fills", s.prefetchFills);
+            v("evictions", s.evictions);
+        }
+    };
+
+    explicit CacheModel(const CacheParams &params);
 
     /**
      * Demand lookup. Updates LRU on hit and counts stats. Does NOT
@@ -86,14 +108,14 @@ class CacheModel
     bool
     lookup(Addr line)
     {
-        ++accesses_;
+        ++stats_.accesses;
         std::uint32_t base = baseOf(line);
         int w = findWay(base, checkedTag(line));
         if (w >= 0) {
             rec_[base + w] = ++useClock_ << 1;
             return true;
         }
-        ++misses_;
+        ++stats_.misses;
         return false;
     }
 
@@ -169,8 +191,8 @@ class CacheModel
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
-    std::uint64_t demandAccesses() const { return accesses_.value(); }
-    std::uint64_t demandMisses() const { return misses_.value(); }
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
 
   private:
     /** Sentinel tag of an invalid way. The model is physically
@@ -217,9 +239,9 @@ class CacheModel
                                          params_.ways);
         bool evicted = tags_[victim] != noLine;
         if (evicted)
-            ++evictions_;
+            ++stats_.evictions;
         if (is_prefetch)
-            ++prefetchFills_;
+            ++stats_.prefetchFills;
         tags_[victim] = tag;
         rec_[victim] = (++useClock_ << 1) | (is_prefetch ? 1 : 0);
         return evicted;
@@ -236,13 +258,9 @@ class CacheModel
      * otherwise masquerade as invalid ways). */
     std::vector<std::uint64_t> rec_;
     std::uint64_t useClock_ = 0;
-
-    StatGroup stats_;
-    Counter accesses_;
-    Counter misses_;
-    Counter prefetchFills_;
-    Counter evictions_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<CacheModel::Stats>());
 
 } // namespace morrigan
 

@@ -7,12 +7,7 @@
 namespace morrigan
 {
 
-DramModel::DramModel(const DramParams &params, StatGroup *parent)
-    : params_(params),
-      stats_("dram", parent),
-      accessesStat_(&stats_, "accesses", "DRAM accesses"),
-      rowHits_(&stats_, "row_hits", "open-row hits"),
-      rowConflicts_(&stats_, "row_conflicts", "row-buffer conflicts")
+DramModel::DramModel(const DramParams &params) : params_(params)
 {
     fatal_if(!std::has_single_bit(params_.banks),
              "DRAM bank count %u is not a power of two", params_.banks);
@@ -26,7 +21,7 @@ DramModel::DramModel(const DramParams &params, StatGroup *parent)
 Cycle
 DramModel::access(Addr addr)
 {
-    ++accessesStat_;
+    ++stats_.accesses;
     std::uint64_t row = addr >> rowShift_;
     std::uint32_t bank =
         static_cast<std::uint32_t>(row & (params_.banks - 1));
@@ -35,11 +30,11 @@ DramModel::access(Addr addr)
     Cycle latency;
     if (openRow_[bank] == static_cast<std::int64_t>(row)) {
         // Row-buffer hit: only tCAS.
-        ++rowHits_;
+        ++stats_.rowHits;
         latency = params_.tParam;
     } else {
         // Precharge + activate + CAS.
-        ++rowConflicts_;
+        ++stats_.rowConflicts;
         latency = 3 * params_.tParam;
         openRow_[bank] = static_cast<std::int64_t>(row);
     }

@@ -16,7 +16,6 @@
 
 #include "common/fields.hh"
 #include "common/snapshot.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace morrigan
@@ -45,14 +44,33 @@ static_assert(visitsEveryField<DramParams>());
 class DramModel
 {
   public:
-    explicit DramModel(const DramParams &params,
-                       StatGroup *parent = nullptr);
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. */
+    struct Stats
+    {
+        /** DRAM accesses */
+        std::uint64_t accesses = 0;
+        /** open-row hits */
+        std::uint64_t rowHits = 0;
+        /** row-buffer conflicts */
+        std::uint64_t rowConflicts = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("accesses", s.accesses);
+            v("row_hits", s.rowHits);
+            v("row_conflicts", s.rowConflicts);
+        }
+    };
+
+    explicit DramModel(const DramParams &params);
 
     /** Access a byte address; returns the access latency in cycles. */
     Cycle access(Addr addr);
 
-    std::uint64_t rowHits() const { return rowHits_.value(); }
-    std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
 
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
@@ -62,12 +80,9 @@ class DramModel
     unsigned rowShift_;   //!< log2(rowBytes)
     unsigned bankShift_;  //!< log2(banks)
     std::vector<std::int64_t> openRow_;  //!< -1 when bank is closed.
-
-    StatGroup stats_;
-    Counter accessesStat_;
-    Counter rowHits_;
-    Counter rowConflicts_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<DramModel::Stats>());
 
 } // namespace morrigan
 

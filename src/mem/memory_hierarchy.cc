@@ -3,17 +3,13 @@
 namespace morrigan
 {
 
-MemoryHierarchy::MemoryHierarchy(const MemoryHierarchyParams &params,
-                                 StatGroup *parent)
+MemoryHierarchy::MemoryHierarchy(const MemoryHierarchyParams &params)
     : params_(params),
-      stats_("mem", parent),
-      l1i_(params.l1i, &stats_),
-      l1d_(params.l1d, &stats_),
-      l2_(params.l2, &stats_),
-      llc_(params.llc, &stats_),
-      dram_(params.dram, &stats_),
-      l2PrefetchIssued_(&stats_, "l2_prefetches",
-                        "lines prefetched into L2 by the SPP stand-in")
+      l1i_(params.l1i),
+      l1d_(params.l1d),
+      l2_(params.l2),
+      llc_(params.llc),
+      dram_(params.dram)
 {
 }
 
@@ -73,7 +69,7 @@ MemoryHierarchy::maybeL2Prefetch(Addr missed_line)
         Addr line = missed_line + d;
         if (!l2_.contains(line)) {
             l2_.fillMissed(line, true);
-            ++l2PrefetchIssued_;
+            ++stats_.l2Prefetches;
         }
     }
 }

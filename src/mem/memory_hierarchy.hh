@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache_model.hh"
 #include "mem/dram_model.hh"
@@ -68,8 +67,21 @@ static_assert(visitsEveryField<MemoryHierarchyParams>());
 class MemoryHierarchy
 {
   public:
-    explicit MemoryHierarchy(const MemoryHierarchyParams &params,
-                             StatGroup *parent = nullptr);
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. Each level counts in its own CacheModel::Stats. */
+    struct Stats
+    {
+        /** lines prefetched into L2 by the SPP stand-in */
+        std::uint64_t l2Prefetches = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("l2_prefetches", s.l2Prefetches);
+        }
+    };
+
+    explicit MemoryHierarchy(const MemoryHierarchyParams &params);
 
     /** Demand instruction fetch or data access. */
     MemAccessResult access(Addr paddr, AccessType type);
@@ -90,10 +102,19 @@ class MemoryHierarchy
     /** Complete an in-flight instruction prefetch into the L1I. */
     void commitInstructionPrefetch(Addr paddr);
 
+    CacheModel &l1i() { return l1i_; }
+    CacheModel &l1d() { return l1d_; }
+    CacheModel &l2() { return l2_; }
+    CacheModel &llc() { return llc_; }
+    DramModel &dram() { return dram_; }
     const CacheModel &l1i() const { return l1i_; }
     const CacheModel &l1d() const { return l1d_; }
     const CacheModel &l2() const { return l2_; }
     const CacheModel &llc() const { return llc_; }
+    const DramModel &dram() const { return dram_; }
+
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
 
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
@@ -103,14 +124,14 @@ class MemoryHierarchy
     void maybeL2Prefetch(Addr missed_line);
 
     MemoryHierarchyParams params_;
-    StatGroup stats_;
     CacheModel l1i_;
     CacheModel l1d_;
     CacheModel l2_;
     CacheModel llc_;
     DramModel dram_;
-    Counter l2PrefetchIssued_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<MemoryHierarchy::Stats>());
 
 } // namespace morrigan
 

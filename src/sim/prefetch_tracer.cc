@@ -7,68 +7,6 @@
 namespace morrigan
 {
 
-/**
- * Per-component lifecycle accounts. Everything registers in the
- * stats tree so the counters show up in --stats and --stats-json
- * alongside the structural component stats.
- */
-struct PrefetchTracer::ComponentStats
-{
-    ComponentStats(StatGroup *parent, const char *name)
-        : group(name, parent),
-          issued(&group, "issued", "prefetches issued"),
-          installed(&group, "installed", "PTEs installed in the PB"),
-          hitsReady(&group, "hits_ready",
-                    "timely PB hits (walk complete)"),
-          hitsLate(&group, "hits_late",
-                   "late PB hits (walk still in flight)"),
-          evictedUnused(&group, "evicted_unused",
-                        "evicted from the PB without a hit"),
-          flushed(&group, "flushed",
-                  "discarded by a PB flush (context switch)"),
-          residual(&group, "residual",
-                   "still resident in the PB at end of run"),
-          dropped(&group, "dropped",
-                  "dropped before install (duplicate or unmapped)"),
-          stlbFills(&group, "stlb_fills",
-                    "P2TLB mode: filled straight into the STLB"),
-          walkLatency(&group, "walk_latency",
-                      "prefetch walk latency (cycles)"),
-          lateWait(&group, "late_wait",
-                   "demand stall on late hits (cycles)")
-    {
-    }
-
-    Outcomes
-    snapshot() const
-    {
-        Outcomes o;
-        o.issued = issued.value();
-        o.installed = installed.value();
-        o.hitsReady = hitsReady.value();
-        o.hitsLate = hitsLate.value();
-        o.evictedUnused = evictedUnused.value();
-        o.flushed = flushed.value();
-        o.residual = residual.value();
-        o.dropped = dropped.value();
-        o.stlbFills = stlbFills.value();
-        return o;
-    }
-
-    StatGroup group;
-    Counter issued;
-    Counter installed;
-    Counter hitsReady;
-    Counter hitsLate;
-    Counter evictedUnused;
-    Counter flushed;
-    Counter residual;
-    Counter dropped;
-    Counter stlbFills;
-    Distribution walkLatency;
-    Distribution lateWait;
-};
-
 double
 PrefetchTracer::Outcomes::accuracy() const
 {
@@ -88,15 +26,9 @@ PrefetchTracer::Outcomes::timeliness() const
 PrefetchTracer::Outcomes &
 PrefetchTracer::Outcomes::operator+=(const Outcomes &o)
 {
-    issued += o.issued;
-    installed += o.installed;
-    hitsReady += o.hitsReady;
-    hitsLate += o.hitsLate;
-    evictedUnused += o.evictedUnused;
-    flushed += o.flushed;
-    residual += o.residual;
-    dropped += o.dropped;
-    stlbFills += o.stlbFills;
+    visitFieldPairs(*this, o, [](const char *, auto &a, const auto &b) {
+        a += b;
+    });
     return *this;
 }
 
@@ -132,22 +64,11 @@ PrefetchTracer::componentName(unsigned comp)
     return names[comp];
 }
 
-PrefetchTracer::PrefetchTracer(StatGroup *parent)
-    : group_("prefetch_trace", parent)
-{
-    for (unsigned c = 0; c < numComponents; ++c)
-        comps_[c] = std::make_unique<ComponentStats>(
-            &group_, componentName(c));
-}
-
-PrefetchTracer::~PrefetchTracer() = default;
-
 void
 PrefetchTracer::beginMeasurement(Cycle now)
 {
     measuring_ = true;
     firstMeasuredId_ = nextId_;
-    group_.resetAll();
     if (sink_) {
         json::Writer w(*sink_);
         w.beginObject();
@@ -183,7 +104,7 @@ PrefetchTracer::onIssued(const PrefetchTag &tag, Vpn vpn, Cycle now)
     std::uint64_t id = nextId_++;
     if (!measuring_)
         return id;
-    ++comps_[componentOf(tag)]->issued;
+    ++comps_[componentOf(tag)].issued;
     if (sink_)
         emitIssue(tag, id, vpn, now);
     return id;
@@ -195,7 +116,7 @@ PrefetchTracer::onDropped(const PrefetchTag &tag, std::uint64_t id,
 {
     if (!measured(id))
         return;
-    ++comps_[componentOf(tag)]->dropped;
+    ++comps_[componentOf(tag)].dropped;
     if (sink_) {
         json::Writer w(*sink_);
         w.beginObject();
@@ -217,7 +138,7 @@ PrefetchTracer::onWalkComplete(const PrefetchTag &tag,
 {
     if (!measured(id))
         return;
-    comps_[componentOf(tag)]->walkLatency.sample(
+    comps_[componentOf(tag)].walkLatency.sample(
         static_cast<double>(latency));
     if (sink_) {
         json::Writer w(*sink_);
@@ -238,7 +159,7 @@ PrefetchTracer::onStlbFill(const PrefetchTag &tag, std::uint64_t id,
 {
     if (!measured(id))
         return;
-    ++comps_[componentOf(tag)]->stlbFills;
+    ++comps_[componentOf(tag)].stlbFills;
     if (sink_) {
         json::Writer w(*sink_);
         w.beginObject();
@@ -256,7 +177,7 @@ PrefetchTracer::pbEvent(PbObserver::Event ev, const PbEntry &entry,
 {
     if (!measured(entry.traceId))
         return;
-    ComponentStats &cs = *comps_[componentOf(entry.tag)];
+    Outcomes &cs = comps_[componentOf(entry.tag)];
     const char *name = nullptr;
     switch (ev) {
       case Event::Installed:
@@ -315,7 +236,7 @@ PrefetchTracer::finalize(const PrefetchBuffer &pb, Cycle now)
     pb.forEach([&](Vpn, const PbEntry &e) {
         if (!measured(e.traceId))
             return;
-        ++comps_[componentOf(e.tag)]->residual;
+        ++comps_[componentOf(e.tag)].residual;
         if (sink_) {
             json::Writer w(*sink_);
             w.beginObject();
@@ -331,27 +252,34 @@ PrefetchTracer::finalize(const PrefetchBuffer &pb, Cycle now)
     measuring_ = false;
 }
 
-PrefetchTracer::Outcomes
+const PrefetchTracer::Outcomes &
 PrefetchTracer::outcomes(unsigned comp) const
 {
     panic_if(comp >= numComponents, "bad component index %u", comp);
-    return comps_[comp]->snapshot();
+    return comps_[comp];
+}
+
+PrefetchTracer::Outcomes &
+PrefetchTracer::outcomes(unsigned comp)
+{
+    panic_if(comp >= numComponents, "bad component index %u", comp);
+    return comps_[comp];
 }
 
 PrefetchTracer::Outcomes
 PrefetchTracer::totals() const
 {
     Outcomes t;
-    for (const auto &c : comps_)
-        t += c->snapshot();
+    for (const Outcomes &c : comps_)
+        t += c;
     return t;
 }
 
 bool
 PrefetchTracer::reconciles() const
 {
-    for (const auto &c : comps_)
-        if (!c->snapshot().reconciles())
+    for (const Outcomes &c : comps_)
+        if (!c.reconciles())
             return false;
     return true;
 }
@@ -362,15 +290,7 @@ PrefetchTracer::writeSummaryJson(std::ostream &os) const
     json::Writer w(os);
     auto emit = [&](const Outcomes &o) {
         w.beginObject();
-        w.kv("issued", o.issued);
-        w.kv("installed", o.installed);
-        w.kv("hits_ready", o.hitsReady);
-        w.kv("hits_late", o.hitsLate);
-        w.kv("evicted_unused", o.evictedUnused);
-        w.kv("flushed", o.flushed);
-        w.kv("residual", o.residual);
-        w.kv("dropped", o.dropped);
-        w.kv("stlb_fills", o.stlbFills);
+        json::writeFields(w, o);
         w.kv("accuracy", o.accuracy());
         w.kv("timeliness", o.timeliness());
         w.kv("reconciles", o.reconciles());
@@ -380,7 +300,7 @@ PrefetchTracer::writeSummaryJson(std::ostream &os) const
     w.kv("schema", json::traceSchemaVersion);
     w.key("components").beginObject();
     for (unsigned c = 0; c < numComponents; ++c) {
-        Outcomes o = comps_[c]->snapshot();
+        const Outcomes &o = comps_[c];
         if (o.issued == 0 && o.installed == 0)
             continue;  // keep the summary to active components
         w.key(componentName(c));

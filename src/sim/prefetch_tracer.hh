@@ -15,9 +15,10 @@
  * prefetch, SDP's cache-line-locality installs, and the I-cache
  * prefetcher's beyond-page-boundary walks -- so accuracy, coverage
  * and timeliness can be quoted per engine (the quantities behind
- * Figures 13-19). Counters register in the simulator's StatGroup
- * tree under `prefetch_trace.<component>`, and an optional JSONL
- * event sink records every transition (--trace FILE).
+ * Figures 13-19). Each component's counts are one Outcomes record,
+ * listed by the simulator under `sim.prefetch_trace.<component>`
+ * (--stats, --stats-json), and an optional JSONL event sink records
+ * every transition (--trace FILE).
  *
  * Cost model: with no tracer attached every hook in the simulator and
  * the PB is a single null-pointer test. With the tracer attached but
@@ -37,10 +38,9 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 
-#include "common/stats.hh"
+#include "common/distribution.hh"
 #include "common/types.hh"
 #include "tlb/prefetch_buffer.hh"
 
@@ -75,18 +75,34 @@ class PrefetchTracer : public PbObserver
     /** Stable short name, e.g. "irip_t0", "sdp_spatial". */
     static const char *componentName(unsigned comp);
 
-    /** Cumulative lifecycle outcome counts (measurement window). */
+    /**
+     * One component's lifecycle accounts over the measurement window
+     * (common/fields.hh); the visit names are the --stats names.
+     */
     struct Outcomes
     {
+        /** prefetches issued */
         std::uint64_t issued = 0;
+        /** PTEs installed in the PB */
         std::uint64_t installed = 0;
-        std::uint64_t hitsReady = 0;    //!< timely PB hits
-        std::uint64_t hitsLate = 0;     //!< in-flight (late) PB hits
+        /** timely PB hits (walk complete) */
+        std::uint64_t hitsReady = 0;
+        /** late PB hits (walk still in flight) */
+        std::uint64_t hitsLate = 0;
+        /** evicted from the PB without a hit */
         std::uint64_t evictedUnused = 0;
+        /** discarded by a PB flush (context switch) */
         std::uint64_t flushed = 0;
-        std::uint64_t residual = 0;     //!< still resident at run end
-        std::uint64_t dropped = 0;      //!< duplicate + unmapped
-        std::uint64_t stlbFills = 0;    //!< P2TLB direct fills
+        /** still resident in the PB at end of run */
+        std::uint64_t residual = 0;
+        /** dropped before install (duplicate or unmapped) */
+        std::uint64_t dropped = 0;
+        /** P2TLB mode: filled straight into the STLB */
+        std::uint64_t stlbFills = 0;
+        /** prefetch walk latency (cycles) */
+        Distribution walkLatency;
+        /** demand stall on late hits (cycles) */
+        Distribution lateWait;
 
         std::uint64_t hits() const { return hitsReady + hitsLate; }
         std::uint64_t
@@ -105,19 +121,33 @@ class PrefetchTracer : public PbObserver
         /** timely hits / all hits (0 when nothing hit). */
         double timeliness() const;
 
+        /** Add @p o field by field (distributions merge). */
         Outcomes &operator+=(const Outcomes &o);
-    };
 
-    /** @param parent Stats tree to register under (may be null). */
-    explicit PrefetchTracer(StatGroup *parent);
-    ~PrefetchTracer() override;
+        template <RecordOf<Outcomes> Self, class V>
+        friend constexpr void visitFields(Self &o, V &&v)
+        {
+            v("issued", o.issued);
+            v("installed", o.installed);
+            v("hits_ready", o.hitsReady);
+            v("hits_late", o.hitsLate);
+            v("evicted_unused", o.evictedUnused);
+            v("flushed", o.flushed);
+            v("residual", o.residual);
+            v("dropped", o.dropped);
+            v("stlb_fills", o.stlbFills);
+            v("walk_latency", o.walkLatency);
+            v("late_wait", o.lateWait);
+        }
+    };
 
     /** Attach (or detach with nullptr) the JSONL event sink. */
     void setEventSink(std::ostream *os) { sink_ = os; }
 
     /**
-     * Start the measurement window: zero all counters and begin
-     * classifying (and logging) prefetches issued from here on.
+     * Start the measurement window: begin classifying (and logging)
+     * prefetches issued from here on; the counts stay zero until
+     * then.
      * Entries installed before this point keep flowing through the
      * hooks but are excluded from the lifecycle accounts.
      */
@@ -155,7 +185,8 @@ class PrefetchTracer : public PbObserver
     // --- accessors ---
 
     std::uint64_t nextId() const { return nextId_; }
-    Outcomes outcomes(unsigned comp) const;
+    const Outcomes &outcomes(unsigned comp) const;
+    Outcomes &outcomes(unsigned comp);
     Outcomes totals() const;
     /** Whether every component's lifecycle identity holds. */
     bool reconciles() const;
@@ -165,16 +196,14 @@ class PrefetchTracer : public PbObserver
     void writeSummaryJson(std::ostream &os) const;
 
     /**
-     * Checkpoint the id/window scalars. The per-component counters
-     * live in the simulator's stats tree and ride its tree-wide
-     * save/restore; the event sink is external and not serialized.
+     * Checkpoint the id/window scalars. The simulator saves the
+     * Outcomes records; the event sink is external and not
+     * serialized.
      */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
   private:
-    struct ComponentStats;
-
     bool measured(std::uint64_t id) const
     {
         return measuring_ && id >= firstMeasuredId_ && id != 0;
@@ -187,9 +216,9 @@ class PrefetchTracer : public PbObserver
     std::uint64_t nextId_ = 1;
     std::uint64_t firstMeasuredId_ = 1;
 
-    StatGroup group_;
-    std::array<std::unique_ptr<ComponentStats>, numComponents> comps_;
+    std::array<Outcomes, numComponents> comps_{};
 };
+static_assert(visitsEveryField<PrefetchTracer::Outcomes>());
 
 } // namespace morrigan
 

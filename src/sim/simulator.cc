@@ -1,10 +1,14 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <optional>
+#include <string>
+#include <type_traits>
 
 #include "check/invariants.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "icache/fnl_mma.hh"
@@ -16,14 +20,12 @@ namespace morrigan
 
 Simulator::Simulator(const SimConfig &cfg)
     : cfg_(cfg),
-      rootStats_("sim"),
       phys_(1ULL << 22, 1),
-      pageTable_(phys_, &rootStats_, cfg.pageTableDepth,
-                 cfg.pageTableFormat),
-      mem_(cfg.mem, &rootStats_),
-      walker_(cfg.walker, pageTable_, mem_, &rootStats_),
-      tlbs_(cfg.tlb, &rootStats_),
-      pb_(cfg.pbEntries, cfg.pbLatency, &rootStats_),
+      pageTable_(phys_, cfg.pageTableDepth, cfg.pageTableFormat),
+      mem_(cfg.mem),
+      walker_(cfg.walker, pageTable_, mem_),
+      tlbs_(cfg.tlb),
+      pb_(cfg.pbEntries, cfg.pbLatency),
       invWidth_(1.0 / cfg.width)
 {
     switch (cfg_.icachePref) {
@@ -65,7 +67,7 @@ PrefetchTracer &
 Simulator::enableTracer(std::ostream *event_sink)
 {
     if (!tracer_) {
-        tracer_ = std::make_unique<PrefetchTracer>(&rootStats_);
+        tracer_ = std::make_unique<PrefetchTracer>();
         pb_.setObserver(tracer_.get());
     }
     if (event_sink)
@@ -569,12 +571,12 @@ EpochCounters
 Simulator::epochCounters() const
 {
     EpochCounters e{c_, cycles_ - measureStartCycles_,
-                    walker_.busyPortCycles(),
+                    walker_.stats().busyPortCycles,
                     prefetcher_ ? prefetcher_->frequencyStackResets() : 0};
     if (tracer_) {
         for (unsigned comp = 0;
              comp < PrefetchTracer::numComponents; ++comp) {
-            PrefetchTracer::Outcomes o = tracer_->outcomes(comp);
+            const PrefetchTracer::Outcomes &o = tracer_->outcomes(comp);
             e.issued[comp] = o.issued;
             e.hits[comp] = o.hits();
         }
@@ -587,7 +589,7 @@ Simulator::beginMeasurementPhase()
 {
     measurePhase_ = true;
     c_ = RunCounters{};
-    rootStats_.resetAll();
+    forEachCounters(*this, [](std::string_view, auto &rec) { rec = {}; });
     missStream_ = MissStreamStats{};
     measureStartCycles_ = cycles_;
     if (tracer_)
@@ -810,9 +812,11 @@ Simulator::save(SnapshotWriter &w) const
     if (sampler_)
         sampler_->save(w);
 
-    // The whole stats tree last: every Counter/Histogram/Distribution
-    // registered anywhere above, restored in registration order.
-    rootStats_.saveAll(w);
+    // The component counter records last, in list order.
+    w.section("counters");
+    forEachCounters(*this, [&w](std::string_view, const auto &rec) {
+        w.fields(rec);
+    });
 }
 
 void
@@ -878,7 +882,9 @@ Simulator::restore(SnapshotReader &r)
     if (sampler_)
         sampler_->restore(r);
 
-    rootStats_.restoreAll(r);
+    r.section("counters");
+    forEachCounters(*this,
+                    [&r](std::string_view, auto &rec) { r.fields(rec); });
     setCheckpointing(checkpointPath_, checkpointEvery_);
 }
 
@@ -900,6 +906,87 @@ Simulator::restoreCheckpoint(const std::string &path)
         throw SnapshotError("snapshot is past this run's end");
     restore(r);
     r.finish();
+}
+
+template <class Self, class F>
+void
+Simulator::forEachCounters(Self &sim, F &&f)
+{
+    f("sim.mem", sim.mem_.stats());
+    f("sim.mem.l1i", sim.mem_.l1i().stats());
+    f("sim.mem.l1d", sim.mem_.l1d().stats());
+    f("sim.mem.l2", sim.mem_.l2().stats());
+    f("sim.mem.llc", sim.mem_.llc().stats());
+    f("sim.mem.dram", sim.mem_.dram().stats());
+    f("sim.psc", sim.walker_.psc().stats());
+    f("sim.walker", sim.walker_.stats());
+    f("sim.tlb.itlb", sim.tlbs_.itlb().stats());
+    f("sim.tlb.dtlb", sim.tlbs_.dtlb().stats());
+    f("sim.tlb.stlb", sim.tlbs_.stlb().stats());
+    f("sim.pb", sim.pb_.stats());
+    if (!sim.tracer_)
+        return;
+    for (unsigned c = 0; c < PrefetchTracer::numComponents; ++c) {
+        const std::string path = std::string("sim.prefetch_trace.") +
+                                 PrefetchTracer::componentName(c);
+        f(path, sim.tracer_->outcomes(c));
+    }
+}
+
+template <class F>
+void
+Simulator::forEachStats(F &&f) const
+{
+    f("sim.page_table", pageTable_.stats());
+    forEachCounters(*this, f);
+}
+
+namespace
+{
+
+/** One `prefix.name value` line per field of @p rec; nested records
+ * add their name to the prefix. */
+template <class R>
+void
+writeStatLines(std::ostream &os, const std::string &prefix, const R &rec)
+{
+    visitFields(rec, [&](const char *name, const auto &v,
+                         FieldTag = FieldTag::Plain) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        const std::string path = prefix + '.' + name;
+        if constexpr (Record<T>) {
+            writeStatLines(os, path, v);
+        } else if constexpr (std::is_same_v<T, double>) {
+            char buf[32];
+            auto res = std::to_chars(buf, buf + sizeof(buf), v);
+            os << path << ' ' << std::string_view(buf, res.ptr - buf)
+               << '\n';
+        } else {
+            os << path << ' ' << v << '\n';
+        }
+    });
+}
+
+} // namespace
+
+void
+Simulator::writeStats(std::ostream &os) const
+{
+    forEachStats([&os](std::string_view path, const auto &rec) {
+        writeStatLines(os, std::string(path), rec);
+    });
+}
+
+void
+Simulator::writeStatsJson(json::Writer &w) const
+{
+    w.beginObject();
+    forEachStats([&w](std::string_view path, const auto &rec) {
+        w.key(path).beginObject();
+        json::writeFields(w, rec);
+        w.endObject();
+    });
+    w.endObject();
 }
 
 SimResult

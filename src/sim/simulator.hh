@@ -30,12 +30,13 @@
 #define MORRIGAN_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <ostream>
 #include <queue>
+#include <string_view>
 #include <vector>
 
 #include "check/checker.hh"
 #include "common/snapshot.hh"
-#include "common/stats.hh"
 #include "core/tlb_prefetcher.hh"
 #include "icache/icache_prefetcher.hh"
 #include "mem/memory_hierarchy.hh"
@@ -54,6 +55,11 @@
 namespace morrigan
 {
 
+namespace json
+{
+class Writer;
+}
+
 /** The system simulator. */
 class Simulator
 {
@@ -68,7 +74,7 @@ class Simulator
 
     /**
      * Enable prefetch lifecycle tracing (see prefetch_tracer.hh).
-     * Counters register under rootStats().prefetch_trace; pass an
+     * Its counts are listed under sim.prefetch_trace; pass an
      * @p event_sink to also emit the JSONL event log. Idempotent.
      */
     PrefetchTracer &enableTracer(std::ostream *event_sink = nullptr);
@@ -117,7 +123,7 @@ class Simulator
 
     /**
      * Serialize the full simulator state: every component, the
-     * workload generators, the stats tree and the run position.
+     * workload generators, the counter records and the run position.
      * @throws SnapshotError for configurations whose state cannot be
      * captured (differential checker, miss-stream collection).
      */
@@ -152,18 +158,44 @@ class Simulator
      * measurement counters plus the values that live elsewhere). */
     EpochCounters epochCounters() const;
 
+    /** --stats: one `path.field value` line per component record
+     * field, nested records under dotted names. */
+    void writeStats(std::ostream &os) const;
+
+    /** The --stats-json "stats" object: each component record as
+     * one member keyed by its dotted path. */
+    void writeStatsJson(json::Writer &w) const;
+
     /** iSTLB miss stream recorded during measurement (when
      * SimConfig::collectMissStream is set). */
     const MissStreamStats &missStream() const { return missStream_; }
+
+    const SimConfig &config() const { return cfg_; }
 
     // Component access for white-box tests.
     TlbHierarchy &tlbs() { return tlbs_; }
     PageTableWalker &walker() { return walker_; }
     PrefetchBuffer &pb() { return pb_; }
     MemoryHierarchy &mem() { return mem_; }
-    StatGroup &rootStats() { return rootStats_; }
+    const PageTable &pageTable() const { return pageTable_; }
+    const PhysMem &physMem() const { return phys_; }
 
   private:
+    /**
+     * The component counter records, each under its dotted path, in
+     * output order: f(path, record). The one list behind the warmup
+     * reset and the snapshot; forEachStats() adds the page table's
+     * occupancy for --stats and --stats-json.
+     */
+    template <class Self, class F>
+    static void forEachCounters(Self &sim, F &&f);
+
+    /** Every reported record: the page table's occupancy (table
+     * state, saved with the table and never reset), then
+     * forEachCounters(). */
+    template <class F>
+    void forEachStats(F &&f) const;
+
     Cycle now() const { return static_cast<Cycle>(cycles_); }
     /** Advance the clock by @p cycles and count them in @p bucket:
      * the one writer of cycles_ outside restore(). */
@@ -206,7 +238,6 @@ class Simulator
     void maybeCheckpoint();
 
     SimConfig cfg_;
-    StatGroup rootStats_;
     PhysMem phys_;
     PageTable pageTable_;
     MemoryHierarchy mem_;

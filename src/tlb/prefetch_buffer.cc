@@ -5,32 +5,20 @@
 namespace morrigan
 {
 
-PrefetchBuffer::PrefetchBuffer(std::uint32_t entries, Cycle latency,
-                               StatGroup *parent)
+PrefetchBuffer::PrefetchBuffer(std::uint32_t entries, Cycle latency)
     : table_(entries, entries),  // fully associative
-      latency_(latency),
-      stats_("pb", parent),
-      lookups_(&stats_, "lookups", "demand lookups"),
-      hits_(&stats_, "hits", "demand hits (walk avoided)"),
-      misses_(&stats_, "misses", "demand misses (walk required)"),
-      pendingHits_(&stats_, "pending_hits",
-                   "hits on in-flight prefetches"),
-      inserts_(&stats_, "inserts", "prefetched PTEs installed"),
-      duplicateInserts_(&stats_, "duplicate_inserts",
-                        "inserts dropped as duplicates"),
-      uselessEvictions_(&stats_, "useless_evictions",
-                        "entries evicted without providing a hit")
+      latency_(latency)
 {
 }
 
 PbLookupResult
 PrefetchBuffer::lookupAndConsume(Vpn vpn, Cycle now)
 {
-    ++lookups_;
+    ++stats_.lookups;
     PbLookupResult res;
     PbEntry *entry = table_.probe(vpn);
     if (!entry) {
-        ++misses_;
+        ++stats_.misses;
         return res;
     }
     res.hit = true;
@@ -38,8 +26,8 @@ PrefetchBuffer::lookupAndConsume(Vpn vpn, Cycle now)
     res.entry = *entry;
     res.entry.usedOnce = true;
     if (res.pending)
-        ++pendingHits_;
-    ++hits_;
+        ++stats_.pendingHits;
+    ++stats_.hits;
     ++hitsByProducer_[static_cast<unsigned>(entry->tag.producer)];
     if (obs_)
         obs_->pbEvent(res.pending ? PbObserver::Event::HitPending
@@ -67,12 +55,12 @@ PrefetchBuffer::insert(Vpn vpn, const PbEntry &entry,
                        Vpn *evicted_unused)
 {
     if (table_.probe(vpn)) {
-        ++duplicateInserts_;
+        ++stats_.duplicateInserts;
         if (obs_)
             obs_->pbEvent(PbObserver::Event::DuplicateInsert, entry, 0);
         return false;
     }
-    ++inserts_;
+    ++stats_.inserts;
     if (obs_)
         obs_->pbEvent(PbObserver::Event::Installed, entry, 0);
     PbEntry victim;
@@ -84,7 +72,7 @@ PrefetchBuffer::insert(Vpn vpn, const PbEntry &entry,
                              population(), capacity(),
                              static_cast<unsigned long long>(vpn));
     if (evicted && !victim.usedOnce) {
-        ++uselessEvictions_;
+        ++stats_.uselessEvictions;
         if (obs_)
             obs_->pbEvent(PbObserver::Event::EvictedUnused, victim, 0);
         if (evicted_unused)
@@ -98,13 +86,13 @@ void
 PrefetchBuffer::insertOpportunistic(Vpn vpn, const PbEntry &entry)
 {
     if (table_.probe(vpn)) {
-        ++duplicateInserts_;
+        ++stats_.duplicateInserts;
         if (obs_)
             obs_->pbEvent(PbObserver::Event::DuplicateInsert, entry, 0);
         return;
     }
     if (table_.insertNoEvict(vpn, entry)) {
-        ++inserts_;
+        ++stats_.inserts;
         MORRIGAN_CHECK_INVARIANT(1, population() <= capacity(),
                                  "prefetch buffer population %u "
                                  "exceeds capacity %u after "

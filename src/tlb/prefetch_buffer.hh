@@ -22,7 +22,7 @@
 #include <cstdint>
 
 #include "common/assoc_table.hh"
-#include "common/stats.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace morrigan
@@ -107,13 +107,44 @@ struct PbLookupResult
 class PrefetchBuffer
 {
   public:
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. */
+    struct Stats
+    {
+        /** demand lookups */
+        std::uint64_t lookups = 0;
+        /** demand hits (walk avoided) */
+        std::uint64_t hits = 0;
+        /** demand misses (walk required) */
+        std::uint64_t misses = 0;
+        /** hits on in-flight prefetches */
+        std::uint64_t pendingHits = 0;
+        /** prefetched PTEs installed */
+        std::uint64_t inserts = 0;
+        /** inserts dropped as duplicates */
+        std::uint64_t duplicateInserts = 0;
+        /** entries evicted without providing a hit */
+        std::uint64_t uselessEvictions = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("lookups", s.lookups);
+            v("hits", s.hits);
+            v("misses", s.misses);
+            v("pending_hits", s.pendingHits);
+            v("inserts", s.inserts);
+            v("duplicate_inserts", s.duplicateInserts);
+            v("useless_evictions", s.uselessEvictions);
+        }
+    };
+
     /**
      * @param entries Capacity (Table 1: 64, fully associative).
      * @param latency Access latency in cycles (Table 1: 2).
      */
     explicit PrefetchBuffer(std::uint32_t entries = 64,
-                            Cycle latency = 2,
-                            StatGroup *parent = nullptr);
+                            Cycle latency = 2);
 
     /**
      * Demand lookup on an STLB miss. A hit consumes the entry (the
@@ -169,14 +200,9 @@ class PrefetchBuffer
     std::uint32_t capacity() const { return table_.capacity(); }
     std::uint32_t population() const { return table_.population(); }
 
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t inserts() const { return inserts_.value(); }
-    /** Entries evicted without ever providing a hit. */
-    std::uint64_t uselessEvictions() const
-    {
-        return uselessEvictions_.value();
-    }
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
+
     std::uint64_t hitsFrom(PrefetchProducer p) const
     {
         return hitsByProducer_[static_cast<unsigned>(p)];
@@ -186,17 +212,10 @@ class PrefetchBuffer
     SetAssocTable<Vpn, PbEntry> table_;
     Cycle latency_;
     PbObserver *obs_ = nullptr;
-
-    StatGroup stats_;
-    Counter lookups_;
-    Counter hits_;
-    Counter misses_;
-    Counter pendingHits_;
-    Counter inserts_;
-    Counter duplicateInserts_;
-    Counter uselessEvictions_;
+    Stats stats_;
     std::uint64_t hitsByProducer_[6] = {};
 };
+static_assert(visitsEveryField<PrefetchBuffer::Stats>());
 
 } // namespace morrigan
 

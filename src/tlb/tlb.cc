@@ -3,18 +3,8 @@
 namespace morrigan
 {
 
-Tlb::Tlb(const TlbParams &params, StatGroup *parent)
-    : params_(params),
-      table_(params.entries, params.ways),
-      stats_(params.name, parent),
-      instrAccesses_(&stats_, "instr_accesses",
-                     "instruction-side lookups"),
-      instrMisses_(&stats_, "instr_misses", "instruction-side misses"),
-      dataAccesses_(&stats_, "data_accesses", "data-side lookups"),
-      dataMisses_(&stats_, "data_misses", "data-side misses"),
-      fills_(&stats_, "fills", "translations installed"),
-      crossEvictions_(&stats_, "cross_evictions",
-                      "evictions across the i/d boundary")
+Tlb::Tlb(const TlbParams &params)
+    : params_(params), table_(params.entries, params.ways)
 {
 }
 
@@ -33,19 +23,19 @@ Tlb::probeEntry(Vpn vpn) const
 void
 Tlb::fill(Vpn vpn, Pfn pfn, AccessType type)
 {
-    ++fills_;
+    ++stats_.fills;
     TlbEntry victim;
     Vpn victim_vpn = 0;
     bool evicted = table_.insert(vpn, TlbEntry{pfn, type},
                                  &victim_vpn, &victim);
     if (evicted && victim.filledBy != type)
-        ++crossEvictions_;
+        ++stats_.crossEvictions;
 }
 
 void
 Tlb::fillLarge(Vpn vpn, Pfn base_pfn, AccessType type)
 {
-    ++fills_;
+    ++stats_.fills;
     everLarge_ = true;
     TlbEntry victim;
     Vpn victim_vpn = 0;
@@ -53,7 +43,7 @@ Tlb::fillLarge(Vpn vpn, Pfn base_pfn, AccessType type)
     bool evicted =
         table_.insert(largeKey(vpn), entry, &victim_vpn, &victim);
     if (evicted && victim.filledBy != type)
-        ++crossEvictions_;
+        ++stats_.crossEvictions;
 }
 
 bool

@@ -19,7 +19,6 @@
 
 #include "common/assoc_table.hh"
 #include "common/fields.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace morrigan
@@ -72,7 +71,38 @@ struct TlbHit
 class Tlb
 {
   public:
-    explicit Tlb(const TlbParams &params, StatGroup *parent = nullptr);
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. */
+    struct Stats
+    {
+        /** instruction-side lookups */
+        std::uint64_t instrAccesses = 0;
+        /** instruction-side misses */
+        std::uint64_t instrMisses = 0;
+        /** data-side lookups */
+        std::uint64_t dataAccesses = 0;
+        /** data-side misses */
+        std::uint64_t dataMisses = 0;
+        /** translations installed */
+        std::uint64_t fills = 0;
+        /** evictions across the i/d boundary: an instruction entry
+         * displaced a data entry or vice versa -- the paper's STLB
+         * contention effect */
+        std::uint64_t crossEvictions = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("instr_accesses", s.instrAccesses);
+            v("instr_misses", s.instrMisses);
+            v("data_accesses", s.dataAccesses);
+            v("data_misses", s.dataMisses);
+            v("fills", s.fills);
+            v("cross_evictions", s.crossEvictions);
+        }
+    };
+
+    explicit Tlb(const TlbParams &params);
 
     /**
      * Demand lookup; updates LRU and stats.
@@ -89,16 +119,16 @@ class Tlb
     lookup(Vpn vpn, AccessType type)
     {
         if (type == AccessType::Instruction)
-            ++instrAccesses_;
+            ++stats_.instrAccesses;
         else
-            ++dataAccesses_;
+            ++stats_.dataAccesses;
 
         const TlbEntry *entry = table_.find(vpn);
         if (!entry) {
             if (type == AccessType::Instruction)
-                ++instrMisses_;
+                ++stats_.instrMisses;
             else
-                ++dataMisses_;
+                ++stats_.dataMisses;
         }
         return entry;
     }
@@ -112,9 +142,9 @@ class Tlb
     {
         TlbHit hit;
         if (type == AccessType::Instruction)
-            ++instrAccesses_;
+            ++stats_.instrAccesses;
         else
-            ++dataAccesses_;
+            ++stats_.dataAccesses;
 
         if (const TlbEntry *e = table_.find(vpn)) {
             hit.entry = e;
@@ -129,9 +159,9 @@ class Tlb
             }
         }
         if (type == AccessType::Instruction)
-            ++instrMisses_;
+            ++stats_.instrMisses;
         else
-            ++dataMisses_;
+            ++stats_.dataMisses;
         return hit;
     }
 
@@ -155,37 +185,15 @@ class Tlb
     /** Remove everything (context switch). */
     void flush();
 
-    /** Serialize translations + LRU state (counters are restored by
-     * the stats-tree pass, not here). */
+    /** Serialize translations + LRU state (the simulator saves the
+     * counter records). */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
     const TlbParams &params() const { return params_; }
 
-    std::uint64_t accesses(AccessType t) const
-    {
-        return t == AccessType::Instruction ? instrAccesses_.value()
-                                            : dataAccesses_.value();
-    }
-    std::uint64_t misses(AccessType t) const
-    {
-        return t == AccessType::Instruction ? instrMisses_.value()
-                                            : dataMisses_.value();
-    }
-    std::uint64_t totalAccesses() const
-    {
-        return instrAccesses_.value() + dataAccesses_.value();
-    }
-    std::uint64_t totalMisses() const
-    {
-        return instrMisses_.value() + dataMisses_.value();
-    }
-    /** Evictions where an instruction entry displaced a data entry or
-     * vice versa -- the paper's STLB contention effect. */
-    std::uint64_t crossEvictions() const
-    {
-        return crossEvictions_.value();
-    }
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
 
   private:
     /** Distinguished key space for 2MB entries in the shared table. */
@@ -203,15 +211,9 @@ class Tlb
      * lookupAny skip the always-missing large-key probe for the
      * (common) all-4KB configurations. */
     bool everLarge_ = false;
-
-    StatGroup stats_;
-    Counter instrAccesses_;
-    Counter instrMisses_;
-    Counter dataAccesses_;
-    Counter dataMisses_;
-    Counter fills_;
-    Counter crossEvictions_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<Tlb::Stats>());
 
 } // namespace morrigan
 

@@ -3,12 +3,8 @@
 namespace morrigan
 {
 
-TlbHierarchy::TlbHierarchy(const TlbHierarchyParams &params,
-                           StatGroup *parent)
-    : stats_("tlb", parent),
-      itlb_(params.itlb, &stats_),
-      dtlb_(params.dtlb, &stats_),
-      stlb_(params.stlb, &stats_)
+TlbHierarchy::TlbHierarchy(const TlbHierarchyParams &params)
+    : itlb_(params.itlb), dtlb_(params.dtlb), stlb_(params.stlb)
 {
 }
 

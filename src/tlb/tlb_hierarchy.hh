@@ -13,7 +13,6 @@
 #ifndef MORRIGAN_TLB_TLB_HIERARCHY_HH
 #define MORRIGAN_TLB_TLB_HIERARCHY_HH
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/tlb.hh"
 
@@ -53,8 +52,7 @@ struct TlbLookupResult
 class TlbHierarchy
 {
   public:
-    explicit TlbHierarchy(const TlbHierarchyParams &params,
-                          StatGroup *parent = nullptr);
+    explicit TlbHierarchy(const TlbHierarchyParams &params);
 
     /**
      * Look up a translation; on an L1 miss the STLB is probed; on an
@@ -88,7 +86,6 @@ class TlbHierarchy
     const Tlb &stlb() const { return stlb_; }
 
   private:
-    StatGroup stats_;
     Tlb itlb_;
     Tlb dtlb_;
     Tlb stlb_;

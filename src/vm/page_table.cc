@@ -8,30 +8,29 @@
 namespace morrigan
 {
 
-PageTable::PageTable(PhysMem &phys, StatGroup *parent,
-                     unsigned levels, PageTableFormat format)
-    : phys_(phys),
-      levels_(levels),
-      format_(format),
-      stats_("page_table", parent),
-      mappedPages_(&stats_, "mapped_pages", "4KB pages mapped"),
-      tableFrames_(&stats_, "table_frames",
-                   "physical frames used by table nodes")
+PageTable::PageTable(PhysMem &phys, unsigned levels,
+                     PageTableFormat format)
+    : phys_(phys), levels_(levels), format_(format)
 {
     fatal_if(levels_ < 2 || levels_ > maxPageTableLevels,
              "unsupported page table depth %u", levels_);
     arena_.reserve(64);
     arena_.emplace_back();
     arena_[0].frame = phys_.allocFrame();
-    ++tableFrames_;
     if (format_ == PageTableFormat::Hashed) {
-        constexpr std::uint64_t frames =
-            hashBuckets * lineBytes / pageBytes;
         hashBase_ = phys_.allocFrame();
-        for (std::uint64_t i = 1; i < frames; ++i)
+        for (std::uint64_t i = 1; i < hashFrames; ++i)
             phys_.allocFrame();
-        tableFrames_ += frames;
     }
+    countTableFrames();
+}
+
+void
+PageTable::countTableFrames()
+{
+    stats_.tableFrames =
+        arena_.size() +
+        (format_ == PageTableFormat::Hashed ? hashFrames : 0);
 }
 
 std::int32_t
@@ -39,7 +38,7 @@ PageTable::newNode()
 {
     arena_.emplace_back();
     arena_.back().frame = phys_.allocFrame();
-    ++tableFrames_;
+    countTableFrames();
     return static_cast<std::int32_t>(arena_.size() - 1);
 }
 
@@ -91,7 +90,7 @@ PageTable::walkHashed(Vpn vpn, bool allocate)
         Pfn pfn = phys_.allocFrame();
         hashLeaves_.insert(vpn, pfn);
         leaf = hashLeaves_.find(vpn);
-        ++mappedPages_;
+        ++stats_.mappedPages;
         mapped = true;
         if (observer_)
             observer_->onMap4K(vpn, pfn);
@@ -136,7 +135,7 @@ PageTable::mapPage(Vpn vpn)
             return false;
         Pfn pfn = phys_.allocFrame();
         hashLeaves_.insert(vpn, pfn);
-        ++mappedPages_;
+        ++stats_.mappedPages;
         unsigned probes = 0;
         findBucket(vpn >> 3, true, &probes);
         if (observer_)
@@ -156,7 +155,7 @@ PageTable::mapPage(Vpn vpn)
         return false;
     Pfn pfn = phys_.allocFrame();
     leaf = pfn;
-    ++mappedPages_;
+    ++stats_.mappedPages;
     if (observer_)
         observer_->onMap4K(vpn, pfn);
     return true;
@@ -186,7 +185,7 @@ PageTable::mapLargePage(Vpn vpn)
     for (unsigned i = 1; i < pagesPerLargePage; ++i)
         phys_.allocFrame();
     large = first;
-    mappedPages_ += pagesPerLargePage;
+    stats_.mappedPages += pagesPerLargePage;
     if (observer_)
         observer_->onMap2M(base, first);
     return true;
@@ -372,25 +371,26 @@ PageTable::save(SnapshotWriter &w) const
         saveNode(w, arena_[0]);
     } else {
         w.u64(hashBase_);
-        // Every modelled bucket, free ones as ~0.
-        w.u64(hashBuckets);
-        for (std::uint64_t b = 0; b < hashBuckets; ++b) {
-            const Vpn *group = buckets_.find(b);
-            w.u64(group ? *group : ~Vpn{0});
-        }
-        std::vector<std::pair<Vpn, Pfn>> leaves;
-        leaves.reserve(hashLeaves_.size());
-        hashLeaves_.forEach([&leaves](Vpn vpn, Pfn pfn) {
-            leaves.emplace_back(vpn, pfn);
-        });
-        std::sort(leaves.begin(), leaves.end());
-        w.u64(leaves.size());
-        for (const auto &[vpn, pfn] : leaves) {
-            w.u64(vpn);
-            w.u64(pfn);
+        // Each occupied bucket with its group's leaves: a presence
+        // mask over the group's pages, then their frames. Every leaf
+        // has a bucket, and free buckets take no space.
+        const auto buckets = buckets_.sorted();
+        w.u64(buckets.size());
+        for (const auto &[bucket, group] : buckets) {
+            w.u64(bucket);
+            w.u64(group);
+            std::uint8_t mask = 0;
+            for (unsigned i = 0; i < ptesPerLine; ++i)
+                if (hashLeaves_.find(group * ptesPerLine + i))
+                    mask |= std::uint8_t(1u << i);
+            w.u8(mask);
+            for (unsigned i = 0; i < ptesPerLine; ++i)
+                if (mask & (1u << i))
+                    w.u64(*hashLeaves_.find(group * ptesPerLine + i));
         }
     }
     w.u64(hashProbes_);
+    w.u64(stats_.mappedPages);
 }
 
 void
@@ -407,21 +407,24 @@ PageTable::restore(SnapshotReader &r)
         restoreNode(r, 0);
     } else {
         hashBase_ = r.u64();
-        if (r.u64() != hashBuckets)
-            throw SnapshotError("hashed page table size mismatch");
         buckets_.clear(64);
-        for (std::uint64_t b = 0; b < hashBuckets; ++b) {
-            if (Vpn group = r.u64(); group != ~Vpn{0})
-                buckets_.insert(b, group);
-        }
         hashLeaves_.clear(64);
-        std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Vpn vpn = r.u64();
-            hashLeaves_.insert(vpn, r.u64());
+        for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+            const std::uint64_t bucket = r.u64();
+            if (bucket >= hashBuckets)
+                throw SnapshotError(
+                    "hashed page table bucket out of range");
+            const Vpn group = r.u64();
+            buckets_.insert(bucket, group);
+            const std::uint8_t mask = r.u8();
+            for (unsigned p = 0; p < ptesPerLine; ++p)
+                if (mask & (1u << p))
+                    hashLeaves_.insert(group * ptesPerLine + p, r.u64());
         }
     }
     hashProbes_ = r.u64();
+    stats_.mappedPages = r.u64();
+    countTableFrames();
 }
 
 } // namespace morrigan

@@ -33,7 +33,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "vm/phys_mem.hh"
 
@@ -124,15 +124,32 @@ class PageTableObserver
 class PageTable
 {
   public:
+    /** Occupancy (common/fields.hh); the visit names are the --stats
+     * names. Table state, not event counts: saved with the table and
+     * kept across the warmup boundary. */
+    struct Stats
+    {
+        /** 4KB pages mapped */
+        std::uint64_t mappedPages = 0;
+        /** physical frames used by table nodes: one per radix node,
+         * plus the hashed format's bucket array */
+        std::uint64_t tableFrames = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("mapped_pages", s.mappedPages);
+            v("table_frames", s.tableFrames);
+        }
+    };
+
     /**
      * @param phys Frame allocator.
-     * @param parent Statistics parent.
      * @param levels Radix depth: 4 (default x86-64) or 5 (LA57,
      * Section 4.3 -- the extra level lengthens cold walks, which the
      * paper notes can increase Morrigan's gains).
      */
-    explicit PageTable(PhysMem &phys, StatGroup *parent = nullptr,
-                       unsigned levels = pageTableLevels,
+    explicit PageTable(PhysMem &phys, unsigned levels = pageTableLevels,
                        PageTableFormat format = PageTableFormat::Radix);
 
     /** Radix depth of this table. */
@@ -194,7 +211,7 @@ class PageTable
     std::array<LinePte, ptesPerLine> lineNeighbors(Vpn vpn,
                                                    unsigned *count) const;
 
-    std::uint64_t mappedPages() const { return mappedPages_.value(); }
+    const Stats &stats() const { return stats_; }
 
     /**
      * Attach a mapping observer (at most one; the differential
@@ -203,9 +220,10 @@ class PageTable
      */
     void setObserver(PageTableObserver *obs) { observer_ = obs; }
 
-    /** Serialize the whole table (radix tree or hashed array); node
-     * leaf/child sets are emitted in ascending index order, matching
-     * the sorted-map order of earlier image versions. */
+    /** Serialize the whole table and its occupancy: the radix tree
+     * with node leaf/child sets in ascending index order, or the
+     * hashed format's occupied buckets, each with its group's
+     * leaves, in ascending bucket order. */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
@@ -337,16 +355,17 @@ class PageTable
             size_ = 0;
         }
 
-        std::size_t size() const { return size_; }
-
-        /** Apply @p fn to every (vpn, pfn) pair, table order. */
-        template <typename Fn>
-        void
-        forEach(Fn &&fn) const
+        /** Every (key, value) pair, in ascending key order. */
+        std::vector<std::pair<Vpn, Pfn>>
+        sorted() const
         {
+            std::vector<std::pair<Vpn, Pfn>> pairs;
+            pairs.reserve(size_);
             for (std::size_t i = 0; i < keys_.size(); ++i)
                 if (keys_[i] != freeKey)
-                    fn(keys_[i], vals_[i]);
+                    pairs.emplace_back(keys_[i], vals_[i]);
+            std::sort(pairs.begin(), pairs.end());
+            return pairs;
         }
 
       private:
@@ -386,6 +405,8 @@ class PageTable
     };
 
     std::int32_t newNode();
+    /** Set stats_.tableFrames from the arena and the format. */
+    void countTableFrames();
     /** Child at @p idx of arena node @p ni, creating it if needed. */
     std::int32_t ensureChild(std::int32_t ni, std::uint32_t idx);
     const Node *findLeafNode(Vpn vpn) const;
@@ -416,6 +437,9 @@ class PageTable
      * by contiguous physical frames.
      */
     static constexpr std::uint64_t hashBuckets = std::uint64_t{1} << 20;
+    /** Frames the bucket array occupies. */
+    static constexpr std::uint64_t hashFrames =
+        hashBuckets * lineBytes / pageBytes;
     /** 4KB translations: the hashed format's leaf store. */
     FlatMap hashLeaves_;
     /** Occupied buckets: bucket index -> group key. A bucket absent
@@ -424,10 +448,9 @@ class PageTable
     /** Base physical frame of the hashed table array. */
     Pfn hashBase_ = 0;
     std::uint64_t hashProbes_ = 0;
-    StatGroup stats_;
-    Counter mappedPages_;
-    Counter tableFrames_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<PageTable::Stats>());
 
 inline TranslateResult
 PageTable::translate(Vpn vpn) const

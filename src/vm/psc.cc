@@ -26,38 +26,31 @@ pdTag(Vpn vpn)
 
 } // anonymous namespace
 
-PageStructureCache::PageStructureCache(const PscParams &params,
-                                       StatGroup *parent)
+PageStructureCache::PageStructureCache(const PscParams &params)
     : params_(params),
       pml4_(params.pml4Entries, params.pml4Entries),
       pdp_(params.pdpEntries, params.pdpEntries),
-      pd_(params.pdEntries, params.pdWays),
-      stats_("psc", parent),
-      lookups_(&stats_, "lookups", "PSC lookups"),
-      pdHits_(&stats_, "pd_hits", "hits in the PD cache (1 ref left)"),
-      pdpHits_(&stats_, "pdp_hits", "hits in the PDP cache"),
-      pml4Hits_(&stats_, "pml4_hits", "hits in the PML4 cache"),
-      fullMisses_(&stats_, "full_misses", "misses in all PSC levels")
+      pd_(params.pdEntries, params.pdWays)
 {
 }
 
 unsigned
 PageStructureCache::lookupRefsNeeded(Vpn vpn)
 {
-    ++lookups_;
+    ++stats_.lookups;
     if (pd_.find(pdTag(vpn))) {
-        ++pdHits_;
+        ++stats_.pdHits;
         return 1;
     }
     if (pdp_.find(pdpTag(vpn))) {
-        ++pdpHits_;
+        ++stats_.pdpHits;
         return 2;
     }
     if (pml4_.find(pml4Tag(vpn))) {
-        ++pml4Hits_;
+        ++stats_.pml4Hits;
         return 3;
     }
-    ++fullMisses_;
+    ++stats_.fullMisses;
     return pageTableLevels;
 }
 

@@ -16,7 +16,6 @@
 
 #include "common/assoc_table.hh"
 #include "common/fields.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace morrigan
@@ -54,8 +53,33 @@ static_assert(visitsEveryField<PscParams>());
 class PageStructureCache
 {
   public:
-    explicit PageStructureCache(const PscParams &params,
-                                StatGroup *parent = nullptr);
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. */
+    struct Stats
+    {
+        /** PSC lookups */
+        std::uint64_t lookups = 0;
+        /** hits in the PD cache (1 ref left) */
+        std::uint64_t pdHits = 0;
+        /** hits in the PDP cache */
+        std::uint64_t pdpHits = 0;
+        /** hits in the PML4 cache */
+        std::uint64_t pml4Hits = 0;
+        /** misses in all PSC levels */
+        std::uint64_t fullMisses = 0;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("lookups", s.lookups);
+            v("pd_hits", s.pdHits);
+            v("pdp_hits", s.pdpHits);
+            v("pml4_hits", s.pml4Hits);
+            v("full_misses", s.fullMisses);
+        }
+    };
+
+    explicit PageStructureCache(const PscParams &params);
 
     /**
      * Number of page-table levels the walker must still reference
@@ -78,8 +102,8 @@ class PageStructureCache
 
     Cycle latency() const { return params_.latency; }
 
-    std::uint64_t lookups() const { return lookups_.value(); }
-    std::uint64_t pdHits() const { return pdHits_.value(); }
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
 
   private:
     struct Empty {};
@@ -88,14 +112,9 @@ class PageStructureCache
     SetAssocTable<std::uint64_t, Empty> pml4_;
     SetAssocTable<std::uint64_t, Empty> pdp_;
     SetAssocTable<std::uint64_t, Empty> pd_;
-
-    StatGroup stats_;
-    Counter lookups_;
-    Counter pdHits_;
-    Counter pdpHits_;
-    Counter pml4Hits_;
-    Counter fullMisses_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<PageStructureCache::Stats>());
 
 } // namespace morrigan
 

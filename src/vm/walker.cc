@@ -8,25 +8,8 @@ namespace morrigan
 {
 
 PageTableWalker::PageTableWalker(const WalkerParams &params,
-                                 PageTable &table, MemoryHierarchy &mem,
-                                 StatGroup *parent)
-    : params_(params), table_(table), mem_(mem),
-      psc_(params.psc, parent),
-      stats_("walker", parent),
-      demandWalks_(&stats_, "demand_walks", "demand page walks"),
-      prefetchWalks_(&stats_, "prefetch_walks", "prefetch page walks"),
-      demandMemRefs_(&stats_, "demand_mem_refs",
-                     "memory references by demand walks"),
-      prefetchMemRefs_(&stats_, "prefetch_mem_refs",
-                       "memory references by prefetch walks"),
-      droppedPrefetchWalks_(&stats_, "dropped_prefetch_walks",
-                            "non-faulting prefetches to unmapped pages"),
-      busyPortCycles_(&stats_, "busy_port_cycles",
-                      "cumulative port-cycles occupied by walks"),
-      demandLatency_(&stats_, "demand_latency",
-                     "demand walk latency (cycles)"),
-      prefetchLatency_(&stats_, "prefetch_latency",
-                       "prefetch walk latency (cycles)")
+                                 PageTable &table, MemoryHierarchy &mem)
+    : params_(params), table_(table), mem_(mem), psc_(params.psc)
 {
     fatal_if(params_.ports == 0, "walker needs at least one port");
     portBusyUntil_.assign(params_.ports, 0);
@@ -69,7 +52,7 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
         // discovers the absent entry part-way down and drops the
         // request. Charge only the references actually performed:
         // entryAddr slots below the absent entry are zero.
-        ++droppedPrefetchWalks_;
+        ++stats_.droppedPrefetchWalks;
     }
 
     Cycle access_latency = 0;
@@ -106,19 +89,19 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
     auto port = std::min_element(portBusyUntil_.begin(),
                                  portBusyUntil_.end());
     *port = res.completeCycle;
-    busyPortCycles_ += res.completeCycle - res.startCycle;
+    stats_.busyPortCycles += res.completeCycle - res.startCycle;
 
     if (path.mapped && !hashed)
         psc_.fill(vpn);
 
     if (kind == WalkKind::Demand) {
-        ++demandWalks_;
-        demandMemRefs_ += res.memRefs;
-        demandLatency_.sample(static_cast<double>(res.latency));
+        ++stats_.demandWalks;
+        stats_.demandMemRefs += res.memRefs;
+        stats_.demandLatency.sample(static_cast<double>(res.latency));
     } else {
-        ++prefetchWalks_;
-        prefetchMemRefs_ += res.memRefs;
-        prefetchLatency_.sample(static_cast<double>(res.latency));
+        ++stats_.prefetchWalks;
+        stats_.prefetchMemRefs += res.memRefs;
+        stats_.prefetchLatency.sample(static_cast<double>(res.latency));
     }
     return res;
 }

@@ -28,7 +28,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
+#include "common/distribution.hh"
 #include "common/types.hh"
 #include "mem/memory_hierarchy.hh"
 #include "vm/page_table.hh"
@@ -85,8 +85,49 @@ struct WalkResult
 class PageTableWalker
 {
   public:
+    /** Counters (common/fields.hh); the visit names are the --stats
+     * names. */
+    struct Stats
+    {
+        /** demand page walks */
+        std::uint64_t demandWalks = 0;
+        /** prefetch page walks */
+        std::uint64_t prefetchWalks = 0;
+        /** memory references by demand walks */
+        std::uint64_t demandMemRefs = 0;
+        /** memory references by prefetch walks */
+        std::uint64_t prefetchMemRefs = 0;
+        /** non-faulting prefetches to unmapped pages */
+        std::uint64_t droppedPrefetchWalks = 0;
+        /**
+         * Cumulative port-cycles occupied by walks (each walk
+         * contributes its start-to-complete duration on one port).
+         * Occupancy over an interval is delta(busyPortCycles) /
+         * (delta(cycles) * ports()); the interval sampler reports
+         * exactly that.
+         */
+        std::uint64_t busyPortCycles = 0;
+        /** demand walk latency (cycles) */
+        Distribution demandLatency;
+        /** prefetch walk latency (cycles) */
+        Distribution prefetchLatency;
+
+        template <RecordOf<Stats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("demand_walks", s.demandWalks);
+            v("prefetch_walks", s.prefetchWalks);
+            v("demand_mem_refs", s.demandMemRefs);
+            v("prefetch_mem_refs", s.prefetchMemRefs);
+            v("dropped_prefetch_walks", s.droppedPrefetchWalks);
+            v("busy_port_cycles", s.busyPortCycles);
+            v("demand_latency", s.demandLatency);
+            v("prefetch_latency", s.prefetchLatency);
+        }
+    };
+
     PageTableWalker(const WalkerParams &params, PageTable &table,
-                    MemoryHierarchy &mem, StatGroup *parent = nullptr);
+                    MemoryHierarchy &mem);
 
     /**
      * Perform a page walk.
@@ -103,36 +144,15 @@ class PageTableWalker
     Cycle earliestStart(Cycle now) const;
 
     PageStructureCache &psc() { return psc_; }
+    const PageStructureCache &psc() const { return psc_; }
 
-    std::uint64_t demandWalks() const { return demandWalks_.value(); }
-    std::uint64_t prefetchWalks() const
-    {
-        return prefetchWalks_.value();
-    }
-    std::uint64_t demandMemRefs() const
-    {
-        return demandMemRefs_.value();
-    }
-    std::uint64_t prefetchMemRefs() const
-    {
-        return prefetchMemRefs_.value();
-    }
-
-    /**
-     * Cumulative port-cycles spent walking (each walk contributes its
-     * start-to-complete duration on one port). Occupancy over an
-     * interval is delta(busyPortCycles) / (delta(cycles) * ports());
-     * the interval sampler reports exactly that.
-     */
-    std::uint64_t busyPortCycles() const
-    {
-        return busyPortCycles_.value();
-    }
+    const Stats &stats() const { return stats_; }
+    Stats &stats() { return stats_; }
 
     unsigned ports() const { return params_.ports; }
 
     /** Serialize port occupancy + PSC (the page table saves
-     * itself; counters ride the stats tree). */
+     * itself; the simulator saves the counter records). */
     void save(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
 
@@ -142,17 +162,9 @@ class PageTableWalker
     MemoryHierarchy &mem_;
     PageStructureCache psc_;
     std::vector<Cycle> portBusyUntil_;
-
-    StatGroup stats_;
-    Counter demandWalks_;
-    Counter prefetchWalks_;
-    Counter demandMemRefs_;
-    Counter prefetchMemRefs_;
-    Counter droppedPrefetchWalks_;
-    Counter busyPortCycles_;
-    Distribution demandLatency_;
-    Distribution prefetchLatency_;
+    Stats stats_;
 };
+static_assert(visitsEveryField<PageTableWalker::Stats>());
 
 } // namespace morrigan
 

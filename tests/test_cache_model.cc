@@ -24,8 +24,8 @@ TEST(CacheModel, MissThenHitAfterInsert)
     EXPECT_FALSE(c.lookup(0x100));
     c.insert(0x100);
     EXPECT_TRUE(c.lookup(0x100));
-    EXPECT_EQ(c.demandAccesses(), 2u);
-    EXPECT_EQ(c.demandMisses(), 1u);
+    EXPECT_EQ(c.stats().accesses, 2u);
+    EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(CacheModel, ContainsHasNoSideEffects)
@@ -34,7 +34,7 @@ TEST(CacheModel, ContainsHasNoSideEffects)
     c.insert(0x1);
     EXPECT_TRUE(c.contains(0x1));
     EXPECT_FALSE(c.contains(0x2));
-    EXPECT_EQ(c.demandAccesses(), 0u);
+    EXPECT_EQ(c.stats().accesses, 0u);
 }
 
 TEST(CacheModel, LruEvictionWithinSet)

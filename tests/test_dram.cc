@@ -11,7 +11,7 @@ TEST(Dram, FirstAccessIsRowConflict)
     DramModel d(DramParams{});
     Cycle lat = d.access(0);
     EXPECT_EQ(lat, 3 * DramParams{}.tParam);
-    EXPECT_EQ(d.rowConflicts(), 1u);
+    EXPECT_EQ(d.stats().rowConflicts, 1u);
 }
 
 TEST(Dram, SameRowHitsAreCheaper)
@@ -21,7 +21,7 @@ TEST(Dram, SameRowHitsAreCheaper)
     d.access(0);
     Cycle hit = d.access(64);  // same row
     EXPECT_EQ(hit, p.tParam);
-    EXPECT_EQ(d.rowHits(), 1u);
+    EXPECT_EQ(d.stats().rowHits, 1u);
 }
 
 TEST(Dram, DifferentRowSameBankConflicts)
@@ -51,7 +51,7 @@ TEST(Dram, StreamingIsMostlyRowHits)
     DramModel d(p);
     for (Addr a = 0; a < 64 * 1024; a += 64)
         d.access(a);
-    EXPECT_GT(d.rowHits(), d.rowConflicts() * 10);
+    EXPECT_GT(d.stats().rowHits, d.stats().rowConflicts * 10);
 }
 
 TEST(Dram, RejectsGeometryThatIsNotAPowerOfTwo)

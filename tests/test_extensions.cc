@@ -29,7 +29,7 @@ quickConfig()
 TEST(FiveLevelPaging, WalkTouchesFiveLevels)
 {
     PhysMem phys(1 << 20, 1);
-    PageTable pt(phys, nullptr, 5);
+    PageTable pt(phys, 5);
     EXPECT_EQ(pt.levels(), 5u);
     WalkPath p = pt.walk(0x1234, true);
     EXPECT_TRUE(p.mapped);
@@ -42,7 +42,7 @@ TEST(FiveLevelPaging, ColdWalkCostsMoreThanFourLevel)
 {
     auto walk_latency = [](unsigned levels) {
         PhysMem phys(1 << 20, 1);
-        PageTable pt(phys, nullptr, levels);
+        PageTable pt(phys, levels);
         MemoryHierarchyParams mp;
         mp.l2Prefetcher = false;
         MemoryHierarchy mem(mp);
@@ -55,7 +55,7 @@ TEST(FiveLevelPaging, ColdWalkCostsMoreThanFourLevel)
 TEST(FiveLevelPaging, PscStillShortCircuits)
 {
     PhysMem phys(1 << 20, 1);
-    PageTable pt(phys, nullptr, 5);
+    PageTable pt(phys, 5);
     MemoryHierarchyParams mp;
     mp.l2Prefetcher = false;
     MemoryHierarchy mem(mp);

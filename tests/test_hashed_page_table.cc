@@ -15,8 +15,7 @@ namespace
 struct Fixture
 {
     PhysMem phys{1 << 22, 1};
-    PageTable pt{phys, nullptr, pageTableLevels,
-                 PageTableFormat::Hashed};
+    PageTable pt{phys, pageTableLevels, PageTableFormat::Hashed};
 };
 
 } // namespace
@@ -88,7 +87,7 @@ TEST(HashedPageTable, WalkerSkipsPsc)
     WalkResult r = walker.walk(0x42, WalkKind::Demand, 0, true);
     EXPECT_TRUE(r.success);
     EXPECT_EQ(r.memRefs, 1u);             // single bucket probe
-    EXPECT_EQ(walker.psc().lookups(), 0u);
+    EXPECT_EQ(walker.psc().stats().lookups, 0u);
 }
 
 TEST(HashedPageTable, FasterColdWalksThanRadix)
@@ -97,8 +96,7 @@ TEST(HashedPageTable, FasterColdWalksThanRadix)
     // needs ~1 (the paper's cited motivation for hashed tables).
     PhysMem phys_r(1 << 22, 1), phys_h(1 << 22, 1);
     PageTable radix(phys_r);
-    PageTable hashed(phys_h, nullptr, pageTableLevels,
-                     PageTableFormat::Hashed);
+    PageTable hashed(phys_h, pageTableLevels, PageTableFormat::Hashed);
     MemoryHierarchyParams mp;
     mp.l2Prefetcher = false;
     MemoryHierarchy mem_r(mp), mem_h(mp);

@@ -214,8 +214,8 @@ driveCacheDiff(const CacheParams &params, std::uint64_t seed,
             }
         }
     }
-    EXPECT_EQ(opt.demandAccesses(), ref.accesses());
-    EXPECT_EQ(opt.demandMisses(), ref.misses());
+    EXPECT_EQ(opt.stats().accesses, ref.accesses());
+    EXPECT_EQ(opt.stats().misses, ref.misses());
 }
 
 // ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the observability layer: JSON stats serialization,
- * the interval time-series sampler, and the prefetch lifecycle
- * tracer's outcome classification.
+ * Unit tests for the observability layer: the JSON writer, the
+ * interval time-series sampler, and the prefetch lifecycle tracer's
+ * outcome classification.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "common/json.hh"
 #include "common/json_reader.hh"
-#include "common/stats.hh"
 #include "core/morrigan.hh"
 #include "sim/interval_sampler.hh"
 #include "sim/prefetch_tracer.hh"
@@ -84,65 +83,6 @@ TEST(JsonWriter, NonFiniteDoublesBecomeNull)
     json::Writer w(os);
     w.beginArray().value(0.0 / 0.0).value(1.5).endArray();
     EXPECT_EQ(os.str(), "[null,1.5]");
-}
-
-TEST(StatsJson, SerializesNestedTree)
-{
-    StatGroup root("root");
-    Counter c(&root, "events", "event count");
-    c += 42;
-    Distribution d(&root, "lat", "latency");
-    d.sample(3.0);
-    d.sample(9.0);
-    Histogram h(&root, "buckets", "bucketed", {10, 100});
-    h.sample(5);
-    h.sample(50);
-    StatGroup child("child", &root);
-    Counter cc(&child, "inner", "inner counter");
-    ++cc;
-    StatGroup grandchild("grand", &child);
-    Counter gc(&grandchild, "deep", "deep counter");
-    gc += 3;
-
-    std::ostringstream os;
-    root.writeJson(os);
-    const std::string out = os.str();
-
-    EXPECT_TRUE(balancedJson(out)) << out;
-    EXPECT_TRUE(contains(out, "\"events\":{\"value\":42"));
-    EXPECT_TRUE(contains(out, "\"lat\""));
-    EXPECT_TRUE(contains(out, "\"samples\":2"));
-    EXPECT_TRUE(contains(out, "\"child\""));
-    // The nested-group regression: a grandchild must appear inside
-    // the child's "groups" object, after the child's own sections
-    // were closed.
-    EXPECT_TRUE(contains(out, "\"grand\""));
-    EXPECT_TRUE(contains(out, "\"deep\":{\"value\":3"));
-}
-
-TEST(StatsJson, VisitorSeesEveryStat)
-{
-    StatGroup root("root");
-    Counter a(&root, "a", "");
-    StatGroup child("c", &root);
-    Counter b(&child, "b", "");
-    Distribution d(&child, "d", "");
-    Histogram h(&child, "h", "", {1});
-
-    struct CountingVisitor : StatVisitor
-    {
-        int groups = 0, counters = 0, dists = 0, hists = 0;
-        void groupBegin(const StatGroup &) override { ++groups; }
-        void groupEnd(const StatGroup &) override {}
-        void visit(const Counter &) override { ++counters; }
-        void visit(const Distribution &) override { ++dists; }
-        void visit(const Histogram &) override { ++hists; }
-    } v;
-    root.visit(v);
-    EXPECT_EQ(v.groups, 2);
-    EXPECT_EQ(v.counters, 2);
-    EXPECT_EQ(v.dists, 1);
-    EXPECT_EQ(v.hists, 1);
 }
 
 TEST(IntervalSampler, ComputesDeltasAcrossEpochs)
@@ -350,9 +290,8 @@ namespace
 /** Drive a PB + tracer pair through a scripted lifecycle. */
 struct TracerHarness
 {
-    StatGroup stats{"root"};
-    PrefetchBuffer pb{4, 2, &stats};
-    PrefetchTracer tracer{&stats};
+    PrefetchBuffer pb{4, 2};
+    PrefetchTracer tracer;
 
     TracerHarness()
     {
@@ -443,9 +382,8 @@ TEST(PrefetchTracer, FlushCountsAsUnused)
 
 TEST(PrefetchTracer, PreMeasurementPrefetchesAreExcluded)
 {
-    StatGroup stats{"root"};
-    PrefetchBuffer pb{4, 2, &stats};
-    PrefetchTracer tracer{&stats};
+    PrefetchBuffer pb{4, 2};
+    PrefetchTracer tracer;
     pb.setObserver(&tracer);
 
     // Issued before beginMeasurement: id assigned, nothing counted.
@@ -470,9 +408,8 @@ TEST(PrefetchTracer, PreMeasurementPrefetchesAreExcluded)
 TEST(PrefetchTracer, PerTableAttributionAndJsonl)
 {
     std::ostringstream sink;
-    StatGroup stats{"root"};
-    PrefetchBuffer pb{4, 2, &stats};
-    PrefetchTracer tracer{&stats};
+    PrefetchBuffer pb{4, 2};
+    PrefetchTracer tracer;
     pb.setObserver(&tracer);
     tracer.setEventSink(&sink);
     tracer.beginMeasurement(0);
@@ -506,6 +443,8 @@ TEST(PrefetchTracer, PerTableAttributionAndJsonl)
     EXPECT_TRUE(balancedJson(summary.str())) << summary.str();
     EXPECT_TRUE(contains(summary.str(), "\"irip_t2\""));
     EXPECT_TRUE(contains(summary.str(), "\"reconciles\":true"));
+    EXPECT_TRUE(contains(summary.str(),
+                         "\"walk_latency\":{\"count\":1,\"sum\":30"));
 }
 
 TEST(Observability, EndToEndSimulatorRunReconciles)

@@ -49,7 +49,7 @@ TEST(PrefetchBuffer, DuplicateInsertsDropped)
     PrefetchBuffer pb(4, 2);
     pb.insert(0x30, entry(1));
     pb.insert(0x30, entry(2));
-    EXPECT_EQ(pb.inserts(), 1u);
+    EXPECT_EQ(pb.stats().inserts, 1u);
     EXPECT_EQ(pb.lookupAndConsume(0x30, 0).entry.pfn, 1u);
 }
 
@@ -69,7 +69,7 @@ TEST(PrefetchBuffer, UselessEvictionCounting)
     PrefetchBuffer pb(1, 2);
     pb.insert(1, entry(1));
     pb.insert(2, entry(2));  // evicts 1, which never hit
-    EXPECT_EQ(pb.uselessEvictions(), 1u);
+    EXPECT_EQ(pb.stats().uselessEvictions, 1u);
 }
 
 TEST(PrefetchBuffer, OpportunisticInsertNeverEvicts)
@@ -121,6 +121,6 @@ TEST(PrefetchBuffer, MissStatsCount)
 {
     PrefetchBuffer pb(4, 2);
     pb.lookupAndConsume(9, 0);
-    EXPECT_EQ(pb.misses(), 1u);
-    EXPECT_EQ(pb.hits(), 0u);
+    EXPECT_EQ(pb.stats().misses, 1u);
+    EXPECT_EQ(pb.stats().hits, 0u);
 }

@@ -58,9 +58,9 @@ TEST(Psc, ProbeHasNoStatEffects)
 {
     PageStructureCache psc(PscParams{});
     psc.probeRefsNeeded(0x1);
-    EXPECT_EQ(psc.lookups(), 0u);
+    EXPECT_EQ(psc.stats().lookups, 0u);
     psc.lookupRefsNeeded(0x1);
-    EXPECT_EQ(psc.lookups(), 1u);
+    EXPECT_EQ(psc.stats().lookups, 1u);
 }
 
 TEST(Psc, FlushClears)

@@ -249,6 +249,65 @@ TEST(Simulator, MissStreamCollection)
     EXPECT_EQ(sim.missStream().totalMisses(), r.istlbMisses);
 }
 
+TEST(Simulator, PageTableOccupancySurvivesWarmup)
+{
+    // mapped_pages and table_frames describe the table, so the warmup
+    // reset leaves them alone: after a checked run the table holds
+    // what the reference model mapped, and every frame the table took
+    // that backs no mapped page is a table frame.
+    for (PageTableFormat format :
+         {PageTableFormat::Radix, PageTableFormat::Hashed}) {
+        SimConfig cfg = quickConfig();
+        cfg.checkLevel = 1;
+        cfg.pageTableFormat = format;
+        ServerWorkload trace(workload());
+        Simulator sim(cfg);
+        sim.attachWorkload(&trace, 0);
+        SimResult r = sim.run();
+        const PageTable::Stats &pt = sim.pageTable().stats();
+        EXPECT_EQ(pt.mappedPages, r.checkMappedPages);
+        EXPECT_EQ(pt.tableFrames,
+                  sim.physMem().framesAllocated() - pt.mappedPages);
+    }
+}
+
+TEST(Simulator, ComponentRecordsAgreeWithResult)
+{
+    // The component records and the result count the same events
+    // along separate paths, so a dropped or cross-wired count shows.
+    struct Mode
+    {
+        const char *name;
+        bool smt;
+        bool p2tlb;
+        std::uint64_t ctxSwitch;
+    };
+    const Mode modes[] = {{"1T", false, false, 0},
+                          {"SMT", true, false, 0},
+                          {"P2TLB", false, true, 0},
+                          {"ctx-switch", false, false, 200'000}};
+    for (const Mode &m : modes) {
+        SCOPED_TRACE(m.name);
+        SimConfig cfg = quickConfig();
+        cfg.prefetchIntoStlb = m.p2tlb;
+        cfg.contextSwitchInterval = m.ctxSwitch;
+        ServerWorkload a(qmmWorkloadParams(0));
+        ServerWorkload b(qmmWorkloadParams(1));
+        MorriganPrefetcher morrigan{MorriganParams{}};
+        Simulator sim(cfg);
+        sim.attachWorkload(&a, 0);
+        if (m.smt)
+            sim.attachWorkload(&b, 1);
+        sim.attachPrefetcher(&morrigan);
+        SimResult r = sim.run();
+        EXPECT_GT(r.prefetchWalks, 0u);
+        EXPECT_EQ(sim.pb().stats().hits, r.pbHits);
+        EXPECT_EQ(sim.walker().stats().demandWalks, r.demandWalks);
+        EXPECT_EQ(sim.walker().stats().prefetchWalks, r.prefetchWalks);
+        EXPECT_EQ(sim.tlbs().stlb().stats().instrMisses, r.istlbMisses);
+    }
+}
+
 // ---------------------------------------------------------------
 // The trace feed: generation runs on a producer thread per workload.
 // ---------------------------------------------------------------

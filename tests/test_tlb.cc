@@ -33,12 +33,10 @@ TEST(Tlb, StatsSplitBySide)
     tlb.lookup(0x1, AccessType::Instruction);
     tlb.lookup(0x2, AccessType::Data);
     tlb.lookup(0x3, AccessType::Data);
-    EXPECT_EQ(tlb.accesses(AccessType::Instruction), 1u);
-    EXPECT_EQ(tlb.accesses(AccessType::Data), 2u);
-    EXPECT_EQ(tlb.misses(AccessType::Instruction), 1u);
-    EXPECT_EQ(tlb.misses(AccessType::Data), 2u);
-    EXPECT_EQ(tlb.totalAccesses(), 3u);
-    EXPECT_EQ(tlb.totalMisses(), 3u);
+    EXPECT_EQ(tlb.stats().instrAccesses, 1u);
+    EXPECT_EQ(tlb.stats().dataAccesses, 2u);
+    EXPECT_EQ(tlb.stats().instrMisses, 1u);
+    EXPECT_EQ(tlb.stats().dataMisses, 2u);
 }
 
 TEST(Tlb, CrossEvictionsCounted)
@@ -48,11 +46,11 @@ TEST(Tlb, CrossEvictionsCounted)
     tlb.fill(0, 1, AccessType::Data);
     tlb.fill(4, 2, AccessType::Data);
     tlb.fill(8, 3, AccessType::Instruction);  // evicts a data entry
-    EXPECT_EQ(tlb.crossEvictions(), 1u);
+    EXPECT_EQ(tlb.stats().crossEvictions, 1u);
     tlb.fill(12, 4, AccessType::Instruction); // evicts data again
-    EXPECT_EQ(tlb.crossEvictions(), 2u);
+    EXPECT_EQ(tlb.stats().crossEvictions, 2u);
     tlb.fill(16, 5, AccessType::Instruction); // evicts instruction
-    EXPECT_EQ(tlb.crossEvictions(), 2u);
+    EXPECT_EQ(tlb.stats().crossEvictions, 2u);
 }
 
 TEST(Tlb, InvalidateAndFlush)
@@ -74,7 +72,7 @@ TEST(Tlb, ProbeEntryHasNoStatEffects)
     const TlbEntry *e = tlb.probeEntry(0x5);
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(e->pfn, 0x50u);
-    EXPECT_EQ(tlb.totalAccesses(), 0u);
+    EXPECT_EQ(tlb.stats().instrAccesses + tlb.stats().dataAccesses, 0u);
 }
 
 TEST(Tlb, LruWithinSet)

@@ -54,7 +54,7 @@ TEST(TlbHierarchy, SharedStlbContention)
     h.fillStlbOnly(4, 2, AccessType::Data);   // same set (4 sets)
     h.fillStlbOnly(8, 3, AccessType::Data);   // evicts the instr entry
     EXPECT_FALSE(h.stlb().contains(0));
-    EXPECT_EQ(h.stlb().crossEvictions(), 1u);
+    EXPECT_EQ(h.stlb().stats().crossEvictions, 1u);
 }
 
 TEST(TlbHierarchy, FlushClearsAllLevels)

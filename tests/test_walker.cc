@@ -102,10 +102,10 @@ TEST(Walker, StatsSplitDemandAndPrefetch)
     f.pt.mapRange(0x600, 8);
     f.walker.walk(0x600, WalkKind::Demand, 0, true);
     f.walker.walk(0x601, WalkKind::Prefetch, 0, false);
-    EXPECT_EQ(f.walker.demandWalks(), 1u);
-    EXPECT_EQ(f.walker.prefetchWalks(), 1u);
-    EXPECT_GT(f.walker.demandMemRefs(), 0u);
-    EXPECT_GT(f.walker.prefetchMemRefs(), 0u);
+    EXPECT_EQ(f.walker.stats().demandWalks, 1u);
+    EXPECT_EQ(f.walker.stats().prefetchWalks, 1u);
+    EXPECT_GT(f.walker.stats().demandMemRefs, 0u);
+    EXPECT_GT(f.walker.stats().prefetchMemRefs, 0u);
 }
 
 TEST(Walker, RefsByLevelSumsToMemRefs)

@@ -4,7 +4,7 @@
  *
  * The ChampSim-style front end for the library: pick a workload, a
  * prefetcher and any configuration overrides, run, and get the full
- * result record (optionally with the component statistics tree and
+ * result record (optionally with every component counter and
  * the miss-stream characterisation).
  *
  * Examples:
@@ -65,7 +65,7 @@ usage()
         "  --check               cross-check every demand "
         "translation against the golden reference model "
         "(MORRIGAN_CHECK=1 does the same)\n"
-        "  --stats               dump the component statistics tree\n"
+        "  --stats               print every component counter\n"
         "  --stats-json FILE     write the versioned JSON stats "
         "document\n"
         "  --trace FILE          JSONL prefetch lifecycle event log\n"
@@ -163,9 +163,9 @@ printResult(const SimResult &r)
 
 /**
  * The full --stats-json document: schema header, run identity, the
- * result record (the campaign journal's), the whole StatGroup tree,
- * and -- when enabled -- the prefetch lifecycle summary and the
- * interval epoch ring.
+ * run's configuration, the result record (the campaign journal's),
+ * every component counter record, and -- when enabled -- the
+ * prefetch lifecycle summary and the interval epoch ring.
  */
 void
 writeStatsJsonDocument(std::ostream &os, Simulator &sim,
@@ -182,10 +182,13 @@ writeStatsJsonDocument(std::ostream &os, Simulator &sim,
     });
     w.kv("workload", r.workload);
     w.kv("prefetcher", r.prefetcher);
+    w.key("config").beginObject();
+    json::writeFields(w, sim.config());
+    w.endObject();
     w.key("result").rawValue(
         [&](std::ostream &o) { writeSimResultJson(o, r); });
-    w.key("stats").rawValue(
-        [&](std::ostream &o) { sim.rootStats().writeJson(o); });
+    w.key("stats");
+    sim.writeStatsJson(w);
     if (sim.tracer())
         w.key("trace_summary").rawValue([&](std::ostream &o) {
             sim.tracer()->writeSummaryJson(o);
@@ -672,7 +675,7 @@ main(int argc, char **argv)
 
     if (dump_stats) {
         std::printf("\n-- component statistics --\n");
-        sim.rootStats().dump(std::cout);
+        sim.writeStats(std::cout);
     }
 
     exportTraceEvents(trace_events_path);
