@@ -176,76 +176,68 @@ class SetAssocTable
     std::uint32_t population() const { return population_; }
 
     /**
-     * Serialize the table in storage order (set-major, way-minor):
-     * geometry, LRU clock, and for each way its valid flag plus --
-     * when valid -- key, lastUse and the payload via @p save_value.
-     * Invalid ways carry no payload; restore() resets them, which is
-     * behaviorally identical (their contents are never read).
+     * Save or restore the table in storage order (set-major,
+     * way-minor): geometry, LRU clock, and for each way its valid
+     * flag plus -- when valid -- key, lastUse and the payload via
+     * @p value_io, a callable (Ar &, ValueT &) with Ar a
+     * SnapshotWriter or SnapshotReader. Invalid ways carry no
+     * payload; restore() resets them, which is behaviorally
+     * identical (their contents are never read).
      *
-     * @param save_value Callable (SnapshotWriter&, const ValueT&).
+     * @throws SnapshotError on restore of another geometry or of a
+     * valid way whose recency set_kernel::validRecency() rejects.
      */
-    template <typename SaveV>
+    template <typename ValueIo>
     void
-    save(SnapshotWriter &w, SaveV &&save_value) const
+    save(SnapshotWriter &w, ValueIo &&value_io) const
     {
-        w.section("assoc_table");
-        w.u32(ways_);
-        w.u32(numSets_);
-        w.u64(useClock_);
-        const std::uint32_t n = numSets_ * ways_;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            w.b(rec_[i] != 0);
-            if (rec_[i] == 0)
-                continue;
-            w.u64(static_cast<std::uint64_t>(keys_[i]));
-            w.u64(rec_[i]);
-            save_value(w, values_[i]);
-        }
+        transfer(*this, w, value_io);
     }
 
-    /**
-     * Restore a table saved with identical geometry.
-     *
-     * @param load_value Callable (SnapshotReader&, ValueT&).
-     * @throws SnapshotError on a geometry mismatch or a valid way
-     * whose recency word set_kernel::validRecency() rejects.
-     */
-    template <typename LoadV>
+    template <typename ValueIo>
     void
-    restore(SnapshotReader &r, LoadV &&load_value)
+    restore(SnapshotReader &r, ValueIo &&value_io)
     {
-        r.section("assoc_table");
-        std::uint32_t ways = r.u32();
-        std::uint32_t sets = r.u32();
-        if (ways != ways_ || sets != numSets_)
-            throw SnapshotError(
-                "assoc table geometry mismatch: snapshot " +
-                std::to_string(sets) + "x" + std::to_string(ways) +
-                ", live " + std::to_string(numSets_) + "x" +
-                std::to_string(ways_));
-        useClock_ = r.u64();
-        population_ = 0;
-        const std::uint32_t n = numSets_ * ways_;
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (!r.b()) {
-                keys_[i] = KeyT{};
-                values_[i] = ValueT{};
-                rec_[i] = 0;
-                continue;
-            }
-            keys_[i] = static_cast<KeyT>(r.u64());
-            rec_[i] = r.u64();
-            if (!set_kernel::validRecency(rec_[i]))
-                throw SnapshotError(
-                    "assoc table: valid way with recency " +
-                    std::to_string(rec_[i]));
-            load_value(r, values_[i]);
-            ++population_;
-        }
+        transfer(*this, r, value_io);
     }
 
   private:
     static constexpr std::uint32_t noIndex = ~std::uint32_t{0};
+
+    template <class Self, class Ar, class ValueIo>
+    static void
+    transfer(Self &t, Ar &ar, ValueIo &value_io)
+    {
+        ar.section("assoc_table");
+        ar.expect(t.ways_, "assoc table ways");
+        ar.expect(t.numSets_, "assoc table sets");
+        ar.io(t.useClock_);
+        if constexpr (Ar::loading)
+            t.population_ = 0;
+        const std::uint32_t n = t.numSets_ * t.ways_;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            bool valid = t.rec_[i] != 0;
+            ar.io(valid);
+            if (!valid) {
+                if constexpr (Ar::loading) {
+                    t.keys_[i] = KeyT{};
+                    t.values_[i] = ValueT{};
+                    t.rec_[i] = 0;
+                }
+                continue;
+            }
+            ioAs<std::uint64_t>(ar, t.keys_[i]);
+            ar.io(t.rec_[i]);
+            if constexpr (Ar::loading) {
+                if (!set_kernel::validRecency(t.rec_[i]))
+                    throw SnapshotError(
+                        "assoc table: valid way with recency " +
+                        std::to_string(t.rec_[i]));
+                ++t.population_;
+            }
+            value_io(ar, t.values_[i]);
+        }
+    }
 
     std::uint32_t
     baseOf(KeyT key) const

@@ -107,25 +107,21 @@ class Rng
         return uniform() < p;
     }
 
-    /** Serialize the generator state (stream position included). */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.section("rng");
-        w.u64(state_);
-        w.u64(inc_);
-    }
-
-    /** Resume the exact stream position a save() captured. */
-    void
-    restore(SnapshotReader &r)
-    {
-        r.section("rng");
-        state_ = r.u64();
-        inc_ = r.u64();
-    }
+    /** Save or resume the generator state (stream position
+     * included). */
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("rng");
+        ar.io(self.state_);
+        ar.io(self.inc_);
+    }
+
     /** LCG multiplier a of the state step s' = a s + c. */
     static constexpr std::uint64_t mult = 6364136223846793005ULL;
 

@@ -22,9 +22,12 @@
  *   [..] payload
  *
  * The payload is a flat little-endian stream of fields punctuated by
- * named section markers; readers verify each marker, so any drift
- * between the save and restore sides fails loudly at the exact
- * component instead of silently misinterpreting bytes.
+ * named section markers. Each component lists its state once, in a
+ * transfer() that both SnapshotWriter and SnapshotReader run (see
+ * SnapshotIo), so its save and restore sides cannot drift apart
+ * field by field; the markers, which readers verify, make a
+ * component that consumes another's bytes fail loudly at that
+ * component instead of silently misinterpreting them.
  *
  * Failure policy: *every* defect -- truncation, corruption, version
  * mismatch, identity mismatch, geometry mismatch -- throws
@@ -40,11 +43,14 @@
 #ifndef MORRIGAN_COMMON_SNAPSHOT_HH
 #define MORRIGAN_COMMON_SNAPSHOT_HH
 
-#include <array>
 #include <cstdint>
 #include <cstring>
+#include <ranges>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "common/fields.hh"
 
@@ -95,10 +101,121 @@ struct SnapshotHeader
  */
 bool readSnapshotHeader(const std::string &path, SnapshotHeader &out);
 
-/** Serializes fields into a payload buffer; publishes atomically. */
-class SnapshotWriter
+/**
+ * The vocabulary SnapshotWriter and SnapshotReader share, so that a
+ * component describes its state once, in a
+ *
+ *     template <class Self, class Ar>
+ *     static void transfer(Self &self, Ar &ar);
+ *
+ * that runs with `Self = const C, Ar = SnapshotWriter` to save and
+ * `Self = C, Ar = SnapshotReader` to restore. `Ar::loading` says
+ * which side runs; restore-only work (range checks, recounts,
+ * rebuilt indexes) sits under `if constexpr (Ar::loading)`.
+ */
+template <class Ar>
+class SnapshotIo
 {
   public:
+    /**
+     * Write @p v, or read into it: a component through its
+     * save(ar, extra...) / restore(ar, extra...), a record
+     * (common/fields.hh) field by field in visit order, a range or
+     * pair element by element (a range's length is the live one), a
+     * string as length and bytes, a double as its IEEE-754 image, and
+     * a bool, enum or integer in its own width (1, 4 or 8 bytes;
+     * ioAs() re-widths any other).
+     */
+    template <class T, class... Extra>
+    void
+    io(T &v, Extra &&...extra)
+    {
+        using U = std::remove_const_t<T>;
+        Ar &ar = static_cast<Ar &>(*this);
+        if constexpr (requires { v.save(ar, extra...); })
+            v.save(ar, std::forward<Extra>(extra)...);
+        else if constexpr (requires { v.restore(ar, extra...); })
+            v.restore(ar, std::forward<Extra>(extra)...);
+        else if constexpr (Record<U>)
+            visitFields(v, [this](const char *, auto &f,
+                                  FieldTag = FieldTag::Plain) { io(f); });
+        else if constexpr (std::ranges::range<U> &&
+                           !std::is_same_v<U, std::string>)
+            for (auto &e : v)
+                io(e);
+        else if constexpr (requires { v.first, v.second; }) {
+            io(v.first);
+            io(v.second);
+        } else {
+            static_assert((!std::is_integral_v<U> && !std::is_enum_v<U>) ||
+                              sizeof(U) == 1 || sizeof(U) == 4 ||
+                              sizeof(U) == 8,
+                          "no snapshot encoding of this width; use ioAs()");
+            ar.value(v);
+        }
+    }
+
+    /**
+     * An identity or geometry value: the writer writes @p v, the
+     * reader reads one and compares it with @p v.
+     *
+     * @throws SnapshotError naming @p what when they differ.
+     */
+    template <class T>
+    void
+    expect(const T &v, std::string_view what)
+    {
+        T got = v;
+        io(got);
+        if (got != v)
+            throw SnapshotError(std::string(what) +
+                                " mismatch: snapshot has " + shown(got) +
+                                ", live has " + shown(v));
+    }
+
+    /**
+     * The length @p n of what follows.
+     *
+     * @param min_bytes Fewest payload bytes each counted element
+     * takes (at least 1).
+     * @throws SnapshotError on read, before anything is sized from
+     * @p n, if that many elements cannot fit in the bytes left.
+     */
+    template <class N>
+    void
+    count(N &n, std::size_t min_bytes)
+    {
+        io(n);
+        if constexpr (Ar::loading) {
+            const std::size_t left = static_cast<Ar &>(*this).remaining();
+            if (n > left / min_bytes)
+                throw SnapshotError("snapshot length " +
+                                    std::to_string(n) + " overruns the " +
+                                    std::to_string(left) +
+                                    " bytes left");
+        }
+    }
+
+  private:
+    template <class T>
+    static std::string
+    shown(const T &v)
+    {
+        if constexpr (std::is_same_v<T, std::string>)
+            return "'" + v + "'";
+        else if constexpr (std::is_enum_v<T>)
+            return std::to_string(static_cast<std::uint64_t>(v));
+        else
+            return std::to_string(+v);
+    }
+};
+
+/** Serializes fields into a payload buffer; publishes atomically. */
+class SnapshotWriter : public SnapshotIo<SnapshotWriter>
+{
+  public:
+    static constexpr bool loading = false;
+
     SnapshotWriter() { buf_.reserve(1 << 16); }
 
     /** Named section marker; the reader must match it exactly. */
@@ -122,17 +239,6 @@ class SnapshotWriter
 
     void str(const std::string &s);
 
-    /** Every member of record @p rec (common/fields.hh) in visit
-     * order: doubles as f64, 32- and 64-bit integers as u32/u64,
-     * arrays element by element. */
-    template <class Rec>
-    void
-    fields(const Rec &rec)
-    {
-        visitFields(rec, [this](const char *, const auto &v,
-                                FieldTag = FieldTag::Plain) { put(v); });
-    }
-
     const std::string &payload() const { return buf_; }
 
     /**
@@ -147,27 +253,34 @@ class SnapshotWriter
                      std::uint64_t total) const;
 
   private:
+    friend class SnapshotIo<SnapshotWriter>;
+
     void raw(const void *data, std::size_t size);
 
-    void put(double v) { f64(v); }
-    void put(std::uint32_t v) { u32(v); }
-    void put(std::uint64_t v) { u64(v); }
-    template <std::size_t N>
-    void put(const std::array<std::uint64_t, N> &a)
+    void value(const std::string &s) { str(s); }
+    void value(double v) { f64(v); }
+    template <class T>
+    void
+    value(T v)
     {
-        for (std::uint64_t v : a)
-            u64(v);
+        const auto bits = static_cast<std::uint64_t>(v);
+        if constexpr (sizeof(T) == 1)
+            u8(static_cast<std::uint8_t>(bits));
+        else if constexpr (sizeof(T) == 4)
+            u32(static_cast<std::uint32_t>(bits));
+        else
+            u64(bits);
     }
-    template <Record R>
-    void put(const R &nested) { fields(nested); }
 
     std::string buf_;
 };
 
 /** Validates and deserializes a snapshot image. */
-class SnapshotReader
+class SnapshotReader : public SnapshotIo<SnapshotReader>
 {
   public:
+    static constexpr bool loading = true;
+
     /**
      * Load @p path: header magic, version, both CRCs and the payload
      * size are all verified before any field is decoded.
@@ -207,15 +320,6 @@ class SnapshotReader
 
     std::string str();
 
-    /** Read back what SnapshotWriter::fields() wrote. */
-    template <class Rec>
-    void
-    fields(Rec &rec)
-    {
-        visitFields(rec, [this](const char *, auto &v,
-                                FieldTag = FieldTag::Plain) { get(v); });
-    }
-
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return buf_.size() - pos_; }
 
@@ -223,26 +327,42 @@ class SnapshotReader
     void finish();
 
   private:
+    friend class SnapshotIo<SnapshotReader>;
+
     SnapshotReader() = default;
 
     const std::uint8_t *take(std::size_t size);
 
-    void get(double &v) { v = f64(); }
-    void get(std::uint32_t &v) { v = u32(); }
-    void get(std::uint64_t &v) { v = u64(); }
-    template <std::size_t N>
-    void get(std::array<std::uint64_t, N> &a)
+    void value(std::string &s) { s = str(); }
+    void value(double &v) { v = f64(); }
+    template <class T>
+    void
+    value(T &v)
     {
-        for (std::uint64_t &v : a)
-            v = u64();
+        if constexpr (sizeof(T) == 1)
+            v = static_cast<T>(u8());
+        else if constexpr (sizeof(T) == 4)
+            v = static_cast<T>(u32());
+        else
+            v = static_cast<T>(u64());
     }
-    template <Record R>
-    void get(R &nested) { fields(nested); }
 
     std::string buf_;
     std::size_t pos_ = 0;
     SnapshotHeader header_;
 };
+
+/** io() @p v as a @p W: a field stored in another width than the
+ * image gives it. */
+template <class W, class Ar, class T>
+void
+ioAs(Ar &ar, T &v)
+{
+    W wire = static_cast<W>(v);
+    ar.io(wire);
+    if constexpr (Ar::loading)
+        v = static_cast<T>(wire);
+}
 
 } // namespace morrigan
 

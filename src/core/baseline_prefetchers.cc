@@ -229,131 +229,51 @@ MarkovPrefetcher::storageBits() const
     return static_cast<std::size_t>(entries_) * (16 + slots_ * 36);
 }
 
+template <class Self, class Ar>
 void
-StridePrefetcher::save(SnapshotWriter &w) const
+MarkovPrefetcher::transfer(Self &self, Ar &ar)
 {
-    w.section("asp");
-    table_.save(w, [](SnapshotWriter &sw, const AspEntry &e) {
-        sw.u64(e.lastVpn);
-        sw.i64(e.stride);
-        sw.b(e.confirmed);
-    });
-    w.u64(conflicts_);
-    w.u64(lookups_);
-}
-
-void
-StridePrefetcher::restore(SnapshotReader &r)
-{
-    r.section("asp");
-    table_.restore(r, [](SnapshotReader &sr, AspEntry &e) {
-        e.lastVpn = sr.u64();
-        e.stride = sr.i64();
-        e.confirmed = sr.b();
-    });
-    conflicts_ = r.u64();
-    lookups_ = r.u64();
-}
-
-void
-DistancePrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("dp");
-    table_.save(w, [](SnapshotWriter &sw, const DpEntry &e) {
-        for (unsigned i = 0; i < slots; ++i) {
-            sw.i64(e.next[i]);
-            sw.b(e.valid[i]);
-        }
-        sw.u8(e.lruVictim);
-    });
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.i64(h.prevDist);
-        w.b(h.vpnValid);
-        w.b(h.distValid);
-    }
-    w.u64(conflicts_);
-    w.u64(lookups_);
-}
-
-void
-DistancePrefetcher::restore(SnapshotReader &r)
-{
-    r.section("dp");
-    table_.restore(r, [](SnapshotReader &sr, DpEntry &e) {
-        for (unsigned i = 0; i < slots; ++i) {
-            e.next[i] = sr.i64();
-            e.valid[i] = sr.b();
-        }
-        e.lruVictim = sr.u8();
-    });
-    for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.prevDist = r.i64();
-        h.vpnValid = r.b();
-        h.distValid = r.b();
-    }
-    conflicts_ = r.u64();
-    lookups_ = r.u64();
-}
-
-void
-MarkovPrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("mp");
-    w.b(unbounded());
-    auto saveEntry = [](SnapshotWriter &sw, const MpEntry &e) {
-        sw.u64(e.successors.size());
-        for (Vpn v : e.successors)
-            sw.u64(v);
+    ar.section("mp");
+    ar.expect(self.unbounded(), "MP unbounded mode");
+    auto entry_io = []<class A>(A &a, auto &e) {
+        std::uint64_t n = e.successors.size();
+        a.count(n, sizeof(Vpn));
+        if constexpr (A::loading)
+            e.successors.assign(n, 0);
+        a.io(e.successors);
     };
-    if (unbounded()) {
+    if (self.unbounded()) {
+        // Sorted keys make the image independent of hash layout.
         std::vector<Vpn> keys;
-        keys.reserve(unboundedTable_.size());
-        for (const auto &[vpn, e] : unboundedTable_)
-            keys.push_back(vpn);
+        keys.reserve(self.unboundedTable_.size());
+        for (const auto &kv : self.unboundedTable_)
+            keys.push_back(kv.first);
         std::sort(keys.begin(), keys.end());
-        w.u64(keys.size());
-        for (Vpn vpn : keys) {
-            w.u64(vpn);
-            saveEntry(w, unboundedTable_.at(vpn));
+        std::uint64_t n = keys.size();
+        ar.count(n, 2 * sizeof(std::uint64_t));
+        if constexpr (Ar::loading) {
+            self.unboundedTable_.clear();
+            self.unboundedTable_.reserve(n);
+            keys.assign(n, 0);
+        }
+        for (Vpn &vpn : keys) {
+            ar.io(vpn);
+            if constexpr (Ar::loading)
+                entry_io(ar, self.unboundedTable_[vpn]);
+            else
+                entry_io(ar, self.unboundedTable_.at(vpn));
         }
     } else {
-        table_.save(w, saveEntry);
+        ar.io(self.table_, entry_io);
     }
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.b(h.valid);
+    for (auto &h : self.hist_) {
+        ar.io(h.prevVpn);
+        ar.io(h.valid);
     }
 }
 
-void
-MarkovPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("mp");
-    if (r.b() != unbounded())
-        throw SnapshotError("MP bounded/unbounded mode mismatch");
-    auto loadEntry = [](SnapshotReader &sr, MpEntry &e) {
-        e.successors.assign(static_cast<std::size_t>(sr.u64()), 0);
-        for (Vpn &v : e.successors)
-            v = sr.u64();
-    };
-    if (unbounded()) {
-        unboundedTable_.clear();
-        std::uint64_t n = r.u64();
-        unboundedTable_.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i) {
-            Vpn vpn = r.u64();
-            loadEntry(r, unboundedTable_[vpn]);
-        }
-    } else {
-        table_.restore(r, loadEntry);
-    }
-    for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.valid = r.b();
-    }
-}
+void MarkovPrefetcher::save(SnapshotWriter &w) const { transfer(*this, w); }
+void MarkovPrefetcher::restore(SnapshotReader &r) { transfer(*this, r); }
 
 void
 registerBaselinePrefetchers(PrefetcherRegistry &reg)

@@ -71,10 +71,24 @@ class StridePrefetcher : public TlbPrefetcher
     std::uint64_t conflicts() const { return conflicts_; }
     std::uint64_t lookups() const { return lookups_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("asp");
+        ar.io(self.table_, [](auto &a, auto &e) {
+            a.io(e.lastVpn);
+            a.io(e.stride);
+            a.io(e.confirmed);
+        });
+        ar.io(self.conflicts_);
+        ar.io(self.lookups_);
+    }
+
     struct AspEntry
     {
         Vpn lastVpn = 0;
@@ -113,10 +127,32 @@ class DistancePrefetcher : public TlbPrefetcher
     std::uint64_t conflicts() const { return conflicts_; }
     std::uint64_t lookups() const { return lookups_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("dp");
+        ar.io(self.table_, [](auto &a, auto &e) {
+            for (unsigned i = 0; i < slots; ++i) {
+                a.io(e.next[i]);
+                a.io(e.valid[i]);
+            }
+            a.io(e.lruVictim);
+        });
+        for (auto &h : self.hist_) {
+            ar.io(h.prevVpn);
+            ar.io(h.prevDist);
+            ar.io(h.vpnValid);
+            ar.io(h.distValid);
+        }
+        ar.io(self.conflicts_);
+        ar.io(self.lookups_);
+    }
+
     struct DpEntry
     {
         PageDelta next[slots] = {0, 0};
@@ -172,6 +208,9 @@ class MarkovPrefetcher : public TlbPrefetcher
     void restore(SnapshotReader &r) override;
 
   private:
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
+
     struct MpEntry
     {
         /** Successor VPNs, most recent first. */

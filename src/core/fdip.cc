@@ -91,38 +91,6 @@ FdipPrefetcher::storageBits() const
 }
 
 void
-FdipPrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("fdip");
-    table_.save(w, [](SnapshotWriter &sw, const FtqEntry &e) {
-        sw.u64(e.next);
-        sw.u8(e.confidence);
-    });
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.b(h.valid);
-    }
-    w.u64(runahead_);
-    w.u64(creditedHits_);
-}
-
-void
-FdipPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("fdip");
-    table_.restore(r, [](SnapshotReader &sr, FtqEntry &e) {
-        e.next = sr.u64();
-        e.confidence = sr.u8();
-    });
-    for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.valid = r.b();
-    }
-    runahead_ = r.u64();
-    creditedHits_ = r.u64();
-}
-
-void
 registerFdipPrefetcher(PrefetcherRegistry &reg)
 {
     reg.registerPlugin({

@@ -67,10 +67,27 @@ class FdipPrefetcher : public TlbPrefetcher
     std::uint64_t runaheadPrefetches() const { return runahead_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("fdip");
+        ar.io(self.table_, [](auto &a, auto &e) {
+            a.io(e.next);
+            a.io(e.confidence);
+        });
+        for (auto &h : self.hist_) {
+            ar.io(h.prevVpn);
+            ar.io(h.valid);
+        }
+        ar.io(self.runahead_);
+        ar.io(self.creditedHits_);
+    }
+
     struct FtqEntry
     {
         Vpn next = 0;

@@ -112,41 +112,6 @@ FnlMmaTlbPrefetcher::storageBits() const
 }
 
 void
-FnlMmaTlbPrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("fnl_mma_tlb");
-    mmaTable_.save(w, [](SnapshotWriter &sw, const MmaEntry &e) {
-        sw.u64(e.future);
-        sw.u8(e.confidence);
-    });
-    w.u64(missHistory_.size());
-    for (Vpn vpn : missHistory_)
-        w.u64(vpn);
-    w.u64(histPos_);
-    w.u64(missCount_);
-    w.u64(mmaPredictions_);
-    w.u64(creditedHits_);
-}
-
-void
-FnlMmaTlbPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("fnl_mma_tlb");
-    mmaTable_.restore(r, [](SnapshotReader &sr, MmaEntry &e) {
-        e.future = sr.u64();
-        e.confidence = sr.u8();
-    });
-    if (r.u64() != missHistory_.size())
-        throw SnapshotError("FNL+MMA-TLB miss-history depth mismatch");
-    for (Vpn &vpn : missHistory_)
-        vpn = r.u64();
-    histPos_ = r.u64();
-    missCount_ = r.u64();
-    mmaPredictions_ = r.u64();
-    creditedHits_ = r.u64();
-}
-
-void
 registerFnlMmaTlbPrefetcher(PrefetcherRegistry &reg)
 {
     reg.registerPlugin({

@@ -70,10 +70,28 @@ class FnlMmaTlbPrefetcher : public TlbPrefetcher
     std::uint64_t mmaPredictions() const { return mmaPredictions_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("fnl_mma_tlb");
+        ar.io(self.mmaTable_, [](auto &a, auto &e) {
+            a.io(e.future);
+            a.io(e.confidence);
+        });
+        ar.expect(self.missHistory_.size(),
+                  "FNL+MMA-TLB miss-history depth");
+        ar.io(self.missHistory_);
+        ar.io(self.histPos_);
+        ar.io(self.missCount_);
+        ar.io(self.mmaPredictions_);
+        ar.io(self.creditedHits_);
+    }
+
     FnlMmaTlbParams params_;
     struct MmaEntry
     {

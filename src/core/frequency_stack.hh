@@ -116,54 +116,45 @@ class FrequencyStack
     std::uint64_t resets() const { return resets_; }
     std::size_t trackedPages() const { return population_; }
 
-    /** Serialize (entries emitted in sorted VPN order so the image
-     * is independent of hash-table layout). */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.section("freq_stack");
-        w.u64(resetInterval_);
-        w.u64(sinceReset_);
-        w.u64(resets_);
-        std::vector<std::pair<Vpn, std::uint32_t>> entries;
-        entries.reserve(population_);
-        for (std::size_t i = 0; i < capacity_; ++i)
-            if (stamp_[i] == epoch_)
-                entries.emplace_back(vpns_[i], counts_[i]);
-        std::sort(entries.begin(), entries.end());
-        w.u64(entries.size());
-        for (const auto &[vpn, f] : entries) {
-            w.u64(vpn);
-            w.u32(f);
-        }
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        r.section("freq_stack");
-        std::uint64_t interval = r.u64();
-        if (interval != resetInterval_)
-            throw SnapshotError(
-                "frequency stack reset interval mismatch");
-        sinceReset_ = r.u64();
-        resets_ = r.u64();
-        bumpEpoch();
-        std::uint64_t n = r.u64();
-        while (capacity_ < 2 * n)
-            rehash(capacity_ << 1);
-        for (std::uint64_t k = 0; k < n; ++k) {
-            Vpn vpn = r.u64();
-            std::uint32_t f = r.u32();
-            std::size_t i = findSlot(vpn);
-            vpns_[i] = vpn;
-            counts_[i] = f;
-            stamp_[i] = epoch_;
-            ++population_;
-        }
-    }
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("freq_stack");
+        ar.expect(self.resetInterval_, "frequency stack reset interval");
+        ar.io(self.sinceReset_);
+        ar.io(self.resets_);
+        // Live entries in sorted VPN order, so the image is
+        // independent of the hash-table layout.
+        std::vector<std::pair<Vpn, std::uint32_t>> entries;
+        entries.reserve(self.population_);
+        for (std::size_t i = 0; i < self.capacity_; ++i)
+            if (self.stamp_[i] == self.epoch_)
+                entries.emplace_back(self.vpns_[i], self.counts_[i]);
+        std::sort(entries.begin(), entries.end());
+        std::uint64_t n = entries.size();
+        ar.count(n, sizeof(Vpn) + sizeof(std::uint32_t));
+        if constexpr (Ar::loading)
+            entries.assign(n, {});
+        ar.io(entries);
+        if constexpr (Ar::loading) {
+            self.bumpEpoch();
+            while (self.capacity_ < 2 * n)
+                self.rehash(self.capacity_ << 1);
+            for (const auto &[vpn, f] : entries) {
+                std::size_t i = self.findSlot(vpn);
+                self.vpns_[i] = vpn;
+                self.counts_[i] = f;
+                self.stamp_[i] = self.epoch_;
+                ++self.population_;
+            }
+        }
+    }
+
     /** Slot holding @p vpn, or the free slot where it would go. */
     std::size_t
     findSlot(Vpn vpn) const

@@ -280,58 +280,4 @@ Irip::storageBits() const
     return bits;
 }
 
-void
-Irip::save(SnapshotWriter &w) const
-{
-    w.section("irip");
-    freq_.save(w);
-    rng_.save(w);
-    w.u64(tables_.size());
-    for (const auto &t : tables_)
-        t->save(w);
-    for (const History &h : hist_) {
-        w.u64(h.prevVpn);
-        w.i64(h.prevTable);
-        w.b(h.valid);
-    }
-    w.u64(stats_.lookups);
-    w.u64(stats_.hits);
-    for (std::uint64_t v : stats_.hitsPerTable)
-        w.u64(v);
-    w.u64(stats_.inserts);
-    w.u64(stats_.transfers);
-    w.u64(stats_.slotReplacements);
-    w.u64(stats_.distanceOutOfRange);
-    w.u64(stats_.prefetchesIssued);
-    w.u64(stats_.staleUpdates);
-}
-
-void
-Irip::restore(SnapshotReader &r)
-{
-    r.section("irip");
-    freq_.restore(r);
-    rng_.restore(r);
-    std::uint64_t n = r.u64();
-    if (n != tables_.size())
-        throw SnapshotError("IRIP table count mismatch");
-    for (auto &t : tables_)
-        t->restore(r);
-    for (History &h : hist_) {
-        h.prevVpn = r.u64();
-        h.prevTable = static_cast<int>(r.i64());
-        h.valid = r.b();
-    }
-    stats_.lookups = r.u64();
-    stats_.hits = r.u64();
-    for (std::uint64_t &v : stats_.hitsPerTable)
-        v = r.u64();
-    stats_.inserts = r.u64();
-    stats_.transfers = r.u64();
-    stats_.slotReplacements = r.u64();
-    stats_.distanceOutOfRange = r.u64();
-    stats_.prefetchesIssued = r.u64();
-    stats_.staleUpdates = r.u64();
-}
-
 } // namespace morrigan

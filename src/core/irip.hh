@@ -108,10 +108,37 @@ class Irip : public TlbPrefetcher
      */
     bool entryResidesInMultipleTables(Vpn vpn) const;
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("irip");
+        ar.io(self.freq_);
+        ar.io(self.rng_);
+        ar.expect(self.tables_.size(), "IRIP table count");
+        for (const auto &t : self.tables_)
+            ar.io(*t);
+        for (auto &h : self.hist_) {
+            ar.io(h.prevVpn);
+            ioAs<std::int64_t>(ar, h.prevTable);
+            ar.io(h.valid);
+        }
+        auto &s = self.stats_;
+        ar.io(s.lookups);
+        ar.io(s.hits);
+        ar.io(s.hitsPerTable);
+        ar.io(s.inserts);
+        ar.io(s.transfers);
+        ar.io(s.slotReplacements);
+        ar.io(s.distanceOutOfRange);
+        ar.io(s.prefetchesIssued);
+        ar.io(s.staleUpdates);
+    }
+
     void updatePreviousEntry(Vpn prev_vpn, int prev_table,
                              PageDelta dist);
     int findTable(Vpn vpn) const;

@@ -181,59 +181,6 @@ ManaPrefetcher::storageBits() const
 }
 
 void
-ManaPrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("mana");
-    records_.save(w, [](SnapshotWriter &sw, const ManaRecord &e) {
-        sw.u8(e.footprint);
-        sw.b(e.succValid);
-        sw.u8(e.succHobIdx);
-        sw.u32(e.succLow);
-    });
-    w.u64(hob_.size());
-    for (Vpn high : hob_)
-        w.u64(high);
-    w.u32(hobUsed_);
-    w.u32(hobNext_);
-    for (const OpenRegion &open : open_) {
-        w.u64(open.trigger);
-        w.u8(open.footprint);
-        w.b(open.valid);
-    }
-    w.u64(recordsCommitted_);
-    w.u64(replays_);
-    w.u64(hobConflicts_);
-    w.u64(creditedHits_);
-}
-
-void
-ManaPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("mana");
-    records_.restore(r, [](SnapshotReader &sr, ManaRecord &e) {
-        e.footprint = sr.u8();
-        e.succValid = sr.b();
-        e.succHobIdx = sr.u8();
-        e.succLow = static_cast<std::uint16_t>(sr.u32());
-    });
-    if (r.u64() != hob_.size())
-        throw SnapshotError("MANA HOB table size mismatch");
-    for (Vpn &high : hob_)
-        high = r.u64();
-    hobUsed_ = r.u32();
-    hobNext_ = r.u32();
-    for (OpenRegion &open : open_) {
-        open.trigger = r.u64();
-        open.footprint = r.u8();
-        open.valid = r.b();
-    }
-    recordsCommitted_ = r.u64();
-    replays_ = r.u64();
-    hobConflicts_ = r.u64();
-    creditedHits_ = r.u64();
-}
-
-void
 registerManaPrefetcher(PrefetcherRegistry &reg)
 {
     reg.registerPlugin({

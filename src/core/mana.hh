@@ -78,10 +78,36 @@ class ManaPrefetcher : public TlbPrefetcher
     std::uint64_t hobConflicts() const { return hobConflicts_; }
     std::uint64_t creditedHits() const { return creditedHits_; }
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("mana");
+        ar.io(self.records_, [](auto &a, auto &e) {
+            a.io(e.footprint);
+            a.io(e.succValid);
+            a.io(e.succHobIdx);
+            ioAs<std::uint32_t>(a, e.succLow);
+        });
+        ar.expect(self.hob_.size(), "MANA HOB table size");
+        ar.io(self.hob_);
+        ar.io(self.hobUsed_);
+        ar.io(self.hobNext_);
+        for (auto &open : self.open_) {
+            ar.io(open.trigger);
+            ar.io(open.footprint);
+            ar.io(open.valid);
+        }
+        ar.io(self.recordsCommitted_);
+        ar.io(self.replays_);
+        ar.io(self.hobConflicts_);
+        ar.io(self.creditedHits_);
+    }
+
     struct ManaRecord
     {
         /** Bit i set: trigger+1+i was touched within the region. */

@@ -68,23 +68,19 @@ class MorriganPrefetcher : public TlbPrefetcher
 
     std::uint64_t sdpActivations() const { return sdpActivations_; }
 
-    void
-    save(SnapshotWriter &w) const override
-    {
-        w.section("morrigan_pf");
-        irip_.save(w);
-        w.u64(sdpActivations_);
-    }
-
-    void
-    restore(SnapshotReader &r) override
-    {
-        r.section("morrigan_pf");
-        irip_.restore(r);
-        sdpActivations_ = r.u64();
-    }
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("morrigan_pf");
+        ar.io(self.irip_);
+        ar.io(self.sdpActivations_);
+    }
+
     MorriganParams params_;
     Irip irip_;
     Sdp sdp_;

@@ -285,75 +285,56 @@ PredictionTable::storageBits() const
            (tagBits + geom_.slots * (distanceBits + confidenceBits));
 }
 
+template <class Self, class Ar>
 void
-PredictionTable::save(SnapshotWriter &w) const
+PredictionTable::transfer(Self &self, Ar &ar)
 {
-    w.section("prt");
-    w.str(geom_.name);
-    w.u32(geom_.entries);
-    w.u32(geom_.ways);
-    w.u32(geom_.slots);
-    w.u64(useClock_);
-    for (std::uint32_t i = 0; i < geom_.entries; ++i) {
-        const PrtEntry &e = entries_[i];
-        w.b(rec_[i] != 0);
-        if (rec_[i] == 0)
+    const std::string &name = self.geom_.name;
+    ar.section("prt");
+    ar.expect(name, "prediction table");
+    ar.expect(self.geom_.entries, "prediction table '" + name + "' entries");
+    ar.expect(self.geom_.ways, "prediction table '" + name + "' ways");
+    ar.expect(self.geom_.slots, "prediction table '" + name + "' slots");
+    ar.io(self.useClock_);
+    if constexpr (Ar::loading)
+        self.population_ = 0;
+    for (std::uint32_t i = 0; i < self.geom_.entries; ++i) {
+        auto &e = self.entries_[i];
+        bool live = self.rec_[i] != 0;
+        ar.io(live);
+        if (!live) {
+            if constexpr (Ar::loading) {
+                e = PrtEntry{};
+                self.tags_[i] = 0;
+                self.rec_[i] = 0;
+            }
             continue;
-        w.u32(tags_[i]);
-        w.u64(e.vpn);
-        w.u64(rec_[i]);
-        w.u64(e.slots.size());
-        for (const PrtSlot &s : e.slots) {
-            w.b(s.valid);
-            w.i64(s.distance);
-            w.u8(s.confidence);
+        }
+        ioAs<std::uint32_t>(ar, self.tags_[i]);
+        ar.io(e.vpn);
+        ar.io(self.rec_[i]);
+        std::uint64_t nslots = e.slots.size();
+        ar.io(nslots);
+        if constexpr (Ar::loading) {
+            if (!set_kernel::validRecency(self.rec_[i]))
+                throw SnapshotError("prediction table '" + name +
+                                    "': valid entry with recency " +
+                                    std::to_string(self.rec_[i]));
+            if (nslots > PrtSlotList::maxSlots)
+                throw SnapshotError("prediction table '" + name +
+                                    "': slot count out of range");
+            e.slots.resize(static_cast<std::size_t>(nslots));
+            ++self.population_;
+        }
+        for (auto &s : e.slots) {
+            ar.io(s.valid);
+            ar.io(s.distance);
+            ar.io(s.confidence);
         }
     }
 }
 
-void
-PredictionTable::restore(SnapshotReader &r)
-{
-    r.section("prt");
-    std::string name = r.str();
-    std::uint32_t entries = r.u32();
-    std::uint32_t ways = r.u32();
-    std::uint32_t slots = r.u32();
-    if (name != geom_.name || entries != geom_.entries ||
-        ways != geom_.ways || slots != geom_.slots)
-        throw SnapshotError("prediction table '" + geom_.name +
-                            "': snapshot geometry mismatch ('" + name +
-                            "')");
-    useClock_ = r.u64();
-    population_ = 0;
-    for (std::uint32_t i = 0; i < geom_.entries; ++i) {
-        PrtEntry &e = entries_[i];
-        bool live = r.b();
-        if (!live) {
-            e = PrtEntry{};
-            tags_[i] = 0;
-            rec_[i] = 0;
-            continue;
-        }
-        tags_[i] = static_cast<std::uint16_t>(r.u32());
-        e.vpn = r.u64();
-        rec_[i] = r.u64();
-        if (!set_kernel::validRecency(rec_[i]))
-            throw SnapshotError("prediction table '" + geom_.name +
-                                "': valid entry with recency " +
-                                std::to_string(rec_[i]));
-        std::uint64_t nslots = r.u64();
-        if (nslots > PrtSlotList::maxSlots)
-            throw SnapshotError("prediction table '" + geom_.name +
-                                "': slot count out of range");
-        e.slots.resize(static_cast<std::size_t>(nslots));
-        for (PrtSlot &s : e.slots) {
-            s.valid = r.b();
-            s.distance = r.i64();
-            s.confidence = r.u8();
-        }
-        ++population_;
-    }
-}
+void PredictionTable::save(SnapshotWriter &w) const { transfer(*this, w); }
+void PredictionTable::restore(SnapshotReader &r) { transfer(*this, r); }
 
 } // namespace morrigan

@@ -218,6 +218,8 @@ class PredictionTable
         (PageDelta{1} << (distanceBits - 1)) - 1;
 
   private:
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
     std::uint32_t baseOf(Vpn vpn) const;
     std::uint16_t tagOf(Vpn vpn) const;
     /** Kernel scan of the set at @p base. @return flat index or

@@ -127,26 +127,6 @@ CompositePrefetcher::frequencyStackResets() const
     return resets;
 }
 
-void
-CompositePrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("composite_pf");
-    w.u64(members_.size());
-    for (const auto &m : members_)
-        m->save(w);
-}
-
-void
-CompositePrefetcher::restore(SnapshotReader &r)
-{
-    r.section("composite_pf");
-    if (r.u64() != members_.size())
-        throw SnapshotError("composite prefetcher member count "
-                            "mismatch");
-    for (const auto &m : members_)
-        m->restore(r);
-}
-
 std::vector<std::string>
 splitPrefetcherSpec(const std::string &spec)
 {

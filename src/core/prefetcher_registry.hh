@@ -119,13 +119,24 @@ class CompositePrefetcher : public TlbPrefetcher
 
     std::uint64_t frequencyStackResets() const override;
 
-    void save(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
+    void save(SnapshotWriter &w) const override { transfer(*this, w); }
+    void restore(SnapshotReader &r) override { transfer(*this, r); }
 
     std::size_t memberCount() const { return members_.size(); }
     TlbPrefetcher &member(std::size_t i) { return *members_[i]; }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("composite_pf");
+        ar.expect(self.members_.size(),
+                  "composite prefetcher member count");
+        for (const auto &m : self.members_)
+            ar.io(*m);
+    }
+
     std::vector<std::unique_ptr<TlbPrefetcher>> members_;
     std::string name_;
 };

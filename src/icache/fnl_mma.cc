@@ -57,37 +57,4 @@ FnlMmaPrefetcher::onFetch(Addr pc, bool l1i_miss,
     }
 }
 
-void
-FnlMmaPrefetcher::save(SnapshotWriter &w) const
-{
-    w.section("fnl_mma");
-    mmaTable_.save(w, [](SnapshotWriter &sw, const MmaEntry &e) {
-        sw.u64(e.future);
-        sw.u8(e.confidence);
-    });
-    w.u64(missHistory_.size());
-    for (Addr line : missHistory_)
-        w.u64(line);
-    w.u64(histPos_);
-    w.u64(missCount_);
-    w.u64(mmaPredictions_);
-}
-
-void
-FnlMmaPrefetcher::restore(SnapshotReader &r)
-{
-    r.section("fnl_mma");
-    mmaTable_.restore(r, [](SnapshotReader &sr, MmaEntry &e) {
-        e.future = sr.u64();
-        e.confidence = sr.u8();
-    });
-    if (r.u64() != missHistory_.size())
-        throw SnapshotError("FNL+MMA miss-history depth mismatch");
-    for (Addr &line : missHistory_)
-        line = r.u64();
-    histPos_ = r.u64();
-    missCount_ = r.u64();
-    mmaPredictions_ = r.u64();
-}
-
 } // namespace morrigan

@@ -45,59 +45,45 @@ CacheModel::flush()
     std::fill(rec_.begin(), rec_.end(), std::uint64_t{0});
 }
 
+template <class Self, class Ar>
 void
-CacheModel::save(SnapshotWriter &w) const
+CacheModel::transfer(Self &self, Ar &ar)
 {
-    w.section("cache");
-    w.str(params_.name);
-    w.u32(numSets_);
-    w.u32(params_.ways);
-    w.u64(useClock_);
+    ar.section("cache");
+    ar.expect(self.params_.name, "cache");
+    ar.expect(self.numSets_, "cache '" + self.params_.name + "' sets");
+    ar.expect(self.params_.ways, "cache '" + self.params_.name + "' ways");
+    ar.io(self.useClock_);
     // Set-major way-minor order matches the old nested layout byte
-    // for byte.
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        std::size_t base = std::size_t{set} * tagStride_;
-        for (std::uint32_t way = 0; way < params_.ways; ++way) {
-            bool valid = tags_[base + way] != noLine;
-            w.b(valid);
-            if (!valid)
-                continue;
-            w.u64(tags_[base + way]);
-            w.b((rec_[base + way] & 1) != 0);
-            w.u64(rec_[base + way] >> 1);
+    // for byte; a valid way is its tag, prefetched bit and lastUse.
+    for (std::uint32_t set = 0; set < self.numSets_; ++set) {
+        std::size_t base = std::size_t{set} * self.tagStride_;
+        for (std::uint32_t way = 0; way < self.params_.ways; ++way) {
+            auto &tag = self.tags_[base + way];
+            auto &rec = self.rec_[base + way];
+            bool valid = tag != noLine;
+            ar.io(valid);
+            std::uint64_t line = valid ? tag : noLine;
+            bool pf = (rec & 1) != 0;
+            std::uint64_t use = rec >> 1;
+            if (valid) {
+                ar.io(line);
+                ar.io(pf);
+                ar.io(use);
+            }
+            if constexpr (Ar::loading) {
+                if (valid && line >= noLine)
+                    throw SnapshotError(
+                        "cache '" + self.params_.name +
+                        "': snapshot line exceeds the 32-bit tag lane");
+                tag = static_cast<std::uint32_t>(line);
+                rec = valid ? (use << 1) | (pf ? 1 : 0) : 0;
+            }
         }
     }
 }
 
-void
-CacheModel::restore(SnapshotReader &r)
-{
-    r.section("cache");
-    std::string name = r.str();
-    if (name != params_.name || r.u32() != numSets_ ||
-        r.u32() != params_.ways)
-        throw SnapshotError("cache '" + params_.name +
-                            "': snapshot geometry mismatch ('" + name +
-                            "')");
-    useClock_ = r.u64();
-    for (std::uint32_t set = 0; set < numSets_; ++set) {
-        std::size_t base = std::size_t{set} * tagStride_;
-        for (std::uint32_t way = 0; way < params_.ways; ++way) {
-            if (!r.b()) {
-                tags_[base + way] = noLine;
-                rec_[base + way] = 0;
-                continue;
-            }
-            std::uint64_t tag = r.u64();
-            if (tag >= noLine)
-                throw SnapshotError(
-                    "cache '" + params_.name +
-                    "': snapshot line exceeds the 32-bit tag lane");
-            tags_[base + way] = static_cast<std::uint32_t>(tag);
-            bool pf = r.b();
-            rec_[base + way] = (r.u64() << 1) | (pf ? 1 : 0);
-        }
-    }
-}
+void CacheModel::save(SnapshotWriter &w) const { transfer(*this, w); }
+void CacheModel::restore(SnapshotReader &r) { transfer(*this, r); }
 
 } // namespace morrigan

@@ -195,6 +195,9 @@ class CacheModel
     Stats &stats() { return stats_; }
 
   private:
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
+
     /** Sentinel tag of an invalid way. The model is physically
      * addressed and physical memory tops out well below 2^32 lines,
      * so all-ones cannot occur (enforced by checkedTag). */

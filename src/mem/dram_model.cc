@@ -41,23 +41,4 @@ DramModel::access(Addr addr)
     return latency;
 }
 
-void
-DramModel::save(SnapshotWriter &w) const
-{
-    w.section("dram");
-    w.u64(openRow_.size());
-    for (std::int64_t row : openRow_)
-        w.i64(row);
-}
-
-void
-DramModel::restore(SnapshotReader &r)
-{
-    r.section("dram");
-    if (r.u64() != openRow_.size())
-        throw SnapshotError("DRAM bank count mismatch");
-    for (std::int64_t &row : openRow_)
-        row = r.i64();
-}
-
 } // namespace morrigan

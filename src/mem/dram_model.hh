@@ -72,10 +72,19 @@ class DramModel
     const Stats &stats() const { return stats_; }
     Stats &stats() { return stats_; }
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("dram");
+        ar.expect(self.openRow_.size(), "DRAM bank count");
+        ar.io(self.openRow_);
+    }
+
     DramParams params_;
     unsigned rowShift_;   //!< log2(rowBytes)
     unsigned bankShift_;  //!< log2(banks)

@@ -115,26 +115,4 @@ MemoryHierarchy::commitInstructionPrefetch(Addr paddr)
     l1i_.insert(lineOf(paddr), true);
 }
 
-void
-MemoryHierarchy::save(SnapshotWriter &w) const
-{
-    w.section("mem_hierarchy");
-    l1i_.save(w);
-    l1d_.save(w);
-    l2_.save(w);
-    llc_.save(w);
-    dram_.save(w);
-}
-
-void
-MemoryHierarchy::restore(SnapshotReader &r)
-{
-    r.section("mem_hierarchy");
-    l1i_.restore(r);
-    l1d_.restore(r);
-    l2_.restore(r);
-    llc_.restore(r);
-    dram_.restore(r);
-}
-
 } // namespace morrigan

@@ -116,10 +116,22 @@ class MemoryHierarchy
     const Stats &stats() const { return stats_; }
     Stats &stats() { return stats_; }
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("mem_hierarchy");
+        ar.io(self.l1i_);
+        ar.io(self.l1d_);
+        ar.io(self.l2_);
+        ar.io(self.llc_);
+        ar.io(self.dram_);
+    }
+
     MemAccessResult accessThrough(Addr line, CacheModel &l1);
     void maybeL2Prefetch(Addr missed_line);
 

@@ -189,35 +189,4 @@ IntervalSampler::writeRingJson(std::ostream &os) const
     w.endArray();
 }
 
-void
-IntervalSampler::save(SnapshotWriter &w) const
-{
-    w.section("interval_sampler");
-    w.u64(interval_);
-    w.fields(prev_);
-    w.u64(epochs_);
-    w.u64(ring_.size());
-    for (const IntervalSample &s : ring_)
-        w.fields(s);
-}
-
-void
-IntervalSampler::restore(SnapshotReader &r)
-{
-    r.section("interval_sampler");
-    if (r.u64() != interval_)
-        throw SnapshotError("interval sampler epoch length mismatch");
-    r.fields(prev_);
-    epochs_ = r.u64();
-    std::uint64_t count = r.u64();
-    if (count > ringCapacity_)
-        throw SnapshotError("interval sampler ring overflow");
-    ring_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        IntervalSample s;
-        r.fields(s);
-        ring_.push_back(s);
-    }
-}
-
 } // namespace morrigan

@@ -139,10 +139,27 @@ class IntervalSampler
 
     /** Checkpoint the delta baseline, epoch count and ring. The
      * streaming sink is external and not serialized. */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("interval_sampler");
+        ar.expect(self.interval_, "interval sampler epoch length");
+        ar.io(self.prev_);
+        ar.io(self.epochs_);
+        std::uint64_t n = self.ring_.size();
+        ar.count(n, sizeof(std::uint64_t));
+        if constexpr (Ar::loading) {
+            if (n > self.ringCapacity_)
+                throw SnapshotError("interval sampler ring overflow");
+            self.ring_.assign(n, IntervalSample{});
+        }
+        ar.io(self.ring_);
+    }
     void emit(const IntervalSample &s);
 
     std::uint64_t interval_;

@@ -312,22 +312,4 @@ PrefetchTracer::writeSummaryJson(std::ostream &os) const
     w.endObject();
 }
 
-void
-PrefetchTracer::save(SnapshotWriter &w) const
-{
-    w.section("tracer");
-    w.b(measuring_);
-    w.u64(nextId_);
-    w.u64(firstMeasuredId_);
-}
-
-void
-PrefetchTracer::restore(SnapshotReader &r)
-{
-    r.section("tracer");
-    measuring_ = r.b();
-    nextId_ = r.u64();
-    firstMeasuredId_ = r.u64();
-}
-
 } // namespace morrigan

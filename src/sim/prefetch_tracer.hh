@@ -200,10 +200,19 @@ class PrefetchTracer : public PbObserver
      * Outcomes records; the event sink is external and not
      * serialized.
      */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("tracer");
+        ar.io(self.measuring_);
+        ar.io(self.nextId_);
+        ar.io(self.firstMeasuredId_);
+    }
     bool measured(std::uint64_t id) const
     {
         return measuring_ && id >= firstMeasuredId_ && id != 0;

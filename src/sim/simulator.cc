@@ -747,146 +747,103 @@ Simulator::maybeCheckpoint()
     }
 }
 
+template <class Self, class Ar>
 void
-Simulator::save(SnapshotWriter &w) const
+Simulator::transfer(Self &self, Ar &ar)
 {
-    if (checker_)
-        throw SnapshotError(
-            "differential-checker state is not snapshottable "
-            "(checkLevel > 0)");
-    if (cfg_.collectMissStream)
-        throw SnapshotError(
-            "miss-stream collection is not snapshottable");
+    if constexpr (!Ar::loading) {
+        if (self.checker_)
+            throw SnapshotError(
+                "differential-checker state is not snapshottable "
+                "(checkLevel > 0)");
+        if (self.cfg_.collectMissStream)
+            throw SnapshotError(
+                "miss-stream collection is not snapshottable");
+    }
 
-    w.section("simulator");
+    ar.section("simulator");
 
-    // Identity, checked before restore() writes any state. The
+    // Identity, checked before restore writes any state. The
     // SimConfig part of warmupKey() leaves out the measurement
     // length: a warmup image serves any measurement budget (that is
     // what makes it shareable across a sweep). Workloads check their
     // own parameters when they restore.
-    w.str(warmupConfigKey(cfg_));
-    w.u32(numThreads_);
-    w.str(prefetcher_ ? prefetcher_->name() : "none");
-    w.u64(prefetcher_ ? prefetcher_->storageBits() : 0);
-    w.b(tracer_ != nullptr);
-    w.b(sampler_ != nullptr);
+    const std::string config = warmupConfigKey(self.cfg_);
+    if constexpr (Ar::loading) {
+        const std::string got = ar.str();
+        if (got != config)
+            throw SnapshotError("configuration mismatch: snapshot has " +
+                                firstKeyField(got, config) +
+                                ", simulator has " +
+                                firstKeyField(config, got));
+    } else {
+        ar.io(config);
+    }
+    ar.expect(self.numThreads_, "thread count");
+    ar.expect(std::string(self.prefetcher_ ? self.prefetcher_->name()
+                                           : "none"),
+              "prefetcher");
+    ar.expect(self.prefetcher_ ? self.prefetcher_->storageBits()
+                               : std::size_t{0},
+              "prefetcher storage budget");
+    ar.expect(self.tracer_ != nullptr, "tracer attachment");
+    ar.expect(self.sampler_ != nullptr, "interval sampler attachment");
 
     // Run position.
-    w.b(measurePhase_);
-    w.f64(cycles_);
-    w.f64(measureStartCycles_);
-    w.u64(sinceContextSwitch_);
-    for (unsigned tid = 0; tid < numThreads_; ++tid)
-        w.u64(lastFetchLine_[tid]);
-    w.u64(instrDemandWalkSeq_);
-    w.u64(nextSampleAt_);
+    ar.io(self.measurePhase_);
+    ar.io(self.cycles_);
+    ar.io(self.measureStartCycles_);
+    ar.io(self.sinceContextSwitch_);
+    for (unsigned tid = 0; tid < self.numThreads_; ++tid)
+        ar.io(self.lastFetchLine_[tid]);
+    ar.io(self.instrDemandWalkSeq_);
+    ar.io(self.nextSampleAt_);
 
     // Measurement counters.
-    w.fields(c_);
+    ar.io(self.c_);
 
-    // In-flight I-prefetch line fills (drained in readyAt order).
-    auto fills = pendingLineFills_;
-    w.u64(fills.size());
-    while (!fills.empty()) {
-        w.u64(fills.top().first);
-        w.u64(fills.top().second);
-        fills.pop();
-    }
+    // In-flight I-prefetch line fills, in readyAt order.
+    std::vector<PendingFill> fills;
+    for (auto q = self.pendingLineFills_; !q.empty(); q.pop())
+        fills.push_back(q.top());
+    std::uint64_t n = fills.size();
+    ar.count(n, sizeof(PendingFill));
+    if constexpr (Ar::loading)
+        fills.assign(n, {});
+    ar.io(fills);
+    if constexpr (Ar::loading)
+        self.pendingLineFills_ = decltype(self.pendingLineFills_)(
+            std::greater<>{}, std::move(fills));
 
     // Components, construction order.
-    phys_.save(w);
-    pageTable_.save(w);
-    mem_.save(w);
-    walker_.save(w);
-    tlbs_.save(w);
-    pb_.save(w);
-    for (unsigned tid = 0; tid < numThreads_; ++tid)
-        workloads_[tid]->save(w);
-    if (prefetcher_)
-        prefetcher_->save(w);
-    if (icachePref_)
-        icachePref_->save(w);
-    if (tracer_)
-        tracer_->save(w);
-    if (sampler_)
-        sampler_->save(w);
+    ar.io(self.phys_);
+    ar.io(self.pageTable_);
+    ar.io(self.mem_);
+    ar.io(self.walker_);
+    ar.io(self.tlbs_);
+    ar.io(self.pb_);
+    for (unsigned tid = 0; tid < self.numThreads_; ++tid)
+        ar.io(*self.workloads_[tid]);
+    if (self.prefetcher_)
+        ar.io(*self.prefetcher_);
+    if (self.icachePref_)
+        ar.io(*self.icachePref_);
+    if (self.tracer_)
+        ar.io(*self.tracer_);
+    if (self.sampler_)
+        ar.io(*self.sampler_);
 
     // The component counter records last, in list order.
-    w.section("counters");
-    forEachCounters(*this, [&w](std::string_view, const auto &rec) {
-        w.fields(rec);
-    });
+    ar.section("counters");
+    forEachCounters(self,
+                    [&ar](std::string_view, auto &rec) { ar.io(rec); });
+    if constexpr (Ar::loading)
+        self.setCheckpointing(self.checkpointPath_,
+                              self.checkpointEvery_);
 }
 
-void
-Simulator::restore(SnapshotReader &r)
-{
-    r.section("simulator");
-
-    const std::string config = r.str();
-    const std::string live_config = warmupConfigKey(cfg_);
-    if (config != live_config)
-        throw SnapshotError("configuration mismatch: snapshot has " +
-                            firstKeyField(config, live_config) +
-                            ", simulator has " +
-                            firstKeyField(live_config, config));
-    if (r.u32() != numThreads_)
-        throw SnapshotError("thread count mismatch");
-    std::string pf = r.str();
-    std::string live = prefetcher_ ? prefetcher_->name() : "none";
-    if (pf != live)
-        throw SnapshotError("prefetcher mismatch: snapshot has '" +
-                            pf + "', simulator has '" + live + "'");
-    if (r.u64() != (prefetcher_ ? prefetcher_->storageBits() : 0))
-        throw SnapshotError("prefetcher '" + live +
-                            "' storage budget mismatch");
-    if (r.b() != (tracer_ != nullptr))
-        throw SnapshotError("tracer attachment mismatch");
-    if (r.b() != (sampler_ != nullptr))
-        throw SnapshotError("interval sampler attachment mismatch");
-
-    measurePhase_ = r.b();
-    cycles_ = r.f64();
-    measureStartCycles_ = r.f64();
-    sinceContextSwitch_ = r.u64();
-    for (unsigned tid = 0; tid < numThreads_; ++tid)
-        lastFetchLine_[tid] = r.u64();
-    instrDemandWalkSeq_ = r.u64();
-    nextSampleAt_ = r.u64();
-
-    r.fields(c_);
-
-    pendingLineFills_ = {};
-    std::uint64_t fills = r.u64();
-    for (std::uint64_t i = 0; i < fills; ++i) {
-        Cycle ready = r.u64();
-        Addr paddr = r.u64();
-        pendingLineFills_.emplace(ready, paddr);
-    }
-
-    phys_.restore(r);
-    pageTable_.restore(r);
-    mem_.restore(r);
-    walker_.restore(r);
-    tlbs_.restore(r);
-    pb_.restore(r);
-    for (unsigned tid = 0; tid < numThreads_; ++tid)
-        workloads_[tid]->restore(r);
-    if (prefetcher_)
-        prefetcher_->restore(r);
-    if (icachePref_)
-        icachePref_->restore(r);
-    if (tracer_)
-        tracer_->restore(r);
-    if (sampler_)
-        sampler_->restore(r);
-
-    r.section("counters");
-    forEachCounters(*this,
-                    [&r](std::string_view, auto &rec) { r.fields(rec); });
-    setCheckpointing(checkpointPath_, checkpointEvery_);
-}
+void Simulator::save(SnapshotWriter &w) const { transfer(*this, w); }
+void Simulator::restore(SnapshotReader &r) { transfer(*this, r); }
 
 void
 Simulator::saveCheckpoint(const std::string &path) const

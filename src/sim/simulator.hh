@@ -181,6 +181,9 @@ class Simulator
     const PhysMem &physMem() const { return phys_; }
 
   private:
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
+
     /**
      * The component counter records, each under its dotted path, in
      * output order: f(path, record). The one list behind the warmup

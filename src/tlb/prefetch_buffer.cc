@@ -117,42 +117,4 @@ PrefetchBuffer::flush()
     table_.flush();
 }
 
-void
-PrefetchBuffer::save(SnapshotWriter &w) const
-{
-    w.section("pb");
-    table_.save(w, [](SnapshotWriter &sw, const PbEntry &e) {
-        sw.u64(e.pfn);
-        sw.u64(e.readyAt);
-        sw.u8(static_cast<std::uint8_t>(e.tag.producer));
-        sw.u8(e.tag.table);
-        sw.u64(e.tag.sourcePage);
-        sw.i64(e.tag.distance);
-        sw.b(e.usedOnce);
-        sw.u64(e.insertSeq);
-        sw.u64(e.traceId);
-    });
-    for (std::uint64_t h : hitsByProducer_)
-        w.u64(h);
-}
-
-void
-PrefetchBuffer::restore(SnapshotReader &r)
-{
-    r.section("pb");
-    table_.restore(r, [](SnapshotReader &sr, PbEntry &e) {
-        e.pfn = sr.u64();
-        e.readyAt = sr.u64();
-        e.tag.producer = static_cast<PrefetchProducer>(sr.u8());
-        e.tag.table = sr.u8();
-        e.tag.sourcePage = sr.u64();
-        e.tag.distance = sr.i64();
-        e.usedOnce = sr.b();
-        e.insertSeq = sr.u64();
-        e.traceId = sr.u64();
-    });
-    for (std::uint64_t &h : hitsByProducer_)
-        h = r.u64();
-}
-
 } // namespace morrigan

@@ -185,8 +185,8 @@ class PrefetchBuffer
 
     /** Serialize buffered entries + producer-hit accounting (the
      * observer pointer is runtime wiring and is not saved). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
     /** Apply @p fn to every resident entry (tracer finalisation). */
     template <typename Fn>
@@ -209,6 +209,25 @@ class PrefetchBuffer
     }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("pb");
+        ar.io(self.table_, [](auto &a, auto &e) {
+            a.io(e.pfn);
+            a.io(e.readyAt);
+            a.io(e.tag.producer);
+            a.io(e.tag.table);
+            a.io(e.tag.sourcePage);
+            a.io(e.tag.distance);
+            a.io(e.usedOnce);
+            a.io(e.insertSeq);
+            a.io(e.traceId);
+        });
+        ar.io(self.hitsByProducer_);
+    }
+
     SetAssocTable<Vpn, PbEntry> table_;
     Cycle latency_;
     PbObserver *obs_ = nullptr;

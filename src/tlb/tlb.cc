@@ -58,33 +58,4 @@ Tlb::flush()
     table_.flush();
 }
 
-void
-Tlb::save(SnapshotWriter &w) const
-{
-    w.section("tlb");
-    w.str(params_.name);
-    table_.save(w, [](SnapshotWriter &sw, const TlbEntry &e) {
-        sw.u64(e.pfn);
-        sw.u8(static_cast<std::uint8_t>(e.filledBy));
-        sw.b(e.large);
-    });
-}
-
-void
-Tlb::restore(SnapshotReader &r)
-{
-    r.section("tlb");
-    std::string name = r.str();
-    if (name != params_.name)
-        throw SnapshotError("TLB mismatch: snapshot has '" + name +
-                            "', live is '" + params_.name + "'");
-    table_.restore(r, [this](SnapshotReader &sr, TlbEntry &e) {
-        e.pfn = sr.u64();
-        e.filledBy = static_cast<AccessType>(sr.u8());
-        e.large = sr.b();
-        if (e.large)
-            everLarge_ = true;
-    });
-}
-
 } // namespace morrigan

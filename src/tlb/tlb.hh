@@ -187,8 +187,8 @@ class Tlb
 
     /** Serialize translations + LRU state (the simulator saves the
      * counter records). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
     const TlbParams &params() const { return params_; }
 
@@ -196,6 +196,21 @@ class Tlb
     Stats &stats() { return stats_; }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("tlb");
+        ar.expect(self.params_.name, "TLB");
+        ar.io(self.table_, [&self]<class A>(A &a, auto &e) {
+            a.io(e.pfn);
+            a.io(e.filledBy);
+            a.io(e.large);
+            if constexpr (A::loading)
+                self.everLarge_ |= e.large;
+        });
+    }
+
     /** Distinguished key space for 2MB entries in the shared table. */
     static constexpr Vpn largeKeyBit = Vpn{1} << 62;
 

@@ -63,22 +63,4 @@ TlbHierarchy::flush()
     stlb_.flush();
 }
 
-void
-TlbHierarchy::save(SnapshotWriter &w) const
-{
-    w.section("tlb_hierarchy");
-    itlb_.save(w);
-    dtlb_.save(w);
-    stlb_.save(w);
-}
-
-void
-TlbHierarchy::restore(SnapshotReader &r)
-{
-    r.section("tlb_hierarchy");
-    itlb_.restore(r);
-    dtlb_.restore(r);
-    stlb_.restore(r);
-}
-
 } // namespace morrigan

@@ -75,8 +75,8 @@ class TlbHierarchy
     /** Flush everything (context switch). */
     void flush();
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
     Tlb &itlb() { return itlb_; }
     Tlb &dtlb() { return dtlb_; }
@@ -86,6 +86,16 @@ class TlbHierarchy
     const Tlb &stlb() const { return stlb_; }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("tlb_hierarchy");
+        ar.io(self.itlb_);
+        ar.io(self.dtlb_);
+        ar.io(self.stlb_);
+    }
+
     Tlb itlb_;
     Tlb dtlb_;
     Tlb stlb_;

@@ -361,70 +361,71 @@ PageTable::restoreNode(SnapshotReader &r, std::int32_t ni)
     }
 }
 
+template <class Self, class Ar>
 void
-PageTable::save(SnapshotWriter &w) const
+PageTable::transfer(Self &self, Ar &ar)
 {
-    w.section("page_table");
-    w.u8(static_cast<std::uint8_t>(format_));
-    w.u32(levels_);
-    if (format_ == PageTableFormat::Radix) {
-        saveNode(w, arena_[0]);
+    ar.section("page_table");
+    ar.expect(self.format_, "page table format");
+    ar.expect(self.levels_, "page table levels");
+    if (self.format_ == PageTableFormat::Radix) {
+        if constexpr (Ar::loading) {
+            self.arena_.resize(1);
+            self.childArrays_.clear();
+            self.frameArrays_.clear();
+            self.restoreNode(ar, 0);
+        } else {
+            self.saveNode(ar, self.arena_[0]);
+        }
     } else {
-        w.u64(hashBase_);
+        ar.io(self.hashBase_);
         // Each occupied bucket with its group's leaves: a presence
         // mask over the group's pages, then their frames. Every leaf
         // has a bucket, and free buckets take no space.
-        const auto buckets = buckets_.sorted();
-        w.u64(buckets.size());
-        for (const auto &[bucket, group] : buckets) {
-            w.u64(bucket);
-            w.u64(group);
+        auto buckets = self.buckets_.sorted();
+        std::uint64_t n = buckets.size();
+        ar.count(n, 17);
+        if constexpr (Ar::loading) {
+            self.buckets_.clear(64);
+            self.hashLeaves_.clear(64);
+            buckets.assign(n, {});
+        }
+        for (auto &[bucket, group] : buckets) {
+            ar.io(bucket);
+            ar.io(group);
             std::uint8_t mask = 0;
-            for (unsigned i = 0; i < ptesPerLine; ++i)
-                if (hashLeaves_.find(group * ptesPerLine + i))
+            Pfn frames[ptesPerLine] = {};
+            for (unsigned i = 0; i < ptesPerLine; ++i) {
+                if (const Pfn *f =
+                        self.hashLeaves_.find(group * ptesPerLine + i)) {
                     mask |= std::uint8_t(1u << i);
-            w.u8(mask);
-            for (unsigned i = 0; i < ptesPerLine; ++i)
-                if (mask & (1u << i))
-                    w.u64(*hashLeaves_.find(group * ptesPerLine + i));
+                    frames[i] = *f;
+                }
+            }
+            ar.io(mask);
+            if constexpr (Ar::loading) {
+                if (bucket >= hashBuckets)
+                    throw SnapshotError(
+                        "hashed page table bucket out of range");
+                self.buckets_.insert(bucket, group);
+            }
+            for (unsigned i = 0; i < ptesPerLine; ++i) {
+                if (!(mask & (1u << i)))
+                    continue;
+                ar.io(frames[i]);
+                if constexpr (Ar::loading)
+                    self.hashLeaves_.insert(group * ptesPerLine + i,
+                                            frames[i]);
+            }
         }
     }
-    w.u64(hashProbes_);
-    w.u64(stats_.mappedPages);
+    ar.io(self.hashProbes_);
+    ar.io(self.stats_.mappedPages);
+    if constexpr (Ar::loading)
+        self.countTableFrames();
 }
 
-void
-PageTable::restore(SnapshotReader &r)
-{
-    r.section("page_table");
-    if (static_cast<PageTableFormat>(r.u8()) != format_ ||
-        r.u32() != levels_)
-        throw SnapshotError("page table format/levels mismatch");
-    if (format_ == PageTableFormat::Radix) {
-        arena_.resize(1);
-        childArrays_.clear();
-        frameArrays_.clear();
-        restoreNode(r, 0);
-    } else {
-        hashBase_ = r.u64();
-        buckets_.clear(64);
-        hashLeaves_.clear(64);
-        for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-            const std::uint64_t bucket = r.u64();
-            if (bucket >= hashBuckets)
-                throw SnapshotError(
-                    "hashed page table bucket out of range");
-            const Vpn group = r.u64();
-            buckets_.insert(bucket, group);
-            const std::uint8_t mask = r.u8();
-            for (unsigned p = 0; p < ptesPerLine; ++p)
-                if (mask & (1u << p))
-                    hashLeaves_.insert(group * ptesPerLine + p, r.u64());
-        }
-    }
-    hashProbes_ = r.u64();
-    stats_.mappedPages = r.u64();
-    countTableFrames();
-}
+void PageTable::save(SnapshotWriter &w) const { transfer(*this, w); }
+void PageTable::restore(SnapshotReader &r) { transfer(*this, r); }
 
 } // namespace morrigan

@@ -404,12 +404,17 @@ class PageTable
         std::size_t size_ = 0;
     };
 
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
     std::int32_t newNode();
     /** Set stats_.tableFrames from the arena and the format. */
     void countTableFrames();
     /** Child at @p idx of arena node @p ni, creating it if needed. */
     std::int32_t ensureChild(std::int32_t ni, std::uint32_t idx);
     const Node *findLeafNode(Vpn vpn) const;
+    /** Save node @p n and its subtree. The radix tree keeps a
+     * save/restore pair: writing walks the live tree and reading
+     * grows a new one, so the two sides share no lines. */
     void saveNode(SnapshotWriter &w, const Node &n) const;
     /** Rebuild arena node @p ni and its subtree. */
     void restoreNode(SnapshotReader &r, std::int32_t ni);

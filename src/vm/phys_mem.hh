@@ -41,25 +41,20 @@ class PhysMem
 
     /** Only the allocation cursor is mutable; the scatter permutation
      * is a pure function of (seed, index) and needs no saving. */
-    void
-    save(SnapshotWriter &w) const
-    {
-        w.section("phys_mem");
-        w.u64(totalFrames_);
-        w.u64(scatterSeed_);
-        w.u64(next_);
-    }
-
-    void
-    restore(SnapshotReader &r)
-    {
-        r.section("phys_mem");
-        if (r.u64() != totalFrames_ || r.u64() != scatterSeed_)
-            throw SnapshotError("phys mem configuration mismatch");
-        next_ = r.u64();
-    }
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("phys_mem");
+        ar.expect(self.totalFrames_, "phys mem frame count");
+        ar.expect(self.scatterSeed_, "phys mem scatter seed");
+        ar.io(self.next_);
+    }
+
     std::uint64_t totalFrames_;
     std::uint64_t next_ = 0;
     std::uint64_t scatterSeed_;

@@ -82,24 +82,4 @@ PageStructureCache::flush()
     pd_.flush();
 }
 
-void
-PageStructureCache::save(SnapshotWriter &w) const
-{
-    w.section("psc");
-    auto noValue = [](SnapshotWriter &, const Empty &) {};
-    pml4_.save(w, noValue);
-    pdp_.save(w, noValue);
-    pd_.save(w, noValue);
-}
-
-void
-PageStructureCache::restore(SnapshotReader &r)
-{
-    r.section("psc");
-    auto noValue = [](SnapshotReader &, Empty &) {};
-    pml4_.restore(r, noValue);
-    pdp_.restore(r, noValue);
-    pd_.restore(r, noValue);
-}
-
 } // namespace morrigan

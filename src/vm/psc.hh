@@ -97,8 +97,8 @@ class PageStructureCache
     /** Clear all three levels. Used on context-switch tests. */
     void flush();
 
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
     Cycle latency() const { return params_.latency; }
 
@@ -107,6 +107,17 @@ class PageStructureCache
 
   private:
     struct Empty {};
+
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("psc");
+        auto no_value = [](auto &, auto &) {};
+        ar.io(self.pml4_, no_value);
+        ar.io(self.pdp_, no_value);
+        ar.io(self.pd_, no_value);
+    }
 
     PscParams params_;
     SetAssocTable<std::uint64_t, Empty> pml4_;

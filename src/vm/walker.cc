@@ -106,25 +106,4 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
     return res;
 }
 
-void
-PageTableWalker::save(SnapshotWriter &w) const
-{
-    w.section("walker");
-    psc_.save(w);
-    w.u64(portBusyUntil_.size());
-    for (Cycle c : portBusyUntil_)
-        w.u64(c);
-}
-
-void
-PageTableWalker::restore(SnapshotReader &r)
-{
-    r.section("walker");
-    psc_.restore(r);
-    if (r.u64() != portBusyUntil_.size())
-        throw SnapshotError("walker port count mismatch");
-    for (Cycle &c : portBusyUntil_)
-        c = r.u64();
-}
-
 } // namespace morrigan

@@ -153,10 +153,20 @@ class PageTableWalker
 
     /** Serialize port occupancy + PSC (the page table saves
      * itself; the simulator saves the counter records). */
-    void save(SnapshotWriter &w) const;
-    void restore(SnapshotReader &r);
+    void save(SnapshotWriter &w) const { transfer(*this, w); }
+    void restore(SnapshotReader &r) { transfer(*this, r); }
 
   private:
+    template <class Self, class Ar>
+    static void
+    transfer(Self &self, Ar &ar)
+    {
+        ar.section("walker");
+        ar.io(self.psc_);
+        ar.expect(self.portBusyUntil_.size(), "walker port count");
+        ar.io(self.portBusyUntil_);
+    }
+
     WalkerParams params_;
     PageTable &table_;
     MemoryHierarchy &mem_;

@@ -366,83 +366,56 @@ ServerWorkload::tierOfVpn(Vpn vpn) const
     return -1;
 }
 
+template <class Self, class Ar>
 void
-ServerWorkload::save(SnapshotWriter &w) const
+ServerWorkload::transfer(Self &self, Ar &ar)
 {
-    w.section("server_workload");
-    w.str(params_.name);
-    rng_.save(w);
+    const ServerWorkloadParams &p = self.params_;
+    const std::string what = "workload '" + p.name + "'";
+    ar.section("server_workload");
+    ar.expect(p.name, "workload name");
+    ar.io(self.rng_);
 
     // Paths mutate at phase changes, so they are position state.
-    w.u32(static_cast<std::uint32_t>(paths_.size()));
-    for (const auto &path : paths_) {
-        w.u32(static_cast<std::uint32_t>(path.size()));
-        for (std::uint32_t page : path)
-            w.u32(page);
+    ar.expect(static_cast<std::uint32_t>(self.paths_.size()),
+              what + " request-type count");
+    for (auto &path : self.paths_) {
+        auto len = static_cast<std::uint32_t>(path.size());
+        ar.count(len, sizeof(std::uint32_t));
+        if constexpr (Ar::loading)
+            path.assign(len, 0);
+        ar.io(path);
+        if constexpr (Ar::loading)
+            for (std::uint32_t page : path)
+                if (page >= p.codePages)
+                    throw SnapshotError(what +
+                                        ": path page out of range");
     }
 
-    w.u32(currentType_);
-    w.u64(pathPos_);
-    w.u32(currentPage_);
-    w.u64(currentOffset_);
-    w.u64(runRemaining_);
-    w.u64(instrCount_);
-    w.u64(nextPhaseAt_);
-    w.u64(phaseChanges_);
-    w.b(deviating_);
-    w.u64(streamPos_);
-}
-
-void
-ServerWorkload::restore(SnapshotReader &r)
-{
-    r.section("server_workload");
-    std::string name = r.str();
-    if (name != params_.name)
-        throw SnapshotError("workload name mismatch: snapshot has '" +
-                            name + "', expected '" + params_.name +
-                            "'");
-    rng_.restore(r);
-
-    std::uint32_t num_paths = r.u32();
-    if (num_paths != params_.numRequestTypes)
-        throw SnapshotError("workload '" + params_.name +
-                            "': request-type count mismatch");
-    paths_.clear();
-    paths_.reserve(num_paths);
-    for (std::uint32_t t = 0; t < num_paths; ++t) {
-        std::uint32_t len = r.u32();
-        std::vector<std::uint32_t> path;
-        path.reserve(len);
-        for (std::uint32_t i = 0; i < len; ++i) {
-            std::uint32_t page = r.u32();
-            if (page >= params_.codePages)
-                throw SnapshotError("workload '" + params_.name +
-                                    "': path page out of range");
-            path.push_back(page);
-        }
-        paths_.push_back(std::move(path));
+    ar.io(self.currentType_);
+    ar.io(self.pathPos_);
+    ar.io(self.currentPage_);
+    ar.io(self.currentOffset_);
+    ar.io(self.runRemaining_);
+    ar.io(self.instrCount_);
+    ar.io(self.nextPhaseAt_);
+    ar.io(self.phaseChanges_);
+    ar.io(self.deviating_);
+    ar.io(self.streamPos_);
+    if constexpr (Ar::loading) {
+        if (self.currentType_ >= self.paths_.size() ||
+            self.pathPos_ >= self.paths_[self.currentType_].size() ||
+            self.currentPage_ >= p.codePages ||
+            self.currentOffset_ >= pageBytes ||
+            self.currentOffset_ % 4 != 0 ||
+            self.streamPos_ >= static_cast<std::uint64_t>(p.dataColdPages) *
+                                   (pageBytes / lineBytes))
+            throw SnapshotError(what + ": run state out of range");
     }
-
-    currentType_ = r.u32();
-    pathPos_ = r.u64();
-    currentPage_ = r.u32();
-    currentOffset_ = r.u64();
-    runRemaining_ = r.u64();
-    instrCount_ = r.u64();
-    nextPhaseAt_ = r.u64();
-    phaseChanges_ = r.u64();
-    deviating_ = r.b();
-    streamPos_ = r.u64();
-    if (currentType_ >= paths_.size() ||
-        pathPos_ >= paths_[currentType_].size() ||
-        currentPage_ >= params_.codePages ||
-        currentOffset_ >= pageBytes || currentOffset_ % 4 != 0 ||
-        streamPos_ >= static_cast<std::uint64_t>(params_.dataColdPages) *
-                          (pageBytes / lineBytes))
-        throw SnapshotError("workload '" + params_.name +
-                            "': run state out of range");
 }
+
+void ServerWorkload::save(SnapshotWriter &w) const { transfer(*this, w); }
+void ServerWorkload::restore(SnapshotReader &r) { transfer(*this, r); }
 
 std::uint32_t
 ServerWorkload::successorCount(std::uint32_t index) const

@@ -198,6 +198,8 @@ class ServerWorkload : public TraceSource
     void restore(SnapshotReader &r) override;
 
   private:
+    template <class Self, class Ar>
+    static void transfer(Self &self, Ar &ar);
     void layoutPages();
     std::vector<std::uint32_t> buildPath(std::uint32_t type);
     void buildAllPaths();
