@@ -946,3 +946,73 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
     EXPECT_EQ(a.samples().front().epoch, 13u);
     EXPECT_EQ(b.samples().front().epoch, 13u);
 }
+
+// ---------------------------------------------------------------
+// A length read from an image is bounded by the payload left before
+// anything is sized from it.
+// ---------------------------------------------------------------
+
+namespace
+{
+
+constexpr std::uint64_t hugeLength = std::uint64_t{1} << 62;
+
+} // namespace
+
+TEST(Snapshot, MarkovSuccessorCountBoundedByPayload)
+{
+    // One valid way of the stock MP (128 entries, 8 ways) whose
+    // successor list claims 2^62 VPNs.
+    SnapshotWriter w;
+    w.section("mp");
+    w.b(false);  // bounded
+    w.section("assoc_table");
+    w.u32(8);    // ways
+    w.u32(16);   // sets
+    w.u64(1);    // clock
+    w.b(true);
+    w.u64(0x4000);  // key
+    w.u64(1);       // recency
+    w.u64(hugeLength);
+    auto mp = makePrefetcher("mp");
+    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+    EXPECT_THROW(mp->restore(r), SnapshotError);
+}
+
+TEST(Snapshot, MarkovUnboundedTableSizeBoundedByPayload)
+{
+    SnapshotWriter w;
+    w.section("mp");
+    w.b(true);  // unbounded
+    w.u64(hugeLength);
+    auto mp = makePrefetcher("mp-unbounded");
+    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+    EXPECT_THROW(mp->restore(r), SnapshotError);
+}
+
+TEST(Snapshot, FrequencyStackSizeBoundedByPayload)
+{
+    SnapshotWriter w;
+    w.section("freq_stack");
+    w.u64(64);  // reset interval
+    w.u64(0);   // since reset
+    w.u64(0);   // resets
+    w.u64(hugeLength);
+    FrequencyStack freq(64);
+    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+    EXPECT_THROW(freq.restore(r), SnapshotError);
+}
+
+TEST(Snapshot, WorkloadPathLengthBoundedByPayload)
+{
+    const ServerWorkloadParams p = qmmWorkloadParams(0);
+    SnapshotWriter w;
+    w.section("server_workload");
+    w.str(p.name);
+    Rng(1).save(w);
+    w.u32(p.numRequestTypes);
+    w.u32(0xffffffffu);  // the first path's length
+    ServerWorkload fresh(p);
+    SnapshotReader r = SnapshotReader::fromPayload(w.payload());
+    EXPECT_THROW(fresh.restore(r), SnapshotError);
+}
