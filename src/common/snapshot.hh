@@ -64,8 +64,10 @@ namespace morrigan
  * stale bytes never is).
  * v4: the component counter records replace the `stat_group`
  * sections; a hashed page table writes only its occupied buckets.
+ * v5: the prefetch buffer no longer writes per-producer hit counts
+ * (RunCounters::pbHitsIrip/pbHitsSdp/pbHitsICache count that split).
  */
-constexpr std::uint32_t snapshotSchemaVersion = 4;
+constexpr std::uint32_t snapshotSchemaVersion = 5;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error

@@ -28,7 +28,6 @@ PrefetchBuffer::lookupAndConsume(Vpn vpn, Cycle now)
     if (res.pending)
         ++stats_.pendingHits;
     ++stats_.hits;
-    ++hitsByProducer_[static_cast<unsigned>(entry->tag.producer)];
     if (obs_)
         obs_->pbEvent(res.pending ? PbObserver::Event::HitPending
                                   : PbObserver::Event::HitReady,

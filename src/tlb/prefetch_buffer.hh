@@ -183,8 +183,8 @@ class PrefetchBuffer
     /** Attach (or detach with nullptr) the lifecycle observer. */
     void setObserver(PbObserver *obs) { obs_ = obs; }
 
-    /** Serialize buffered entries + producer-hit accounting (the
-     * observer pointer is runtime wiring and is not saved). */
+    /** Serialize buffered entries (the observer pointer is runtime
+     * wiring and is not saved). */
     void save(SnapshotWriter &w) const { transfer(*this, w); }
     void restore(SnapshotReader &r) { transfer(*this, r); }
 
@@ -203,11 +203,6 @@ class PrefetchBuffer
     const Stats &stats() const { return stats_; }
     Stats &stats() { return stats_; }
 
-    std::uint64_t hitsFrom(PrefetchProducer p) const
-    {
-        return hitsByProducer_[static_cast<unsigned>(p)];
-    }
-
   private:
     template <class Self, class Ar>
     static void
@@ -225,14 +220,12 @@ class PrefetchBuffer
             a.io(e.insertSeq);
             a.io(e.traceId);
         });
-        ar.io(self.hitsByProducer_);
     }
 
     SetAssocTable<Vpn, PbEntry> table_;
     Cycle latency_;
     PbObserver *obs_ = nullptr;
     Stats stats_;
-    std::uint64_t hitsByProducer_[6] = {};
 };
 static_assert(visitsEveryField<PrefetchBuffer::Stats>());
 

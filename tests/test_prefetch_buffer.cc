@@ -97,18 +97,6 @@ TEST(PrefetchBuffer, PeekDoesNotConsume)
     EXPECT_TRUE(pb.contains(0x50));
 }
 
-TEST(PrefetchBuffer, HitsAttributedToProducer)
-{
-    PrefetchBuffer pb(8, 2);
-    pb.insert(1, entry(1, 0, PrefetchProducer::Irip));
-    pb.insert(2, entry(2, 0, PrefetchProducer::Sdp));
-    pb.lookupAndConsume(1, 0);
-    pb.lookupAndConsume(2, 0);
-    EXPECT_EQ(pb.hitsFrom(PrefetchProducer::Irip), 1u);
-    EXPECT_EQ(pb.hitsFrom(PrefetchProducer::Sdp), 1u);
-    EXPECT_EQ(pb.hitsFrom(PrefetchProducer::ICache), 0u);
-}
-
 TEST(PrefetchBuffer, FlushEmpties)
 {
     PrefetchBuffer pb(4, 2);

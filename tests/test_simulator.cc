@@ -169,6 +169,18 @@ TEST(Simulator, MorriganSynergyWithFnlMma)
     EXPECT_GT(combo.ipc, alone.ipc);
 }
 
+TEST(Simulator, PbHitsSplitByProducerAddUp)
+{
+    // Every PB hit is credited to exactly one producer: IRIP, SDP or
+    // the I-cache prefetcher's beyond-page translations.
+    SimConfig cfg = quickConfig();
+    cfg.icachePref = ICachePrefKind::FnlMma;
+    SimResult r = runWorkload(cfg, "morrigan", workload());
+    EXPECT_GT(r.pbHitsIrip, 0u);
+    EXPECT_GT(r.pbHitsSdp, 0u);
+    EXPECT_EQ(r.pbHitsIrip + r.pbHitsSdp + r.pbHitsICache, r.pbHits);
+}
+
 TEST(Simulator, SmtRunsTwoWorkloads)
 {
     SimConfig cfg = quickConfig();

@@ -203,7 +203,7 @@ TEST(SnapshotPayload, CrcsArePinned)
     };
     // Warmup images of Morrigan on qmm_00, alone and with qmm_01.
     for (const Case &k :
-         {Case{false, 0xd373e6f6u}, Case{true, 0xd578f442u}}) {
+         {Case{false, 0xbdba799cu}, Case{true, 0xfad9d904u}}) {
         SCOPED_TRACE(k.smt ? "smt" : "1t");
         Config c;
         c.smt = k.smt;
