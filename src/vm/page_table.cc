@@ -384,7 +384,7 @@ PageTable::transfer(Self &self, Ar &ar)
         // has a bucket, and free buckets take no space.
         auto buckets = self.buckets_.sorted();
         std::uint64_t n = buckets.size();
-        ar.count(n, 17);
+        ar.count(n, 2 * sizeof(std::uint64_t) + 1);  // bucket, group, mask
         if constexpr (Ar::loading) {
             self.buckets_.clear(64);
             self.hashLeaves_.clear(64);
