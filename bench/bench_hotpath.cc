@@ -296,7 +296,7 @@ pageWalk(std::uint64_t ops)
     std::uint64_t sum = 0;
     for (std::uint64_t i = 0; i < ops; ++i) {
         Vpn vpn = 0x1000 + rng.below(4096);
-        sum += walker.walk(vpn, WalkKind::Demand, now, true).memRefs;
+        sum += walker.walk(vpn, WalkKind::DemandData, now).memRefs;
         now += 200;
     }
     return sum;

@@ -104,6 +104,8 @@ template <Record T, class V>
 void
 visitFieldPairs(T &a, const T &b, V &&v)
 {
+    // Only a fixed field list pairs up by position.
+    static_assert(visitsEveryField<std::remove_const_t<T>>());
     std::array<const void *, fields_detail::memberCount<T>()> bs{};
     std::size_t i = 0;
     visitFields(b, [&](const char *, const auto &f, FieldTag = {}) {

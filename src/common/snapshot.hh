@@ -66,8 +66,12 @@ namespace morrigan
  * sections; a hashed page table writes only its occupied buckets.
  * v5: the prefetch buffer no longer writes per-producer hit counts
  * (RunCounters::pbHitsIrip/pbHitsSdp/pbHitsICache count that split).
+ * v6: RunCounters keeps only what no component counts; the walker
+ * record counts each WalkKind apart; interval epochs carry every
+ * component record (path, variant index, fields) in place of the
+ * walker's busy port-cycles and the tracer's issued/hit arrays.
  */
-constexpr std::uint32_t snapshotSchemaVersion = 5;
+constexpr std::uint32_t snapshotSchemaVersion = 6;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error

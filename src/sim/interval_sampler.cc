@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <string>
 #include <type_traits>
+#include <variant>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -41,12 +42,28 @@ IntervalSampler::beginMeasurement(const EpochCounters &baseline)
 namespace
 {
 
-/** @p d -= @p p, field by field through nested records and arrays. */
+/** @p d -= @p p, field by field through nested records and arrays;
+ * a distribution's extremes keep @p d's values. */
 template <class T>
 void
 subtract(T &d, const T &p)
 {
-    if constexpr (Record<T>) {
+    if constexpr (std::is_same_v<T, Distribution>) {
+        d.count -= p.count;
+        d.sum -= p.sum;
+    } else if constexpr (std::is_same_v<T, CounterRecords>) {
+        if (p.list.empty())
+            return;  // the all-zero baseline
+        panic_if(p.list.size() != d.list.size(),
+                 "epoch record lists differ");
+        for (std::size_t i = 0; i < d.list.size(); ++i)
+            std::visit(
+                [&](auto &x) {
+                    using R = std::remove_reference_t<decltype(x)>;
+                    subtract(x, std::get<R>(p.list[i].second));
+                },
+                d.list[i].second);
+    } else if constexpr (Record<T>) {
         visitFieldPairs(d, p, [](const char *, auto &x, const auto &y) {
             subtract(x, y);
         });
@@ -92,23 +109,24 @@ IntervalSampler::record(const EpochCounters &now, unsigned walker_ports)
     subtract(s.delta, prev_);
     prev_ = now;
 
-    // The derived rates, all interval-local.
-    const RunCounters &d = s.delta.counters;
-    s.istlbMpki =
-        d.instructions
-            ? static_cast<double>(d.istlbMisses) /
-                  (static_cast<double>(d.instructions) / 1000.0)
-            : 0.0;
-    s.pbHitRate = d.istlbMisses
-                      ? static_cast<double>(d.pbHits) /
-                            static_cast<double>(d.istlbMisses)
+    // The derived rates, all interval-local; a record missing from
+    // the epoch reads as zero.
+    const CounterRecords &d = s.delta.records;
+    const auto *stlb = d.find<Tlb::Stats>("sim.tlb.stlb");
+    const auto *pb = d.find<PrefetchBuffer::Stats>("sim.pb");
+    const auto *walker = d.find<PageTableWalker::Stats>("sim.walker");
+    const double misses = stlb ? static_cast<double>(stlb->instrMisses) : 0;
+    const double kilo_instr =
+        static_cast<double>(s.delta.counters.instructions) / 1000.0;
+    s.istlbMpki = kilo_instr > 0.0 ? misses / kilo_instr : 0.0;
+    s.pbHitRate = misses > 0.0 && pb
+                      ? static_cast<double>(pb->hits) / misses
                       : 0.0;
     double port_capacity =
         s.delta.cycles * static_cast<double>(walker_ports);
     s.walkerOccupancy =
-        port_capacity > 0.0
-            ? static_cast<double>(s.delta.walkerBusyPortCycles) /
-                  port_capacity
+        port_capacity > 0.0 && walker
+            ? static_cast<double>(walker->busyPortCycles) / port_capacity
             : 0.0;
 
     ring_.push_back(s);

@@ -4,11 +4,14 @@
  *
  * Every N measured instructions the simulator hands the sampler its
  * cumulative EpochCounters; an epoch stores the change of every
- * field (the cycle buckets included: a per-phase cycle breakdown)
- * plus the iSTLB MPKI, PB hit rate and walker-port occupancy derived
- * from it -- the quantities whose *evolution* the paper's
+ * field of the run's counters and of every component record (the
+ * cycle buckets included: a per-phase cycle breakdown) plus the iSTLB
+ * MPKI, PB hit rate and walker-port occupancy derived from it -- the quantities whose *evolution* the paper's
  * phase-change discussion (Figure 14) is about but which an
- * end-of-run report averages away.
+ * end-of-run report averages away. A distribution's count and sum
+ * are differenced like any counter; its min and max are extremes,
+ * which do not difference, so an epoch carries them as they stand at
+ * the epoch's end (the extremes since measurement start).
  *
  * The sampler keeps a bounded ring of epochs for programmatic access
  * (tests, the --stats-json "intervals" array) and optionally streams
@@ -29,33 +32,78 @@
 #ifndef MORRIGAN_SIM_INTERVAL_SAMPLER_HH
 #define MORRIGAN_SIM_INTERVAL_SAMPLER_HH
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/fields.hh"
 #include "common/types.hh"
+#include "mem/memory_hierarchy.hh"
 #include "sim/prefetch_tracer.hh"
 #include "sim/run_counters.hh"
+#include "tlb/prefetch_buffer.hh"
+#include "tlb/tlb.hh"
+#include "vm/psc.hh"
+#include "vm/walker.hh"
 
 namespace morrigan
 {
 
+/** A copy of one component counter record. */
+using CounterRecord =
+    std::variant<MemoryHierarchy::Stats, CacheModel::Stats,
+                 DramModel::Stats, PageStructureCache::Stats,
+                 PageTableWalker::Stats, Tlb::Stats, PrefetchBuffer::Stats,
+                 PrefetchTracer::Outcomes>;
+
+/**
+ * Copies of the component counter records, each under its dotted
+ * path, in Simulator::forEachCounters() order. visitFields() visits
+ * one field per record, named by its path, so JSON nests each record
+ * under its path and CSV prefixes its columns with it. The list is
+ * the run's, not a fixed one: a snapshot restores the values into a
+ * list of the same shape, and visitFieldPairs() does not apply.
+ */
+struct CounterRecords
+{
+    std::vector<std::pair<std::string, CounterRecord>> list;
+
+    /** The record of type @p R under @p path, or nullptr. */
+    template <class R>
+    const R *
+    find(std::string_view path) const
+    {
+        for (const auto &[p, rec] : list)
+            if (p == path)
+                return std::get_if<R>(&rec);
+        return nullptr;
+    }
+
+    template <RecordOf<CounterRecords> Self, class V>
+    friend void visitFields(Self &s, V &&v)
+    {
+        for (auto &[path, rec] : s.list)
+            std::visit([&](auto &r) { v(path.c_str(), r); }, rec);
+    }
+};
+
 /**
  * The cumulative counters an epoch is the difference of: the run's
- * counter record plus the few values that live outside it.
+ * own counter record, the measured cycles, the prefetcher's
+ * frequency-stack resets (prefetcher state, not a counter record)
+ * and every component record.
  */
 struct EpochCounters
 {
     RunCounters counters;
     double cycles = 0.0;  //!< measured cycles
-    std::uint64_t walkerBusyPortCycles = 0;
     std::uint64_t freqResets = 0;
-    /** Per-component issued/hit counts from the tracer, indexed as
-     * PrefetchTracer::componentName() (zero without a tracer). */
-    std::array<std::uint64_t, PrefetchTracer::numComponents> issued{};
-    std::array<std::uint64_t, PrefetchTracer::numComponents> hits{};
+    CounterRecords records;
 
     /** The fields, in snapshot order (common/fields.hh). */
     template <RecordOf<EpochCounters> Self, class V>
@@ -63,10 +111,8 @@ struct EpochCounters
     {
         v("counters", e.counters);
         v("cycles", e.cycles);
-        v("walkerBusyPortCycles", e.walkerBusyPortCycles);
         v("freqResets", e.freqResets);
-        v("issued", e.issued);
-        v("hits", e.hits);
+        v("records", e.records);
     }
 };
 static_assert(visitsEveryField<EpochCounters>());
@@ -79,7 +125,7 @@ struct IntervalSample
     std::uint64_t instructions = 0;  //!< cumulative at sample point
     EpochCounters delta;
     double istlbMpki = 0.0;
-    double pbHitRate = 0.0;          //!< pbHits / istlbMisses
+    double pbHitRate = 0.0;          //!< PB hits / iSTLB misses
     double walkerOccupancy = 0.0;    //!< busy port-cycles fraction
 
     /** The fields, with their JSON keys, in snapshot order
@@ -138,7 +184,9 @@ class IntervalSampler
     void writeRingJson(std::ostream &os) const;
 
     /** Checkpoint the delta baseline, epoch count and ring. The
-     * streaming sink is external and not serialized. */
+     * streaming sink is external and not serialized. Restore fills
+     * the records of the baseline beginMeasurement() gave, so it
+     * needs a sampler that began with the run's records. */
     void save(SnapshotWriter &w) const { transfer(*this, w); }
     void restore(SnapshotReader &r) { transfer(*this, r); }
 
@@ -156,7 +204,7 @@ class IntervalSampler
         if constexpr (Ar::loading) {
             if (n > self.ringCapacity_)
                 throw SnapshotError("interval sampler ring overflow");
-            self.ring_.assign(n, IntervalSample{});
+            self.ring_.assign(n, IntervalSample{0, 0, self.prev_});
         }
         ar.io(self.ring_);
     }

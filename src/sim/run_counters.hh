@@ -32,37 +32,30 @@ enum class Stall : std::uint8_t
 };
 inline constexpr unsigned numStalls = 5;
 
-/** Measurement counters, reset after warmup. */
+/**
+ * Measurement counters, reset after warmup: the facts no component
+ * observes. The TLBs, the PB, the caches and the walker count their
+ * own misses, hits and walks in their records, and SimResult reads
+ * those; what stays here is the run's length, the PB hits split by
+ * the producer of the hit entry (the PB does not attribute hits), the
+ * stall buckets, the simulator's duplicate filter, the I-cache
+ * prefetch path, context switches and the PB hit distance.
+ */
 struct RunCounters
 {
     std::uint64_t instructions = 0;
-    std::uint64_t l1iMisses = 0;
-    std::uint64_t itlbMisses = 0;
-    std::uint64_t istlbMisses = 0;
-    std::uint64_t dstlbMisses = 0;
-    std::uint64_t pbHits = 0;
     std::uint64_t pbHitsIrip = 0;
     std::uint64_t pbHitsSdp = 0;
     std::uint64_t pbHitsICache = 0;
     double istlbStallCycles = 0.0;
     double icacheStallCycles = 0.0;
     double dataStallCycles = 0.0;
-    std::uint64_t demandWalksInstr = 0;
-    std::uint64_t demandWalksData = 0;
-    std::uint64_t demandWalkRefsInstr = 0;
-    std::uint64_t demandWalkRefsData = 0;
-    std::uint64_t prefetchWalks = 0;
-    std::uint64_t prefetchWalkRefs = 0;
-    std::array<std::uint64_t, 4> prefetchWalkRefsByLevel{};
-    double demandWalkLatInstrSum = 0.0;
-    double demandWalkLatDataSum = 0.0;
     std::uint64_t prefetchesDiscarded = 0;
     std::uint64_t icachePrefetches = 0;
     std::uint64_t icacheCrossPage = 0;
     std::uint64_t icacheCrossPageNeedingWalk = 0;
     std::uint64_t icacheCrossPagePbHits = 0;
     std::uint64_t contextSwitches = 0;
-    std::uint64_t correctingWalks = 0;
     /** PB hit use-distance histogram: buckets <=1,2,4,...,>64
      * misses between insert and hit. */
     std::array<std::uint64_t, 8> pbHitDistance{};
@@ -74,26 +67,12 @@ struct RunCounters
     friend constexpr void visitFields(Self &c, V &&v)
     {
         v("instructions", c.instructions);
-        v("l1iMisses", c.l1iMisses);
-        v("itlbMisses", c.itlbMisses);
-        v("istlbMisses", c.istlbMisses);
-        v("dstlbMisses", c.dstlbMisses);
-        v("pbHits", c.pbHits);
         v("pbHitsIrip", c.pbHitsIrip);
         v("pbHitsSdp", c.pbHitsSdp);
         v("pbHitsICache", c.pbHitsICache);
         v("istlbStallCycles", c.istlbStallCycles);
         v("icacheStallCycles", c.icacheStallCycles);
         v("dataStallCycles", c.dataStallCycles);
-        v("demandWalksInstr", c.demandWalksInstr);
-        v("demandWalksData", c.demandWalksData);
-        v("demandWalkRefsInstr", c.demandWalkRefsInstr);
-        v("demandWalkRefsData", c.demandWalkRefsData);
-        v("prefetchWalks", c.prefetchWalks);
-        v("prefetchWalkRefs", c.prefetchWalkRefs);
-        v("prefetchWalkRefsByLevel", c.prefetchWalkRefsByLevel);
-        v("demandWalkLatInstrSum", c.demandWalkLatInstrSum);
-        v("demandWalkLatDataSum", c.demandWalkLatDataSum);
         v("prefetchesDiscarded", c.prefetchesDiscarded);
         v("icachePrefetches", c.icachePrefetches);
         v("icacheCrossPage", c.icacheCrossPage);
@@ -101,7 +80,6 @@ struct RunCounters
           c.icacheCrossPageNeedingWalk);
         v("icacheCrossPagePbHits", c.icacheCrossPagePbHits);
         v("contextSwitches", c.contextSwitches);
-        v("correctingWalks", c.correctingWalks);
         v("pbHitDistance", c.pbHitDistance);
         v("baseCycles", c.baseCycles);
         v("contextSwitchCycles", c.contextSwitchCycles);

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <type_traits>
 
@@ -79,8 +80,10 @@ IntervalSampler &
 Simulator::enableIntervalSampler(std::uint64_t interval)
 {
     enableTracer();  // per-component epoch metrics need the counters
-    if (!sampler_ || sampler_->interval() != interval)
+    if (!sampler_ || sampler_->interval() != interval) {
         sampler_ = std::make_unique<IntervalSampler>(interval);
+        sampler_->beginMeasurement(epochCounters());  // the run's records
+    }
     return *sampler_;
 }
 
@@ -149,7 +152,7 @@ Simulator::issueSpatialFills(Vpn target, Cycle ready_at,
         entry.tag.sourcePage = target;
         entry.tag.distance = static_cast<PageDelta>(n) -
                              static_cast<PageDelta>(target);
-        entry.insertSeq = c_.istlbMisses;
+        entry.insertSeq = istlbMisses();
         if (tracer_)
             entry.traceId =
                 tracer_->onIssued(entry.tag, n, now());
@@ -175,10 +178,8 @@ Simulator::pbInsert(Vpn vpn, const PbEntry &entry)
     // prefetch but the page may not belong to the active footprint.
     // Issue a correcting walk to clear it -- but only when the
     // walker is otherwise idle, so no demand walk is delayed.
-    if (walker_.earliestStart(now()) == now()) {
-        walker_.walk(evicted, WalkKind::Prefetch, now(), false);
-        ++c_.correctingWalks;
-    }
+    if (walker_.earliestStart(now()) == now())
+        walker_.walk(evicted, WalkKind::Correcting, now());
 }
 
 void
@@ -212,7 +213,7 @@ Simulator::issueTlbPrefetch(const PrefetchRequest &req)
         entry.pfn = wr.pfn;
         entry.readyAt = wr.completeCycle;
         entry.tag = req.tag;
-        entry.insertSeq = c_.istlbMisses;
+        entry.insertSeq = istlbMisses();
         entry.traceId = trace_id;
         pbInsert(req.vpn, entry);
     }
@@ -230,11 +231,7 @@ WalkResult
 Simulator::prefetchWalk(Vpn vpn, const PrefetchTag &tag,
                         std::uint64_t trace_id, bool traced)
 {
-    WalkResult wr = walker_.walk(vpn, WalkKind::Prefetch, now(), false);
-    ++c_.prefetchWalks;
-    c_.prefetchWalkRefs += wr.memRefs;
-    for (unsigned i = 0; i < 4; ++i)
-        c_.prefetchWalkRefsByLevel[i] += wr.refsByLevel[i];
+    WalkResult wr = walker_.walk(vpn, WalkKind::Prefetch, now());
     if (!traced)
         return wr;
     if (wr.success)
@@ -266,7 +263,6 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
         return tr.pfn;  // pipelined, no stall
 
     // L1 I-TLB miss: the STLB lookup is on the critical path.
-    ++c_.itlbMisses;
     charge(Stall::Istlb,
            static_cast<double>(tlbs_.stlb().params().latency));
     if (tr.level == TlbHitLevel::Stlb) {
@@ -293,7 +289,6 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
     }
 
     // --- genuine iSTLB miss ---
-    ++c_.istlbMisses;
     if (cfg_.collectMissStream)
         missStream_.record(vpn);
 
@@ -304,7 +299,6 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
         PbLookupResult pr = pb_.lookupAndConsume(vpn, now());
         if (pr.hit) {
             covered = true;
-            ++c_.pbHits;
             switch (pr.entry.tag.producer) {
               case PrefetchProducer::Irip:
               case PrefetchProducer::IripSpatial:
@@ -321,7 +315,7 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
                 break;
             }
             {
-                std::uint64_t d = c_.istlbMisses - pr.entry.insertSeq;
+                std::uint64_t d = istlbMisses() - pr.entry.insertSeq;
                 unsigned b = 0;
                 while (b < 7 && d > (1ull << b))
                     ++b;
@@ -346,11 +340,7 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
 
     if (!covered) {
         telemetry::ScopedSpan span(telemetry::Phase::DemandWalk);
-        WalkResult wr =
-            walker_.walk(vpn, WalkKind::Demand, now(), true);
-        ++c_.demandWalksInstr;
-        c_.demandWalkRefsInstr += wr.memRefs;
-        c_.demandWalkLatInstrSum += static_cast<double>(wr.latency);
+        WalkResult wr = walker_.walk(vpn, WalkKind::DemandInstr, now());
         charge(Stall::Istlb, static_cast<double>(
                                  wr.latency + cfg_.frontendRedirectPenalty));
         pfn = wr.pfn;
@@ -468,7 +458,6 @@ Simulator::fetchLine(Addr pc, unsigned tid)
     MemAccessResult mr = mem_.access(paddr, AccessType::Instruction);
     bool l1i_miss = mr.servedBy != MemLevel::L1;
     if (l1i_miss) {
-        ++c_.l1iMisses;
         // The L1 hit latency is pipelined; the miss portion stalls
         // the frontend, partially hidden by fetch-ahead.
         charge(Stall::Icache,
@@ -494,12 +483,7 @@ Simulator::handleData(Addr va, unsigned tid)
                static_cast<double>(tlbs_.stlb().params().latency) * mlp);
     } else if (tr.level == TlbHitLevel::Miss) {
         telemetry::ScopedSpan span(telemetry::Phase::DataWalk);
-        ++c_.dstlbMisses;
-        WalkResult wr = walker_.walk(vpn, WalkKind::Demand, now(),
-                                     true);
-        ++c_.demandWalksData;
-        c_.demandWalkRefsData += wr.memRefs;
-        c_.demandWalkLatDataSum += static_cast<double>(wr.latency);
+        WalkResult wr = walker_.walk(vpn, WalkKind::DemandData, now());
         charge(Stall::Data, static_cast<double>(wr.latency) * mlp);
         pfn = wr.pfn;
         if (checker_)
@@ -571,16 +555,11 @@ EpochCounters
 Simulator::epochCounters() const
 {
     EpochCounters e{c_, cycles_ - measureStartCycles_,
-                    walker_.stats().busyPortCycles,
-                    prefetcher_ ? prefetcher_->frequencyStackResets() : 0};
-    if (tracer_) {
-        for (unsigned comp = 0;
-             comp < PrefetchTracer::numComponents; ++comp) {
-            const PrefetchTracer::Outcomes &o = tracer_->outcomes(comp);
-            e.issued[comp] = o.issued;
-            e.hits[comp] = o.hits();
-        }
-    }
+                    prefetcher_ ? prefetcher_->frequencyStackResets() : 0,
+                    {}};
+    forEachCounters(*this, [&e](std::string_view path, const auto &rec) {
+        e.records.list.emplace_back(path, rec);
+    });
     return e;
 }
 
@@ -913,6 +892,9 @@ writeStatLines(std::ostream &os, const std::string &prefix, const R &rec)
         const std::string path = prefix + '.' + name;
         if constexpr (Record<T>) {
             writeStatLines(os, path, v);
+        } else if constexpr (std::ranges::range<T>) {
+            for (std::size_t i = 0; i < v.size(); ++i)
+                os << path << '.' << i << ' ' << v[i] << '\n';
         } else if constexpr (std::is_same_v<T, double>) {
             char buf[32];
             auto res = std::to_chars(buf, buf + sizeof(buf), v);
@@ -961,41 +943,40 @@ Simulator::buildResult() const
                 ? static_cast<double>(r.instructions) / r.cycles
                 : 0.0;
 
+    const Tlb::Stats &stlb = tlbs_.stlb().stats();
+    const PageTableWalker::Stats &walks = walker_.stats();
     double kilo_instr = static_cast<double>(r.instructions) / 1000.0;
-    r.l1iMpki = c_.l1iMisses / kilo_instr;
-    r.itlbMpki = c_.itlbMisses / kilo_instr;
-    r.istlbMpki = c_.istlbMisses / kilo_instr;
-    r.dstlbMpki = c_.dstlbMisses / kilo_instr;
+    r.istlbMisses = istlbMisses();
+    r.dstlbMisses = stlb.dataMisses;
+    r.l1iMpki = mem_.l1i().stats().misses / kilo_instr;
+    r.itlbMpki = tlbs_.itlb().stats().instrMisses / kilo_instr;
+    r.istlbMpki = r.istlbMisses / kilo_instr;
+    r.dstlbMpki = r.dstlbMisses / kilo_instr;
 
-    r.istlbMisses = c_.istlbMisses;
-    r.dstlbMisses = c_.dstlbMisses;
-    r.pbHits = c_.pbHits;
+    r.pbHits = pb_.stats().hits;
     r.pbHitsIrip = c_.pbHitsIrip;
     r.pbHitsSdp = c_.pbHitsSdp;
     r.pbHitsICache = c_.pbHitsICache;
     for (unsigned b = 0; b < numStalls; ++b)
         r.*cycleFraction[b] =
             r.cycles > 0.0 ? c_.*stallBucket[b] / r.cycles : 0.0;
-    r.coverage = c_.istlbMisses > 0
-                     ? static_cast<double>(c_.pbHits) /
-                       static_cast<double>(c_.istlbMisses)
+    r.coverage = r.istlbMisses > 0
+                     ? static_cast<double>(r.pbHits) /
+                       static_cast<double>(r.istlbMisses)
                      : 0.0;
 
-    r.demandWalks = c_.demandWalksInstr + c_.demandWalksData;
-    r.demandWalksInstr = c_.demandWalksInstr;
-    r.demandWalkRefs = c_.demandWalkRefsInstr + c_.demandWalkRefsData;
-    r.demandWalkRefsInstr = c_.demandWalkRefsInstr;
-    r.prefetchWalks = c_.prefetchWalks;
-    r.prefetchWalkRefs = c_.prefetchWalkRefs;
-    r.prefetchWalkRefsByLevel = c_.prefetchWalkRefsByLevel;
-    r.meanDemandWalkLatencyInstr =
-        c_.demandWalksInstr > 0
-            ? c_.demandWalkLatInstrSum / c_.demandWalksInstr
-            : 0.0;
-    r.meanDemandWalkLatencyData =
-        c_.demandWalksData > 0
-            ? c_.demandWalkLatDataSum / c_.demandWalksData
-            : 0.0;
+    r.demandWalks = walks.demandInstr.walks + walks.demandData.walks;
+    r.demandWalksInstr = walks.demandInstr.walks;
+    r.demandWalkRefs = walks.demandInstr.refs() + walks.demandData.refs();
+    r.demandWalkRefsInstr = walks.demandInstr.refs();
+    r.prefetchWalks = walks.prefetch.walks;
+    r.prefetchWalkRefs = walks.prefetch.refs();
+    r.prefetchWalkRefsByLevel = walks.prefetch.refsByLevel;
+    auto mean = [](const Distribution &d) {
+        return d.count > 0 ? d.sum / d.count : 0.0;
+    };
+    r.meanDemandWalkLatencyInstr = mean(walks.demandInstr.latency);
+    r.meanDemandWalkLatencyData = mean(walks.demandData.latency);
 
     r.icachePrefetches = c_.icachePrefetches;
     r.icacheCrossPagePrefetches = c_.icacheCrossPage;
@@ -1003,7 +984,7 @@ Simulator::buildResult() const
     r.icacheCrossPagePbHits = c_.icacheCrossPagePbHits;
     r.pbHitDistance = c_.pbHitDistance;
     r.contextSwitches = c_.contextSwitches;
-    r.correctingWalks = c_.correctingWalks;
+    r.correctingWalks = walks.correcting.walks;
     if (checker_) {
         r.checkedTranslations = checker_->checked();
         r.checkMismatches = checker_->mismatches();

@@ -154,8 +154,10 @@ class Simulator
         return cfg_.warmupInstructions + cfg_.simInstructions;
     }
 
-    /** The cumulative counters an interval epoch differences (the
-     * measurement counters plus the values that live elsewhere). */
+    /** The cumulative counters an interval epoch differences: the
+     * run's own counters, the measured cycles, the prefetcher's
+     * frequency-stack resets and a copy of every record
+     * forEachCounters() lists. */
     EpochCounters epochCounters() const;
 
     /** --stats: one `path.field value` line per component record
@@ -210,6 +212,17 @@ class Simulator
     }
     /** Whether the PB participates in demand miss handling. */
     bool pbActive() const;
+    /**
+     * Genuine iSTLB misses so far: the STLB's instruction-side
+     * misses, except under perfectIstlb, where the idealised lookup
+     * serves every one of them and none is genuine. Also the PB's
+     * insertion clock (PbEntry::insertSeq).
+     */
+    std::uint64_t
+    istlbMisses() const
+    {
+        return cfg_.perfectIstlb ? 0 : tlbs_.stlb().stats().instrMisses;
+    }
     Addr threadAddr(Addr va, unsigned tid) const;
     void premapRegions(TraceSource *trace, unsigned tid);
     void simulateInstruction(const TraceRecord &rec, unsigned tid);

@@ -24,11 +24,10 @@ PageTableWalker::earliestStart(Cycle now) const
 }
 
 WalkResult
-PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
+PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now)
 {
-    panic_if(kind == WalkKind::Prefetch && allocate,
-             "prefetch walks must be non-faulting");
-
+    const bool allocate =
+        kind == WalkKind::DemandInstr || kind == WalkKind::DemandData;
     WalkResult res;
     res.startCycle = earliestStart(now);
 
@@ -47,8 +46,8 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
             refs_needed = path.levels;
     }
 
-    if (!path.mapped && kind == WalkKind::Prefetch) {
-        // Non-faulting prefetch to an unmapped page: the walker
+    if (!path.mapped && !allocate) {
+        // Non-faulting walk of an unmapped page: the walker
         // discovers the absent entry part-way down and drops the
         // request. Charge only the references actually performed:
         // entryAddr slots below the absent entry are zero.
@@ -94,15 +93,11 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate)
     if (path.mapped && !hashed)
         psc_.fill(vpn);
 
-    if (kind == WalkKind::Demand) {
-        ++stats_.demandWalks;
-        stats_.demandMemRefs += res.memRefs;
-        stats_.demandLatency.sample(static_cast<double>(res.latency));
-    } else {
-        ++stats_.prefetchWalks;
-        stats_.prefetchMemRefs += res.memRefs;
-        stats_.prefetchLatency.sample(static_cast<double>(res.latency));
-    }
+    KindStats &k = stats_.*kindStats[static_cast<unsigned>(kind)];
+    ++k.walks;
+    for (unsigned i = 0; i < res.refsByLevel.size(); ++i)
+        k.refsByLevel[i] += res.refsByLevel[i];
+    k.latency.sample(static_cast<double>(res.latency));
     return res;
 }
 

@@ -85,19 +85,43 @@ struct WalkResult
 class PageTableWalker
 {
   public:
+    /** The counts of one WalkKind (common/fields.hh). */
+    struct KindStats
+    {
+        /** walks */
+        std::uint64_t walks = 0;
+        /** memory references, by the level that served them
+         * (MemLevel index) */
+        std::array<std::uint64_t, 4> refsByLevel{};
+        /** walk latency (cycles), port queueing included */
+        Distribution latency;
+
+        /** All levels' references. */
+        std::uint64_t
+        refs() const
+        {
+            return refsByLevel[0] + refsByLevel[1] + refsByLevel[2] +
+                   refsByLevel[3];
+        }
+
+        template <RecordOf<KindStats> Self, class V>
+        friend constexpr void visitFields(Self &s, V &&v)
+        {
+            v("walks", s.walks);
+            v("refs_by_level", s.refsByLevel);
+            v("latency", s.latency);
+        }
+    };
+
     /** Counters (common/fields.hh); the visit names are the --stats
      * names. */
     struct Stats
     {
-        /** demand page walks */
-        std::uint64_t demandWalks = 0;
-        /** prefetch page walks */
-        std::uint64_t prefetchWalks = 0;
-        /** memory references by demand walks */
-        std::uint64_t demandMemRefs = 0;
-        /** memory references by prefetch walks */
-        std::uint64_t prefetchMemRefs = 0;
-        /** non-faulting prefetches to unmapped pages */
+        KindStats demandInstr;
+        KindStats demandData;
+        KindStats prefetch;
+        KindStats correcting;
+        /** non-faulting walks to unmapped pages */
         std::uint64_t droppedPrefetchWalks = 0;
         /**
          * Cumulative port-cycles occupied by walks (each walk
@@ -107,24 +131,22 @@ class PageTableWalker
          * exactly that.
          */
         std::uint64_t busyPortCycles = 0;
-        /** demand walk latency (cycles) */
-        Distribution demandLatency;
-        /** prefetch walk latency (cycles) */
-        Distribution prefetchLatency;
 
         template <RecordOf<Stats> Self, class V>
         friend constexpr void visitFields(Self &s, V &&v)
         {
-            v("demand_walks", s.demandWalks);
-            v("prefetch_walks", s.prefetchWalks);
-            v("demand_mem_refs", s.demandMemRefs);
-            v("prefetch_mem_refs", s.prefetchMemRefs);
+            v("demand_instr", s.demandInstr);
+            v("demand_data", s.demandData);
+            v("prefetch", s.prefetch);
+            v("correcting", s.correcting);
             v("dropped_prefetch_walks", s.droppedPrefetchWalks);
             v("busy_port_cycles", s.busyPortCycles);
-            v("demand_latency", s.demandLatency);
-            v("prefetch_latency", s.prefetchLatency);
         }
     };
+    /** The record each WalkKind counts in, indexed by WalkKind. */
+    static constexpr KindStats Stats::*kindStats[] = {
+        &Stats::demandInstr, &Stats::demandData, &Stats::prefetch,
+        &Stats::correcting};
 
     PageTableWalker(const WalkerParams &params, PageTable &table,
                     MemoryHierarchy &mem);
@@ -133,12 +155,12 @@ class PageTableWalker
      * Perform a page walk.
      *
      * @param vpn Virtual page to translate.
-     * @param kind Demand or prefetch (stats + fault policy).
+     * @param kind What the walk serves: the record it counts in, and
+     * its fault policy (demand walks allocate on a fault; prefetch
+     * and correcting walks are non-faulting).
      * @param now Request cycle.
-     * @param allocate Allocate-on-fault (demand semantics); prefetch
-     * walks must pass false so they stay non-faulting.
      */
-    WalkResult walk(Vpn vpn, WalkKind kind, Cycle now, bool allocate);
+    WalkResult walk(Vpn vpn, WalkKind kind, Cycle now);
 
     /** Earliest cycle a new walk could start if requested at @p now. */
     Cycle earliestStart(Cycle now) const;
@@ -174,6 +196,7 @@ class PageTableWalker
     std::vector<Cycle> portBusyUntil_;
     Stats stats_;
 };
+static_assert(visitsEveryField<PageTableWalker::KindStats>());
 static_assert(visitsEveryField<PageTableWalker::Stats>());
 
 } // namespace morrigan

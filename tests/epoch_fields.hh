@@ -2,8 +2,9 @@
  * @file
  * Interval-epoch helpers shared by the tests: a white-box simulator
  * rig and the check that an epoch ring adds up to the run's
- * counters, built on visitFields(EpochCounters) so a new counter is
- * covered without touching them.
+ * counters, built on visitFields(EpochCounters) and the epoch's copy
+ * of every component record, so a new counter is covered without
+ * touching them.
  */
 
 #ifndef MORRIGAN_TESTS_EPOCH_FIELDS_HH
@@ -15,6 +16,7 @@
 #include <deque>
 #include <string>
 #include <type_traits>
+#include <variant>
 
 #include "core/morrigan.hh"
 #include "sim/interval_sampler.hh"
@@ -26,16 +28,29 @@ namespace morrigan::test
 {
 
 /** f(name, a, b) for every scalar of two records of one type,
- * through nested records and array elements. */
+ * through nested records, the records of two CounterRecords of one
+ * shape, and array elements. */
 template <class T, class F>
 void
 forEachScalarPair(T &a, const T &b, F &&f, const std::string &name = "")
 {
-    if constexpr (Record<T>) {
+    auto sub = [&name](const std::string &key) {
+        return name.empty() ? key : name + "." + key;
+    };
+    if constexpr (std::is_same_v<std::remove_const_t<T>, CounterRecords>) {
+        ASSERT_EQ(a.list.size(), b.list.size()) << name;
+        for (std::size_t i = 0; i < a.list.size(); ++i)
+            std::visit(
+                [&](auto &x) {
+                    using R = std::remove_reference_t<decltype(x)>;
+                    forEachScalarPair(x, std::get<R>(b.list[i].second), f,
+                                      sub(a.list[i].first));
+                },
+                a.list[i].second);
+    } else if constexpr (Record<T>) {
         visitFieldPairs(a, b, [&](const char *key, auto &x,
                                   const auto &y) {
-            forEachScalarPair(x, y, f,
-                              name.empty() ? key : name + "." + key);
+            forEachScalarPair(x, y, f, sub(key));
         });
     } else if constexpr (std::is_arithmetic_v<T>) {
         f(name, a, b);
@@ -43,6 +58,14 @@ forEachScalarPair(T &a, const T &b, F &&f, const std::string &name = "")
         for (std::size_t i = 0; i < a.size(); ++i)
             f(name + "." + std::to_string(i), a[i], b[i]);
     }
+}
+
+/** Whether @p name is a distribution's min or max: an epoch carries
+ * those as they stand at its end instead of differencing them. */
+inline bool
+isExtreme(const std::string &name)
+{
+    return name.ends_with(".min") || name.ends_with(".max");
 }
 
 /**
@@ -75,12 +98,13 @@ struct EpochRig
 };
 
 /** The counters where @p cfg's measurement starts: a twin run that
- * stops there. */
+ * stops there, with the tracer an interval sampler implies. */
 inline EpochCounters
 measurementStart(SimConfig cfg, bool smt)
 {
     cfg.simInstructions = 0;
     EpochRig rig(cfg, smt);
+    rig.sim.enableTracer();
     rig.sim.run();
     return rig.sim.epochCounters();
 }
@@ -88,27 +112,38 @@ measurementStart(SimConfig cfg, bool smt)
 /**
  * The deltas of @p ring's epochs, which must be every epoch of the
  * measurement, add up to @p end - @p start in every field: integers
- * exactly, doubles within the cycle ledger's rounding bound.
+ * exactly, doubles within the cycle ledger's rounding bound. The
+ * last epoch's distribution extremes are @p end's. The tracer's
+ * `residual` counts are its end-of-run classification, made after
+ * the last epoch, so no epoch carries them.
  */
 inline void
 expectEpochsAddUp(const std::deque<IntervalSample> &ring,
                   const EpochCounters &start,
                   const EpochCounters &end)
 {
-    EpochCounters sum;
-    for (const IntervalSample &s : ring)
-        forEachScalarPair(sum, s.delta,
-                          [](const std::string &, auto &x,
-                             const auto &y) { x += y; });
+    ASSERT_FALSE(ring.empty());
+    auto add = [](const std::string &name, auto &x, const auto &y) {
+        if (isExtreme(name))
+            x = y;
+        else
+            x += y;
+    };
+    EpochCounters sum = ring.front().delta;
+    for (std::size_t i = 1; i < ring.size(); ++i)
+        forEachScalarPair(sum, ring[i].delta, add);
     const double tol = ledgerTolerance(end.counters.instructions);
     EpochCounters expect = end;
     forEachScalarPair(expect, start,
-                      [](const std::string &, auto &x, const auto &y) {
-                          x -= y;
+                      [](const std::string &name, auto &x, const auto &y) {
+                          if (!isExtreme(name))
+                              x -= y;
                       });
     forEachScalarPair(sum, expect, [&](const std::string &name,
                                        const auto &x, const auto &y) {
-        if constexpr (std::is_floating_point_v<
+        if (name.ends_with(".residual"))
+            EXPECT_EQ(x, 0u) << name;
+        else if constexpr (std::is_floating_point_v<
                           std::remove_cvref_t<decltype(x)>>)
             EXPECT_LE(std::abs(x - y), tol * std::abs(y)) << name;
         else

@@ -47,7 +47,7 @@ TEST(FiveLevelPaging, ColdWalkCostsMoreThanFourLevel)
         mp.l2Prefetcher = false;
         MemoryHierarchy mem(mp);
         PageTableWalker walker(WalkerParams{}, pt, mem);
-        return walker.walk(0x42, WalkKind::Demand, 0, true).latency;
+        return walker.walk(0x42, WalkKind::DemandData, 0).latency;
     };
     EXPECT_GT(walk_latency(5), walk_latency(4));
 }
@@ -61,10 +61,10 @@ TEST(FiveLevelPaging, PscStillShortCircuits)
     MemoryHierarchy mem(mp);
     PageTableWalker walker(WalkerParams{}, pt, mem);
     pt.mapRange(0x100, 8);
-    WalkResult cold = walker.walk(0x100, WalkKind::Demand, 0, true);
+    WalkResult cold = walker.walk(0x100, WalkKind::DemandData, 0);
     EXPECT_EQ(cold.memRefs, 5u);
     WalkResult warm =
-        walker.walk(0x101, WalkKind::Demand, 1000, true);
+        walker.walk(0x101, WalkKind::DemandData, 1000);
     EXPECT_EQ(warm.memRefs, 1u);  // PD hit: leaf only
 }
 

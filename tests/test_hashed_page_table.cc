@@ -84,7 +84,7 @@ TEST(HashedPageTable, WalkerSkipsPsc)
     mp.l2Prefetcher = false;
     MemoryHierarchy mem(mp);
     PageTableWalker walker(WalkerParams{}, f.pt, mem);
-    WalkResult r = walker.walk(0x42, WalkKind::Demand, 0, true);
+    WalkResult r = walker.walk(0x42, WalkKind::DemandData, 0);
     EXPECT_TRUE(r.success);
     EXPECT_EQ(r.memRefs, 1u);             // single bucket probe
     EXPECT_EQ(walker.psc().stats().lookups, 0u);
@@ -102,8 +102,8 @@ TEST(HashedPageTable, FasterColdWalksThanRadix)
     MemoryHierarchy mem_r(mp), mem_h(mp);
     PageTableWalker wr(WalkerParams{}, radix, mem_r);
     PageTableWalker wh(WalkerParams{}, hashed, mem_h);
-    Cycle lr = wr.walk(0x77, WalkKind::Demand, 0, true).latency;
-    Cycle lh = wh.walk(0x77, WalkKind::Demand, 0, true).latency;
+    Cycle lr = wr.walk(0x77, WalkKind::DemandData, 0).latency;
+    Cycle lh = wh.walk(0x77, WalkKind::DemandData, 0).latency;
     EXPECT_LT(lh, lr);
 }
 

@@ -48,7 +48,7 @@ TEST(LargePages, WalkerReportsLargeResult)
     PageTableWalker walker(WalkerParams{}, pt, mem);
     Vpn base = largePageBase(0x80000);
     pt.mapLargePage(base);
-    WalkResult r = walker.walk(base + 3, WalkKind::Demand, 0, false);
+    WalkResult r = walker.walk(base + 3, WalkKind::DemandData, 0);
     EXPECT_TRUE(r.success);
     EXPECT_TRUE(r.large);
     EXPECT_EQ(r.basePfn, r.pfn - 3);

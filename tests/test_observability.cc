@@ -9,6 +9,7 @@
 
 #include <sstream>
 #include <string>
+#include <variant>
 
 #include "common/json.hh"
 #include "common/json_reader.hh"
@@ -90,17 +91,28 @@ TEST(IntervalSampler, ComputesDeltasAcrossEpochs)
     IntervalSampler s(1000);
     s.beginMeasurement();
 
+    // The three records the derived rates read, under their paths.
     EpochCounters in;
+    in.records.list = {{"sim.tlb.stlb", Tlb::Stats{}},
+                       {"sim.pb", PrefetchBuffer::Stats{}},
+                       {"sim.walker", PageTableWalker::Stats{}}};
+    auto &stlb = std::get<Tlb::Stats>(in.records.list[0].second);
+    auto &pb = std::get<PrefetchBuffer::Stats>(in.records.list[1].second);
+    auto &walker =
+        std::get<PageTableWalker::Stats>(in.records.list[2].second);
     in.counters.instructions = 1000;
     in.cycles = 2000.0;
-    in.counters.istlbMisses = 10;
-    in.counters.pbHits = 4;
+    stlb.instrMisses = 10;
+    pb.hits = 4;
     in.freqResets = 1;
-    in.walkerBusyPortCycles = 500;
+    walker.busyPortCycles = 500;
+    walker.prefetch.latency.sample(30.0);
     const IntervalSample &e0 = s.record(in, 2);
     EXPECT_EQ(e0.epoch, 0u);
     EXPECT_EQ(e0.delta.counters.instructions, 1000u);
-    EXPECT_EQ(e0.delta.counters.istlbMisses, 10u);
+    EXPECT_EQ(e0.delta.records.find<Tlb::Stats>("sim.tlb.stlb")
+                  ->instrMisses,
+              10u);
     EXPECT_DOUBLE_EQ(e0.istlbMpki, 10.0);
     EXPECT_DOUBLE_EQ(e0.pbHitRate, 0.4);
     // 500 busy port-cycles over 2000 cycles x 2 ports.
@@ -108,19 +120,31 @@ TEST(IntervalSampler, ComputesDeltasAcrossEpochs)
 
     in.counters.instructions = 2000;
     in.cycles = 3000.0;
-    in.counters.istlbMisses = 30;   // +20
-    in.counters.pbHits = 14;        // +10
-    in.freqResets = 1;              // unchanged
-    in.walkerBusyPortCycles = 500;
+    stlb.instrMisses = 30;   // +20
+    pb.hits = 14;            // +10
+    in.freqResets = 1;       // unchanged
+    walker.busyPortCycles = 500;
+    walker.prefetch.latency.sample(10.0);
     const IntervalSample &e1 = s.record(in, 2);
     EXPECT_EQ(e1.epoch, 1u);
     EXPECT_EQ(e1.instructions, 2000u);
-    EXPECT_EQ(e1.delta.counters.istlbMisses, 20u);
+    EXPECT_EQ(e1.delta.records.find<Tlb::Stats>("sim.tlb.stlb")
+                  ->instrMisses,
+              20u);
     EXPECT_DOUBLE_EQ(e1.delta.cycles, 1000.0);
     EXPECT_DOUBLE_EQ(e1.istlbMpki, 20.0);
     EXPECT_DOUBLE_EQ(e1.pbHitRate, 0.5);
     EXPECT_EQ(e1.delta.freqResets, 0u);
     EXPECT_DOUBLE_EQ(e1.walkerOccupancy, 0.0);
+    // A distribution's count and sum difference; its extremes are
+    // the ones at the epoch's end.
+    const Distribution &lat =
+        e1.delta.records.find<PageTableWalker::Stats>("sim.walker")
+            ->prefetch.latency;
+    EXPECT_EQ(lat.count, 1u);
+    EXPECT_DOUBLE_EQ(lat.sum, 10.0);
+    EXPECT_DOUBLE_EQ(lat.min, 10.0);
+    EXPECT_DOUBLE_EQ(lat.max, 30.0);
 
     EXPECT_EQ(s.epochsRecorded(), 2u);
     EXPECT_EQ(s.samples().size(), 2u);
@@ -181,13 +205,16 @@ TEST(IntervalSampler, StreamsJsonlAndCsv)
     s.setSink(&jsonl, IntervalFormat::Jsonl);
     s.beginMeasurement();
     EpochCounters in;
+    PrefetchBuffer::Stats pb;
+    pb.hits = 2;
+    in.records.list = {{"sim.pb", pb}};
     in.counters.instructions = 10;
     in.cycles = 20.0;
-    in.counters.istlbMisses = 2;
     in.counters.baseCycles = 2.5;
     s.record(in, 1);
     EXPECT_TRUE(contains(jsonl.str(), "\"epoch\":0"));
-    EXPECT_TRUE(contains(jsonl.str(), "\"istlbMisses\":2"));
+    EXPECT_TRUE(contains(jsonl.str(), "\"sim.pb\":{\"lookups\":0,"));
+    EXPECT_TRUE(contains(jsonl.str(), "\"hits\":2"));
     EXPECT_TRUE(contains(jsonl.str(), "\"baseCycles\":2.5"));
     EXPECT_TRUE(contains(jsonl.str(), "\"wall_ms\":"));
     EXPECT_EQ(jsonl.str().back(), '\n');
@@ -201,9 +228,9 @@ TEST(IntervalSampler, StreamsJsonlAndCsv)
     // Header line + one data row, with a value under every column.
     std::string text = csv.str();
     EXPECT_TRUE(contains(text, "epoch,"));
-    EXPECT_TRUE(contains(text, ",delta.counters.istlbMisses,"));
+    EXPECT_TRUE(contains(text, ",delta.counters.instructions,"));
     EXPECT_TRUE(contains(text, ",delta.counters.baseCycles,"));
-    EXPECT_TRUE(contains(text, ",delta.issued.0,"));
+    EXPECT_TRUE(contains(text, ",delta.records.sim.pb.hits,"));
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
     const std::string header = text.substr(0, text.find('\n'));
     const std::string row = text.substr(header.size() + 1);
@@ -273,13 +300,17 @@ TEST(IntervalSampler, WriteRingJsonIsBalanced)
     EpochCounters in;
     in.counters.instructions = 10;
     in.cycles = 10.0;
-    in.issued[PrefetchTracer::kSdp] = 5;
-    in.hits[PrefetchTracer::kSdp] = 2;
+    PrefetchTracer::Outcomes sdp;
+    sdp.issued = 5;
+    sdp.hitsReady = 2;
+    in.records.list = {{"sim.prefetch_trace.sdp", sdp}};
     s.record(in, 1);
     std::ostringstream os;
     s.writeRingJson(os);
     EXPECT_TRUE(balancedJson(os.str())) << os.str();
-    EXPECT_TRUE(contains(os.str(), "\"issued\":["));
+    EXPECT_TRUE(contains(os.str(), "\"records\":{"));
+    EXPECT_TRUE(contains(os.str(),
+                         "\"sim.prefetch_trace.sdp\":{\"issued\":5,"));
     // The ring mirror carries no host wall-clock keys.
     EXPECT_FALSE(contains(os.str(), "wall_ms"));
 }
@@ -480,7 +511,12 @@ TEST(Observability, EndToEndSimulatorRunReconciles)
     std::uint64_t issued_in_epochs = 0;
     for (const IntervalSample &s : sampler.samples())
         for (unsigned c = 0; c < PrefetchTracer::numComponents; ++c)
-            issued_in_epochs += s.delta.issued[c];
+            issued_in_epochs +=
+                s.delta.records
+                    .find<PrefetchTracer::Outcomes>(
+                        std::string("sim.prefetch_trace.") +
+                        PrefetchTracer::componentName(c))
+                    ->issued;
     EXPECT_EQ(issued_in_epochs, totals.issued);
 
     EXPECT_TRUE(contains(events.str(), "\"ev\":\"meta\""));

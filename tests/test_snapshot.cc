@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/assoc_table.hh"
@@ -904,18 +905,33 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
     // resume with identical logical order, contents, and epoch
     // numbering, proven by a byte-identical re-save.
     IntervalSampler a(1000, 8);
-    a.beginMeasurement();
     EpochCounters in;
+    in.records.list = {{"sim.mem.l1i", CacheModel::Stats{}},
+                       {"sim.tlb.stlb", Tlb::Stats{}},
+                       {"sim.pb", PrefetchBuffer::Stats{}},
+                       {"sim.walker", PageTableWalker::Stats{}},
+                       {"sim.prefetch_trace.sdp", PrefetchTracer::Outcomes{}}};
+    auto &l1i = std::get<CacheModel::Stats>(in.records.list[0].second);
+    auto &stlb = std::get<Tlb::Stats>(in.records.list[1].second);
+    auto &pb = std::get<PrefetchBuffer::Stats>(in.records.list[2].second);
+    auto &walker =
+        std::get<PageTableWalker::Stats>(in.records.list[3].second);
+    auto &sdp =
+        std::get<PrefetchTracer::Outcomes>(in.records.list[4].second);
+    const EpochCounters zero = in;
+    a.beginMeasurement(zero);
     for (int e = 1; e <= 20; ++e) {
         in.counters.instructions = 1000ull * e;
         in.cycles = 1500.0 * e;
-        in.counters.istlbMisses += 17 + e;
-        in.counters.pbHits += 11;
-        in.counters.demandWalksInstr += 5;
-        in.counters.prefetchWalks += 3;
+        l1i.misses += 29;
+        stlb.instrMisses += 17 + e;
+        pb.hits += 11;
+        walker.demandInstr.walks += 5;
+        walker.prefetch.latency.sample(20.0 + e);
+        sdp.issued += 3;
         in.counters.baseCycles += 250.0;
         in.freqResets = e / 7;
-        in.walkerBusyPortCycles += 40 + e;
+        walker.busyPortCycles += 40 + e;
         a.record(in, 2);
     }
     ASSERT_EQ(a.samples().size(), 8u);
@@ -924,7 +940,9 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
 
     SnapshotWriter w1;
     a.save(w1);
+    // The restoring sampler began with the same records.
     IntervalSampler b(1000, 8);
+    b.beginMeasurement(zero);
     SnapshotReader r = SnapshotReader::fromPayload(w1.payload());
     b.restore(r);
 

@@ -203,7 +203,7 @@ TEST(SnapshotPayload, CrcsArePinned)
     };
     // Warmup images of Morrigan on qmm_00, alone and with qmm_01.
     for (const Case &k :
-         {Case{false, 0xbdba799cu}, Case{true, 0xfad9d904u}}) {
+         {Case{false, 0xc68ca139u}, Case{true, 0xc73b5fa9u}}) {
         SCOPED_TRACE(k.smt ? "smt" : "1t");
         Config c;
         c.smt = k.smt;

@@ -66,6 +66,11 @@ void
 flatten(const json::Value &v, const std::string &prefix,
         std::map<std::string, std::string> &out)
 {
+    if (v.type == json::Value::Type::Array) {
+        for (std::size_t i = 0; i < v.array.size(); ++i)
+            flatten(v.array[i], prefix + "." + std::to_string(i), out);
+        return;
+    }
     if (v.type != json::Value::Type::Object) {
         out[prefix] = v.token;
         return;
@@ -155,9 +160,12 @@ TEST(Stats, GroupHierarchyPaths)
               std::to_string(sim.tlbs().itlb().stats().instrMisses));
     EXPECT_EQ(num("sim.tlb.dtlb.data_misses"),
               std::to_string(sim.tlbs().dtlb().stats().dataMisses));
-    EXPECT_EQ(num("sim.walker.demand_latency.count"),
+    EXPECT_EQ(num("sim.walker.demand_instr.latency.count"),
               std::to_string(
-                  sim.walker().stats().demandLatency.count));
+                  sim.walker().stats().demandInstr.latency.count));
+    EXPECT_EQ(num("sim.walker.prefetch.refs_by_level.1"),
+              std::to_string(
+                  sim.walker().stats().prefetch.refsByLevel[1]));
     EXPECT_EQ(num("sim.prefetch_trace.sdp.issued"),
               std::to_string(sim.tracer()
                                  ->outcomes(PrefetchTracer::kSdp)
@@ -203,12 +211,14 @@ TEST(StatsJson, SerializesNestedTree)
 
     const json::Value *walker = doc.find("sim.walker");
     ASSERT_NE(walker, nullptr);
+    const json::Value *instr = walker->find("demand_instr");
+    ASSERT_NE(instr, nullptr);
     std::uint64_t walks = 0;
-    ASSERT_TRUE(json::getU64(*walker, "demand_walks", walks));
-    EXPECT_EQ(walks, run.result.demandWalks);
-    const json::Value *lat = walker->find("demand_latency");
+    ASSERT_TRUE(json::getU64(*instr, "walks", walks));
+    EXPECT_EQ(walks, run.result.demandWalksInstr);
+    const json::Value *lat = instr->find("latency");
     ASSERT_NE(lat, nullptr);
-    const Distribution &d = run.sim.walker().stats().demandLatency;
+    const Distribution &d = run.sim.walker().stats().demandInstr.latency;
     std::uint64_t count = 0;
     double sum = 0, min = 0, max = 0;
     ASSERT_TRUE(json::getU64(*lat, "count", count));

@@ -28,7 +28,7 @@ struct Fixture
 TEST(Walker, DemandWalkAllocatesAndSucceeds)
 {
     Fixture f;
-    WalkResult r = f.walker.walk(0x100, WalkKind::Demand, 0, true);
+    WalkResult r = f.walker.walk(0x100, WalkKind::DemandData, 0);
     EXPECT_TRUE(r.success);
     EXPECT_TRUE(f.pt.isMapped(0x100));
     EXPECT_GT(r.latency, 0u);
@@ -39,8 +39,8 @@ TEST(Walker, PscCutsReferencesOnRepeatWalks)
 {
     Fixture f;
     f.pt.mapRange(0x200, 16);
-    f.walker.walk(0x200, WalkKind::Demand, 0, true);
-    WalkResult r = f.walker.walk(0x201, WalkKind::Demand, 100, true);
+    f.walker.walk(0x200, WalkKind::DemandData, 0);
+    WalkResult r = f.walker.walk(0x201, WalkKind::DemandData, 100);
     EXPECT_EQ(r.memRefs, 1u);  // PD hit: leaf only
 }
 
@@ -48,16 +48,25 @@ TEST(Walker, PrefetchWalkToUnmappedIsDropped)
 {
     Fixture f;
     WalkResult r =
-        f.walker.walk(0x9999, WalkKind::Prefetch, 0, false);
+        f.walker.walk(0x9999, WalkKind::Prefetch, 0);
     EXPECT_FALSE(r.success);
     EXPECT_FALSE(f.pt.isMapped(0x9999));
 }
 
-TEST(WalkerDeathTest, FaultingPrefetchIsABug)
+TEST(Walker, OnlyDemandWalksAllocate)
 {
+    // The fault policy follows from the kind: demand walks map the
+    // page on a fault, prefetch and correcting walks never do.
     Fixture f;
-    EXPECT_DEATH(f.walker.walk(0x1, WalkKind::Prefetch, 0, true),
-                 "non-faulting");
+    f.walker.walk(0x10, WalkKind::Prefetch, 0);
+    f.walker.walk(0x11, WalkKind::Correcting, 0);
+    EXPECT_FALSE(f.pt.isMapped(0x10));
+    EXPECT_FALSE(f.pt.isMapped(0x11));
+    EXPECT_EQ(f.walker.stats().droppedPrefetchWalks, 2u);
+    EXPECT_TRUE(f.walker.walk(0x12, WalkKind::DemandInstr, 0).success);
+    EXPECT_TRUE(f.walker.walk(0x13, WalkKind::DemandData, 0).success);
+    EXPECT_TRUE(f.pt.isMapped(0x12));
+    EXPECT_TRUE(f.pt.isMapped(0x13));
 }
 
 TEST(Walker, PortContentionDelaysLaterWalks)
@@ -68,7 +77,7 @@ TEST(Walker, PortContentionDelaysLaterWalks)
     Cycle busiest = 0;
     for (std::uint32_t i = 0; i <= f.wp.ports; ++i) {
         WalkResult r = f.walker.walk(0x300 + i * 8,
-                                     WalkKind::Prefetch, 0, false);
+                                     WalkKind::Prefetch, 0);
         busiest = std::max(busiest, r.startCycle);
     }
     // The (ports+1)-th walk cannot start at cycle 0.
@@ -81,7 +90,7 @@ TEST(Walker, EarliestStartTracksBusyPorts)
     f.pt.mapRange(0x400, 16);
     EXPECT_EQ(f.walker.earliestStart(5), 5u);
     for (std::uint32_t i = 0; i < f.wp.ports; ++i)
-        f.walker.walk(0x400 + i, WalkKind::Demand, 0, true);
+        f.walker.walk(0x400 + i, WalkKind::DemandData, 0);
     EXPECT_GT(f.walker.earliestStart(0), 0u);
 }
 
@@ -90,28 +99,39 @@ TEST(Walker, LatencyIncludesQueueing)
     Fixture f;
     f.pt.mapRange(0x500, 16);
     for (std::uint32_t i = 0; i < f.wp.ports; ++i)
-        f.walker.walk(0x500 + i, WalkKind::Demand, 0, true);
-    WalkResult r = f.walker.walk(0x50f, WalkKind::Demand, 0, true);
+        f.walker.walk(0x500 + i, WalkKind::DemandData, 0);
+    WalkResult r = f.walker.walk(0x50f, WalkKind::DemandData, 0);
     EXPECT_EQ(r.completeCycle - 0, r.latency);
     EXPECT_GE(r.startCycle, 1u);
 }
 
 TEST(Walker, StatsSplitDemandAndPrefetch)
 {
+    // Each kind counts in its own record.
     Fixture f;
     f.pt.mapRange(0x600, 8);
-    f.walker.walk(0x600, WalkKind::Demand, 0, true);
-    f.walker.walk(0x601, WalkKind::Prefetch, 0, false);
-    EXPECT_EQ(f.walker.stats().demandWalks, 1u);
-    EXPECT_EQ(f.walker.stats().prefetchWalks, 1u);
-    EXPECT_GT(f.walker.stats().demandMemRefs, 0u);
-    EXPECT_GT(f.walker.stats().prefetchMemRefs, 0u);
+    const WalkKind kinds[] = {WalkKind::DemandInstr, WalkKind::DemandData,
+                              WalkKind::Prefetch, WalkKind::Correcting};
+    for (unsigned i = 0; i < 4; ++i) {
+        for (unsigned n = 0; n <= i; ++n)
+            f.walker.walk(0x600 + i, kinds[i], 0);
+    }
+    const PageTableWalker::Stats &s = f.walker.stats();
+    unsigned i = 0;
+    for (const PageTableWalker::KindStats *k :
+         {&s.demandInstr, &s.demandData, &s.prefetch, &s.correcting}) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(k->walks, i + 1);
+        EXPECT_GT(k->refs(), 0u);
+        EXPECT_EQ(k->latency.count, i + 1);
+        ++i;
+    }
 }
 
 TEST(Walker, RefsByLevelSumsToMemRefs)
 {
     Fixture f;
-    WalkResult r = f.walker.walk(0x700, WalkKind::Demand, 0, true);
+    WalkResult r = f.walker.walk(0x700, WalkKind::DemandData, 0);
     unsigned total = 0;
     for (unsigned lvl = 0; lvl < 4; ++lvl)
         total += r.refsByLevel[lvl];
@@ -132,8 +152,8 @@ TEST(Walker, AsapCollapsesSerializedChain)
     PageTableWalker walker_a(wa, pt_a, mem_a);
     PageTableWalker walker_b(wb, pt_b, mem_b);
 
-    WalkResult ra = walker_a.walk(0x42, WalkKind::Demand, 0, true);
-    WalkResult rb = walker_b.walk(0x42, WalkKind::Demand, 0, true);
+    WalkResult ra = walker_a.walk(0x42, WalkKind::DemandData, 0);
+    WalkResult rb = walker_b.walk(0x42, WalkKind::DemandData, 0);
     EXPECT_EQ(ra.memRefs, rb.memRefs);
     EXPECT_LT(rb.latency, ra.latency);
 }
@@ -142,9 +162,9 @@ TEST(Walker, WalkLatencyReflectsCacheLocality)
 {
     Fixture f;
     f.pt.mapRange(0x800, 8);
-    WalkResult cold = f.walker.walk(0x800, WalkKind::Demand, 0, true);
+    WalkResult cold = f.walker.walk(0x800, WalkKind::DemandData, 0);
     // Neighbouring page: PSC hit + leaf line already in L1D.
     WalkResult warm =
-        f.walker.walk(0x801, WalkKind::Demand, 1000, true);
+        f.walker.walk(0x801, WalkKind::DemandData, 1000);
     EXPECT_LT(warm.latency, cold.latency);
 }
