@@ -331,7 +331,7 @@ PageTable::saveNode(SnapshotWriter &w, const Node &n) const
 }
 
 void
-PageTable::restoreNode(SnapshotReader &r, std::int32_t ni)
+PageTable::restoreNode(SnapshotReader &r, std::int32_t ni, unsigned depth)
 {
     // The arena may reallocate while children are restored, so
     // arena_[ni] is re-resolved after every recursive call.
@@ -354,10 +354,14 @@ PageTable::restoreNode(SnapshotReader &r, std::int32_t ni)
     }
     for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
         std::uint32_t idx = index("child");
+        // Bounds the recursion by the radix depth, not the payload.
+        if (depth + 1 >= levels_)
+            throw SnapshotError(csprintf(
+                "page table node nested deeper than %u levels", levels_));
         arena_.emplace_back();
         auto ci = static_cast<std::int32_t>(arena_.size() - 1);
         childArrays_.at(arena_[ni].child, idx) = ci;
-        restoreNode(r, ci);
+        restoreNode(r, ci, depth + 1);
     }
 }
 
@@ -373,7 +377,7 @@ PageTable::transfer(Self &self, Ar &ar)
             self.arena_.resize(1);
             self.childArrays_.clear();
             self.frameArrays_.clear();
-            self.restoreNode(ar, 0);
+            self.restoreNode(ar, 0, 0);
         } else {
             self.saveNode(ar, self.arena_[0]);
         }

@@ -416,8 +416,9 @@ class PageTable
      * save/restore pair: writing walks the live tree and reading
      * grows a new one, so the two sides share no lines. */
     void saveNode(SnapshotWriter &w, const Node &n) const;
-    /** Rebuild arena node @p ni and its subtree. */
-    void restoreNode(SnapshotReader &r, std::int32_t ni);
+    /** Rebuild arena node @p ni, @p depth levels below the root, and
+     * its subtree; a child below the last level throws. */
+    void restoreNode(SnapshotReader &r, std::int32_t ni, unsigned depth);
     WalkPath walkHashed(Vpn vpn, bool allocate);
     /** Bucket index for a group, probing linearly from its hash;
      * returns hashBuckets if absent and allocate is false. */

@@ -36,6 +36,8 @@
 #include "sim/result_cache.hh"
 #include "sim/simulator.hh"
 #include "sim/supervisor.hh"
+#include "vm/page_table.hh"
+#include "vm/phys_mem.hh"
 #include "workload/workload_factory.hh"
 
 #include "epoch_fields.hh"
@@ -1019,6 +1021,60 @@ TEST(Snapshot, FrequencyStackSizeBoundedByPayload)
     FrequencyStack freq(64);
     SnapshotReader r = SnapshotReader::fromPayload(w.payload());
     EXPECT_THROW(freq.restore(r), SnapshotError);
+}
+
+namespace
+{
+
+/** A radix page-table image whose root heads a chain of @p nodes
+ * nodes, each the only child of the one above, and holds no page. */
+std::string
+nestedPageTable(unsigned levels, std::uint64_t nodes)
+{
+    SnapshotWriter w;
+    w.section("page_table");
+    PageTableFormat format = PageTableFormat::Radix;
+    w.io(format);
+    w.io(levels);
+    for (std::uint64_t i = 0; i < nodes; ++i) {
+        w.u64(0);  // frame
+        w.u64(0);  // leaves
+        w.u64(0);  // large leaves
+        w.u64(i + 1 < nodes ? 1 : 0);  // children
+        if (i + 1 < nodes)
+            w.u32(0);  // the child's index
+    }
+    w.u64(0);  // hash probes
+    w.u64(0);  // mapped pages
+    return w.payload();
+}
+
+} // namespace
+
+TEST(Snapshot, PageTableDepthBoundedByLevels)
+{
+    // A chain as deep as the radix restores; one node more, in a
+    // 4- and a 5-level table, throws at the child below the last
+    // level.
+    for (unsigned levels : {4u, 5u}) {
+        SCOPED_TRACE(levels);
+        PhysMem phys(1 << 16, 1);
+        PageTable pt(phys, levels);
+        SnapshotReader fits =
+            SnapshotReader::fromPayload(nestedPageTable(levels, levels));
+        EXPECT_NO_THROW(pt.restore(fits));
+        EXPECT_EQ(fits.remaining(), 0u);
+        SnapshotReader r =
+            SnapshotReader::fromPayload(nestedPageTable(levels, levels + 1));
+        EXPECT_THROW(pt.restore(r), SnapshotError);
+    }
+    // Far deeper than any stack: throws at the same node instead of
+    // recursing once per record.
+    PhysMem phys(1 << 16, 1);
+    PageTable pt(phys);
+    SnapshotReader r =
+        SnapshotReader::fromPayload(nestedPageTable(pt.levels(), 1'000'000));
+    EXPECT_THROW(pt.restore(r), SnapshotError);
 }
 
 TEST(Snapshot, WorkloadPathLengthBoundedByPayload)
