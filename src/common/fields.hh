@@ -24,6 +24,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <type_traits>
 
 namespace morrigan
@@ -115,6 +116,27 @@ visitFieldPairs(T &a, const T &b, V &&v)
     visitFields(a, [&](const char *name, auto &f, FieldTag = {}) {
         using F = std::remove_reference_t<decltype(f)>;
         v(name, f, *static_cast<const F *>(bs[i++]));
+    });
+}
+
+/** f(name, value) for every scalar of record @p rec, nested records
+ * and array elements under dotted names that start with @p prefix. */
+template <class R, class F>
+void
+forEachScalar(const R &rec, const std::string &prefix, F &&f)
+{
+    visitFields(rec, [&](const char *key, const auto &v,
+                         FieldTag = FieldTag::Plain) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        const std::string name = prefix + key;
+        if constexpr (Record<T>) {
+            forEachScalar(v, name + ".", f);
+        } else if constexpr (std::is_arithmetic_v<T>) {
+            f(name, v);
+        } else {
+            for (std::size_t i = 0; i < v.size(); ++i)
+                f(name + "." + std::to_string(i), v[i]);
+        }
     });
 }
 

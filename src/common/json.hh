@@ -55,12 +55,11 @@ inline constexpr int traceSchemaVersion = 1;
  * v4: every row names this version: a leading `schema` key in the
  * --stats-json "intervals" rows and the --interval-out JSONL rows, a
  * leading `schema` column in CSV. A row without it is v3 or older.
- * v5: `delta` is {counters, cycles, freqResets, records}: `records`
- * holds the change of every component counter record, keyed by its
- * --stats-json path ("sim.pb": {"hits": ..}), and replaces
- * walkerBusyPortCycles, issued and hits; `counters` loses the
- * counts those records hold. A distribution's min and max are its
- * extremes at the epoch's end, not a change. */
+ * v5: `delta` is {counters, cycles, freqResets, records}, `records`
+ * the change of every component record keyed by its --stats-json
+ * path (a distribution's min and max as at the epoch's end). It
+ * replaces walkerBusyPortCycles, issued, hits and the istlb_mpki,
+ * pb_hit_rate and walker_occupancy rates derived from them. */
 inline constexpr int intervalSchemaVersion = 5;
 /** Version of the BENCH_*.json artifact schema.
  * v2: top-level build_info provenance object. */

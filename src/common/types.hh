@@ -121,13 +121,10 @@ largePageBase(Vpn vpn)
 /** Whether a memory reference is an instruction fetch or a data access. */
 enum class AccessType : std::uint8_t { Instruction, Data };
 
-/** What a page walk serves; the walker counts each kind apart. */
+/** The site a page walk serves; the walker counts each apart. */
 enum class WalkKind : std::uint8_t
 {
-    DemandInstr,  //!< an iSTLB miss the PB did not cover
-    DemandData,   //!< a dSTLB miss
-    Prefetch,     //!< a TLB or I-cache prefetch (non-faulting)
-    Correcting,   //!< clears the access bit of an unused prefetched PTE
+    DemandInstr, DemandData, Prefetch, Correcting
 };
 
 } // namespace morrigan

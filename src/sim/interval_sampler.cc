@@ -75,31 +75,10 @@ subtract(T &d, const T &p)
     }
 }
 
-/** f(column, value) for every scalar of @p rec, nested records and
- * array elements flattened to dotted column names. */
-template <class R, class F>
-void
-forEachColumn(const R &rec, const std::string &prefix, F &&f)
-{
-    visitFields(rec, [&](const char *key, const auto &v,
-                         FieldTag = FieldTag::Plain) {
-        using T = std::remove_cvref_t<decltype(v)>;
-        const std::string name = prefix + key;
-        if constexpr (Record<T>) {
-            forEachColumn(v, name + ".", f);
-        } else if constexpr (std::is_arithmetic_v<T>) {
-            f(name, v);
-        } else {
-            for (std::size_t i = 0; i < v.size(); ++i)
-                f(name + "." + std::to_string(i), v[i]);
-        }
-    });
-}
-
 } // namespace
 
 const IntervalSample &
-IntervalSampler::record(const EpochCounters &now, unsigned walker_ports)
+IntervalSampler::record(const EpochCounters &now)
 {
     telemetry::ScopedSpan span(telemetry::Phase::IntervalSample);
     IntervalSample s;
@@ -108,26 +87,6 @@ IntervalSampler::record(const EpochCounters &now, unsigned walker_ports)
     s.delta = now;
     subtract(s.delta, prev_);
     prev_ = now;
-
-    // The derived rates, all interval-local; a record missing from
-    // the epoch reads as zero.
-    const CounterRecords &d = s.delta.records;
-    const auto *stlb = d.find<Tlb::Stats>("sim.tlb.stlb");
-    const auto *pb = d.find<PrefetchBuffer::Stats>("sim.pb");
-    const auto *walker = d.find<PageTableWalker::Stats>("sim.walker");
-    const double misses = stlb ? static_cast<double>(stlb->instrMisses) : 0;
-    const double kilo_instr =
-        static_cast<double>(s.delta.counters.instructions) / 1000.0;
-    s.istlbMpki = kilo_instr > 0.0 ? misses / kilo_instr : 0.0;
-    s.pbHitRate = misses > 0.0 && pb
-                      ? static_cast<double>(pb->hits) / misses
-                      : 0.0;
-    double port_capacity =
-        s.delta.cycles * static_cast<double>(walker_ports);
-    s.walkerOccupancy =
-        port_capacity > 0.0 && walker
-            ? static_cast<double>(walker->busyPortCycles) / port_capacity
-            : 0.0;
 
     ring_.push_back(s);
     if (ring_.size() > ringCapacity_)
@@ -175,7 +134,7 @@ IntervalSampler::emit(const IntervalSample &s)
     // CSV: the same fields, one column per scalar.
     if (!wroteCsvHeader_) {
         *sink_ << "schema,";
-        forEachColumn(s, "", [this](const std::string &name, auto) {
+        forEachScalar(s, "", [this](const std::string &name, auto) {
             *sink_ << name << ',';
         });
         *sink_ << "wall_ms,delta_instrs_per_sec\n";
@@ -183,7 +142,7 @@ IntervalSampler::emit(const IntervalSample &s)
     }
     const std::streamsize precision = sink_->precision(17);
     *sink_ << json::intervalSchemaVersion << ',';
-    forEachColumn(s, "", [this](const std::string &, auto v) {
+    forEachScalar(s, "", [this](const std::string &, auto v) {
         *sink_ << v << ',';
     });
     sink_->precision(precision);

@@ -5,13 +5,13 @@
  * Every N measured instructions the simulator hands the sampler its
  * cumulative EpochCounters; an epoch stores the change of every
  * field of the run's counters and of every component record (the
- * cycle buckets included: a per-phase cycle breakdown) plus the iSTLB
- * MPKI, PB hit rate and walker-port occupancy derived from it -- the quantities whose *evolution* the paper's
- * phase-change discussion (Figure 14) is about but which an
- * end-of-run report averages away. A distribution's count and sum
- * are differenced like any counter; its min and max are extremes,
- * which do not difference, so an epoch carries them as they stand at
- * the epoch's end (the extremes since measurement start).
+ * cycle buckets included: a per-phase cycle breakdown). iSTLB misses,
+ * PB hits and walker busy port-cycles per epoch are the quantities
+ * whose *evolution* the paper's phase-change discussion (Figure 14)
+ * is about but which an end-of-run report averages away. A
+ * distribution's min and max do not difference: an epoch carries
+ * them as they stand at its end (the extremes since measurement
+ * start).
  *
  * The sampler keeps a bounded ring of epochs for programmatic access
  * (tests, the --stats-json "intervals" array) and optionally streams
@@ -36,8 +36,6 @@
 #include <deque>
 #include <ostream>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -61,28 +59,13 @@ using CounterRecord =
                  PageTableWalker::Stats, Tlb::Stats, PrefetchBuffer::Stats,
                  PrefetchTracer::Outcomes>;
 
-/**
- * Copies of the component counter records, each under its dotted
- * path, in Simulator::forEachCounters() order. visitFields() visits
- * one field per record, named by its path, so JSON nests each record
- * under its path and CSV prefixes its columns with it. The list is
- * the run's, not a fixed one: a snapshot restores the values into a
- * list of the same shape, and visitFieldPairs() does not apply.
- */
+/** Copies of the component records under their dotted paths, in
+ * Simulator::forEachCounters() order: one visited field per record.
+ * The list is the run's, not fixed, so a snapshot restores values
+ * into a list of the same shape and visitFieldPairs() does not apply. */
 struct CounterRecords
 {
     std::vector<std::pair<std::string, CounterRecord>> list;
-
-    /** The record of type @p R under @p path, or nullptr. */
-    template <class R>
-    const R *
-    find(std::string_view path) const
-    {
-        for (const auto &[p, rec] : list)
-            if (p == path)
-                return std::get_if<R>(&rec);
-        return nullptr;
-    }
 
     template <RecordOf<CounterRecords> Self, class V>
     friend void visitFields(Self &s, V &&v)
@@ -92,12 +75,9 @@ struct CounterRecords
     }
 };
 
-/**
- * The cumulative counters an epoch is the difference of: the run's
- * own counter record, the measured cycles, the prefetcher's
- * frequency-stack resets (prefetcher state, not a counter record)
- * and every component record.
- */
+/** The cumulative counters an epoch is the difference of: the run's
+ * own, the measured cycles, the prefetcher's frequency-stack resets
+ * (prefetcher state, in no record) and every component record. */
 struct EpochCounters
 {
     RunCounters counters;
@@ -117,16 +97,12 @@ struct EpochCounters
 };
 static_assert(visitsEveryField<EpochCounters>());
 
-/** One epoch: the change of every counter over the interval, and
- * the rates derived from those changes. */
+/** One epoch: the change of every counter over the interval. */
 struct IntervalSample
 {
     std::uint64_t epoch = 0;         //!< index from measurement start
     std::uint64_t instructions = 0;  //!< cumulative at sample point
     EpochCounters delta;
-    double istlbMpki = 0.0;
-    double pbHitRate = 0.0;          //!< PB hits / iSTLB misses
-    double walkerOccupancy = 0.0;    //!< busy port-cycles fraction
 
     /** The fields, with their JSON keys, in snapshot order
      * (common/fields.hh). */
@@ -136,9 +112,6 @@ struct IntervalSample
         v("epoch", s.epoch);
         v("instructions", s.instructions);
         v("delta", s.delta);
-        v("istlb_mpki", s.istlbMpki);
-        v("pb_hit_rate", s.pbHitRate);
-        v("walker_occupancy", s.walkerOccupancy);
     }
 };
 static_assert(visitsEveryField<IntervalSample>());
@@ -171,10 +144,8 @@ class IntervalSampler
      * @p baseline. */
     void beginMeasurement(const EpochCounters &baseline = {});
 
-    /** Record one epoch from cumulative counters; @p walker_ports
-     * scales the walker's busy port-cycles into an occupancy. */
-    const IntervalSample &record(const EpochCounters &now,
-                                 unsigned walker_ports);
+    /** Record one epoch from cumulative counters. */
+    const IntervalSample &record(const EpochCounters &now);
 
     /** The retained epochs, oldest first. */
     const std::deque<IntervalSample> &samples() const { return ring_; }

@@ -32,15 +32,8 @@ enum class Stall : std::uint8_t
 };
 inline constexpr unsigned numStalls = 5;
 
-/**
- * Measurement counters, reset after warmup: the facts no component
- * observes. The TLBs, the PB, the caches and the walker count their
- * own misses, hits and walks in their records, and SimResult reads
- * those; what stays here is the run's length, the PB hits split by
- * the producer of the hit entry (the PB does not attribute hits), the
- * stall buckets, the simulator's duplicate filter, the I-cache
- * prefetch path, context switches and the PB hit distance.
- */
+/** Measurement counters, reset after warmup: only facts no
+ * component record counts (SimResult reads those from the records). */
 struct RunCounters
 {
     std::uint64_t instructions = 0;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <numeric>
 #include <optional>
-#include <ranges>
 #include <string>
 #include <type_traits>
 
@@ -548,7 +548,7 @@ Simulator::simulateInstruction(const TraceRecord &rec, unsigned tid)
 void
 Simulator::takeIntervalSample()
 {
-    sampler_->record(epochCounters(), walker_.ports());
+    sampler_->record(epochCounters());
 }
 
 EpochCounters
@@ -880,28 +880,19 @@ Simulator::forEachStats(F &&f) const
 namespace
 {
 
-/** One `prefix.name value` line per field of @p rec; nested records
- * add their name to the prefix. */
+/** One `prefix.name value` line per scalar of @p rec. */
 template <class R>
 void
 writeStatLines(std::ostream &os, const std::string &prefix, const R &rec)
 {
-    visitFields(rec, [&](const char *name, const auto &v,
-                         FieldTag = FieldTag::Plain) {
-        using T = std::remove_cvref_t<decltype(v)>;
-        const std::string path = prefix + '.' + name;
-        if constexpr (Record<T>) {
-            writeStatLines(os, path, v);
-        } else if constexpr (std::ranges::range<T>) {
-            for (std::size_t i = 0; i < v.size(); ++i)
-                os << path << '.' << i << ' ' << v[i] << '\n';
-        } else if constexpr (std::is_same_v<T, double>) {
+    forEachScalar(rec, prefix + '.', [&os](const std::string &name, auto v) {
+        os << name << ' ';
+        if constexpr (std::is_same_v<decltype(v), double>) {
             char buf[32];
             auto res = std::to_chars(buf, buf + sizeof(buf), v);
-            os << path << ' ' << std::string_view(buf, res.ptr - buf)
-               << '\n';
+            os << std::string_view(buf, res.ptr - buf) << '\n';
         } else {
-            os << path << ' ' << v << '\n';
+            os << v << '\n';
         }
     });
 }
@@ -965,16 +956,20 @@ Simulator::buildResult() const
                        static_cast<double>(r.istlbMisses)
                      : 0.0;
 
-    r.demandWalks = walks.demandInstr.walks + walks.demandData.walks;
-    r.demandWalksInstr = walks.demandInstr.walks;
-    r.demandWalkRefs = walks.demandInstr.refs() + walks.demandData.refs();
-    r.demandWalkRefsInstr = walks.demandInstr.refs();
-    r.prefetchWalks = walks.prefetch.walks;
-    r.prefetchWalkRefs = walks.prefetch.refs();
-    r.prefetchWalkRefsByLevel = walks.prefetch.refsByLevel;
+    auto refs = [](const PageTableWalker::KindStats &k) {
+        return std::accumulate(k.refsByLevel.begin(), k.refsByLevel.end(),
+                               std::uint64_t{0});
+    };
     auto mean = [](const Distribution &d) {
         return d.count > 0 ? d.sum / d.count : 0.0;
     };
+    r.demandWalks = walks.demandInstr.walks + walks.demandData.walks;
+    r.demandWalksInstr = walks.demandInstr.walks;
+    r.demandWalkRefs = refs(walks.demandInstr) + refs(walks.demandData);
+    r.demandWalkRefsInstr = refs(walks.demandInstr);
+    r.prefetchWalks = walks.prefetch.walks;
+    r.prefetchWalkRefs = refs(walks.prefetch);
+    r.prefetchWalkRefsByLevel = walks.prefetch.refsByLevel;
     r.meanDemandWalkLatencyInstr = mean(walks.demandInstr.latency);
     r.meanDemandWalkLatencyData = mean(walks.demandData.latency);
 

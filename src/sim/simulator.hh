@@ -154,10 +154,8 @@ class Simulator
         return cfg_.warmupInstructions + cfg_.simInstructions;
     }
 
-    /** The cumulative counters an interval epoch differences: the
-     * run's own counters, the measured cycles, the prefetcher's
-     * frequency-stack resets and a copy of every record
-     * forEachCounters() lists. */
+    /** The cumulative counters an interval epoch differences, with a
+     * copy of every record forEachCounters() lists. */
     EpochCounters epochCounters() const;
 
     /** --stats: one `path.field value` line per component record
@@ -212,12 +210,8 @@ class Simulator
     }
     /** Whether the PB participates in demand miss handling. */
     bool pbActive() const;
-    /**
-     * Genuine iSTLB misses so far: the STLB's instruction-side
-     * misses, except under perfectIstlb, where the idealised lookup
-     * serves every one of them and none is genuine. Also the PB's
-     * insertion clock (PbEntry::insertSeq).
-     */
+    /** Genuine iSTLB misses: the STLB's instruction misses, none
+     * under perfectIstlb. Also the PB's insertion clock. */
     std::uint64_t
     istlbMisses() const
     {

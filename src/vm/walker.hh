@@ -90,19 +90,10 @@ class PageTableWalker
     {
         /** walks */
         std::uint64_t walks = 0;
-        /** memory references, by the level that served them
-         * (MemLevel index) */
+        /** memory references by serving level (MemLevel index) */
         std::array<std::uint64_t, 4> refsByLevel{};
         /** walk latency (cycles), port queueing included */
         Distribution latency;
-
-        /** All levels' references. */
-        std::uint64_t
-        refs() const
-        {
-            return refsByLevel[0] + refsByLevel[1] + refsByLevel[2] +
-                   refsByLevel[3];
-        }
 
         template <RecordOf<KindStats> Self, class V>
         friend constexpr void visitFields(Self &s, V &&v)
@@ -156,8 +147,7 @@ class PageTableWalker
      *
      * @param vpn Virtual page to translate.
      * @param kind What the walk serves: the record it counts in, and
-     * its fault policy (demand walks allocate on a fault; prefetch
-     * and correcting walks are non-faulting).
+     * its fault policy (only demand walks allocate on a fault).
      * @param now Request cycle.
      */
     WalkResult walk(Vpn vpn, WalkKind kind, Cycle now);

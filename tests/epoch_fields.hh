@@ -14,7 +14,9 @@
 
 #include <cmath>
 #include <deque>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <variant>
 
@@ -58,6 +60,17 @@ forEachScalarPair(T &a, const T &b, F &&f, const std::string &name = "")
         for (std::size_t i = 0; i < a.size(); ++i)
             f(name + "." + std::to_string(i), a[i], b[i]);
     }
+}
+
+/** The record of type @p R under @p path in @p records. */
+template <class R>
+const R &
+recordAt(const CounterRecords &records, std::string_view path)
+{
+    for (const auto &[p, rec] : records.list)
+        if (p == path)
+            return std::get<R>(rec);
+    throw std::out_of_range(std::string(path));
 }
 
 /** Whether @p name is a distribution's min or max: an epoch carries

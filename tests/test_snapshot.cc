@@ -934,7 +934,7 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
         in.counters.baseCycles += 250.0;
         in.freqResets = e / 7;
         walker.busyPortCycles += 40 + e;
-        a.record(in, 2);
+        a.record(in);
     }
     ASSERT_EQ(a.samples().size(), 8u);
     EXPECT_EQ(a.samples().front().epoch, 12u);
@@ -959,8 +959,8 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
 
     // Recording continues seamlessly on the restored ring.
     in.counters.instructions += 1000;
-    const IntervalSample &sa = a.record(in, 2);
-    const IntervalSample &sb = b.record(in, 2);
+    const IntervalSample &sa = a.record(in);
+    const IntervalSample &sb = b.record(in);
     EXPECT_EQ(sa.epoch, 20u);
     EXPECT_EQ(sb.epoch, 20u);
     EXPECT_EQ(a.samples().front().epoch, 13u);

@@ -122,7 +122,9 @@ TEST(Walker, StatsSplitDemandAndPrefetch)
          {&s.demandInstr, &s.demandData, &s.prefetch, &s.correcting}) {
         SCOPED_TRACE(i);
         EXPECT_EQ(k->walks, i + 1);
-        EXPECT_GT(k->refs(), 0u);
+        EXPECT_GT(k->refsByLevel[0] + k->refsByLevel[1] +
+                      k->refsByLevel[2] + k->refsByLevel[3],
+                  0u);
         EXPECT_EQ(k->latency.count, i + 1);
         ++i;
     }
