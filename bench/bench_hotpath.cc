@@ -326,7 +326,7 @@ main()
     row("zipf-sample", mops(20'000'000, zipfSample), "Mop/s",
         "guided inverse-CDF draw, 320 hot pages");
     row("page-translate", mops(20'000'000, pageTranslate), "Mop/s",
-        "flat-map 4K/2M translate with miss share");
+        "radix-tree 4K/2M translate with miss share");
     row("workload-nextblock", mops(20'000'000, workloadNextBlock),
         "Mop/s", "batched server-workload generation");
     row("prt-lookup", mops(20'000'000, prtLookup), "Mop/s",
