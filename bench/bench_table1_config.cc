@@ -44,7 +44,7 @@ main()
     std::printf("%-22s %u-entry, fully assoc, %llu-cycle "
                 "(64-entry, fully assoc, 2-cycle)\n",
                 "Prefetch Buffer (PB)", cfg.pbEntries,
-                static_cast<unsigned long long>(cfg.pbLatency));
+                static_cast<unsigned long long>(pbLatency));
 
     auto cache_line = [](const char *name, const CacheParams &p,
                          const char *paper) {
@@ -67,7 +67,6 @@ main()
                 cfg.mem.dram.banks);
     std::printf("%-22s %u-wide, data-MLP factor %.2f, fetch overlap "
                 "%.2f (4-wide OoO, hashed perceptron BP)\n",
-                "Core", cfg.width, cfg.dataMlpFactor,
-                cfg.fetchOverlapFactor);
+                "Core", coreWidth, dataMlpFactor, fetchOverlapFactor);
     return 0;
 }

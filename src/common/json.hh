@@ -41,8 +41,15 @@ namespace morrigan::json
  * by its dotted path ("sim.mem.l1i": {"accesses": ..}), with no
  * `desc` text; a distribution is {count, sum, min, max}; `config`
  * echoes the run's SimConfig; trace_summary rows gain walk_latency
- * and late_wait. */
-inline constexpr int statsSchemaVersion = 5;
+ * and late_wait.
+ * v6: counts that other counts determine are gone: sim.pb lookups
+ * (= hits + misses), sim.psc lookups (= pd_hits + pdp_hits +
+ * pml4_hits + full_misses), sim.mem.dram accesses (= row_hits +
+ * row_conflicts), each sim.walker kind's walks (= latency.count) and
+ * the tracer's hits_late (= late_wait.count); `config` no longer
+ * echoes pbLatency, width, dataMlpFactor, fetchOverlapFactor and
+ * frontendRedirectPenalty, which are constants (sim/sim_config.hh). */
+inline constexpr int statsSchemaVersion = 6;
 /** Version of the JSONL prefetch-trace event schema. */
 inline constexpr int traceSchemaVersion = 1;
 /** Version of the interval time-series record schema.
@@ -59,8 +66,11 @@ inline constexpr int traceSchemaVersion = 1;
  * the change of every component record keyed by its --stats-json
  * path (a distribution's min and max as at the epoch's end). It
  * replaces walkerBusyPortCycles, issued, hits and the istlb_mpki,
- * pb_hit_rate and walker_occupancy rates derived from them. */
-inline constexpr int intervalSchemaVersion = 5;
+ * pb_hit_rate and walker_occupancy rates derived from them.
+ * v6: `records` loses the counts stats schema v6 deletes, and the
+ * last epoch carries the tracer's end-of-run `residual` counts, so
+ * the epochs add up to every sim.prefetch_trace count. */
+inline constexpr int intervalSchemaVersion = 6;
 /** Version of the BENCH_*.json artifact schema.
  * v2: top-level build_info provenance object. */
 inline constexpr int benchSchemaVersion = 2;
@@ -73,8 +83,10 @@ inline constexpr int benchSchemaVersion = 2;
  * v3: the prefetcher key component is the registry spec string (CLI
  * spelling, '+'-joined for hybrid compositions) instead of the old
  * enum display name, so registry-named prefetchers and hybrids key
- * correctly; stale v2 keys simply miss and rerun. */
-inline constexpr int resultCacheSchemaVersion = 3;
+ * correctly; stale v2 keys simply miss and rerun.
+ * v4: the SimConfig part loses pbLatency, width, dataMlpFactor,
+ * fetchOverlapFactor and frontendRedirectPenalty, now constants. */
+inline constexpr int resultCacheSchemaVersion = 4;
 /** Version of the campaign-journal JSONL record schema
  * (sim/supervisor.hh). Still v1 after the optional duration_ms key
  * was added: the reader tolerates its absence, and a bump would

@@ -70,8 +70,16 @@ namespace morrigan
  * record counts each WalkKind apart; interval epochs carry every
  * component record (path, variant index, fields) in place of the
  * walker's busy port-cycles and the tracer's issued/hit arrays.
+ * v7: no component writes a counter that no report reads (IRIP's
+ * statistics, the MANA, FDIP, FNL+MMA, ASP and DP counters, the
+ * hashed page table's probe count) or a count that other counts
+ * determine (PB and PSC lookups, DRAM accesses, per-kind walks,
+ * late tracer hits); the configuration key loses the five cycle
+ * constants (pbLatency, coreWidth, dataMlpFactor, fetchOverlapFactor,
+ * frontendRedirectPenalty), and the last interval epoch carries the
+ * tracer's end-of-run residual counts.
  */
-constexpr std::uint32_t snapshotSchemaVersion = 6;
+constexpr std::uint32_t snapshotSchemaVersion = 7;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error

@@ -45,7 +45,6 @@ StridePrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
                                   std::vector<PrefetchRequest> &out)
 {
     (void)tid;
-    ++lookups_;
     if (AspEntry *e = table_.find(pc)) {
         PageDelta stride =
             static_cast<PageDelta>(vpn) -
@@ -60,9 +59,7 @@ StridePrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
         e->lastVpn = vpn;
         return;
     }
-    Addr victim = 0;
-    if (table_.insert(pc, AspEntry{vpn, 0, false}, &victim))
-        ++conflicts_;
+    table_.insert(pc, AspEntry{vpn, 0, false});
 }
 
 std::size_t
@@ -101,10 +98,7 @@ DistancePrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     if (h.distValid) {
         DpEntry *e = table_.probe(h.prevDist);
         if (!e) {
-            ++lookups_;
-            PageDelta victim = 0;
-            if (table_.insert(h.prevDist, DpEntry{}, &victim))
-                ++conflicts_;
+            table_.insert(h.prevDist, DpEntry{});
             e = table_.probe(h.prevDist);
         }
         bool present = false;
@@ -120,7 +114,6 @@ DistancePrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     }
 
     // Predict: what distances tend to follow the current one?
-    ++lookups_;
     if (DpEntry *e = table_.find(dist)) {
         for (unsigned s = 0; s < slots; ++s) {
             if (e->valid[s]) {

@@ -67,10 +67,6 @@ class StridePrefetcher : public TlbPrefetcher
 
     std::size_t storageBits() const override;
 
-    /** Lookups that evicted a live entry (conflict rate metric). */
-    std::uint64_t conflicts() const { return conflicts_; }
-    std::uint64_t lookups() const { return lookups_; }
-
     void save(SnapshotWriter &w) const override { transfer(*this, w); }
     void restore(SnapshotReader &r) override { transfer(*this, r); }
 
@@ -85,8 +81,6 @@ class StridePrefetcher : public TlbPrefetcher
             a.io(e.stride);
             a.io(e.confirmed);
         });
-        ar.io(self.conflicts_);
-        ar.io(self.lookups_);
     }
 
     struct AspEntry
@@ -97,8 +91,6 @@ class StridePrefetcher : public TlbPrefetcher
     };
 
     SetAssocTable<Addr, AspEntry> table_;
-    std::uint64_t conflicts_ = 0;
-    std::uint64_t lookups_ = 0;
 };
 
 /**
@@ -124,9 +116,6 @@ class DistancePrefetcher : public TlbPrefetcher
 
     std::size_t storageBits() const override;
 
-    std::uint64_t conflicts() const { return conflicts_; }
-    std::uint64_t lookups() const { return lookups_; }
-
     void save(SnapshotWriter &w) const override { transfer(*this, w); }
     void restore(SnapshotReader &r) override { transfer(*this, r); }
 
@@ -149,8 +138,6 @@ class DistancePrefetcher : public TlbPrefetcher
             ar.io(h.vpnValid);
             ar.io(h.distValid);
         }
-        ar.io(self.conflicts_);
-        ar.io(self.lookups_);
     }
 
     struct DpEntry
@@ -170,8 +157,6 @@ class DistancePrefetcher : public TlbPrefetcher
         bool distValid = false;
     };
     History hist_[2];
-    std::uint64_t conflicts_ = 0;
-    std::uint64_t lookups_ = 0;
 };
 
 /**

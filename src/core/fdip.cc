@@ -53,7 +53,6 @@ FdipPrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
         req.tag.table = tagTable;
         req.tag.sourcePage = cur;
         out.push_back(req);
-        ++runahead_;
         cur = e->next;
     }
 }
@@ -65,7 +64,6 @@ FdipPrefetcher::creditPbHit(const PrefetchTag &tag)
         tag.table != tagTable) {
         return;
     }
-    ++creditedHits_;
     // The fetch unit really did walk onto the predicted page:
     // reinforce the producing edge.
     if (FtqEntry *e = table_.probe(tag.sourcePage)) {

@@ -64,9 +64,6 @@ class FdipPrefetcher : public TlbPrefetcher
 
     std::size_t storageBits() const override;
 
-    std::uint64_t runaheadPrefetches() const { return runahead_; }
-    std::uint64_t creditedHits() const { return creditedHits_; }
-
     void save(SnapshotWriter &w) const override { transfer(*this, w); }
     void restore(SnapshotReader &r) override { transfer(*this, r); }
 
@@ -84,8 +81,6 @@ class FdipPrefetcher : public TlbPrefetcher
             ar.io(h.prevVpn);
             ar.io(h.valid);
         }
-        ar.io(self.runahead_);
-        ar.io(self.creditedHits_);
     }
 
     struct FtqEntry
@@ -103,8 +98,6 @@ class FdipPrefetcher : public TlbPrefetcher
         bool valid = false;
     };
     History hist_[2];
-    std::uint64_t runahead_ = 0;
-    std::uint64_t creditedHits_ = 0;
 };
 
 class PrefetcherRegistry;

@@ -70,10 +70,8 @@ FnlMmaTlbPrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
 
     // MMA prediction: prefetch the VPN expected several misses out.
     if (const MmaEntry *e = mmaTable_.find(vpn)) {
-        if (e->confidence >= 1) {
+        if (e->confidence >= 1)
             push(out, e->future, vpn);
-            ++mmaPredictions_;
-        }
     }
 }
 
@@ -84,7 +82,6 @@ FnlMmaTlbPrefetcher::creditPbHit(const PrefetchTag &tag)
         tag.table != tagTable) {
         return;
     }
-    ++creditedHits_;
     // Useful lookahead: reinforce the producing trigger entry so a
     // later retraining attempt has to out-vote a confirmed pair.
     if (MmaEntry *e = mmaTable_.probe(tag.sourcePage)) {

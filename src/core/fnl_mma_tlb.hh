@@ -67,9 +67,6 @@ class FnlMmaTlbPrefetcher : public TlbPrefetcher
 
     std::size_t storageBits() const override;
 
-    std::uint64_t mmaPredictions() const { return mmaPredictions_; }
-    std::uint64_t creditedHits() const { return creditedHits_; }
-
     void save(SnapshotWriter &w) const override { transfer(*this, w); }
     void restore(SnapshotReader &r) override { transfer(*this, r); }
 
@@ -88,8 +85,6 @@ class FnlMmaTlbPrefetcher : public TlbPrefetcher
         ar.io(self.missHistory_);
         ar.io(self.histPos_);
         ar.io(self.missCount_);
-        ar.io(self.mmaPredictions_);
-        ar.io(self.creditedHits_);
     }
 
     FnlMmaTlbParams params_;
@@ -102,8 +97,6 @@ class FnlMmaTlbPrefetcher : public TlbPrefetcher
     std::vector<Vpn> missHistory_;  //!< circular trigger ring
     std::size_t histPos_ = 0;
     std::uint64_t missCount_ = 0;
-    std::uint64_t mmaPredictions_ = 0;
-    std::uint64_t creditedHits_ = 0;
 };
 
 class PrefetcherRegistry;

@@ -119,7 +119,6 @@ Irip::updatePreviousEntry(Vpn prev_vpn, int prev_table, PageDelta dist)
     if (!entry || entry->vpn != prev_vpn) {
         // The entry was evicted (or aliased away) since the register
         // was written; drop the update.
-        ++stats_.staleUpdates;
         return;
     }
 
@@ -132,7 +131,6 @@ Irip::updatePreviousEntry(Vpn prev_vpn, int prev_table, PageDelta dist)
     if (terminal) {
         // Figure 12 steps 24-25: victimise the lowest-confidence slot.
         table.replaceMinConfidenceSlot(prev_vpn, dist);
-        ++stats_.slotReplacements;
         return;
     }
 
@@ -157,7 +155,6 @@ Irip::updatePreviousEntry(Vpn prev_vpn, int prev_table, PageDelta dist)
         "IRIP promotion of vpn %#llx from table %d dropped part of "
         "its successor set",
         static_cast<unsigned long long>(prev_vpn), prev_table);
-    ++stats_.transfers;
 }
 
 void
@@ -169,7 +166,6 @@ Irip::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     History &h = hist_[tid];
 
     freq_.recordMiss(vpn);
-    ++stats_.lookups;
 
     // 1. Parallel lookup in all tables; at most one can hit.
     int hit_table = -1;
@@ -185,8 +181,6 @@ Irip::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     // 2. Generate one prefetch per valid slot; the highest-confidence
     //    slot gets the free spatial prefetch.
     if (entry) {
-        ++stats_.hits;
-        ++stats_.hitsPerTable[hit_table];
         const PrtSlot *best = nullptr;
         for (const PrtSlot &s : entry->slots)
             if (s.valid && (!best || s.confidence > best->confidence))
@@ -203,7 +197,6 @@ Irip::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
             req.tag.sourcePage = vpn;
             req.tag.distance = s.distance;
             out.push_back(req);
-            ++stats_.prefetchesIssued;
         }
     }
 
@@ -211,12 +204,10 @@ Irip::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     if (h.valid && h.prevVpn != vpn) {
         PageDelta dist = static_cast<PageDelta>(vpn) -
                          static_cast<PageDelta>(h.prevVpn);
-        if (dist > PredictionTable::maxDistance ||
-            dist < -PredictionTable::maxDistance) {
-            ++stats_.distanceOutOfRange;
-        } else {
+        // A distance too wide for a slot trains nothing.
+        if (dist <= PredictionTable::maxDistance &&
+            dist >= -PredictionTable::maxDistance)
             updatePreviousEntry(h.prevVpn, h.prevTable, dist);
-        }
     }
 
     // 4. A missing page is always installed in the smallest table;
@@ -227,7 +218,6 @@ Irip::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
         if (current_table < 0) {
             tables_[0]->install(vpn, {});
             current_table = 0;
-            ++stats_.inserts;
         }
     } else if (!tables_[current_table]->probe(vpn) ||
                tables_[current_table]->probe(vpn)->vpn != vpn) {
@@ -236,7 +226,6 @@ Irip::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
         if (current_table < 0) {
             tables_[0]->install(vpn, {});
             current_table = 0;
-            ++stats_.inserts;
         }
     }
 

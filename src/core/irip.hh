@@ -58,20 +58,6 @@ struct IripParams
     IripParams fullyAssociative() const;
 };
 
-/** Running statistics of the IRIP module. */
-struct IripStats
-{
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t hitsPerTable[8] = {};
-    std::uint64_t inserts = 0;
-    std::uint64_t transfers = 0;
-    std::uint64_t slotReplacements = 0;
-    std::uint64_t distanceOutOfRange = 0;
-    std::uint64_t prefetchesIssued = 0;
-    std::uint64_t staleUpdates = 0;  //!< prev entry evicted meanwhile
-};
-
 /** The IRIP ensemble prefetcher. */
 class Irip : public TlbPrefetcher
 {
@@ -94,7 +80,6 @@ class Irip : public TlbPrefetcher
         return freq_.resets();
     }
 
-    const IripStats &iripStats() const { return stats_; }
     const FrequencyStack &frequencyStack() const { return freq_; }
     std::size_t numTables() const { return tables_.size(); }
     const PredictionTable &table(std::size_t i) const
@@ -127,16 +112,6 @@ class Irip : public TlbPrefetcher
             ioAs<std::int64_t>(ar, h.prevTable);
             ar.io(h.valid);
         }
-        auto &s = self.stats_;
-        ar.io(s.lookups);
-        ar.io(s.hits);
-        ar.io(s.hitsPerTable);
-        ar.io(s.inserts);
-        ar.io(s.transfers);
-        ar.io(s.slotReplacements);
-        ar.io(s.distanceOutOfRange);
-        ar.io(s.prefetchesIssued);
-        ar.io(s.staleUpdates);
     }
 
     void updatePreviousEntry(Vpn prev_vpn, int prev_table,
@@ -155,8 +130,6 @@ class Irip : public TlbPrefetcher
         bool valid = false;
     };
     History hist_[2];
-
-    IripStats stats_;
 };
 
 } // namespace morrigan

@@ -57,7 +57,6 @@ ManaPrefetcher::hobIndexOf(Vpn vpn)
     std::uint8_t idx = static_cast<std::uint8_t>(hobNext_);
     hob_[idx] = high;
     hobNext_ = (hobNext_ + 1) % params_.hobEntries;
-    ++hobConflicts_;
     return idx;
 }
 
@@ -87,7 +86,6 @@ ManaPrefetcher::commitRegion(OpenRegion &open, Vpn next_trigger)
     rec.succLow =
         static_cast<std::uint16_t>(next_trigger & low_mask);
     records_.insert(open.trigger, rec);
-    ++recordsCommitted_;
     open = OpenRegion{};
 }
 
@@ -98,7 +96,6 @@ ManaPrefetcher::replayFrom(Vpn trigger,
     const ManaRecord *rec = records_.find(trigger);
     if (!rec)
         return;
-    ++replays_;
     Vpn cur = trigger;
     for (unsigned depth = 0; depth < params_.replayDepth; ++depth) {
         for (unsigned i = 0; i < params_.regionPages; ++i) {
@@ -140,16 +137,6 @@ ManaPrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     open.footprint = 0;
     open.valid = true;
     replayFrom(vpn, out);
-}
-
-void
-ManaPrefetcher::creditPbHit(const PrefetchTag &tag)
-{
-    if (tag.producer != PrefetchProducer::Other ||
-        tag.table != tagTable) {
-        return;
-    }
-    ++creditedHits_;
 }
 
 void

@@ -57,7 +57,9 @@ struct ManaParams
 class ManaPrefetcher : public TlbPrefetcher
 {
   public:
-    /** Discriminates this plugin's PB tags for credit routing. */
+    /** Marks this plugin's PB tags, so that no other member of a
+     * composition takes their credit (MANA itself learns nothing
+     * from PB hits). */
     static constexpr std::uint8_t tagTable = 0xf2;
 
     explicit ManaPrefetcher(const ManaParams &params = {});
@@ -67,16 +69,9 @@ class ManaPrefetcher : public TlbPrefetcher
     void onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
                          std::vector<PrefetchRequest> &out) override;
 
-    void creditPbHit(const PrefetchTag &tag) override;
-
     void onContextSwitch() override;
 
     std::size_t storageBits() const override;
-
-    std::uint64_t recordsCommitted() const { return recordsCommitted_; }
-    std::uint64_t replays() const { return replays_; }
-    std::uint64_t hobConflicts() const { return hobConflicts_; }
-    std::uint64_t creditedHits() const { return creditedHits_; }
 
     void save(SnapshotWriter &w) const override { transfer(*this, w); }
     void restore(SnapshotReader &r) override { transfer(*this, r); }
@@ -102,10 +97,6 @@ class ManaPrefetcher : public TlbPrefetcher
             ar.io(open.footprint);
             ar.io(open.valid);
         }
-        ar.io(self.recordsCommitted_);
-        ar.io(self.replays_);
-        ar.io(self.hobConflicts_);
-        ar.io(self.creditedHits_);
     }
 
     struct ManaRecord
@@ -136,10 +127,6 @@ class ManaPrefetcher : public TlbPrefetcher
     std::uint32_t hobUsed_ = 0;   //!< filled slots, [0, hobUsed_)
     std::uint32_t hobNext_ = 0;   //!< round-robin cursor once full
     OpenRegion open_[2];
-    std::uint64_t recordsCommitted_ = 0;
-    std::uint64_t replays_ = 0;
-    std::uint64_t hobConflicts_ = 0;
-    std::uint64_t creditedHits_ = 0;
 };
 
 class PrefetcherRegistry;

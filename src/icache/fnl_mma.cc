@@ -50,10 +50,8 @@ FnlMmaPrefetcher::onFetch(Addr pc, bool l1i_miss,
 
     // MMA prediction: prefetch the line expected several misses out.
     if (const MmaEntry *e = mmaTable_.find(line)) {
-        if (e->confidence >= 1) {
+        if (e->confidence >= 1)
             out.push_back(e->future << lineShift);
-            ++mmaPredictions_;
-        }
     }
 }
 

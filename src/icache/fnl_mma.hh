@@ -54,8 +54,6 @@ class FnlMmaPrefetcher : public ICachePrefetcher
 
     bool crossesPageBoundaries() const override { return true; }
 
-    std::uint64_t mmaPredictions() const { return mmaPredictions_; }
-
     void save(SnapshotWriter &w) const override { transfer(*this, w); }
     void restore(SnapshotReader &r) override { transfer(*this, r); }
 
@@ -73,7 +71,6 @@ class FnlMmaPrefetcher : public ICachePrefetcher
         ar.io(self.missHistory_);
         ar.io(self.histPos_);
         ar.io(self.missCount_);
-        ar.io(self.mmaPredictions_);
     }
 
     FnlMmaParams params_;
@@ -86,7 +83,6 @@ class FnlMmaPrefetcher : public ICachePrefetcher
     std::vector<Addr> missHistory_;       //!< circular, line addrs
     std::size_t histPos_ = 0;
     std::uint64_t missCount_ = 0;
-    std::uint64_t mmaPredictions_ = 0;
 };
 
 } // namespace morrigan

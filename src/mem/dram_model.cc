@@ -21,7 +21,6 @@ DramModel::DramModel(const DramParams &params) : params_(params)
 Cycle
 DramModel::access(Addr addr)
 {
-    ++stats_.accesses;
     std::uint64_t row = addr >> rowShift_;
     std::uint32_t bank =
         static_cast<std::uint32_t>(row & (params_.banks - 1));

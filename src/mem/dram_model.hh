@@ -45,11 +45,9 @@ class DramModel
 {
   public:
     /** Counters (common/fields.hh); the visit names are the --stats
-     * names. */
+     * names. Accesses are row hits + row conflicts. */
     struct Stats
     {
-        /** DRAM accesses */
-        std::uint64_t accesses = 0;
         /** open-row hits */
         std::uint64_t rowHits = 0;
         /** row-buffer conflicts */
@@ -58,7 +56,6 @@ class DramModel
         template <RecordOf<Stats> Self, class V>
         friend constexpr void visitFields(Self &s, V &&v)
         {
-            v("accesses", s.accesses);
             v("row_hits", s.rowHits);
             v("row_conflicts", s.rowConflicts);
         }

@@ -189,7 +189,6 @@ PrefetchTracer::pbEvent(PbObserver::Event ev, const PbEntry &entry,
         name = "hit";
         break;
       case Event::HitPending:
-        ++cs.hitsLate;
         cs.lateWait.sample(static_cast<double>(
             entry.readyAt > now ? entry.readyAt - now : 0));
         name = "hit";

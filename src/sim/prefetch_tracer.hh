@@ -87,8 +87,6 @@ class PrefetchTracer : public PbObserver
         std::uint64_t installed = 0;
         /** timely PB hits (walk complete) */
         std::uint64_t hitsReady = 0;
-        /** late PB hits (walk still in flight) */
-        std::uint64_t hitsLate = 0;
         /** evicted from the PB without a hit */
         std::uint64_t evictedUnused = 0;
         /** discarded by a PB flush (context switch) */
@@ -101,10 +99,11 @@ class PrefetchTracer : public PbObserver
         std::uint64_t stlbFills = 0;
         /** prefetch walk latency (cycles) */
         Distribution walkLatency;
-        /** demand stall on late hits (cycles) */
+        /** demand stall on late hits (walk still in flight), in
+         * cycles: one sample per late hit */
         Distribution lateWait;
 
-        std::uint64_t hits() const { return hitsReady + hitsLate; }
+        std::uint64_t hits() const { return hitsReady + lateWait.count; }
         std::uint64_t
         unused() const
         {
@@ -130,7 +129,6 @@ class PrefetchTracer : public PbObserver
             v("issued", o.issued);
             v("installed", o.installed);
             v("hits_ready", o.hitsReady);
-            v("hits_late", o.hitsLate);
             v("evicted_unused", o.evictedUnused);
             v("flushed", o.flushed);
             v("residual", o.residual);

@@ -35,6 +35,39 @@ enum class ICachePrefKind : std::uint8_t
     FnlMma,     //!< crosses page boundaries (Sections 3.5/6.5)
 };
 
+/** Prefetch buffer access latency (Table 1: 2 cycles). */
+inline constexpr Cycle pbLatency = 2;
+
+/** Core issue width (Table 1: 4-wide OoO); every retired
+ * instruction charges 1/coreWidth cycles. */
+inline constexpr unsigned coreWidth = 4;
+
+/**
+ * Fraction of data-side miss latency exposed on the critical
+ * path. Out-of-order execution and MLP hide most data-side
+ * stalls, unlike instruction-side stalls which serialize the
+ * frontend (Section 1). Calibrated so the iSTLB share of cycles
+ * lands in the paper's 6.6-11.7% band (Figure 4).
+ */
+inline constexpr double dataMlpFactor = 0.08;
+
+/**
+ * Fraction of I-cache miss latency exposed on the critical path.
+ * Fetch-ahead and the decoupled frontend overlap much of the
+ * latency of sequential line misses; iSTLB misses, in contrast,
+ * serialize completely (the fetch address cannot even be formed).
+ */
+inline constexpr double fetchOverlapFactor = 0.12;
+
+/**
+ * Pipeline-refill penalty charged after a demand iSTLB walk: by
+ * the time the translation returns, the frontend has drained and
+ * must re-steer and refill (akin to a branch-resteer bubble).
+ * PB hits resolve in a couple of cycles and avoid the drain,
+ * which is part of why eliminating demand walks pays so well.
+ */
+inline constexpr Cycle frontendRedirectPenalty = 45;
+
 /** Full system configuration. */
 struct SimConfig
 {
@@ -42,38 +75,9 @@ struct SimConfig
     TlbHierarchyParams tlb{};
     WalkerParams walker{};
 
-    /** Prefetch buffer (Table 1: 64-entry fully assoc., 2-cycle). */
+    /** Prefetch buffer entries (Table 1: 64, fully associative;
+     * its latency is pbLatency). */
     std::uint32_t pbEntries = 64;
-    Cycle pbLatency = 2;
-
-    /** Core issue width (Table 1: 4-wide OoO). */
-    unsigned width = 4;
-
-    /**
-     * Fraction of data-side miss latency exposed on the critical
-     * path. Out-of-order execution and MLP hide most data-side
-     * stalls, unlike instruction-side stalls which serialize the
-     * frontend (Section 1). Calibrated so the iSTLB share of cycles
-     * lands in the paper's 6.6-11.7% band (Figure 4).
-     */
-    double dataMlpFactor = 0.08;
-
-    /**
-     * Fraction of I-cache miss latency exposed on the critical path.
-     * Fetch-ahead and the decoupled frontend overlap much of the
-     * latency of sequential line misses; iSTLB misses, in contrast,
-     * serialize completely (the fetch address cannot even be formed).
-     */
-    double fetchOverlapFactor = 0.12;
-
-    /**
-     * Pipeline-refill penalty charged after a demand iSTLB walk: by
-     * the time the translation returns, the frontend has drained and
-     * must re-steer and refill (akin to a branch-resteer bubble).
-     * PB hits resolve in a couple of cycles and avoid the drain,
-     * which is part of why eliminating demand walks pays so well.
-     */
-    Cycle frontendRedirectPenalty = 45;
 
     /** Radix depth of the page table: 4 (default) or 5 (LA57;
      * Section 4.3 extension study). */
@@ -161,11 +165,6 @@ struct SimConfig
         v("tlb", c.tlb);
         v("walker", c.walker);
         v("pbEntries", c.pbEntries);
-        v("pbLatency", c.pbLatency);
-        v("width", c.width);
-        v("dataMlpFactor", c.dataMlpFactor);
-        v("fetchOverlapFactor", c.fetchOverlapFactor);
-        v("frontendRedirectPenalty", c.frontendRedirectPenalty);
         v("pageTableDepth", c.pageTableDepth);
         v("pageTableFormat", c.pageTableFormat);
         v("contextSwitchInterval", c.contextSwitchInterval);

@@ -26,8 +26,7 @@ Simulator::Simulator(const SimConfig &cfg)
       mem_(cfg.mem),
       walker_(cfg.walker, pageTable_, mem_),
       tlbs_(cfg.tlb),
-      pb_(cfg.pbEntries, cfg.pbLatency),
-      invWidth_(1.0 / cfg.width)
+      pb_(cfg.pbEntries, pbLatency)
 {
     switch (cfg_.icachePref) {
       case ICachePrefKind::None:
@@ -342,7 +341,7 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
         telemetry::ScopedSpan span(telemetry::Phase::DemandWalk);
         WalkResult wr = walker_.walk(vpn, WalkKind::DemandInstr, now());
         charge(Stall::Istlb, static_cast<double>(
-                                 wr.latency + cfg_.frontendRedirectPenalty));
+                                 wr.latency + frontendRedirectPenalty));
         pfn = wr.pfn;
         ++instrDemandWalkSeq_;
         if (cfg_.injectWalkerBugPeriod != 0 &&
@@ -463,7 +462,7 @@ Simulator::fetchLine(Addr pc, unsigned tid)
         charge(Stall::Icache,
                static_cast<double>(mr.latency -
                                    mem_.l1i().params().latency) *
-                   cfg_.fetchOverlapFactor);
+                   fetchOverlapFactor);
     }
 
     handleICachePrefetches(pc, l1i_miss, pfn, tid);
@@ -476,15 +475,16 @@ Simulator::handleData(Addr va, unsigned tid)
     Vpn vpn = pageOf(va);
     TlbLookupResult tr = tlbs_.lookup(vpn, AccessType::Data);
     Pfn pfn = tr.pfn;
-    double mlp = cfg_.dataMlpFactor;
 
     if (tr.level == TlbHitLevel::Stlb) {
         charge(Stall::Data,
-               static_cast<double>(tlbs_.stlb().params().latency) * mlp);
+               static_cast<double>(tlbs_.stlb().params().latency) *
+                   dataMlpFactor);
     } else if (tr.level == TlbHitLevel::Miss) {
         telemetry::ScopedSpan span(telemetry::Phase::DataWalk);
         WalkResult wr = walker_.walk(vpn, WalkKind::DemandData, now());
-        charge(Stall::Data, static_cast<double>(wr.latency) * mlp);
+        charge(Stall::Data,
+               static_cast<double>(wr.latency) * dataMlpFactor);
         pfn = wr.pfn;
         if (checker_)
             checker_->onTranslation(
@@ -500,7 +500,7 @@ Simulator::handleData(Addr va, unsigned tid)
         charge(Stall::Data,
                static_cast<double>(mr.latency -
                                    mem_.l1d().params().latency) *
-                   mlp);
+                   dataMlpFactor);
     }
 }
 
@@ -521,7 +521,14 @@ Simulator::contextSwitch()
 void
 Simulator::simulateInstruction(const TraceRecord &rec, unsigned tid)
 {
-    charge(Stall::Base, invWidth_);
+    // An epoch closes when the next instruction starts, so the run's
+    // last epoch, boundary or not, closes in run() after the tracer's
+    // end-of-run classification.
+    if (sampler_ && c_.instructions >= nextSampleAt_) {
+        takeIntervalSample();
+        nextSampleAt_ += sampler_->interval();
+    }
+    charge(Stall::Base, 1.0 / coreWidth);
     ++c_.instructions;
     if (cfg_.contextSwitchInterval != 0 &&
         ++sinceContextSwitch_ >= cfg_.contextSwitchInterval) {
@@ -538,11 +545,6 @@ Simulator::simulateInstruction(const TraceRecord &rec, unsigned tid)
 
     if (rec.hasData)
         handleData(threadAddr(rec.dataAddr, tid), tid);
-
-    if (sampler_ && c_.instructions >= nextSampleAt_) {
-        takeIntervalSample();
-        nextSampleAt_ += sampler_->interval();
-    }
 }
 
 void
@@ -657,13 +659,14 @@ Simulator::run()
 
     step(cfg_.simInstructions);
 
-    // Final partial epoch, then classify what is still in flight so
-    // the lifecycle outcome counts reconcile.
-    if (sampler_ && c_.instructions + sampler_->interval() !=
-                        nextSampleAt_)
-        takeIntervalSample();
+    // Classify what is still in flight so the lifecycle outcome
+    // counts reconcile, then close the last epoch (if it has
+    // instructions) so it carries that classification.
     if (tracer_)
         tracer_->finalize(pb_, now());
+    if (sampler_ && c_.instructions + sampler_->interval() >
+                        nextSampleAt_)
+        takeIntervalSample();
     // Every cycle is charged to exactly one bucket. Armed by the
     // config's check level as well as the process-wide one.
     const double measured = cycles_ - measureStartCycles_;
@@ -963,11 +966,12 @@ Simulator::buildResult() const
     auto mean = [](const Distribution &d) {
         return d.count > 0 ? d.sum / d.count : 0.0;
     };
-    r.demandWalks = walks.demandInstr.walks + walks.demandData.walks;
-    r.demandWalksInstr = walks.demandInstr.walks;
+    r.demandWalks =
+        walks.demandInstr.latency.count + walks.demandData.latency.count;
+    r.demandWalksInstr = walks.demandInstr.latency.count;
     r.demandWalkRefs = refs(walks.demandInstr) + refs(walks.demandData);
     r.demandWalkRefsInstr = refs(walks.demandInstr);
-    r.prefetchWalks = walks.prefetch.walks;
+    r.prefetchWalks = walks.prefetch.latency.count;
     r.prefetchWalkRefs = refs(walks.prefetch);
     r.prefetchWalkRefsByLevel = walks.prefetch.refsByLevel;
     r.meanDemandWalkLatencyInstr = mean(walks.demandInstr.latency);
@@ -979,7 +983,7 @@ Simulator::buildResult() const
     r.icacheCrossPagePbHits = c_.icacheCrossPagePbHits;
     r.pbHitDistance = c_.pbHitDistance;
     r.contextSwitches = c_.contextSwitches;
-    r.correctingWalks = walks.correcting.walks;
+    r.correctingWalks = walks.correcting.latency.count;
     if (checker_) {
         r.checkedTranslations = checker_->checked();
         r.checkMismatches = checker_->mismatches();

@@ -275,8 +275,6 @@ class Simulator
 
     double cycles_ = 0.0;
     double measureStartCycles_ = 0.0;
-    /** Hoisted 1.0 / cfg_.width (per-instruction cycle charge). */
-    double invWidth_ = 1.0;
     std::uint64_t sinceContextSwitch_ = 0;
     Addr lastFetchLine_[2] = {~Addr{0}, ~Addr{0}};
 

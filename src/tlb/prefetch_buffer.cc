@@ -14,7 +14,6 @@ PrefetchBuffer::PrefetchBuffer(std::uint32_t entries, Cycle latency)
 PbLookupResult
 PrefetchBuffer::lookupAndConsume(Vpn vpn, Cycle now)
 {
-    ++stats_.lookups;
     PbLookupResult res;
     PbEntry *entry = table_.probe(vpn);
     if (!entry) {

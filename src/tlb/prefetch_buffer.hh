@@ -108,11 +108,9 @@ class PrefetchBuffer
 {
   public:
     /** Counters (common/fields.hh); the visit names are the --stats
-     * names. */
+     * names. Demand lookups are hits + misses. */
     struct Stats
     {
-        /** demand lookups */
-        std::uint64_t lookups = 0;
         /** demand hits (walk avoided) */
         std::uint64_t hits = 0;
         /** demand misses (walk required) */
@@ -129,7 +127,6 @@ class PrefetchBuffer
         template <RecordOf<Stats> Self, class V>
         friend constexpr void visitFields(Self &s, V &&v)
         {
-            v("lookups", s.lookups);
             v("hits", s.hits);
             v("misses", s.misses);
             v("pending_hits", s.pendingHits);

@@ -98,7 +98,6 @@ PageTable::walkHashed(Vpn vpn, bool allocate)
 
     unsigned probes = 0;
     std::uint64_t bucket = findBucket(group, mapped, &probes);
-    hashProbes_ += probes;
     // One memory reference per probed bucket, all within the flat
     // hashed array.
     path.levels = probes;
@@ -423,7 +422,6 @@ PageTable::transfer(Self &self, Ar &ar)
             }
         }
     }
-    ar.io(self.hashProbes_);
     ar.io(self.stats_.mappedPages);
     if constexpr (Ar::loading)
         self.countTableFrames();

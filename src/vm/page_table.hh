@@ -158,9 +158,6 @@ class PageTable
     /** Table organisation. */
     PageTableFormat format() const { return format_; }
 
-    /** Hash-probe chain lengths observed (hashed format only). */
-    std::uint64_t hashProbes() const { return hashProbes_; }
-
     /** Pre-map a contiguous range of virtual pages. */
     void mapRange(Vpn start, std::uint64_t count);
 
@@ -453,7 +450,6 @@ class PageTable
     FlatMap buckets_;
     /** Base physical frame of the hashed table array. */
     Pfn hashBase_ = 0;
-    std::uint64_t hashProbes_ = 0;
     Stats stats_;
 };
 static_assert(visitsEveryField<PageTable::Stats>());

@@ -37,7 +37,6 @@ PageStructureCache::PageStructureCache(const PscParams &params)
 unsigned
 PageStructureCache::lookupRefsNeeded(Vpn vpn)
 {
-    ++stats_.lookups;
     if (pd_.find(pdTag(vpn))) {
         ++stats_.pdHits;
         return 1;

@@ -54,11 +54,10 @@ class PageStructureCache
 {
   public:
     /** Counters (common/fields.hh); the visit names are the --stats
-     * names. */
+     * names. Every lookup counts in exactly one of them, so lookups
+     * are their sum. */
     struct Stats
     {
-        /** PSC lookups */
-        std::uint64_t lookups = 0;
         /** hits in the PD cache (1 ref left) */
         std::uint64_t pdHits = 0;
         /** hits in the PDP cache */
@@ -71,7 +70,6 @@ class PageStructureCache
         template <RecordOf<Stats> Self, class V>
         friend constexpr void visitFields(Self &s, V &&v)
         {
-            v("lookups", s.lookups);
             v("pd_hits", s.pdHits);
             v("pdp_hits", s.pdpHits);
             v("pml4_hits", s.pml4Hits);

@@ -94,7 +94,6 @@ PageTableWalker::walk(Vpn vpn, WalkKind kind, Cycle now)
         psc_.fill(vpn);
 
     KindStats &k = stats_.*kindStats[static_cast<unsigned>(kind)];
-    ++k.walks;
     for (unsigned i = 0; i < res.refsByLevel.size(); ++i)
         k.refsByLevel[i] += res.refsByLevel[i];
     k.latency.sample(static_cast<double>(res.latency));

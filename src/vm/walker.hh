@@ -85,11 +85,10 @@ struct WalkResult
 class PageTableWalker
 {
   public:
-    /** The counts of one WalkKind (common/fields.hh). */
+    /** The counts of one WalkKind (common/fields.hh); its walks are
+     * latency.count. */
     struct KindStats
     {
-        /** walks */
-        std::uint64_t walks = 0;
         /** memory references by serving level (MemLevel index) */
         std::array<std::uint64_t, 4> refsByLevel{};
         /** walk latency (cycles), port queueing included */
@@ -98,7 +97,6 @@ class PageTableWalker
         template <RecordOf<KindStats> Self, class V>
         friend constexpr void visitFields(Self &s, V &&v)
         {
-            v("walks", s.walks);
             v("refs_by_level", s.refsByLevel);
             v("latency", s.latency);
         }

@@ -126,9 +126,7 @@ measurementStart(SimConfig cfg, bool smt)
  * The deltas of @p ring's epochs, which must be every epoch of the
  * measurement, add up to @p end - @p start in every field: integers
  * exactly, doubles within the cycle ledger's rounding bound. The
- * last epoch's distribution extremes are @p end's. The tracer's
- * `residual` counts are its end-of-run classification, made after
- * the last epoch, so no epoch carries them.
+ * last epoch's distribution extremes are @p end's.
  */
 inline void
 expectEpochsAddUp(const std::deque<IntervalSample> &ring,
@@ -154,9 +152,7 @@ expectEpochsAddUp(const std::deque<IntervalSample> &ring,
                       });
     forEachScalarPair(sum, expect, [&](const std::string &name,
                                        const auto &x, const auto &y) {
-        if (name.ends_with(".residual"))
-            EXPECT_EQ(x, 0u) << name;
-        else if constexpr (std::is_floating_point_v<
+        if constexpr (std::is_floating_point_v<
                           std::remove_cvref_t<decltype(x)>>)
             EXPECT_LE(std::abs(x - y), tol * std::abs(y)) << name;
         else

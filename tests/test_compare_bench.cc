@@ -1,7 +1,8 @@
 /**
  * @file
  * Exit-code contract of tools/compare_bench_json.py: 0 on a clean
- * match, 1 on a measured regression, 2 on an unusable input -- a
+ * match, 1 on a measured regression (a changed paper_note included),
+ * 2 on an unusable input -- a
  * missing file, or a *degraded* candidate (failure manifest present
  * or NaN/null measured rows from a campaign that lost jobs). The
  * degraded path must exit 2 without a traceback: CI tells "the
@@ -34,19 +35,23 @@ writeArtifact(const char *stem, const std::string &rows_json,
 }
 
 std::string
-row(const char *label, const char *measured)
+row(const char *label, const char *measured, const char *note = nullptr)
 {
-    return std::string("{\"label\":\"") + label +
-           "\",\"measured\":" + measured + ",\"unit\":\"pct\"}";
+    std::string r = std::string("{\"label\":\"") + label +
+                    "\",\"measured\":" + measured + ",\"unit\":\"pct\"";
+    if (note)
+        r += std::string(",\"paper_note\":\"") + note + "\"";
+    return r + "}";
 }
 
 /** Script exit code, or -1 when it did not exit normally. */
 int
-runCompare(const std::string &candidate, const std::string &golden)
+runCompare(const std::string &candidate, const std::string &golden,
+           const std::string &options = "")
 {
-    const std::string cmd = "python3 " MORRIGAN_COMPARE_BENCH " '" +
-                            candidate + "' '" + golden +
-                            "' > /dev/null 2>&1";
+    const std::string cmd = "python3 " MORRIGAN_COMPARE_BENCH " " +
+                            options + " '" + candidate + "' '" +
+                            golden + "' > /dev/null 2>&1";
     int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -68,6 +73,26 @@ TEST(CompareBench, CleanMatchExitsZero)
     const std::string cand = writeArtifact(
         "cb-clean.json", row("a", "1.5") + "," + row("b", "2.5"));
     EXPECT_EQ(runCompare(cand, golden), 0);
+}
+
+TEST(CompareBench, NoteChangeExitsOneInBothModes)
+{
+    if (!havePython())
+        GTEST_SKIP() << "python3 unavailable";
+    const std::string golden = writeArtifact(
+        "cb-golden-note.json", row("a", "1.5", "radix-tree translate"));
+    const std::string same = writeArtifact(
+        "cb-same-note.json", row("a", "1.5", "radix-tree translate"));
+    const std::string moved = writeArtifact(
+        "cb-moved-note.json", row("a", "1.5", "flat-map translate"));
+    const std::string none =
+        writeArtifact("cb-no-note.json", row("a", "1.5"));
+    for (const char *mode : {"--rtol 0.0", "--min-ratio 0.7"}) {
+        SCOPED_TRACE(mode);
+        EXPECT_EQ(runCompare(same, golden, mode), 0);
+        EXPECT_EQ(runCompare(moved, golden, mode), 1);
+        EXPECT_EQ(runCompare(none, golden, mode), 1);
+    }
 }
 
 TEST(CompareBench, MeasuredRegressionExitsOne)

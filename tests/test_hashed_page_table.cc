@@ -87,7 +87,9 @@ TEST(HashedPageTable, WalkerSkipsPsc)
     WalkResult r = walker.walk(0x42, WalkKind::DemandData, 0);
     EXPECT_TRUE(r.success);
     EXPECT_EQ(r.memRefs, 1u);             // single bucket probe
-    EXPECT_EQ(walker.psc().stats().lookups, 0u);
+    const PageStructureCache::Stats &psc = walker.psc().stats();
+    EXPECT_EQ(psc.pdHits + psc.pdpHits + psc.pml4Hits + psc.fullMisses,
+              0u);
 }
 
 TEST(HashedPageTable, FasterColdWalksThanRadix)

@@ -64,9 +64,9 @@ TEST(Irip, PromotionFromS1ToS2)
     // longer fits PRT-S1's single slot, so the entry transfers.
     miss(irip, 100); miss(irip, 107);
     miss(irip, 100); miss(irip, 90);
-    EXPECT_EQ(irip.iripStats().transfers, 1u);
     EXPECT_EQ(irip.table(0).probe(100), nullptr);   // left S1
     EXPECT_NE(irip.table(1).probe(100), nullptr);   // entered S2
+    EXPECT_FALSE(irip.entryResidesInMultipleTables(100));
     auto out = miss(irip, 100);
     EXPECT_TRUE(predicts(out, 107));
     EXPECT_TRUE(predicts(out, 90));
@@ -98,8 +98,21 @@ TEST(Irip, TerminalTableVictimisesLowConfidenceSlot)
     // A 9th successor must replace a slot, not transfer.
     miss(irip, 100);
     miss(irip, 200);
-    EXPECT_NE(irip.table(3).probe(100), nullptr);
-    EXPECT_GE(irip.iripStats().slotReplacements, 1u);
+    const PrtEntry *e = irip.table(3).probe(100);
+    ASSERT_NE(e, nullptr);
+    // The +100 distance took a slot of one of the eight +1..+8.
+    unsigned valid = 0, old = 0;
+    bool fresh = false;
+    for (const PrtSlot &s : e->slots) {
+        if (!s.valid)
+            continue;
+        ++valid;
+        fresh |= s.distance == 100;
+        old += s.distance >= 1 && s.distance <= 8;
+    }
+    EXPECT_EQ(valid, 8u);
+    EXPECT_TRUE(fresh);
+    EXPECT_EQ(old, 7u);
     auto out = miss(irip, 100);
     EXPECT_TRUE(predicts(out, 200));
     EXPECT_EQ(out.size(), 8u);  // still 8 slots
@@ -163,7 +176,11 @@ TEST(Irip, OutOfRangeDistancesAreDropped)
     Irip irip{IripParams{}};
     miss(irip, 100);
     miss(irip, 100 + 100000);  // delta far beyond 15 bits
-    EXPECT_EQ(irip.iripStats().distanceOutOfRange, 1u);
+    // Page 100 stays in PRT-S1 with no slot trained.
+    const PrtEntry *e = irip.table(0).probe(100);
+    ASSERT_NE(e, nullptr);
+    for (const PrtSlot &s : e->slots)
+        EXPECT_FALSE(s.valid);
     auto out = miss(irip, 100);
     EXPECT_TRUE(out.empty());
 }

@@ -113,8 +113,18 @@ TEST(Morrigan, MonoNeverTransfers)
         miss(m, 100);
         miss(m, s);
     }
-    EXPECT_EQ(m.irip().iripStats().transfers, 0u);
-    EXPECT_GT(m.irip().iripStats().slotReplacements, 0u);
+    // The single table keeps the entry and replaces slots: its eight
+    // slots end up full, and the last successor (+20) took one.
+    const PrtEntry *e = m.irip().table(0).probe(100);
+    ASSERT_NE(e, nullptr);
+    unsigned valid = 0;
+    bool last = false;
+    for (const PrtSlot &s : e->slots) {
+        valid += s.valid;
+        last |= s.valid && s.distance == 20;
+    }
+    EXPECT_EQ(valid, 8u);
+    EXPECT_TRUE(last);
 }
 
 TEST(Morrigan, SmtScalingDoublesTables)

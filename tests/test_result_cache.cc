@@ -121,7 +121,7 @@ TEST(ExperimentKey, DistinguishesEveryInput)
         else
             EXPECT_NE(warm, warmupKey(c, "none", wl));
     }
-    EXPECT_EQ(config_fields, 61u);
+    EXPECT_EQ(config_fields, 56u);
 
     // Every workload field, of the workload and of the SMT partner.
     std::size_t workload_fields = 0;
@@ -164,12 +164,12 @@ TEST(ExperimentKey, DigestsArePinned)
         std::uint64_t experiment, warmup, config;
     };
     const Case cases[] = {
-        {"default", SimConfig{}, nullptr, 0x78368bffad386fedULL,
-         0x087745ca401bd274ULL, 0x656ba9cb5700f362ULL},
-        {"fig18", fig18, nullptr, 0x6ab5a8776cec2edeULL,
-         0xc61ea21af1929a65ULL, 0x8b9993f4f41c3c29ULL},
-        {"smt", SimConfig{}, &qmm1, 0x0a8d75333c4a4992ULL,
-         0x4a13779605ee9609ULL, 0x656ba9cb5700f362ULL},
+        {"default", SimConfig{}, nullptr, 0x2fbc590166ac825fULL,
+         0x8b4caa7ff82d129eULL, 0x8a681718cc788a33ULL},
+        {"fig18", fig18, nullptr, 0x160518d2127fef6aULL,
+         0x3eff625033b75339ULL, 0xfae1bc7c416919ecULL},
+        {"smt", SimConfig{}, &qmm1, 0x2cbc6d87bcb51498ULL,
+         0x5c47cce287b4fe47ULL, 0x8a681718cc788a33ULL},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);

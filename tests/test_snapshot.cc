@@ -928,7 +928,7 @@ TEST(Snapshot, IntervalSamplerRingWrapRoundTrip)
         l1i.misses += 29;
         stlb.instrMisses += 17 + e;
         pb.hits += 11;
-        walker.demandInstr.walks += 5;
+        walker.demandInstr.refsByLevel[0] += 5;
         walker.prefetch.latency.sample(20.0 + e);
         sdp.issued += 3;
         in.counters.baseCycles += 250.0;
@@ -1044,7 +1044,6 @@ nestedPageTable(unsigned levels, std::uint64_t nodes)
         if (i + 1 < nodes)
             w.u32(0);  // the child's index
     }
-    w.u64(0);  // hash probes
     w.u64(0);  // mapped pages
     return w.payload();
 }

@@ -36,7 +36,10 @@ using namespace morrigan;
 namespace
 {
 
-struct Config
+/** One case. gtest prints a parameter as "N-byte object <...>" and
+ * ctest names each case by that text, so the cache-line alignment
+ * keeps the names stable while SimConfig changes size within it. */
+struct alignas(64) Config
 {
     std::string name;
     std::string spec = "morrigan";
@@ -203,7 +206,7 @@ TEST(SnapshotPayload, CrcsArePinned)
     };
     // Warmup images of Morrigan on qmm_00, alone and with qmm_01.
     for (const Case &k :
-         {Case{false, 0xc68ca139u}, Case{true, 0xc73b5fa9u}}) {
+         {Case{false, 0xb72a46cdu}, Case{true, 0xcfcedd92u}}) {
         SCOPED_TRACE(k.smt ? "smt" : "1t");
         Config c;
         c.smt = k.smt;

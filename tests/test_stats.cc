@@ -154,8 +154,8 @@ TEST(Stats, GroupHierarchyPaths)
               std::to_string(sim.mem().l1d().stats().misses));
     EXPECT_EQ(num("sim.mem.dram.row_hits"),
               std::to_string(sim.mem().dram().stats().rowHits));
-    EXPECT_EQ(num("sim.psc.lookups"),
-              std::to_string(sim.walker().psc().stats().lookups));
+    EXPECT_EQ(num("sim.psc.pd_hits"),
+              std::to_string(sim.walker().psc().stats().pdHits));
     EXPECT_EQ(num("sim.tlb.itlb.instr_misses"),
               std::to_string(sim.tlbs().itlb().stats().instrMisses));
     EXPECT_EQ(num("sim.tlb.dtlb.data_misses"),
@@ -213,9 +213,6 @@ TEST(StatsJson, SerializesNestedTree)
     ASSERT_NE(walker, nullptr);
     const json::Value *instr = walker->find("demand_instr");
     ASSERT_NE(instr, nullptr);
-    std::uint64_t walks = 0;
-    ASSERT_TRUE(json::getU64(*instr, "walks", walks));
-    EXPECT_EQ(walks, run.result.demandWalksInstr);
     const json::Value *lat = instr->find("latency");
     ASSERT_NE(lat, nullptr);
     const Distribution &d = run.sim.walker().stats().demandInstr.latency;
@@ -226,6 +223,7 @@ TEST(StatsJson, SerializesNestedTree)
     ASSERT_TRUE(json::getDouble(*lat, "min", min));
     ASSERT_TRUE(json::getDouble(*lat, "max", max));
     EXPECT_EQ(count, d.count);
+    EXPECT_EQ(count, run.result.demandWalksInstr);  // one sample a walk
     EXPECT_EQ(sum, d.sum);
     EXPECT_EQ(min, d.min);
     EXPECT_EQ(max, d.max);

@@ -121,7 +121,6 @@ TEST(Walker, StatsSplitDemandAndPrefetch)
     for (const PageTableWalker::KindStats *k :
          {&s.demandInstr, &s.demandData, &s.prefetch, &s.correcting}) {
         SCOPED_TRACE(i);
-        EXPECT_EQ(k->walks, i + 1);
         EXPECT_GT(k->refsByLevel[0] + k->refsByLevel[1] +
                       k->refsByLevel[2] + k->refsByLevel[3],
                   0u);

@@ -9,8 +9,8 @@ delta table, so CI can gate on figure regressions without scraping
 stdout.
 
 Exit status: 0 when every row matches within tolerance, 1 on a
-measured regression (missing row, extra row, unit change,
-out-of-tolerance value), 2 when an input is unusable: a file is
+measured regression (missing row, extra row, unit or paper_note
+change, out-of-tolerance value), 2 when an input is unusable: a file is
 missing or unreadable, or the candidate artifact is *degraded* -- it
 carries a failure manifest or NaN/null measurements from a campaign
 that lost jobs. Degraded artifacts are an infrastructure failure,
@@ -21,6 +21,10 @@ A candidate produced by a campaign that lost jobs (crashes, timeouts
 -- see sim/supervisor.hh) carries a "failures" manifest; such an
 artifact never passes, and the manifest is echoed so CI logs say
 *which* jobs died rather than just "rows disappeared".
+
+A row's paper_note (what it measures and the paper's figure for it)
+must equal the golden's in both gating modes: a bench that changes
+what a row measures changes its note, and the golden follows.
 
 Two gating modes:
 
@@ -67,7 +71,8 @@ def load_doc(path):
 
 
 def load_rows(doc, path):
-    """Flatten a bench artifact into {(section, label): (value, unit)}."""
+    """Flatten a bench artifact into
+    {(section, label): (value, unit, paper_note)}."""
     rows = {}
     for section in doc.get("sections", []):
         fig = section.get("figure", "?")
@@ -82,7 +87,8 @@ def load_rows(doc, path):
                 value = float(row["measured"])
             except (TypeError, ValueError):
                 value = math.nan
-            rows[key] = (value, row.get("unit", ""))
+            rows[key] = (value, row.get("unit", ""),
+                          row.get("paper_note", ""))
     if not rows:
         raise SystemExit(f"error: {path}: no rows (empty artifact)")
     return rows
@@ -137,7 +143,7 @@ def main():
 
     manifest_entries = report_failure_manifest(cand_doc,
                                                args.candidate)
-    nan_rows = sum(1 for value, _ in cand.values()
+    nan_rows = sum(1 for value, _, _ in cand.values()
                    if math.isnan(value))
     degraded = manifest_entries > 0 or nan_rows > 0
     failures = manifest_entries
@@ -166,11 +172,16 @@ def main():
                   f"regenerate the golden)")
             failures += 1
             continue
-        gv, gu = gold[key]
-        cv, cu = cand[key]
+        gv, gu, gn = gold[key]
+        cv, cu, cn = cand[key]
         if gu != cu:
             print(f"  {label:<{width}} {gv:>12.4f} {cv:>12.4f} "
                   f"{'':>10}  FAIL (unit '{gu}' -> '{cu}')")
+            failures += 1
+            continue
+        if gn != cn:
+            print(f"  {label:<{width}} {gv:>12.4f} {cv:>12.4f} "
+                  f"{'':>10}  FAIL (paper_note '{gn}' -> '{cn}')")
             failures += 1
             continue
         delta = cv - gv
