@@ -73,7 +73,7 @@ mops(std::uint64_t ops, Body &&body)
 double
 cacheLookupInsert(std::uint64_t ops)
 {
-    CacheModel cache(CacheParams{"l2", 512 * 1024, 8, 8, 32});
+    CacheModel cache(CacheParams{"l2", 512 * 1024, 8, 8});
     ZipfSampler zipf(32768, 0.8);
     Rng rng(1, 0x91);
     std::uint64_t sum = 0;

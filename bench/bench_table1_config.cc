@@ -20,11 +20,9 @@ main()
 
     auto tlb_line = [](const char *name, const TlbParams &p,
                        const char *paper) {
-        std::printf("%-22s %u-entry, %u-way, %llu-cycle, %u-entry "
-                    "MSHR (%s)\n",
-                    name, p.entries, p.ways,
-                    static_cast<unsigned long long>(p.latency),
-                    p.mshrs, paper);
+        std::printf("%-22s %u-entry, %u-way, %llu-cycle (%s)\n", name,
+                    p.entries, p.ways,
+                    static_cast<unsigned long long>(p.latency), paper);
     };
     tlb_line("L1 I-TLB", cfg.tlb.itlb, "128-entry, 8-way, 1-cycle");
     tlb_line("L1 D-TLB", cfg.tlb.dtlb, "64-entry, 4-way, 1-cycle");
@@ -36,10 +34,12 @@ main()
                 "%u-entry %u-way, %llu-cycle "
                 "(3-level split PSC, 2-cycle)\n",
                 "Page Structure Caches", psc.pml4Entries,
-                psc.pdpEntries, psc.pdEntries, psc.pdWays,
+                psc.pdpEntries, psc.pdEntries, pscPdWays,
                 static_cast<unsigned long long>(psc.latency));
-    std::printf("%-22s %u concurrent walks (1 walk/cycle, 4-entry "
-                "MSHR)\n",
+    // The walker's ports bound the walks in flight, which is what the
+    // STLB's MSHRs bound in the paper's system.
+    std::printf("%-22s %u ports: concurrent walks, the STLB MSHR "
+                "(1 walk/cycle, 4-entry STLB MSHR)\n",
                 "Page walker", cfg.walker.ports);
     std::printf("%-22s %u-entry, fully assoc, %llu-cycle "
                 "(64-entry, fully assoc, 2-cycle)\n",
@@ -48,22 +48,24 @@ main()
 
     auto cache_line = [](const char *name, const CacheParams &p,
                          const char *paper) {
-        std::printf("%-22s %uKB, %u-way, %llu-cycle, %u-entry MSHR "
-                    "(%s)\n",
+        std::printf("%-22s %uKB, %u-way, %llu-cycle, MSHRs not "
+                    "modelled (%s)\n",
                     name, p.sizeBytes / 1024, p.ways,
-                    static_cast<unsigned long long>(p.latency),
-                    p.mshrs, paper);
+                    static_cast<unsigned long long>(p.latency), paper);
     };
     cache_line("L1 I-Cache", cfg.mem.l1i,
-               "32KB, 8-way, 4-cycle, next-line prefetcher");
-    cache_line("L1 D-Cache", cfg.mem.l1d, "32KB, 8-way, 4-cycle");
+               "32KB, 8-way, 4-cycle, 8-entry MSHR, next-line "
+               "prefetcher");
+    cache_line("L1 D-Cache", cfg.mem.l1d,
+               "32KB, 8-way, 4-cycle, 8-entry MSHR");
     cache_line("L2 Cache", cfg.mem.l2,
-               "512KB, 8-way, 8-cycle, SPP");
-    cache_line("LLC (per core)", cfg.mem.llc, "2MB, 16-way, 10-cycle");
+               "512KB, 8-way, 8-cycle, 32-entry MSHR, SPP");
+    cache_line("LLC (per core)", cfg.mem.llc,
+               "2MB, 16-way, 10-cycle, 64-entry MSHR");
 
     std::printf("%-22s tRP=tRCD=tCAS=%llu core cycles, %u banks "
                 "(tRP=tRCD=tCAS=12, 12.8 GB/s)\n", "DRAM",
-                static_cast<unsigned long long>(cfg.mem.dram.tParam),
+                static_cast<unsigned long long>(dramTParam),
                 cfg.mem.dram.banks);
     std::printf("%-22s %u-wide, data-MLP factor %.2f, fetch overlap "
                 "%.2f (4-wide OoO, hashed perceptron BP)\n",

@@ -621,17 +621,9 @@ runCampaign(const FuzzOptions &opt, std::ostream *log)
                      : std::string())
              << "\n";
 
-    SupervisorOptions sup = Supervisor::defaultOptions();
-    sup.isolate = sup.isolate || opt.isolate;
-    if (opt.jobTimeoutMs)
-        sup.jobTimeoutMs = opt.jobTimeoutMs;
-    if (!opt.journalPath.empty())
-        sup.journalPath = opt.journalPath;
-    sup.jobs = opt.jobs;
     // Fuzz jobs carry factories / fault injection, so the result
     // cache never applies; journal resume keys off journalTag.
-    Supervisor supervisor(sup);
-    std::vector<RunOutcome> outcomes = supervisor.run(jobs);
+    std::vector<RunOutcome> outcomes = Supervisor().run(jobs);
 
     FuzzCampaignOutcome out;
     for (std::uint64_t i = 0; i < opt.seeds; ++i) {
@@ -688,23 +680,14 @@ runCampaign(const FuzzOptions &opt, std::ostream *log)
                     break;
                 }
             }
-            if (opt.checkpointInvariant) {
-                std::error_code ec;
-                auto tmp =
-                    std::filesystem::temp_directory_path(ec);
-                std::vector<std::string> m5 =
-                    evaluateCheckpointInvariant(
-                        cases[i], so.seed,
-                        ec ? std::string(".") : tmp.string());
-                so.failures.insert(so.failures.end(), m5.begin(),
-                                   m5.end());
-            }
-            if (opt.telemetryInvariant) {
-                std::vector<std::string> m6 =
-                    evaluateTelemetryInvariant(cases[i]);
-                so.failures.insert(so.failures.end(), m6.begin(),
-                                   m6.end());
-            }
+            std::error_code ec;
+            auto tmp = std::filesystem::temp_directory_path(ec);
+            std::vector<std::string> m5 = evaluateCheckpointInvariant(
+                cases[i], so.seed, ec ? std::string(".") : tmp.string());
+            so.failures.insert(so.failures.end(), m5.begin(), m5.end());
+            std::vector<std::string> m6 =
+                evaluateTelemetryInvariant(cases[i]);
+            so.failures.insert(so.failures.end(), m6.begin(), m6.end());
         }
         so.passed = so.failures.empty();
         // With injection the base report documents the *caught*

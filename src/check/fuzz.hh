@@ -65,7 +65,9 @@
 namespace morrigan::check
 {
 
-/** Campaign parameters (mirrors the morrigan-fuzz CLI). */
+/** Campaign parameters (mirrors the morrigan-fuzz CLI). How the runs
+ * are scheduled -- workers, sandboxing, deadlines, the journal -- is
+ * Supervisor::defaultOptions(), as for every batch. */
 struct FuzzOptions
 {
     std::uint64_t seeds = 25;
@@ -83,25 +85,8 @@ struct FuzzOptions
      * corruption -- the campaign validates the checker itself.
      */
     std::uint64_t injectPeriod = 0;
-    /** Worker threads (0 = defaultJobs()). */
-    unsigned jobs = 0;
     /** Directory for failing-seed repro artifacts; empty disables. */
     std::string artifactDir;
-    /** Sandbox every run in its own process (sim/supervisor.hh):
-     * a crashing or hanging seed is quarantined as a seed failure
-     * instead of killing the campaign. */
-    bool isolate = false;
-    /** Per-run watchdog deadline in ms (0 = derived). */
-    std::uint64_t jobTimeoutMs = 0;
-    /** Campaign journal path: completed runs are resumed across
-     * invocations; empty disables. */
-    std::string journalPath;
-    /** Evaluate M5 (checkpoint/restore bit-identity) per seed; it
-     * costs roughly one extra base-sized run per seed. */
-    bool checkpointInvariant = true;
-    /** Evaluate M6 (telemetry on/off bit-identity) per seed; costs
-     * roughly two extra base-sized runs per seed. */
-    bool telemetryInvariant = true;
 };
 
 /** One sampled configuration point. */

@@ -277,16 +277,6 @@ getString(const Value &obj, const char *key, std::string &out)
     return true;
 }
 
-inline bool
-getBool(const Value &obj, const char *key, bool &out)
-{
-    const Value *v = obj.find(key);
-    if (!v || v->type != Value::Type::Bool)
-        return false;
-    out = v->boolean;
-    return true;
-}
-
 template <std::size_t N>
 bool
 getU64Array(const Value &obj, const char *key,

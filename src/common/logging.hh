@@ -5,7 +5,6 @@
  * panic()  -- internal invariant violated (simulator bug); aborts.
  * fatal()  -- unusable user configuration; exits with status 1.
  * warn()   -- questionable but survivable condition.
- * inform() -- plain status output.
  */
 
 #ifndef MORRIGAN_COMMON_LOGGING_HH
@@ -23,7 +22,6 @@ namespace morrigan
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Printf-style formatting into a std::string. */
 std::string csprintf(const char *fmt, ...)
@@ -41,9 +39,6 @@ std::string csprintf(const char *fmt, ...)
 
 #define warn(...) \
     ::morrigan::warnImpl(::morrigan::csprintf(__VA_ARGS__))
-
-#define inform(...) \
-    ::morrigan::informImpl(::morrigan::csprintf(__VA_ARGS__))
 
 /** panic() unless the stated internal invariant holds. */
 #define panic_if(cond, ...) \

@@ -75,8 +75,6 @@ class ZipfSampler
     /** Probability mass of a given rank. */
     double probability(std::size_t rank) const;
 
-    std::size_t populationSize() const { return cdf_.size(); }
-
   private:
     std::vector<double> cdf_;
     /** guide_[b] = first rank whose CDF value is >= b / numBuckets;

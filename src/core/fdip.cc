@@ -7,8 +7,7 @@ namespace morrigan
 {
 
 FdipPrefetcher::FdipPrefetcher(const FdipParams &params)
-    : params_(params),
-      table_(params.tableEntries, params.tableWays)
+    : table_(params.tableEntries, params.tableWays)
 {
 }
 
@@ -42,9 +41,9 @@ FdipPrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     // confident edge, stopping at the first unknown or distrusted
     // edge exactly as FDIP stops at an unpredicted branch.
     Vpn cur = vpn;
-    for (unsigned depth = 0; depth < params_.ftqDepth; ++depth) {
+    for (unsigned depth = 0; depth < fdipFtqDepth; ++depth) {
         const FtqEntry *e = table_.find(cur);
-        if (!e || e->confidence < params_.confidenceThreshold)
+        if (!e || e->confidence < fdipConfidenceThreshold)
             return;
         PrefetchRequest req;
         req.vpn = e->next;

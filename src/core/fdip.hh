@@ -11,7 +11,7 @@
  * the run-ahead at page granularity: it learns the successor graph
  * of the iSTLB miss-VPN stream (the pages the fetch unit will walk
  * onto next) and, on each miss, chases the learned chain up to
- * `ftqDepth` pages ahead, gated by a 2-bit confidence counter per
+ * `fdipFtqDepth` pages ahead, gated by a 2-bit confidence counter per
  * edge. PB-hit credit feeds confidence back, mirroring how FDIP
  * only trusts BPU paths that keep verifying.
  */
@@ -28,13 +28,14 @@
 namespace morrigan
 {
 
+/** Run-ahead depth along the learned fetch path (FTQ depth). */
+inline constexpr unsigned fdipFtqDepth = 3;
+/** Confidence needed before an edge issues a prefetch. */
+inline constexpr std::uint8_t fdipConfidenceThreshold = 1;
+
 /** Static configuration of the FDIP-style prefetcher. */
 struct FdipParams
 {
-    /** Run-ahead depth along the learned fetch path (FTQ depth). */
-    unsigned ftqDepth = 3;
-    /** Confidence needed before an edge issues a prefetch. */
-    std::uint8_t confidenceThreshold = 1;
     /**
      * Fetch-target table geometry. 512 x (16b tag + 36b next VPN +
      * 2b confidence) = 27648 bits, inside Morrigan's ~3.8KB
@@ -89,7 +90,6 @@ class FdipPrefetcher : public TlbPrefetcher
         std::uint8_t confidence = 0;
     };
 
-    FdipParams params_;
     SetAssocTable<Vpn, FtqEntry> table_;
     /** Per-thread previous miss VPN (the edge source). */
     struct History

@@ -25,12 +25,11 @@ push(std::vector<PrefetchRequest> &out, Vpn vpn, Vpn source)
 } // anonymous namespace
 
 FnlMmaTlbPrefetcher::FnlMmaTlbPrefetcher(const FnlMmaTlbParams &params)
-    : params_(params),
-      mmaTable_(params.tableEntries, params.tableWays)
+    : mmaTable_(params.tableEntries, params.tableWays)
 {
     // Ring of exactly `missLookahead` trigger slots: when full, the
     // slot at the cursor is the miss from missLookahead misses ago.
-    missHistory_.assign(std::max(1u, params_.missLookahead), 0);
+    missHistory_.assign(std::max(1u, params.missLookahead), 0);
 }
 
 void
@@ -41,7 +40,7 @@ FnlMmaTlbPrefetcher::onInstrStlbMiss(Vpn vpn, Addr pc, unsigned tid,
     (void)tid;
 
     // FNL: next pages ahead of every miss.
-    for (unsigned d = 1; d <= params_.nextPageDegree; ++d)
+    for (unsigned d = 1; d <= fnlMmaTlbNextPageDegree; ++d)
         push(out, vpn + d, vpn);
 
     // MMA training: the miss from `missLookahead` misses ago is

@@ -9,7 +9,7 @@
  * storage tournament as a first-class TLB prefetcher.
  *
  * - FNL: footprint next *page* -- on every iSTLB miss, prefetch the
- *   next `nextPageDegree` pages (the page-level analogue of
+ *   next `fnlMmaTlbNextPageDegree` pages (the page-level analogue of
  *   next-line prefetching that crosses page boundaries by
  *   construction).
  * - MMA: a miss-ahead table trained on the miss-VPN stream. Each
@@ -31,11 +31,12 @@
 namespace morrigan
 {
 
+/** Next-page degree (FNL component). */
+inline constexpr unsigned fnlMmaTlbNextPageDegree = 2;
+
 /** Static configuration of the iSTLB-side FNL+MMA. */
 struct FnlMmaTlbParams
 {
-    /** Next-page degree (FNL component). */
-    unsigned nextPageDegree = 2;
     /** How many misses ahead the MMA component predicts. */
     unsigned missLookahead = 4;
     /**
@@ -87,7 +88,6 @@ class FnlMmaTlbPrefetcher : public TlbPrefetcher
         ar.io(self.missCount_);
     }
 
-    FnlMmaTlbParams params_;
     struct MmaEntry
     {
         Vpn future = 0;

@@ -74,7 +74,7 @@ IripParams::fullyAssociative() const
 Irip::Irip(const IripParams &params)
     : params_(params),
       freq_(params.freqResetInterval),
-      rng_(params.rngSeed)
+      rng_(iripRngSeed)
 {
     fatal_if(params_.tables.empty(), "IRIP needs at least one table");
     fatal_if(params_.tables.size() > 8, "IRIP supports up to 8 tables");

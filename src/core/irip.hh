@@ -31,6 +31,9 @@
 namespace morrigan
 {
 
+/** Seed of the RNG behind the tables' Random and RLFU victim picks. */
+inline constexpr std::uint64_t iripRngSeed = 0x5eed;
+
 /** Static configuration of the IRIP module. */
 struct IripParams
 {
@@ -48,7 +51,6 @@ struct IripParams
     /** Ablation: spatial prefetch for every slot instead of only the
      * highest-confidence one. */
     bool spatialAllSlots = false;
-    std::uint64_t rngSeed = 0x5eed;
 
     /** Scale every table's entry count by a power of two (storage
      * budget sweeps, Figures 13/14; SMT doubling, Section 6.6). */
@@ -80,7 +82,6 @@ class Irip : public TlbPrefetcher
         return freq_.resets();
     }
 
-    const FrequencyStack &frequencyStack() const { return freq_; }
     std::size_t numTables() const { return tables_.size(); }
     const PredictionTable &table(std::size_t i) const
     {

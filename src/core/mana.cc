@@ -42,7 +42,7 @@ ManaPrefetcher::ManaPrefetcher(const ManaParams &params)
 std::uint8_t
 ManaPrefetcher::hobIndexOf(Vpn vpn)
 {
-    Vpn high = vpn >> params_.successorLowBits;
+    Vpn high = vpn >> manaSuccessorLowBits;
     for (std::uint32_t i = 0; i < hobUsed_; ++i) {
         if (hob_[i] == high)
             return static_cast<std::uint8_t>(i);
@@ -63,7 +63,7 @@ ManaPrefetcher::hobIndexOf(Vpn vpn)
 Vpn
 ManaPrefetcher::reconstructSuccessor(const ManaRecord &rec) const
 {
-    return (hob_[rec.succHobIdx] << params_.successorLowBits) |
+    return (hob_[rec.succHobIdx] << manaSuccessorLowBits) |
            rec.succLow;
 }
 
@@ -72,7 +72,7 @@ ManaPrefetcher::commitRegion(OpenRegion &open, Vpn next_trigger)
 {
     if (!open.valid)
         return;
-    Vpn low_mask = (Vpn{1} << params_.successorLowBits) - 1;
+    Vpn low_mask = (Vpn{1} << manaSuccessorLowBits) - 1;
     ManaRecord rec;
     if (ManaRecord *live = records_.probe(open.trigger)) {
         // Re-recording a known region: merge the footprints so a
@@ -97,7 +97,7 @@ ManaPrefetcher::replayFrom(Vpn trigger,
     if (!rec)
         return;
     Vpn cur = trigger;
-    for (unsigned depth = 0; depth < params_.replayDepth; ++depth) {
+    for (unsigned depth = 0; depth < manaReplayDepth; ++depth) {
         for (unsigned i = 0; i < params_.regionPages; ++i) {
             if (rec->footprint & (1u << i))
                 push(out, cur + 1 + i, cur);
@@ -160,8 +160,8 @@ ManaPrefetcher::storageBits() const
     // HOB index + successor low bits. HOB entry: VPN high bits.
     std::size_t record_bits = 16 + params_.regionPages + 1 +
                               hob_idx_bits +
-                              params_.successorLowBits;
-    std::size_t hob_bits = 36 - params_.successorLowBits;
+                              manaSuccessorLowBits;
+    std::size_t hob_bits = 36 - manaSuccessorLowBits;
     return static_cast<std::size_t>(records_.capacity()) *
                record_bits +
            static_cast<std::size_t>(params_.hobEntries) * hob_bits;

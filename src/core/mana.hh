@@ -14,7 +14,7 @@
  * trigger VPN, a footprint over the following `regionPages` pages,
  * and a HOB-compressed successor trigger. On a miss that starts a
  * known region the footprint is replayed, and the successor chain is
- * walked `replayDepth` records ahead so prefetches lead the miss
+ * walked `manaReplayDepth` records ahead so prefetches lead the miss
  * stream by more than one region.
  */
 
@@ -31,13 +31,16 @@
 namespace morrigan
 {
 
+/** Records replayed ahead along the successor chain. */
+inline constexpr unsigned manaReplayDepth = 2;
+/** Successor low bits stored verbatim in each record. */
+inline constexpr unsigned manaSuccessorLowBits = 12;
+
 /** Static configuration of the MANA-style prefetcher. */
 struct ManaParams
 {
     /** Pages after the trigger covered by one footprint. */
     unsigned regionPages = 8;
-    /** Records replayed ahead along the successor chain. */
-    unsigned replayDepth = 2;
     /**
      * Record table geometry. 576 x (16b tag + 8b footprint + 1b
      * successor-valid + 6b HOB index + 12b successor low bits) =
@@ -49,8 +52,6 @@ struct ManaParams
     std::uint32_t tableWays = 9;
     /** HOB table size; indices are log2(hobEntries) bits wide. */
     std::uint32_t hobEntries = 64;
-    /** Successor low bits stored verbatim in each record. */
-    unsigned successorLowBits = 12;
 };
 
 /** The MANA-style record/replay plugin. */

@@ -4,10 +4,9 @@ namespace morrigan
 {
 
 FnlMmaPrefetcher::FnlMmaPrefetcher(const FnlMmaParams &params)
-    : params_(params),
-      mmaTable_(params.tableEntries, params.tableWays)
+    : mmaTable_(params.tableEntries, params.tableWays)
 {
-    missHistory_.assign(params_.missLookahead + 1, 0);
+    missHistory_.assign(params.missLookahead + 1, 0);
 }
 
 void
@@ -17,7 +16,7 @@ FnlMmaPrefetcher::onFetch(Addr pc, bool l1i_miss,
     Addr line = lineOf(pc);
 
     // FNL: next lines, across page boundaries, ahead of every fetch.
-    for (unsigned d = 1; d <= params_.nextLineDegree; ++d)
+    for (unsigned d = 1; d <= fnlMmaNextLineDegree; ++d)
         out.push_back((line + d) << lineShift);
 
     if (!l1i_miss)

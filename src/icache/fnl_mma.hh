@@ -29,11 +29,12 @@
 namespace morrigan
 {
 
+/** Next-line degree (crossing page boundaries). */
+inline constexpr unsigned fnlMmaNextLineDegree = 2;
+
 /** Static configuration of the FNL+MMA-like prefetcher. */
 struct FnlMmaParams
 {
-    /** Next-line degree (crossing page boundaries). */
-    unsigned nextLineDegree = 2;
     /** How many misses ahead the MMA component predicts. */
     unsigned missLookahead = 4;
     /** MMA table capacity (miss line -> future miss line). */
@@ -73,7 +74,6 @@ class FnlMmaPrefetcher : public ICachePrefetcher
         ar.io(self.missCount_);
     }
 
-    FnlMmaParams params_;
     struct MmaEntry
     {
         Addr future = 0;

@@ -4,9 +4,9 @@
  *
  * The reproduction needs hit/miss behaviour and per-level service
  * latencies, not data movement, so the cache stores tags only. LRU
- * replacement, true-LRU via a per-set sequence counter. MSHR capacity
- * is recorded for configuration fidelity (Table 1) and exposed to the
- * timing model, which uses it to bound the data-side overlap window.
+ * replacement, true-LRU via a per-set sequence counter. Misses are not
+ * queued: Table 1's MSHRs are not modelled, so a level serves any
+ * number of outstanding misses at its fixed latency.
  *
  * Hot-path layout: the lanes and scans of common/set_kernel.hh. The
  * model is physically addressed and physical memory is bounded well
@@ -45,7 +45,6 @@ struct CacheParams
     std::uint32_t sizeBytes = 32 * 1024;
     std::uint32_t ways = 8;
     Cycle latency = 4;          //!< Hit latency contribution.
-    std::uint32_t mshrs = 8;    //!< Miss status holding registers.
 
     /** The fields, with their cache-key names (common/fields.hh). */
     template <RecordOf<CacheParams> Self, class V>
@@ -55,7 +54,6 @@ struct CacheParams
         v("size", c.sizeBytes);
         v("ways", c.ways);
         v("lat", c.latency);
-        v("mshrs", c.mshrs);
     }
 };
 static_assert(visitsEveryField<CacheParams>());

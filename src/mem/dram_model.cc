@@ -30,11 +30,11 @@ DramModel::access(Addr addr)
     if (openRow_[bank] == static_cast<std::int64_t>(row)) {
         // Row-buffer hit: only tCAS.
         ++stats_.rowHits;
-        latency = params_.tParam;
+        latency = dramTParam;
     } else {
         // Precharge + activate + CAS.
         ++stats_.rowConflicts;
-        latency = 3 * params_.tParam;
+        latency = 3 * dramTParam;
         openRow_[bank] = static_cast<std::int64_t>(row);
     }
     return latency;

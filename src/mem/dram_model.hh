@@ -21,13 +21,15 @@
 namespace morrigan
 {
 
+/** Core cycles per DRAM timing parameter (tRP = tRCD = tCAS): 12
+ * memory cycles at a 3x core clock ratio. */
+inline constexpr Cycle dramTParam = 12 * 3;
+
 /** Static configuration of the DRAM model. */
 struct DramParams
 {
     std::uint32_t banks = 8;            //!< Power of two.
     std::uint32_t rowBytes = 8 * 1024;  //!< Power of two.
-    /** Core cycles per DRAM timing parameter (tRP = tRCD = tCAS). */
-    Cycle tParam = 12 * 3;  //!< 12 mem cycles at a 3x core clock ratio.
 
     /** The fields, with their cache-key names (common/fields.hh). */
     template <RecordOf<DramParams> Self, class V>
@@ -35,7 +37,6 @@ struct DramParams
     {
         v("banks", d.banks);
         v("rowBytes", d.rowBytes);
-        v("tParam", d.tParam);
     }
 };
 static_assert(visitsEveryField<DramParams>());

@@ -62,10 +62,10 @@ MemoryHierarchy::maybeL2Prefetch(Addr missed_line)
 {
     if (!params_.l2Prefetcher)
         return;
-    // Degenerate SPP: next-line prefetch with configurable depth.
+    // Degenerate SPP: next-line prefetch, l2PrefetchDepth lines deep.
     // The real SPP tracks signatures; a depth-N sequential fetcher
     // reproduces its role as background data-side cache warming.
-    for (std::uint32_t d = 1; d <= params_.l2PrefetchDepth; ++d) {
+    for (std::uint32_t d = 1; d <= l2PrefetchDepth; ++d) {
         Addr line = missed_line + d;
         if (!l2_.contains(line)) {
             l2_.fillMissed(line, true);

@@ -32,18 +32,19 @@ struct MemAccessResult
     MemLevel servedBy = MemLevel::L1;
 };
 
+/** Lines fetched ahead by the L2 prefetcher on a demand miss. */
+inline constexpr std::uint32_t l2PrefetchDepth = 2;
+
 /** Static configuration of the full memory hierarchy. */
 struct MemoryHierarchyParams
 {
-    CacheParams l1i{"l1i", 32 * 1024, 8, 4, 8};
-    CacheParams l1d{"l1d", 32 * 1024, 8, 4, 8};
-    CacheParams l2{"l2", 512 * 1024, 8, 8, 32};
-    CacheParams llc{"llc", 2 * 1024 * 1024, 16, 10, 64};
+    CacheParams l1i{"l1i", 32 * 1024, 8, 4};
+    CacheParams l1d{"l1d", 32 * 1024, 8, 4};
+    CacheParams l2{"l2", 512 * 1024, 8, 8};
+    CacheParams llc{"llc", 2 * 1024 * 1024, 16, 10};
     DramParams dram{};
     /** Enable the simple L2 stride prefetcher (SPP stand-in). */
     bool l2Prefetcher = true;
-    /** Lines fetched ahead by the L2 prefetcher on a demand miss. */
-    std::uint32_t l2PrefetchDepth = 2;
 
     /** The fields, with their cache-key names (common/fields.hh). */
     template <RecordOf<MemoryHierarchyParams> Self, class V>
@@ -55,7 +56,6 @@ struct MemoryHierarchyParams
         v("llc", m.llc);
         v("dram", m.dram);
         v("l2Prefetcher", m.l2Prefetcher);
-        v("l2PrefetchDepth", m.l2PrefetchDepth);
     }
 };
 static_assert(visitsEveryField<MemoryHierarchyParams>());

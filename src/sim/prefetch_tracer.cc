@@ -296,7 +296,7 @@ PrefetchTracer::writeSummaryJson(std::ostream &os) const
         w.endObject();
     };
     w.beginObject();
-    w.kv("schema", json::traceSchemaVersion);
+    w.kv("schema", json::statsSchemaVersion);
     w.key("components").beginObject();
     for (unsigned c = 0; c < numComponents; ++c) {
         const Outcomes &o = comps_[c];

@@ -190,7 +190,8 @@ class PrefetchTracer : public PbObserver
     bool reconciles() const;
 
     /** Append the per-component summary to a JSON writer stream as
-     * one object ({"components":{...},"totals":{...}}). */
+     * one object ({"schema":N,"components":{...},"totals":{...}});
+     * its rows are Outcomes records, so N is the stats schema's. */
     void writeSummaryJson(std::ostream &os) const;
 
     /**

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -314,20 +315,48 @@ runStatusName(RunStatus s)
     return "?";
 }
 
+namespace
+{
+
+/**
+ * Set the option that command-line flag @p flag names from the value
+ * @p value returns (not called for a switch); @p what, the flag or
+ * its environment variable, names the source in errors. False when
+ * @p flag sets no option.
+ */
+bool
+setOption(SupervisorOptions &o, std::string_view flag,
+          const std::string &what,
+          const std::function<const char *()> &value)
+{
+    if (flag == "--jobs")
+        o.jobs = parseJobsValue(what.c_str(), value());
+    else if (flag == "--isolate")
+        o.isolate = true;
+    else if (flag == "--job-timeout")
+        o.jobTimeoutMs = parseU64OrDie(what, value(), 1, 86'400) * 1000;
+    else if (flag == "--retries")
+        o.maxAttempts = 1 + static_cast<unsigned>(
+                                parseU64OrDie(what, value(), 0, 100));
+    else if (flag == "--journal")
+        o.journalPath = value();
+    else if (flag == "--snapshot-dir")
+        o.snapshotDir = value();
+    else if (flag == "--checkpoint-every")
+        o.checkpointEveryInstructions =
+            parseU64OrDie(what, value(), 0, std::uint64_t{1} << 40);
+    else if (flag == "--progress")
+        o.progressEveryMs = parseU64OrDie(what, value(), 1, 3'600'000);
+    else
+        return false;
+    return true;
+}
+
+} // namespace
+
 SupervisorOptions
 SupervisorOptions::fromEnv()
 {
-    SupervisorOptions o;
-    if (const char *e = std::getenv("MORRIGAN_ISOLATE"))
-        o.isolate = *e != '\0' && std::string(e) != "0";
-    if (const char *e = std::getenv("MORRIGAN_JOB_TIMEOUT"))
-        o.jobTimeoutMs =
-            parseU64OrDie("MORRIGAN_JOB_TIMEOUT", e, 1, 86'400) * 1000;
-    if (const char *e = std::getenv("MORRIGAN_JOB_RETRIES"))
-        o.maxAttempts = 1 + static_cast<unsigned>(parseU64OrDie(
-                                "MORRIGAN_JOB_RETRIES", e, 0, 100));
-    if (const char *e = std::getenv("MORRIGAN_JOURNAL"))
-        o.journalPath = e;
     // The two snapshot stores these named are one store now; a
     // campaign still setting them would silently run uncached.
     for (const char *retired :
@@ -336,16 +365,57 @@ SupervisorOptions::fromEnv()
             fatal("%s is retired: set MORRIGAN_SNAPSHOT_DIR, which "
                   "holds both checkpoints and warmup images",
                   retired);
-    if (const char *e = std::getenv("MORRIGAN_SNAPSHOT_DIR"))
-        o.snapshotDir = e;
-    if (const char *e = std::getenv("MORRIGAN_CHECKPOINT_EVERY"))
-        o.checkpointEveryInstructions =
-            parseU64OrDie("MORRIGAN_CHECKPOINT_EVERY", e, 0,
-                          std::uint64_t{1} << 40);
-    if (const char *e = std::getenv("MORRIGAN_PROGRESS_MS"))
-        o.progressEveryMs =
-            parseU64OrDie("MORRIGAN_PROGRESS_MS", e, 1, 3'600'000);
+    SupervisorOptions o;
+    if (const char *e = std::getenv("MORRIGAN_ISOLATE"))
+        o.isolate = *e != '\0' && std::string(e) != "0";
+    // The flag each variable spells; MORRIGAN_JOBS is resolved by
+    // defaultJobs() when a Supervisor sizes its pool.
+    static constexpr std::pair<const char *, const char *> spellings[] = {
+        {"--job-timeout", "MORRIGAN_JOB_TIMEOUT"},
+        {"--retries", "MORRIGAN_JOB_RETRIES"},
+        {"--journal", "MORRIGAN_JOURNAL"},
+        {"--snapshot-dir", "MORRIGAN_SNAPSHOT_DIR"},
+        {"--checkpoint-every", "MORRIGAN_CHECKPOINT_EVERY"},
+        {"--progress", "MORRIGAN_PROGRESS_MS"},
+    };
+    for (const auto &[flag, env] : spellings)
+        if (const char *e = std::getenv(env))
+            setOption(o, flag, env, [e] { return e; });
     return o;
+}
+
+bool
+SupervisorOptions::applyFlag(std::string_view arg,
+                             const std::function<const char *()> &next)
+{
+    return setOption(*this, arg, std::string(arg), next);
+}
+
+void
+SupervisorOptions::printFlagUsage()
+{
+    std::printf(
+        "  --jobs N              parallel worker count (default: "
+        "MORRIGAN_JOBS, then hardware)\n"
+        "  --isolate             sandbox every job in its own "
+        "process, so crashing and hanging jobs are contained "
+        "(MORRIGAN_ISOLATE=1)\n"
+        "  --job-timeout SECS    per-job watchdog deadline (default "
+        "derived from the instruction budget; "
+        "MORRIGAN_JOB_TIMEOUT)\n"
+        "  --retries N           retry failed jobs (and timed-out "
+        "ones under --isolate) up to N times with backoff "
+        "(default 1; MORRIGAN_JOB_RETRIES)\n"
+        "  --journal FILE        append per-job outcomes to FILE "
+        "and resume completed jobs from it (MORRIGAN_JOURNAL)\n"
+        "  --snapshot-dir DIR    per-job checkpoints and warmup "
+        "images, so killed jobs resume and a batch warms each "
+        "(workload, prefetcher, system) once (MORRIGAN_SNAPSHOT_DIR)\n"
+        "  --checkpoint-every N  snapshot autosave interval in "
+        "instructions; 0 turns autosave off (default 1000000; "
+        "MORRIGAN_CHECKPOINT_EVERY)\n"
+        "  --progress MS         periodic campaign progress line on "
+        "stderr, at most every MS ms (MORRIGAN_PROGRESS_MS)\n");
 }
 
 FailureManifest &
@@ -421,14 +491,13 @@ derivedJobTimeoutMs(const ExperimentJob &job,
 }
 
 std::uint64_t
-retryDelayMs(const std::string &key, unsigned attempt,
-             const SupervisorOptions &opt)
+retryDelayMs(const std::string &key, unsigned attempt)
 {
     if (attempt <= 1)
         return 0;
     const unsigned shift = std::min(attempt - 2, 20u);
     const std::uint64_t backoff =
-        std::min(opt.backoffCapMs, opt.backoffBaseMs << shift);
+        std::min(retryBackoffCapMs, retryBackoffBaseMs << shift);
     // Jitter in [0, backoff/2], hashed from (key, attempt): spreads
     // concurrent retries without making reruns nondeterministic.
     const std::uint64_t jitter_range = backoff / 2 + 1;
@@ -1029,7 +1098,7 @@ scheduleAttempts(Campaign &c, Executor &&ex, unsigned slots,
             // Jitter hashed from the job's identity: a rerun of the
             // campaign schedules identically.
             const std::uint64_t delay = retryDelayMs(
-                key.empty() ? jobLabel(c.batch[i]) : key, n + 1, c.opt);
+                key.empty() ? jobLabel(c.batch[i]) : key, n + 1);
             pending.push_back({i, n + 1,
                                Clock::now() +
                                    std::chrono::milliseconds(delay)});

@@ -46,9 +46,11 @@
 #define MORRIGAN_SIM_SUPERVISOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -116,11 +118,6 @@ struct SupervisorOptions
     /** Total executions per job, first try included. */
     unsigned maxAttempts = 2;
 
-    /** Exponential backoff between retries: attempt k waits
-     * base << (k-1), capped, plus deterministic jitter. */
-    std::uint64_t backoffBaseMs = 100;
-    std::uint64_t backoffCapMs = 5'000;
-
     /** JSONL journal path; empty disables checkpoint/resume. */
     std::string journalPath;
 
@@ -160,7 +157,25 @@ struct SupervisorOptions
      * MORRIGAN_PROGRESS_MS on top of defaults; junk values and the
      * retired snapshot variables are fatal. */
     static SupervisorOptions fromEnv();
+
+    /**
+     * Apply the command-line flag @p arg when it sets one of these
+     * options, taking its value from @p next; false for any other
+     * flag. The flag and its environment variable accept the same
+     * values, and a junk or out-of-range value is fatal, naming the
+     * flag. Both CLIs parse their campaign flags here.
+     */
+    bool applyFlag(std::string_view arg,
+                   const std::function<const char *()> &next);
+
+    /** Print the usage lines of the flags applyFlag() accepts. */
+    static void printFlagUsage();
 };
+
+/** Exponential backoff between retries: attempt k waits
+ * base << (k - 2), capped, plus deterministic jitter. */
+inline constexpr std::uint64_t retryBackoffBaseMs = 100;
+inline constexpr std::uint64_t retryBackoffCapMs = 5'000;
 
 /**
  * Process-wide ledger of permanently failed jobs, drained by the
@@ -214,8 +229,7 @@ derivedJobTimeoutMs(const ExperimentJob &job,
  * from (key, attempt), so a rerun of the same campaign schedules
  * identically.
  */
-std::uint64_t retryDelayMs(const std::string &key, unsigned attempt,
-                           const SupervisorOptions &opt);
+std::uint64_t retryDelayMs(const std::string &key, unsigned attempt);
 
 /** Human-readable job identity for reports and manifests. */
 std::string jobLabel(const ExperimentJob &job);

@@ -31,7 +31,6 @@ struct TlbParams
     std::uint32_t entries = 64;
     std::uint32_t ways = 4;
     Cycle latency = 1;
-    std::uint32_t mshrs = 4;
 
     /** The fields, with their cache-key names (common/fields.hh). */
     template <RecordOf<TlbParams> Self, class V>
@@ -41,7 +40,6 @@ struct TlbParams
         v("entries", t.entries);
         v("ways", t.ways);
         v("lat", t.latency);
-        v("mshrs", t.mshrs);
     }
 };
 static_assert(visitsEveryField<TlbParams>());

@@ -22,9 +22,9 @@ namespace morrigan
 /** Static configuration of the TLB hierarchy. */
 struct TlbHierarchyParams
 {
-    TlbParams itlb{"itlb", 128, 8, 1, 4};
-    TlbParams dtlb{"dtlb", 64, 4, 1, 4};
-    TlbParams stlb{"stlb", 1536, 6, 8, 4};
+    TlbParams itlb{"itlb", 128, 8, 1};
+    TlbParams dtlb{"dtlb", 64, 4, 1};
+    TlbParams stlb{"stlb", 1536, 6, 8};
 
     /** The fields, with their cache-key names (common/fields.hh). */
     template <RecordOf<TlbHierarchyParams> Self, class V>

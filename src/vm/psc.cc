@@ -30,7 +30,7 @@ PageStructureCache::PageStructureCache(const PscParams &params)
     : params_(params),
       pml4_(params.pml4Entries, params.pml4Entries),
       pdp_(params.pdpEntries, params.pdpEntries),
-      pd_(params.pdEntries, params.pdWays)
+      pd_(params.pdEntries, pscPdWays)
 {
 }
 

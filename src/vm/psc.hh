@@ -21,13 +21,15 @@
 namespace morrigan
 {
 
+/** Associativity of the PD cache (Table 1). */
+inline constexpr std::uint32_t pscPdWays = 4;
+
 /** Static configuration of the split PSC. */
 struct PscParams
 {
     std::uint32_t pml4Entries = 2;   //!< fully associative
     std::uint32_t pdpEntries = 4;    //!< fully associative
-    std::uint32_t pdEntries = 32;
-    std::uint32_t pdWays = 4;
+    std::uint32_t pdEntries = 32;     //!< pscPdWays-way
     Cycle latency = 2;
 
     /** The fields, with their cache-key names (common/fields.hh). */
@@ -37,7 +39,6 @@ struct PscParams
         v("pml4", p.pml4Entries);
         v("pdp", p.pdpEntries);
         v("pd", p.pdEntries);
-        v("pdWays", p.pdWays);
         v("lat", p.latency);
     }
 };

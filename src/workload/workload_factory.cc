@@ -165,22 +165,4 @@ parseWorkloadName(const std::string &name)
     return std::nullopt;
 }
 
-std::unique_ptr<ServerWorkload>
-makeQmmWorkload(unsigned index)
-{
-    return std::make_unique<ServerWorkload>(qmmWorkloadParams(index));
-}
-
-std::unique_ptr<ServerWorkload>
-makeSpecWorkload(unsigned index)
-{
-    return std::make_unique<ServerWorkload>(specWorkloadParams(index));
-}
-
-std::unique_ptr<ServerWorkload>
-makeJavaWorkload(unsigned index)
-{
-    return std::make_unique<ServerWorkload>(javaWorkloadParams(index));
-}
-
 } // namespace morrigan

@@ -16,7 +16,6 @@
 #ifndef MORRIGAN_WORKLOAD_WORKLOAD_FACTORY_HH
 #define MORRIGAN_WORKLOAD_WORKLOAD_FACTORY_HH
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,16 +45,11 @@ ServerWorkloadParams javaWorkloadParams(unsigned index);
 
 /**
  * Resolve a workload name of the form qmm_NN, spec_NN or java:NAME
- * (the spelling the CLI --workload flag and the campaign-service
- * job specs share); nullopt for unknown names or indices.
+ * (the spelling of the CLI --workload flag and of the repro commands
+ * jobReproCommand() writes); nullopt for unknown names or indices.
  */
 std::optional<ServerWorkloadParams>
 parseWorkloadName(const std::string &name);
-
-/** Convenience constructors. */
-std::unique_ptr<ServerWorkload> makeQmmWorkload(unsigned index);
-std::unique_ptr<ServerWorkload> makeSpecWorkload(unsigned index);
-std::unique_ptr<ServerWorkload> makeJavaWorkload(unsigned index);
 
 } // namespace morrigan
 

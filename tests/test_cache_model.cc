@@ -13,7 +13,7 @@ CacheParams
 smallCache()
 {
     // 8 lines, 2-way => 4 sets.
-    return CacheParams{"test", 8 * 64, 2, 3, 4};
+    return CacheParams{"test", 8 * 64, 2, 3};
 }
 
 } // namespace
@@ -71,14 +71,14 @@ TEST(CacheModel, FlushClearsAll)
 
 TEST(CacheModel, InsertReportsEviction)
 {
-    CacheModel c({"t", 1 * 64, 1, 1, 1});  // single line
+    CacheModel c({"t", 1 * 64, 1, 1});  // single line
     EXPECT_FALSE(c.insert(1));
     EXPECT_TRUE(c.insert(2));
 }
 
 TEST(CacheModel, DuplicateInsertDoesNotEvict)
 {
-    CacheModel c({"t", 2 * 64, 2, 1, 1});
+    CacheModel c({"t", 2 * 64, 2, 1});
     c.insert(1);
     c.insert(3);
     EXPECT_FALSE(c.insert(1));  // refresh, no eviction
@@ -94,7 +94,7 @@ class CacheGeometry
 TEST_P(CacheGeometry, HoldsExactlyCapacityLines)
 {
     auto [size, ways] = GetParam();
-    CacheModel c({"g", size, ways, 1, 1});
+    CacheModel c({"g", size, ways, 1});
     std::uint32_t lines = size / 64;
     std::uint32_t sets = c.numSets();
     for (std::uint32_t s = 0; s < sets; ++s)

@@ -10,7 +10,7 @@ TEST(Dram, FirstAccessIsRowConflict)
 {
     DramModel d(DramParams{});
     Cycle lat = d.access(0);
-    EXPECT_EQ(lat, 3 * DramParams{}.tParam);
+    EXPECT_EQ(lat, 3 * dramTParam);
     EXPECT_EQ(d.stats().rowConflicts, 1u);
 }
 
@@ -20,7 +20,7 @@ TEST(Dram, SameRowHitsAreCheaper)
     DramModel d(p);
     d.access(0);
     Cycle hit = d.access(64);  // same row
-    EXPECT_EQ(hit, p.tParam);
+    EXPECT_EQ(hit, dramTParam);
     EXPECT_EQ(d.stats().rowHits, 1u);
 }
 
@@ -33,7 +33,7 @@ TEST(Dram, DifferentRowSameBankConflicts)
     // row r and row r + banks share a bank.
     Addr conflict_addr = static_cast<Addr>(p.rowBytes) * p.banks;
     Cycle lat = d.access(conflict_addr);
-    EXPECT_EQ(lat, 3 * p.tParam);
+    EXPECT_EQ(lat, 3 * dramTParam);
 }
 
 TEST(Dram, BanksAreIndependent)
@@ -42,7 +42,7 @@ TEST(Dram, BanksAreIndependent)
     DramModel d(p);
     d.access(0);                       // opens bank 0
     d.access(p.rowBytes);              // opens bank 1
-    EXPECT_EQ(d.access(0), p.tParam);  // bank 0 row still open
+    EXPECT_EQ(d.access(0), dramTParam);  // bank 0 row still open
 }
 
 TEST(Dram, StreamingIsMostlyRowHits)

@@ -632,17 +632,17 @@ drivePrtDiff(const PrtGeometry &geom, std::uint64_t seed, int ops)
 TEST(HotpathDiff, CacheModelMatchesAosReference)
 {
     // L1-like: 64 sets x 8 ways (one full AVX2 row per set).
-    driveCacheDiff(CacheParams{"l1", 32 * 1024, 8, 4, 8}, 1, 200000);
+    driveCacheDiff(CacheParams{"l1", 32 * 1024, 8, 4}, 1, 200000);
     // LLC-like: 16 ways (two AVX2 rows per set).
-    driveCacheDiff(CacheParams{"llc", 256 * 1024, 16, 10, 16}, 2,
+    driveCacheDiff(CacheParams{"llc", 256 * 1024, 16, 10}, 2,
                    200000);
     // Ways not a multiple of the SIMD width exercise row padding and
     // the scalar victim choice.
-    driveCacheDiff(CacheParams{"odd", 24 * 1024, 6, 4, 8}, 3, 200000);
+    driveCacheDiff(CacheParams{"odd", 24 * 1024, 6, 4}, 3, 200000);
     // Multiples of four below and between the SIMD rows take the
     // vector victim choice with one and three recency vectors.
-    driveCacheDiff(CacheParams{"quad", 16 * 1024, 4, 4, 8}, 4, 200000);
-    driveCacheDiff(CacheParams{"dozen", 48 * 1024, 12, 4, 8}, 5,
+    driveCacheDiff(CacheParams{"quad", 16 * 1024, 4, 4}, 4, 200000);
+    driveCacheDiff(CacheParams{"dozen", 48 * 1024, 12, 4}, 5,
                    200000);
 }
 

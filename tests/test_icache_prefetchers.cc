@@ -61,20 +61,19 @@ TEST(FnlMma, CrossesPageBoundary)
 TEST(FnlMma, NextLineDegreeRespected)
 {
     FnlMmaParams p;
-    p.nextLineDegree = 3;
     p.missLookahead = 2;
     FnlMmaPrefetcher fm(p);
+    // A first miss finds the MMA table empty: only the
+    // fnlMmaNextLineDegree (2) next lines come out.
     auto out = fetch(fm, 0x10000, true);
-    ASSERT_GE(out.size(), 3u);
+    ASSERT_EQ(out.size(), fnlMmaNextLineDegree);
     EXPECT_EQ(out[0], 0x10040u);
     EXPECT_EQ(out[1], 0x10080u);
-    EXPECT_EQ(out[2], 0x100c0u);
 }
 
 TEST(FnlMma, MmaLearnsMissAheadPattern)
 {
     FnlMmaParams p;
-    p.nextLineDegree = 1;
     p.missLookahead = 2;
     FnlMmaPrefetcher fm(p);
     // Repeat a miss sequence A B C D A B C D ...; MMA should learn
@@ -100,6 +99,6 @@ TEST(FnlMma, HitsDoNotTrainMma)
         auto out = fetch(fm, 0x5000, false);
         // FNL still runs ahead, but the MMA component stays idle:
         // only the next-line prefetches come out.
-        EXPECT_EQ(out.size(), FnlMmaParams{}.nextLineDegree);
+        EXPECT_EQ(out.size(), fnlMmaNextLineDegree);
     }
 }

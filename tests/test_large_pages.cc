@@ -57,7 +57,7 @@ TEST(LargePages, WalkerReportsLargeResult)
 
 TEST(LargePages, TlbDualSizeLookup)
 {
-    Tlb tlb({"t", 64, 4, 1, 4});
+    Tlb tlb({"t", 64, 4, 1});
     Vpn base = largePageBase(0x200000);
     tlb.fillLarge(base + 17, 0x5000, AccessType::Data);
     // Any page of the 2MB region hits the large entry.

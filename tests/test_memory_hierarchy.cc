@@ -60,7 +60,7 @@ TEST(MemoryHierarchy, L2PrefetcherWarmsNextLines)
 {
     MemoryHierarchyParams p;
     p.l2Prefetcher = true;
-    p.l2PrefetchDepth = 2;
+    static_assert(l2PrefetchDepth == 2);
     MemoryHierarchy m(p);
     m.access(0x4000, AccessType::Data);  // miss; prefetch 2 next lines
     MemAccessResult r = m.access(0x4040, AccessType::Data);

@@ -510,7 +510,7 @@ TEST(Mana, ReplaysRecordedFootprintAndSuccessorChain)
     miss(pf, 300);
 
     // Revisiting 100 replays A's footprint and walks the successor
-    // chain replayDepth (2) records ahead: 200 and 300, so both
+    // chain manaReplayDepth (2) records ahead: 200 and 300, so both
     // records were committed.
     auto out = miss(pf, 400);  // leave region C first
     out = miss(pf, 100);
@@ -537,7 +537,7 @@ TEST(Mana, HobTableRoundRobinsOnceFull)
     // Each committed region records a successor whose high bits
     // claim a HOB slot; distinct high-bit patterns beyond 2 must
     // recycle slots, so the first record's successor is lost.
-    const Vpn step = Vpn{1} << 13;  // > successorLowBits (12): new HOB
+    const Vpn step = Vpn{1} << 13;  // > manaSuccessorLowBits (12): new HOB
     auto replay_first = [step](const ManaParams &params) {
         ManaPrefetcher pf(params);
         for (Vpn i = 1; i <= 7; ++i)
@@ -625,7 +625,7 @@ TEST(Fdip, RunsAheadAlongConfidentChain)
         for (Vpn v : {1, 2, 3, 4})
             miss(pf, v);
     auto out = miss(pf, 1);
-    // ftqDepth 3: chases 2, 3, 4.
+    // fdipFtqDepth 3: chases 2, 3, 4.
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[0].vpn, 2u);
     EXPECT_EQ(out[1].vpn, 3u);

@@ -121,7 +121,7 @@ TEST(ExperimentKey, DistinguishesEveryInput)
         else
             EXPECT_NE(warm, warmupKey(c, "none", wl));
     }
-    EXPECT_EQ(config_fields, 56u);
+    EXPECT_EQ(config_fields, 46u);
 
     // Every workload field, of the workload and of the SMT partner.
     std::size_t workload_fields = 0;
@@ -164,12 +164,12 @@ TEST(ExperimentKey, DigestsArePinned)
         std::uint64_t experiment, warmup, config;
     };
     const Case cases[] = {
-        {"default", SimConfig{}, nullptr, 0x2fbc590166ac825fULL,
-         0x8b4caa7ff82d129eULL, 0x8a681718cc788a33ULL},
-        {"fig18", fig18, nullptr, 0x160518d2127fef6aULL,
-         0x3eff625033b75339ULL, 0xfae1bc7c416919ecULL},
-        {"smt", SimConfig{}, &qmm1, 0x2cbc6d87bcb51498ULL,
-         0x5c47cce287b4fe47ULL, 0x8a681718cc788a33ULL},
+        {"default", SimConfig{}, nullptr, 0x0177dfa3b7755feaULL,
+         0xa1e681be89b62855ULL, 0x99803efe06db6253ULL},
+        {"fig18", fig18, nullptr, 0x88e1b9bf102213f3ULL,
+         0x4d43ebb0c4007152ULL, 0x3e5bf801b543932aULL},
+        {"smt", SimConfig{}, &qmm1, 0xe1a0fd15067e0c93ULL,
+         0x6772648476b3b2daULL, 0x99803efe06db6253ULL},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);

@@ -757,7 +757,7 @@ TEST(Snapshot, CacheModelLaneLayoutRoundTrip)
     // recency words; the snapshot format predates that layout, so a
     // save/restore round trip must reproduce the exact byte stream
     // and leave behaviour (LRU order, prefetched bits) unchanged.
-    CacheParams params{"snap", 16 * 1024, 8, 4, 8};
+    CacheParams params{"snap", 16 * 1024, 8, 4};
     CacheModel a(params);
     Rng rng(11, 0x66);
     for (int i = 0; i < 5000; ++i) {

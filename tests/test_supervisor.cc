@@ -389,6 +389,71 @@ TEST(SupervisorJobsDeathTest, JunkIsFatal)
                 ::testing::ExitedWithCode(1), "out of range");
 }
 
+TEST(SupervisorOptions, ApplyFlagSetsEachCampaignOption)
+{
+    SupervisorOptions o;
+    const char *value = nullptr;
+    unsigned reads = 0;
+    auto apply = [&](const char *flag, const char *v) {
+        value = v;
+        return o.applyFlag(flag, [&] {
+            ++reads;
+            return value;
+        });
+    };
+    EXPECT_TRUE(apply("--jobs", "3"));
+    EXPECT_TRUE(apply("--isolate", nullptr));
+    EXPECT_TRUE(apply("--job-timeout", "30"));
+    EXPECT_TRUE(apply("--retries", "4"));
+    EXPECT_TRUE(apply("--journal", "j.jsonl"));
+    EXPECT_TRUE(apply("--snapshot-dir", "snaps"));
+    EXPECT_TRUE(apply("--checkpoint-every", "0"));
+    EXPECT_TRUE(apply("--progress", "250"));
+    EXPECT_EQ(reads, 7u);  // every flag but the --isolate switch
+    EXPECT_EQ(o.jobs, 3u);
+    EXPECT_TRUE(o.isolate);
+    EXPECT_EQ(o.jobTimeoutMs, 30'000u);
+    EXPECT_EQ(o.maxAttempts, 5u);
+    EXPECT_EQ(o.journalPath, "j.jsonl");
+    EXPECT_EQ(o.snapshotDir, "snaps");
+    EXPECT_EQ(o.checkpointEveryInstructions, 0u);
+    EXPECT_EQ(o.progressEveryMs, 250u);
+
+    // Any other flag is left to the caller, its value unread.
+    for (const char *other : {"--workload", "--no-m5", "--no-m6"})
+        EXPECT_FALSE(apply(other, "x")) << other;
+    EXPECT_EQ(reads, 7u);
+}
+
+TEST(SupervisorOptionsDeathTest, ApplyFlagRejectsBadValues)
+{
+    struct Case
+    {
+        const char *flag, *value, *message;
+    };
+    for (const Case &c : {
+             Case{"--jobs", "abc", "--jobs: 'abc' is not a positive "
+                                   "integer"},
+             Case{"--jobs", "4x", "--jobs: trailing junk in '4x'"},
+             Case{"--jobs", "0", "--jobs: 0 out of range \\[1, 1024\\]"},
+             Case{"--jobs", "4096",
+                  "--jobs: 4096 out of range \\[1, 1024\\]"},
+             Case{"--job-timeout", "abc",
+                  "--job-timeout: 'abc' is not a non-negative integer"},
+             Case{"--job-timeout", "30s",
+                  "--job-timeout: trailing junk in '30s'"},
+             Case{"--job-timeout", "0",
+                  "--job-timeout: 0 out of range \\[1, 86400\\]"},
+             Case{"--job-timeout", "86401",
+                  "--job-timeout: 86401 out of range \\[1, 86400\\]"},
+         }) {
+        SupervisorOptions o;
+        EXPECT_EXIT(o.applyFlag(c.flag, [&] { return c.value; }),
+                    ::testing::ExitedWithCode(1), c.message)
+            << c.flag << " " << c.value;
+    }
+}
+
 TEST(SupervisorJobsDeathTest, JunkEnvIsFatalAtResolution)
 {
     setenv("MORRIGAN_JOBS", "lots", 1);
@@ -431,8 +496,6 @@ TEST(Supervisor, ThreadModeRetriesThenFails)
 {
     SupervisorOptions opt;
     opt.maxAttempts = 3;
-    opt.backoffBaseMs = 1;
-    opt.backoffCapMs = 2;
     opt.useCache = false;
     Supervisor sup(opt);
 
@@ -460,8 +523,6 @@ expectRetryThenSuccess(bool isolate)
 
     SupervisorOptions opt = executeAll(2, isolate);
     opt.maxAttempts = 2;
-    opt.backoffBaseMs = 1;
-    opt.backoffCapMs = 2;
     std::vector<RunOutcome> out = Supervisor(opt).run(
         {ExperimentJob::with(
             cfg,
@@ -551,8 +612,6 @@ TEST(Supervisor, WatchdogKillsHungJob)
     opt.isolate = true;
     opt.jobTimeoutMs = 500;
     opt.maxAttempts = 2;
-    opt.backoffBaseMs = 1;
-    opt.backoffCapMs = 2;
     opt.useCache = false;
     Supervisor sup(opt);
 
@@ -576,8 +635,6 @@ TEST(Supervisor, ThreadModeTimeoutIsTerminal)
     SupervisorOptions opt;
     opt.jobTimeoutMs = 300;
     opt.maxAttempts = 3;
-    opt.backoffBaseMs = 1;
-    opt.backoffCapMs = 2;
     opt.useCache = false;
     Supervisor sup(opt);
 
@@ -637,35 +694,27 @@ TEST(Supervisor, CrashAndHangBatchCompletes)
 
 TEST(Supervisor, RetryScheduleDeterministic)
 {
-    SupervisorOptions opt;
-    opt.backoffBaseMs = 100;
-    opt.backoffCapMs = 5'000;
-
     // Same (key, attempt) always yields the same delay.
-    EXPECT_EQ(retryDelayMs("job-a", 2, opt),
-              retryDelayMs("job-a", 2, opt));
+    EXPECT_EQ(retryDelayMs("job-a", 2), retryDelayMs("job-a", 2));
     // Different keys jitter differently (overwhelmingly likely for
     // these two fixed strings; a hash collision would be a bug in
     // itself worth noticing).
-    EXPECT_NE(retryDelayMs("job-a", 2, opt),
-              retryDelayMs("job-b", 2, opt));
+    EXPECT_NE(retryDelayMs("job-a", 2), retryDelayMs("job-b", 2));
 
     // Exponential growth up to the cap: attempt k backs off
     // base << (k - 2) (capped), plus jitter in [0, backoff/2].
     for (unsigned attempt = 2; attempt < 8; ++attempt) {
-        std::uint64_t d = retryDelayMs("job-a", attempt, opt);
-        std::uint64_t backoff =
-            std::min<std::uint64_t>(opt.backoffCapMs,
-                                    opt.backoffBaseMs
-                                        << (attempt - 2));
+        std::uint64_t d = retryDelayMs("job-a", attempt);
+        std::uint64_t backoff = std::min(
+            retryBackoffCapMs, retryBackoffBaseMs << (attempt - 2));
         EXPECT_GE(d, backoff);
         EXPECT_LE(d, backoff + backoff / 2);
     }
     // Deep attempts stay bounded by cap + jitter; the first try
     // has no delay at all.
-    EXPECT_EQ(retryDelayMs("job-a", 1, opt), 0u);
-    EXPECT_LE(retryDelayMs("job-a", 60, opt),
-              opt.backoffCapMs + opt.backoffCapMs / 2);
+    EXPECT_EQ(retryDelayMs("job-a", 1), 0u);
+    EXPECT_LE(retryDelayMs("job-a", 60),
+              retryBackoffCapMs + retryBackoffCapMs / 2);
 }
 
 TEST(Supervisor, DerivedTimeoutScalesWithBudget)

@@ -12,7 +12,7 @@ namespace
 TlbParams
 tinyTlb()
 {
-    return TlbParams{"tiny", 8, 2, 1, 4};
+    return TlbParams{"tiny", 8, 2, 1};
 }
 
 } // namespace

@@ -48,7 +48,7 @@ TEST(TlbHierarchy, SharedStlbContention)
     // Fill the STLB with data translations mapping to one set until
     // an instruction translation in that set is evicted.
     TlbHierarchyParams p;
-    p.stlb = TlbParams{"stlb", 8, 2, 8, 4};  // tiny shared STLB
+    p.stlb = TlbParams{"stlb", 8, 2, 8};  // tiny shared STLB
     TlbHierarchy h{p};
     h.fillStlbOnly(0, 1, AccessType::Instruction);
     h.fillStlbOnly(4, 2, AccessType::Data);   // same set (4 sets)

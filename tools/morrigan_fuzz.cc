@@ -26,7 +26,7 @@
 #include "check/invariants.hh"
 #include "common/logging.hh"
 #include "sim/config_flags.hh"
-#include "sim/job.hh"
+#include "sim/supervisor.hh"
 
 using namespace morrigan;
 
@@ -39,36 +39,25 @@ usage()
     std::printf(
         "morrigan-fuzz -- differential config/workload fuzzer\n"
         "\n"
-        "  --seeds N           seeds to fuzz (default 25)\n"
-        "  --seed-base N       first seed (default 1)\n"
-        "  --instructions N    measured instructions per run "
+        "  --seeds N             seeds to fuzz (default 25)\n"
+        "  --seed-base N         first seed (default 1)\n"
+        "  --instructions N      measured instructions per run "
         "(default 200000)\n"
-        "  --warmup N          warmup instructions per run "
+        "  --warmup N            warmup instructions per run "
         "(default 50000)\n"
-        "  --check             differential checking (always on; "
+        "  --check               differential checking (always on; "
         "accepted for symmetry with morrigan-sim)\n"
-        "  --check-level N     check level 1|2 (default 1; 2 adds "
+        "  --check-level N       check level 1|2 (default 1; 2 adds "
         "heavyweight structural invariants)\n"
-        "  --inject N          corrupt every Nth instruction demand "
+        "  --inject N            corrupt every Nth instruction demand "
         "walk of each base run; seeds then PASS only when the "
         "checker catches the corruption\n"
-        "  --artifact-dir DIR  write failing-seed repro artifacts "
+        "  --artifact-dir DIR    write failing-seed repro artifacts "
         "into DIR\n"
-        "  --jobs N            parallel worker count (default: "
-        "MORRIGAN_JOBS, then hardware)\n"
-        "  --isolate           sandbox every run in its own process; "
-        "crashing/hanging seeds are quarantined, not fatal "
-        "(MORRIGAN_ISOLATE=1)\n"
-        "  --job-timeout SECS  per-run watchdog deadline (default: "
-        "derived from the instruction budget)\n"
-        "  --journal FILE      campaign journal (JSONL); rerunning "
-        "with the same parameters resumes completed runs\n"
-        "  --no-m5             skip the checkpoint/restore "
-        "bit-identity invariant (M5), saving one extra run per "
-        "seed\n"
-        "  --no-m6             skip the telemetry on/off "
-        "bit-identity invariant (M6), saving two extra runs per "
-        "seed\n");
+        "\n"
+        "campaign options (a crashing or hanging seed is "
+        "quarantined under --isolate, not fatal):\n");
+    SupervisorOptions::printFlagUsage();
 }
 
 } // namespace
@@ -77,6 +66,7 @@ int
 main(int argc, char **argv)
 {
     check::FuzzOptions opt;
+    SupervisorOptions sup = Supervisor::defaultOptions();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -112,25 +102,14 @@ main(int argc, char **argv)
                 parseU64OrDie(arg, next(), 1, std::uint64_t{1} << 40);
         } else if (arg == "--artifact-dir") {
             opt.artifactDir = next();
-        } else if (arg == "--jobs") {
-            opt.jobs = parseJobsValue("--jobs", next());
-        } else if (arg == "--isolate") {
-            opt.isolate = true;
-        } else if (arg == "--job-timeout") {
-            opt.jobTimeoutMs =
-                parseU64OrDie(arg, next(), 1, 86'400) * 1000;
-        } else if (arg == "--journal") {
-            opt.journalPath = next();
-        } else if (arg == "--no-m5") {
-            opt.checkpointInvariant = false;
-        } else if (arg == "--no-m6") {
-            opt.telemetryInvariant = false;
-        } else {
+        } else if (!sup.applyFlag(arg, next)) {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
             return 1;
         }
     }
+
+    Supervisor::setDefaultOptions(sup);
 
     // Arm the structural invariant hooks at the requested level
     // (unless the user pinned MORRIGAN_CHECK_LEVEL themselves); the

@@ -76,42 +76,24 @@ usage()
         "--interval-out\n"
         "  --baseline            also run the no-prefetch baseline "
         "and report speedup\n"
-        "  --jobs N              parallel worker count (default: "
-        "MORRIGAN_JOBS, then hardware)\n"
         "  --sweep               run the whole QMM suite (baseline "
         "+ prefetcher) and report speedups\n"
-        "  --isolate             sandbox every batch job in its own "
-        "process (contains crashes/OOM; MORRIGAN_ISOLATE=1)\n"
-        "  --job-timeout SECS    per-job watchdog deadline (default "
-        "derived from the instruction budget; "
-        "MORRIGAN_JOB_TIMEOUT)\n"
-        "  --retries N           retry failed jobs (and timed-out "
-        "ones under --isolate) up to N times with backoff "
-        "(default 1; MORRIGAN_JOB_RETRIES)\n"
-        "  --journal FILE        append per-job outcomes to FILE "
-        "and resume completed jobs from it (MORRIGAN_JOURNAL)\n"
         "  --checkpoint FILE     autosave a snapshot to FILE and, "
         "when FILE already holds a valid snapshot, resume the run "
         "from it (single-run mode)\n"
-        "  --checkpoint-every N  snapshot autosave interval in "
-        "instructions; 0 turns autosave off (default 1000000; "
-        "MORRIGAN_CHECKPOINT_EVERY)\n"
-        "  --snapshot-dir DIR    batch mode: per-job checkpoints and "
-        "warmup images, so killed jobs resume and a sweep warms each "
-        "(workload, prefetcher, system) once (MORRIGAN_SNAPSHOT_DIR)\n"
         "  --telemetry           collect self-profiling phase "
         "timers/counters; adds a telemetry section (with "
         "instrs_per_sec) to --stats-json\n"
         "  --trace-events FILE   record every span and export Chrome "
         "trace-event JSON to FILE at exit (chrome://tracing, "
         "Perfetto); implies --telemetry\n"
-        "  --progress MS         periodic campaign progress line on "
-        "stderr, at most every MS ms (batch modes; "
-        "MORRIGAN_PROGRESS_MS)\n"
         "  --version             print build identity (git SHA, "
         "compiler, flags) and exit\n"
         "\n"
-        "registered prefetchers (compose with '+'):\n");
+        "campaign options (batch modes; --checkpoint-every also "
+        "sets the --checkpoint interval):\n");
+    SupervisorOptions::printFlagUsage();
+    std::printf("\nregistered prefetchers (compose with '+'):\n");
     for (const PrefetcherPlugin &p :
          PrefetcherRegistry::global().plugins()) {
         std::printf("  %-14s %-18s %s\n", p.name.c_str(),
@@ -311,9 +293,6 @@ main(int argc, char **argv)
         } else if (arg == "--trace-events") {
             trace_events_path = next();
             telemetry_on = true;
-        } else if (arg == "--progress") {
-            sup.progressEveryMs =
-                parseU64OrDie(arg, next(), 1, 3'600'000);
         } else if (arg == "--workload") {
             workload_name = next();
         } else if (arg == "--smt-with") {
@@ -344,28 +323,11 @@ main(int argc, char **argv)
             interval_csv = true;
         } else if (arg == "--baseline") {
             with_baseline = true;
-        } else if (arg == "--jobs") {
-            sup.jobs = parseJobsValue("--jobs", next());
         } else if (arg == "--sweep") {
             sweep = true;
-        } else if (arg == "--isolate") {
-            sup.isolate = true;
-        } else if (arg == "--job-timeout") {
-            sup.jobTimeoutMs =
-                parseU64OrDie(arg, next(), 1, 86'400) * 1000;
-        } else if (arg == "--retries") {
-            sup.maxAttempts = 1 + static_cast<unsigned>(
-                                      parseU64OrDie(arg, next(), 0, 100));
-        } else if (arg == "--journal") {
-            sup.journalPath = next();
         } else if (arg == "--checkpoint") {
             checkpoint_path = next();
-        } else if (arg == "--checkpoint-every") {
-            sup.checkpointEveryInstructions =
-                parseU64OrDie(arg, next(), 0, std::uint64_t{1} << 40);
-        } else if (arg == "--snapshot-dir") {
-            sup.snapshotDir = next();
-        } else {
+        } else if (!sup.applyFlag(arg, next)) {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
             return 1;
