@@ -49,11 +49,11 @@ namespace morrigan::json
  * the tracer's hits_late (= late_wait.count); `config` no longer
  * echoes pbLatency, width, dataMlpFactor, fetchOverlapFactor and
  * frontendRedirectPenalty, which are constants (sim/sim_config.hh).
- * v7: `config` no longer echoes the caches' and TLBs' mshrs (never
- * modelled), the PSC's pdWays, DRAM's tParam and the L2 prefetcher's
- * depth, which are constants next to the code that reads them; the
- * trace_summary's `schema` is this version (its rows are the tracer's
- * Outcomes record), not the JSONL trace event schema's. */
+ * v7: `config` no longer echoes the caches' and TLBs' MSHR counts
+ * (deleted: never modelled) nor the PSC's pdWays, DRAM's tParam and
+ * the L2 prefetcher's depth (constants next to the code that reads
+ * them); the trace_summary's `schema` is this version (its rows are
+ * the tracer's Outcomes record), not the JSONL trace event schema's. */
 inline constexpr int statsSchemaVersion = 7;
 /** Version of the JSONL prefetch-trace event schema. */
 inline constexpr int traceSchemaVersion = 1;
@@ -91,8 +91,8 @@ inline constexpr int benchSchemaVersion = 2;
  * correctly; stale v2 keys simply miss and rerun.
  * v4: the SimConfig part loses pbLatency, width, dataMlpFactor,
  * fetchOverlapFactor and frontendRedirectPenalty, now constants.
- * v5: the SimConfig part loses every mshrs, psc.pdWays, dram.tParam
- * and mem.l2PrefetchDepth, now constants. */
+ * v5: the SimConfig part loses the MSHR counts (deleted), psc.pdWays,
+ * dram.tParam and mem.l2PrefetchDepth (now constants). */
 inline constexpr int resultCacheSchemaVersion = 5;
 /** Version of the campaign-journal JSONL record schema
  * (sim/supervisor.hh). Still v1 after the optional duration_ms key
