@@ -14,6 +14,7 @@
 #include <cstdlib>
 
 #include "sim/simulator.hh"
+#include "workload/miss_stream_stats.hh"
 #include "workload/workload_factory.hh"
 
 using namespace morrigan;
@@ -40,7 +41,7 @@ main(int argc, char **argv)
     Simulator sim(cfg);
     sim.attachWorkload(&trace, 0);
     SimResult r = sim.run();
-    const MissStreamStats &ms = sim.missStream();
+    const MissStreamStats ms(sim.missStream());
 
     std::printf("workload %s: %llu iSTLB misses over %llu "
                 "instructions (%.2f MPKI)\n",

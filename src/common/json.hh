@@ -99,8 +99,10 @@ inline constexpr int resultCacheSchemaVersion = 5;
  * was added: the reader tolerates its absence, and a bump would
  * force every resumed campaign to rerun finished jobs.
  * v2: the result record gains the base and context-switch cycle
- * fractions, so v1 records are reported stale and rerun. */
-inline constexpr int journalSchemaVersion = 2;
+ * fractions, so v1 records are reported stale and rerun.
+ * v3: an ok record carries the job's miss stream (`miss_stream`, an
+ * array of VPNs, empty unless the job collected one). */
+inline constexpr int journalSchemaVersion = 3;
 
 /** Write @p s as a quoted, escaped JSON string. */
 inline void

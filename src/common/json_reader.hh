@@ -13,7 +13,6 @@
 #ifndef MORRIGAN_COMMON_JSON_READER_HH
 #define MORRIGAN_COMMON_JSON_READER_HH
 
-#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cstdint>
@@ -236,21 +235,29 @@ class Reader
     std::size_t pos_ = 0;
 };
 
+/** @p v as an unsigned integer: a number token of digits only that
+ * fits 64 bits. */
+inline bool
+toU64(const Value &v, std::uint64_t &out)
+{
+    if (v.type != Value::Type::Number ||
+        !std::isdigit(static_cast<unsigned char>(v.token[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long parsed = std::strtoull(v.token.c_str(), &end, 10);
+    if (errno == ERANGE || *end != '\0')
+        return false;
+    out = parsed;
+    return true;
+}
+
 /** Typed field accessors; false when absent or malformed. */
 inline bool
 getU64(const Value &obj, const char *key, std::uint64_t &out)
 {
     const Value *v = obj.find(key);
-    if (!v || v->type != Value::Type::Number)
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long parsed =
-        std::strtoull(v->token.c_str(), &end, 10);
-    if (errno == ERANGE || *end != '\0')
-        return false;
-    out = parsed;
-    return true;
+    return v && toU64(*v, out);
 }
 
 inline bool
@@ -277,26 +284,24 @@ getString(const Value &obj, const char *key, std::string &out)
     return true;
 }
 
-template <std::size_t N>
+/** An array of unsigned integers into a std::array of exactly its
+ * length or a std::vector of any; @p out is untouched on failure. */
+template <class A>
 bool
-getU64Array(const Value &obj, const char *key,
-            std::array<std::uint64_t, N> &out)
+getU64Array(const Value &obj, const char *key, A &out)
 {
     const Value *v = obj.find(key);
-    if (!v || v->type != Value::Type::Array || v->array.size() != N)
+    if (!v || v->type != Value::Type::Array)
         return false;
-    for (std::size_t i = 0; i < N; ++i) {
-        const Value &e = v->array[i];
-        if (e.type != Value::Type::Number)
+    A parsed{};
+    if constexpr (requires { parsed.resize(0); })
+        parsed.resize(v->array.size());
+    else if (v->array.size() != parsed.size())
+        return false;
+    for (std::size_t i = 0; i < parsed.size(); ++i)
+        if (!toU64(v->array[i], parsed[i]))
             return false;
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long parsed =
-            std::strtoull(e.token.c_str(), &end, 10);
-        if (errno == ERANGE || *end != '\0')
-            return false;
-        out[i] = parsed;
-    }
+    out = std::move(parsed);
     return true;
 }
 

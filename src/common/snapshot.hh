@@ -78,8 +78,11 @@ namespace morrigan
  * constants (pbLatency, coreWidth, dataMlpFactor, fetchOverlapFactor,
  * frontendRedirectPenalty), and the last interval epoch carries the
  * tracer's end-of-run residual counts.
+ * v8: the simulator ends with the measured iSTLB miss stream (a
+ * count, then one VPN per miss; empty unless collectMissStream), so
+ * miss-stream runs snapshot like any other.
  */
-constexpr std::uint32_t snapshotSchemaVersion = 7;
+constexpr std::uint32_t snapshotSchemaVersion = 8;
 
 /** Any defect in a snapshot image or a save/restore mismatch. */
 class SnapshotError : public std::runtime_error
@@ -105,7 +108,7 @@ struct SnapshotHeader
 };
 
 /**
- * Read and validate only the 40-byte header of @p path: magic and
+ * Read and validate only the 44-byte header of @p path: magic and
  * header CRC are checked, the payload is not touched. Used by the
  * supervisor's watchdog to learn how far a killed job had progressed
  * without paying for a full payload verification.

@@ -101,7 +101,7 @@ collectMissStreams(const SimConfig &cfg,
                  "substituted)",
                  jobLabel(jobs[i]).c_str(),
                  runStatusName(o.status), o.failure.what.c_str());
-        streams.push_back(std::move(o.output.missStream));
+        streams.emplace_back(o.output.missStream);
     }
     return streams;
 }

@@ -123,11 +123,7 @@ executeJob(const ExperimentJob &job, const JobExecutionOptions &opts)
     a.sim->setWarmupImagePath(opts.warmupImagePath);
     a.sim->setCheckpointing(opts.checkpointPath, opts.checkpointEvery);
 
-    ExperimentOutput out;
-    out.result = a.sim->run();
-    if (job.cfg.collectMissStream)
-        out.missStream = a.sim->missStream();
-    return out;
+    return {a.sim->run(), a.sim->missStream()};
 }
 
 unsigned

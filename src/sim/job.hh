@@ -22,11 +22,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/prefetcher_registry.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
-#include "workload/miss_stream_stats.hh"
 #include "workload/server_workload.hh"
 
 namespace morrigan
@@ -80,23 +80,25 @@ struct ExperimentJob
                 const ServerWorkloadParams &a,
                 const ServerWorkloadParams &b);
 
-    /** Whether the job's result can be memoised by key. Checked and
-     * fault-injected runs are excluded: their value is in the check
-     * being re-executed (and their mismatch report is not part of
-     * the serialized result). */
+    /** Whether the job's output can be memoised by key. Factory
+     * prefetchers have no key; checked and fault-injected runs are
+     * excluded because their value is in the check being
+     * re-executed. */
     bool cacheable() const
     {
-        return !prefetcherFactory && !cfg.collectMissStream &&
-               cfg.checkLevel == 0 && cfg.injectWalkerBugPeriod == 0;
+        return !prefetcherFactory && cfg.checkLevel == 0 &&
+               cfg.injectWalkerBugPeriod == 0;
     }
 };
 
-/** Everything one job produces. */
+/** Everything one job produces: what the journal, the result cache
+ * and a sandboxed child's reply carry. */
 struct ExperimentOutput
 {
     SimResult result;
-    /** Populated when cfg.collectMissStream is set. */
-    MissStreamStats missStream;
+    /** Simulator::missStream(): the measured iSTLB miss VPNs, empty
+     * unless the job's configuration collects them. */
+    std::vector<Vpn> missStream;
 };
 
 /**

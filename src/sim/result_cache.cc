@@ -204,7 +204,7 @@ ResultCache::global()
 }
 
 bool
-ResultCache::lookup(const std::string &key, SimResult &out)
+ResultCache::lookup(const std::string &key, ExperimentOutput &out)
 {
     telemetry::ScopedSpan span(telemetry::Phase::CacheLookup);
     std::lock_guard<std::mutex> lock(mutex_);
@@ -221,11 +221,12 @@ ResultCache::lookup(const std::string &key, SimResult &out)
 }
 
 void
-ResultCache::insert(const std::string &key, const SimResult &result)
+ResultCache::insert(const std::string &key,
+                    const ExperimentOutput &output)
 {
     telemetry::ScopedSpan span(telemetry::Phase::CacheInsert);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.try_emplace(key, result).second)
+    if (entries_.try_emplace(key, output).second)
         ++counts_.inserts;
 }
 

@@ -4,7 +4,8 @@
  *
  * Every experiment run is a deterministic function of
  * (SimConfig, prefetcher spec, ServerWorkloadParams[, SMT partner]),
- * so its SimResult can be memoised. The benches exploit this heavily:
+ * so its ExperimentOutput (the SimResult and the miss stream) can be
+ * memoised. The benches exploit this heavily:
  * each figure normalizes against the same `"none"`
  * baseline suite, which without the cache would be re-simulated by
  * every binary section that needs it.
@@ -33,6 +34,7 @@
 
 #include "common/json_reader.hh"
 #include "core/prefetcher_registry.hh"
+#include "sim/job.hh"
 #include "sim/sim_config.hh"
 #include "workload/server_workload.hh"
 
@@ -108,11 +110,11 @@ class ResultCache
     /** The process-wide instance used by the Supervisor. */
     static ResultCache &global();
 
-    /** Look up @p key; on a hit copies the result into @p out. */
-    bool lookup(const std::string &key, SimResult &out);
+    /** Look up @p key; on a hit copies the output into @p out. */
+    bool lookup(const std::string &key, ExperimentOutput &out);
 
-    /** Store a result (the first insert for a key wins). */
-    void insert(const std::string &key, const SimResult &result);
+    /** Store an output (the first insert for a key wins). */
+    void insert(const std::string &key, const ExperimentOutput &output);
 
     /** Accounting (tests). */
     struct Counts
@@ -131,7 +133,7 @@ class ResultCache
 
   private:
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, SimResult> entries_;
+    std::unordered_map<std::string, ExperimentOutput> entries_;
     Counts counts_;
 };
 

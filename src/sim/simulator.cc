@@ -289,7 +289,7 @@ Simulator::resolveInstrTranslation(Vpn vpn, Addr pc, unsigned tid)
 
     // --- genuine iSTLB miss ---
     if (cfg_.collectMissStream)
-        missStream_.record(vpn);
+        missStream_.push_back(vpn);
 
     Pfn pfn = 0;
     bool covered = false;
@@ -571,7 +571,7 @@ Simulator::beginMeasurementPhase()
     measurePhase_ = true;
     c_ = RunCounters{};
     forEachCounters(*this, [](std::string_view, auto &rec) { rec = {}; });
-    missStream_ = MissStreamStats{};
+    missStream_.clear();
     measureStartCycles_ = cycles_;
     if (tracer_)
         tracer_->beginMeasurement(now());
@@ -738,9 +738,6 @@ Simulator::transfer(Self &self, Ar &ar)
             throw SnapshotError(
                 "differential-checker state is not snapshottable "
                 "(checkLevel > 0)");
-        if (self.cfg_.collectMissStream)
-            throw SnapshotError(
-                "miss-stream collection is not snapshottable");
     }
 
     ar.section("simulator");
@@ -815,10 +812,27 @@ Simulator::transfer(Self &self, Ar &ar)
     if (self.sampler_)
         ar.io(*self.sampler_);
 
-    // The component counter records last, in list order.
+    // The component counter records, in list order.
     ar.section("counters");
     forEachCounters(self,
                     [&ar](std::string_view, auto &rec) { ar.io(rec); });
+
+    // The miss stream last. It is empty at the warmup boundary, so a
+    // warmup image is the same with and without collection. A
+    // collecting run holds one VPN per iSTLB miss counted so far, and
+    // restores only an image that collected as it does.
+    std::uint64_t misses = self.missStream_.size();
+    ar.count(misses, sizeof(Vpn));
+    if constexpr (Ar::loading) {
+        const std::uint64_t want =
+            self.cfg_.collectMissStream ? self.istlbMisses() : 0;
+        if (misses != want)
+            throw SnapshotError("miss stream of " +
+                                std::to_string(misses) +
+                                " VPNs, expected " + std::to_string(want));
+        self.missStream_.assign(misses, 0);
+    }
+    ar.io(self.missStream_);
     if constexpr (Ar::loading)
         self.setCheckpointing(self.checkpointPath_,
                               self.checkpointEvery_);

@@ -49,7 +49,6 @@
 #include "vm/page_table.hh"
 #include "vm/phys_mem.hh"
 #include "vm/walker.hh"
-#include "workload/miss_stream_stats.hh"
 #include "workload/trace.hh"
 
 namespace morrigan
@@ -166,9 +165,9 @@ class Simulator
      * one member keyed by its dotted path. */
     void writeStatsJson(json::Writer &w) const;
 
-    /** iSTLB miss stream recorded during measurement (when
-     * SimConfig::collectMissStream is set). */
-    const MissStreamStats &missStream() const { return missStream_; }
+    /** The VPNs of the measured iSTLB misses, in miss order; empty
+     * unless SimConfig::collectMissStream is set. */
+    const std::vector<Vpn> &missStream() const { return missStream_; }
 
     const SimConfig &config() const { return cfg_; }
 
@@ -284,7 +283,7 @@ class Simulator
                         std::greater<>> pendingLineFills_;
 
     RunCounters c_;
-    MissStreamStats missStream_;
+    std::vector<Vpn> missStream_;
     std::vector<PrefetchRequest> reqScratch_;
     std::vector<Addr> icacheScratch_;
 

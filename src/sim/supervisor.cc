@@ -56,8 +56,8 @@ runStatusFromName(const std::string &name)
 
 /** One journal record, also the sandbox child's reply (see
  * runChildJob). Failures carry their diagnosis; successes carry the
- * full result (plus the check report, which the cache deliberately
- * drops but resumed campaigns must keep). */
+ * job's whole output (the result with its check report, and the miss
+ * stream) and the structural-violation count. */
 void
 writeJournalLine(std::ostream &os, const std::string &key,
                  const RunOutcome &o)
@@ -76,6 +76,10 @@ writeJournalLine(std::ostream &os, const std::string &key,
         });
         w.kv("check_report", o.output.result.checkReport);
         w.kv("structural", o.structuralViolations);
+        w.key("miss_stream").beginArray();
+        for (Vpn vpn : o.output.missStream)
+            w.value(vpn);
+        w.endArray();
     } else {
         w.kv("what", o.failure.what);
         w.kv("signal", o.failure.signal);
@@ -128,7 +132,8 @@ parseJournalLine(const std::string &line, std::string &key,
     json::getU64(doc, "duration_ms", o.durationMs);
     if (o.ok()) {
         const json::Value *res = doc.find("result");
-        if (!res || !simResultFromJson(*res, o.output.result))
+        if (!res || !simResultFromJson(*res, o.output.result) ||
+            !json::getU64Array(doc, "miss_stream", o.output.missStream))
             return false;
         json::getString(doc, "check_report",
                         o.output.result.checkReport);
@@ -703,9 +708,7 @@ jobKey(const ExperimentJob &job)
     if (job.cacheable())
         return experimentKey(job.cfg, job.kind, job.workload,
                              job.smt ? &job.smtWorkload : nullptr);
-    // Miss-stream outputs are not journalable (the stream is not
-    // serialized), so such jobs stay anonymous even when tagged.
-    if (!job.journalTag.empty() && !job.cfg.collectMissStream)
+    if (!job.journalTag.empty())
         return "tag:" + job.journalTag;
     return "";
 }
@@ -717,8 +720,8 @@ jobOptions(const SupervisorOptions &opt, const ExperimentJob &job,
            const std::string &key)
 {
     // Only cacheable jobs snapshot: everything else either cannot be
-    // saved (checked runs, miss-stream collection) or has no stable
-    // identity to key the image by (factory prefetchers).
+    // saved (checked runs) or has no stable identity to key the image
+    // by (factory prefetchers).
     JobExecutionOptions opts;
     if (!job.cacheable() || opt.snapshotDir.empty())
         return opts;
@@ -1025,36 +1028,6 @@ class ForkExecutor
     std::vector<Child> children_;
 };
 
-/** The scheduler's own thread, one attempt at a time: under
- * --isolate, for jobs whose output cannot cross the result pipe
- * (miss-stream collection). No watchdog, no crash containment. */
-class InlineExecutor
-{
-  public:
-    std::size_t running() const { return job_ ? 1 : 0; }
-
-    void
-    launch(const ExperimentJob &job, const std::string &, Attempt a)
-    {
-        job_ = &job;
-        attempt_ = std::move(a);
-    }
-
-    Clock::time_point nextDeadline() const { return Clock::time_point::max(); }
-
-    void
-    wait(Clock::time_point, std::vector<FinishedAttempt> &done)
-    {
-        RunOutcome o = executeCaught(*job_, attempt_.opts);
-        done.push_back({std::move(attempt_), std::move(o)});
-        job_ = nullptr;
-    }
-
-  private:
-    const ExperimentJob *job_ = nullptr;
-    Attempt attempt_;
-};
-
 /** One Supervisor::run() call, as the attempt scheduler sees it. */
 struct Campaign
 {
@@ -1116,7 +1089,7 @@ scheduleAttempts(Campaign &c, Executor &&ex, unsigned slots,
             o.failure.repro = jobReproCommand(c.batch[i]);
         }
         if (o.ok() && c.opt.useCache && c.batch[i].cacheable())
-            ResultCache::global().insert(key, o.output.result);
+            ResultCache::global().insert(key, o.output);
         if (!key.empty() && c.journal.enabled())
             c.journal.record(key, o);
         if (o.ok() && !f.attempt.opts.checkpointPath.empty())
@@ -1190,7 +1163,7 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
         if (!keys[i].empty() && journal.lookup(keys[i], out[i]))
             continue;
         if (opt_.useCache && job.cacheable() &&
-            cache.lookup(keys[i], out[i].output.result)) {
+            cache.lookup(keys[i], out[i].output)) {
             out[i].status = RunStatus::Ok;
             out[i].fromCache = true;
             out[i].attempts = 0;
@@ -1217,18 +1190,10 @@ Supervisor::run(const std::vector<ExperimentJob> &batch)
                                     batch.size() - work.size(),
                                     batch.size())};
     const unsigned slots = std::max(1u, jobs());
-    if (opt_.isolate) {
-        // Jobs whose outputs cannot cross the result pipe run
-        // inline (uncontained); everything else forks.
-        std::vector<std::size_t> inline_work, forked;
-        for (std::size_t w : work)
-            (batch[w].cfg.collectMissStream ? inline_work : forked)
-                .push_back(w);
-        scheduleAttempts(campaign, InlineExecutor{}, 1, inline_work);
-        scheduleAttempts(campaign, ForkExecutor{}, slots, forked);
-    } else {
+    if (opt_.isolate)
+        scheduleAttempts(campaign, ForkExecutor{}, slots, work);
+    else
         scheduleAttempts(campaign, ThreadExecutor{}, slots, work);
-    }
 
     // A copy carries the representative's result, but it was not
     // simulated for this job: attempts == 0 says so, as for a cache

@@ -38,8 +38,7 @@
  * MORRIGAN_ISOLATE=1) forks one child per attempt, which sends its
  * outcome back as one journal record; crashes are contained, hung
  * children are SIGKILLed and retried, and the single-threaded
- * scheduler keeps fork() safe. There, miss-stream jobs (whose output
- * cannot cross the pipe) run inline, uncontained.
+ * scheduler keeps fork() safe.
  */
 
 #ifndef MORRIGAN_SIM_SUPERVISOR_HH

@@ -1,47 +1,34 @@
 #include "miss_stream_stats.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace morrigan
 {
 
-void
-MissStreamStats::record(Vpn vpn)
+MissStreamStats::MissStreamStats(const std::vector<Vpn> &stream)
+    : total_(stream.size())
 {
-    ++total_;
-    ++missesPerPage_[vpn];
-    if (prevValid_) {
-        std::uint64_t delta =
-            vpn > prev_ ? vpn - prev_ : prev_ - vpn;
-        if (delta < smallDeltaLimit)
-            ++smallDeltas_[delta];
-        else
-            ++largeDeltas_[delta];
-        ++successorCounts_[prev_][vpn];
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const Vpn vpn = stream[i];
+        ++missesPerPage_[vpn];
+        if (i == 0)
+            continue;
+        const Vpn prev = stream[i - 1];
+        deltas_.push_back(vpn > prev ? vpn - prev : prev - vpn);
+        ++successorCounts_[prev][vpn];
     }
-    prev_ = vpn;
-    prevValid_ = true;
+    std::sort(deltas_.begin(), deltas_.end());
 }
 
 double
 MissStreamStats::deltaCdfAt(std::uint64_t bound) const
 {
-    std::uint64_t total = 0;
-    std::uint64_t within = 0;
-    for (std::uint64_t d = 0; d < smallDeltaLimit; ++d) {
-        total += smallDeltas_[d];
-        if (d <= bound)
-            within += smallDeltas_[d];
-    }
-    for (const auto &[delta, count] : largeDeltas_) {
-        total += count;
-        if (delta <= bound)
-            within += count;
-    }
-    return total == 0 ? 0.0
-                      : static_cast<double>(within) /
-                        static_cast<double>(total);
+    const auto within =
+        std::upper_bound(deltas_.begin(), deltas_.end(), bound) -
+        deltas_.begin();
+    return deltas_.empty() ? 0.0
+                           : static_cast<double>(within) /
+                                 static_cast<double>(deltas_.size());
 }
 
 std::vector<std::pair<Vpn, std::uint64_t>>

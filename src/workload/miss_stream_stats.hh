@@ -2,8 +2,10 @@
  * @file
  * iSTLB miss-stream analysis (Section 3.3 / Figures 5-8).
  *
- * Observes the sequence of instruction pages that miss in the STLB
- * and computes the characterisation the paper bases Morrigan on:
+ * Built from the sequence of instruction pages that missed in the
+ * STLB (a job's ExperimentOutput::missStream, or
+ * Simulator::missStream()), it computes the characterisation the
+ * paper bases Morrigan on:
  * the cumulative delta distribution between consecutive misses
  * (Figure 5), the per-page miss-frequency skew (Figure 6), the
  * successor fan-out breakdown (Figure 7) and the successor reference
@@ -22,12 +24,12 @@
 namespace morrigan
 {
 
-/** Collects and analyses the iSTLB miss stream. */
+/** Analyses one iSTLB miss stream. */
 class MissStreamStats
 {
   public:
-    /** Record one iSTLB miss on @p vpn. */
-    void record(Vpn vpn);
+    /** Analyse @p stream, the missing VPNs in miss order. */
+    explicit MissStreamStats(const std::vector<Vpn> &stream = {});
 
     std::uint64_t totalMisses() const { return total_; }
 
@@ -78,25 +80,12 @@ class MissStreamStats
         std::size_t count) const;
 
     std::uint64_t total_ = 0;
-    Vpn prev_ = 0;
-    bool prevValid_ = false;
     std::unordered_map<Vpn, std::uint64_t> missesPerPage_;
     /** per page: successor -> transition count */
     std::unordered_map<Vpn, std::unordered_map<Vpn, std::uint64_t>>
         successorCounts_;
-    /** Deltas below this go to the flat histogram lane. */
-    static constexpr std::uint64_t smallDeltaLimit = 1u << 15;
-
-    /**
-     * |delta| histogram. record() runs once per iSTLB miss, so the
-     * common case -- small deltas, per Figure 5 almost all of them --
-     * is a direct array increment; the rare huge deltas (cross-
-     * segment hops) spill to a hash map. Counts are exact either
-     * way, so every derived figure is unchanged.
-     */
-    std::vector<std::uint64_t> smallDeltas_ =
-        std::vector<std::uint64_t>(smallDeltaLimit, 0);
-    std::unordered_map<std::uint64_t, std::uint64_t> largeDeltas_;
+    /** |delta| between consecutive misses, ascending. */
+    std::vector<std::uint64_t> deltas_;
 };
 
 } // namespace morrigan

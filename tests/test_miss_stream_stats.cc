@@ -8,11 +8,8 @@ using namespace morrigan;
 
 TEST(MissStream, DeltaCdfExact)
 {
-    MissStreamStats ms;
-    ms.record(100);
-    ms.record(101);   // delta 1
-    ms.record(111);   // delta 10
-    ms.record(61);    // |delta| 50
+    // Deltas 1, 10 and |-50|.
+    const MissStreamStats ms({100, 101, 111, 61});
     EXPECT_EQ(ms.totalMisses(), 4u);
     EXPECT_NEAR(ms.deltaCdfAt(1), 1.0 / 3.0, 1e-9);
     EXPECT_NEAR(ms.deltaCdfAt(10), 2.0 / 3.0, 1e-9);
@@ -21,12 +18,11 @@ TEST(MissStream, DeltaCdfExact)
 
 TEST(MissStream, PagesCoveringFraction)
 {
-    MissStreamStats ms;
     // Page 1 misses 8 times, page 2 once, page 3 once.
-    for (int i = 0; i < 8; ++i)
-        ms.record(1);
-    ms.record(2);
-    ms.record(3);
+    std::vector<Vpn> stream(8, 1);
+    stream.push_back(2);
+    stream.push_back(3);
+    const MissStreamStats ms(stream);
     EXPECT_EQ(ms.pagesCoveringFraction(0.8), 1u);
     EXPECT_EQ(ms.pagesCoveringFraction(0.9), 2u);
     EXPECT_EQ(ms.pagesCoveringFraction(1.0), 3u);
@@ -35,20 +31,16 @@ TEST(MissStream, PagesCoveringFraction)
 
 TEST(MissStream, SuccessorCountBuckets)
 {
-    MissStreamStats ms;
-    // Stream: 1 2 1 3 1 2 => page 1 has successors {2, 3}.
-    for (Vpn v : {1, 2, 1, 3, 1, 2})
-        ms.record(v);
+    // Page 1 has successors {2, 3}.
+    const MissStreamStats ms({1, 2, 1, 3, 1, 2});
     EXPECT_NEAR(ms.successorCountFraction(1, 2), 1.0, 1e-9);
     EXPECT_NEAR(ms.successorCountFraction(3, 8), 0.0, 1e-9);
 }
 
 TEST(MissStream, SuccessorProbabilityRanks)
 {
-    MissStreamStats ms;
     // Page 1 -> 2 three times, 1 -> 3 once.
-    for (Vpn v : {1, 2, 1, 2, 1, 2, 1, 3})
-        ms.record(v);
+    const MissStreamStats ms({1, 2, 1, 2, 1, 2, 1, 3});
     // Rank 0 successor of page 1 is 2 with prob 3/4.
     double r0 = ms.successorProbability(0, 1);
     double r1 = ms.successorProbability(1, 1);
@@ -59,7 +51,7 @@ TEST(MissStream, SuccessorProbabilityRanks)
 
 TEST(MissStream, EmptyStreamSafeDefaults)
 {
-    MissStreamStats ms;
+    const MissStreamStats ms;
     EXPECT_EQ(ms.totalMisses(), 0u);
     EXPECT_EQ(ms.deltaCdfAt(10), 0.0);
     EXPECT_EQ(ms.pagesCoveringFraction(0.9), 0u);
@@ -68,11 +60,7 @@ TEST(MissStream, EmptyStreamSafeDefaults)
 
 TEST(MissStream, PagesByMissCountSorted)
 {
-    MissStreamStats ms;
-    ms.record(5);
-    for (int i = 0; i < 3; ++i)
-        ms.record(7);
-    ms.record(5);
+    const MissStreamStats ms({5, 7, 7, 7, 5});
     auto pages = ms.pagesByMissCount();
     ASSERT_EQ(pages.size(), 2u);
     EXPECT_EQ(pages[0].first, 7u);

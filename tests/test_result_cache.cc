@@ -213,11 +213,13 @@ TEST(ResultCache, HitMissAccounting)
     ResultCache cache;
 
     const std::string key = "k1";
-    SimResult out;
+    const ExperimentOutput stored{sampleResult(), {7, 3, 7}};
+    ExperimentOutput out;
     EXPECT_FALSE(cache.lookup(key, out));
-    cache.insert(key, sampleResult());
+    cache.insert(key, stored);
     ASSERT_TRUE(cache.lookup(key, out));
-    expectSameResult(sampleResult(), out);
+    expectSameResult(stored.result, out.result);
+    EXPECT_EQ(out.missStream, stored.missStream);
     EXPECT_FALSE(cache.lookup("k2", out));
 
     const ResultCache::Counts c = cache.counts();

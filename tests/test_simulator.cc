@@ -261,7 +261,7 @@ TEST(Simulator, MissStreamCollection)
     Simulator sim(cfg);
     sim.attachWorkload(&trace, 0);
     SimResult r = sim.run();
-    EXPECT_EQ(sim.missStream().totalMisses(), r.istlbMisses);
+    EXPECT_EQ(sim.missStream().size(), r.istlbMisses);
 }
 
 TEST(Simulator, PageTableOccupancySurvivesWarmup)

@@ -19,8 +19,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -598,9 +600,9 @@ supervisorResumeCase(bool isolate)
     // Bit-identical result, identical cache key/value, checkpoint
     // cleaned up after the durable publish.
     EXPECT_EQ(resultJson(outcomes[0].output.result), ref);
-    SimResult cached;
+    ExperimentOutput cached;
     ASSERT_TRUE(ResultCache::global().lookup(key, cached));
-    EXPECT_EQ(resultJson(cached), ref);
+    EXPECT_EQ(resultJson(cached.result), ref);
     EXPECT_FALSE(std::filesystem::exists(ckpt));
 
     std::filesystem::remove_all(dir);
@@ -617,6 +619,126 @@ TEST(Snapshot, SupervisorThreadModeResumesFromCheckpoint)
 TEST(Snapshot, SupervisorSandboxModeResumesFromCheckpoint)
 {
     supervisorResumeCase(/*isolate=*/true);
+}
+
+namespace
+{
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), {}};
+}
+
+} // namespace
+
+TEST(Snapshot, MissStreamJobResumesMidMeasurement)
+{
+    // A collecting job stopped mid-measurement under the snapshot
+    // store resumes from its checkpoint to the whole, identical miss
+    // stream.
+    ExperimentJob job = smallJob();
+    job.cfg.collectMissStream = true;
+    const ExperimentOutput ref = executeJob(job);
+    ASSERT_EQ(ref.missStream.size(), ref.result.istlbMisses);
+    ASSERT_GT(ref.missStream.size(), 0u);
+
+    const std::string dir = ::testing::TempDir() +
+                            "morrigan-snaptest-stream-" +
+                            std::to_string(::getpid());
+    const std::string ckpt = snapshotPath(
+        dir, "ckpt", experimentKey(job.cfg, job.kind, job.workload));
+    JobExecutionOptions plant;
+    plant.checkpointPath = ckpt;
+    plant.checkpointEvery = 30'000;  // last autosave at 60k of 80k
+    (void)executeJob(job, plant);
+
+    // The checkpoint holds the first part of the stream.
+    {
+        JobAssembly a = buildJob(job);
+        a.sim->restoreCheckpoint(ckpt);
+        const std::vector<Vpn> &part = a.sim->missStream();
+        ASSERT_GT(part.size(), 0u);
+        ASSERT_LT(part.size(), ref.missStream.size());
+        EXPECT_TRUE(std::equal(part.begin(), part.end(),
+                               ref.missStream.begin()));
+    }
+
+    SupervisorOptions opt;
+    opt.useCache = false;
+    opt.maxAttempts = 1;
+    opt.jobs = 1;
+    opt.snapshotDir = dir;
+    testing::internal::CaptureStderr();
+    std::vector<RunOutcome> out = Supervisor(opt).run({job});
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(out[0].ok()) << out[0].failure.what;
+    EXPECT_EQ(err.find("discarding"), std::string::npos) << err;
+    EXPECT_EQ(resultJson(out[0].output.result), resultJson(ref.result));
+    EXPECT_EQ(out[0].output.missStream, ref.missStream);
+    EXPECT_FALSE(std::filesystem::exists(ckpt));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Snapshot, MissStreamImagesMatchOnlyTheirCollection)
+{
+    // Warmup images are byte-identical with and without collection.
+    // A mid-measurement image restores only into a run that collects
+    // as its producer did.
+    ExperimentJob plain = smallJob();
+    ExperimentJob collecting = plain;
+    collecting.cfg.collectMissStream = true;
+    FileGuard warm_plain(tempPath("warm-plain.snap"));
+    FileGuard warm_collecting(tempPath("warm-collecting.snap"));
+    FileGuard ckpt_plain(tempPath("ckpt-plain.snap"));
+    FileGuard ckpt_collecting(tempPath("ckpt-collecting.snap"));
+    for (auto [job, warm, ckpt] :
+         {std::tuple{&plain, &warm_plain, &ckpt_plain},
+          std::tuple{&collecting, &warm_collecting, &ckpt_collecting}}) {
+        JobExecutionOptions opts;
+        opts.warmupImagePath = warm->path();
+        opts.checkpointPath = ckpt->path();
+        opts.checkpointEvery = 30'000;
+        (void)executeJob(*job, opts);
+    }
+    EXPECT_EQ(fileBytes(warm_plain.path()),
+              fileBytes(warm_collecting.path()));
+
+    for (auto [job, ckpt] : {std::pair{&plain, &ckpt_collecting},
+                             std::pair{&collecting, &ckpt_plain}}) {
+        JobAssembly a = buildJob(*job);
+        EXPECT_THROW(a.sim->restoreCheckpoint(ckpt->path()),
+                     SnapshotError);
+    }
+}
+
+TEST(Snapshot, MissStreamLengthBoundedByPayload)
+{
+    // The stream is the last thing a simulator writes: its length
+    // is the payload's final 8 bytes. Inflated, it must throw before
+    // anything is sized from it.
+    const ExperimentJob job = smallJob();
+    JobAssembly a = buildJob(job);
+    (void)a.sim->run();
+    SnapshotWriter w;
+    a.sim->save(w);
+    std::string payload = w.payload();
+    ASSERT_GE(payload.size(), 8u);
+    ASSERT_EQ(payload.substr(payload.size() - 8), std::string(8, '\0'));
+    // 2^62, little-endian.
+    payload.replace(payload.size() - 8, 8, std::string(7, '\0') + '\x40');
+
+    JobAssembly fresh = buildJob(job);
+    SnapshotReader r = SnapshotReader::fromPayload(payload);
+    try {
+        fresh.sim->restore(r);
+        ADD_FAILURE() << "inflated miss-stream length restored";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("overruns"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Snapshot, ResumeFromMidWarmupCheckpointPublishesWarmupImage)

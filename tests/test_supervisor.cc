@@ -3,7 +3,8 @@
  * Campaign supervisor regression tests: the determinism guarantee
  * (results bit-identical to direct serial execution for any worker
  * count, threaded or sandboxed), submission order, factory / SMT /
- * miss-stream jobs, worker-count resolution, fault containment
+ * miss-stream jobs (the stream through either executor, the journal
+ * and the cache), worker-count resolution, fault containment
  * (thread and sandbox modes), watchdog timeouts, deterministic retry
  * scheduling, retries that recover in either mode, journal
  * checkpoint/resume (bit-identical, tolerant of torn writes), the
@@ -326,29 +327,97 @@ TEST(Supervisor, MissStreamBatchMatchesSerial)
 {
     SimConfig cfg = serialConfig();
     cfg.collectMissStream = true;
+    const ExperimentJob job =
+        ExperimentJob::of(cfg, "none", qmmWorkloadParams(2));
 
-    ServerWorkload trace(qmmWorkloadParams(2));
+    ServerWorkload trace(job.workload);
     Simulator sim(cfg);
     sim.attachWorkload(&trace, 0);
-    sim.run();
-    const MissStreamStats &serial = sim.missStream();
+    const SimResult serial = sim.run();
+    const std::vector<Vpn> &want = sim.missStream();
+    ASSERT_EQ(want.size(), serial.istlbMisses);
+    ASSERT_GT(want.size(), 0u);
 
-    // Thread mode, and --isolate, where miss-stream jobs run inline
-    // because their output cannot cross the result pipe.
+    auto expectSameStream = [&](const RunOutcome &o) {
+        ASSERT_TRUE(o.ok()) << o.failure.what;
+        expectSameResult(serial, o.output.result);
+        EXPECT_EQ(o.output.missStream, want);
+    };
+
+    // A worker thread, and a forked child under the watchdog, whose
+    // stream crosses the result pipe.
     for (const SupervisorOptions &opt :
          {executeAll(2), executeAll(2, true)}) {
         SCOPED_TRACE(opt.isolate ? "isolated" : "threaded");
-        std::vector<RunOutcome> outcomes = Supervisor(opt).run(
-            {ExperimentJob::of(cfg, "none", qmmWorkloadParams(2))});
+        std::vector<RunOutcome> outcomes = Supervisor(opt).run({job});
         ASSERT_EQ(outcomes.size(), 1u);
-        ASSERT_TRUE(outcomes[0].ok());
-        const MissStreamStats &pooled = outcomes[0].output.missStream;
-        EXPECT_EQ(serial.totalMisses(), pooled.totalMisses());
-        EXPECT_EQ(serial.distinctPages(), pooled.distinctPages());
-        EXPECT_EQ(serial.pagesCoveringFraction(0.9),
-                  pooled.pagesCoveringFraction(0.9));
-        EXPECT_EQ(serial.deltaCdfAt(10), pooled.deltaCdfAt(10));
+        EXPECT_EQ(outcomes[0].attempts, 1u);
+        expectSameStream(outcomes[0]);
     }
+
+    // A journal replay in a later campaign.
+    const std::string journal =
+        tempPath("morrigan-test-journal-miss-stream.jsonl");
+    std::remove(journal.c_str());
+    SupervisorOptions journaled = executeAll(1);
+    journaled.journalPath = journal;
+    expectSameStream(Supervisor(journaled).run({job})[0]);
+    const RunOutcome replayed = Supervisor(journaled).run({job})[0];
+    EXPECT_TRUE(replayed.fromJournal);
+    expectSameStream(replayed);
+    std::remove(journal.c_str());
+
+    // An in-process cache hit.
+    ResultCache::global().clear();
+    SupervisorOptions cached = executeAll(1);
+    cached.useCache = true;
+    expectSameStream(Supervisor(cached).run({job})[0]);
+    const RunOutcome hit = Supervisor(cached).run({job})[0];
+    EXPECT_TRUE(hit.fromCache);
+    expectSameStream(hit);
+    ResultCache::global().clear();
+}
+
+TEST(Supervisor, JournalRejectsMalformedMissStream)
+{
+    // A record whose miss_stream is not an array of unsigned
+    // integers is unparseable: the loader skips it and the job runs
+    // again.
+    const SimConfig cfg = quickConfig();
+    const std::string journal =
+        tempPath("morrigan-test-journal-bad-stream.jsonl");
+    SupervisorOptions opt = executeAll(1);
+    opt.journalPath = journal;
+    for (const char *bad : {"\"miss_stream\":\"12\"",
+                            "\"miss_stream\":[12,-3]",
+                            "\"miss_stream\":[1.5]",
+                            "\"miss_stream\":[18446744073709551616]",
+                            "\"miss_stream\":[null]",
+                            "\"miss_streams\":[]"}) {
+        SCOPED_TRACE(bad);
+        std::remove(journal.c_str());
+        ASSERT_TRUE(Supervisor(opt).run({goodJob(cfg, 11)})[0].ok());
+        std::string line;
+        {
+            std::ifstream f(journal);
+            ASSERT_TRUE(std::getline(f, line));
+        }
+        const std::string good = "\"miss_stream\":[]";
+        const std::size_t at = line.find(good);
+        ASSERT_NE(at, std::string::npos) << line;
+        line.replace(at, good.size(), bad);
+        std::ofstream(journal) << line << '\n';
+
+        testing::internal::CaptureStderr();
+        const RunOutcome o = Supervisor(opt).run({goodJob(cfg, 11)})[0];
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_TRUE(o.ok()) << o.failure.what;
+        EXPECT_FALSE(o.fromJournal);
+        EXPECT_EQ(o.attempts, 1u);
+        EXPECT_NE(err.find("1 unparseable line"), std::string::npos)
+            << err;
+    }
+    std::remove(journal.c_str());
 }
 
 TEST(SupervisorJobs, EnvOverridesHardware)

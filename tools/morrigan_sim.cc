@@ -621,7 +621,7 @@ main(int argc, char **argv)
     }
 
     if (cfg.collectMissStream) {
-        const MissStreamStats &ms = sim.missStream();
+        const MissStreamStats ms(sim.missStream());
         std::printf("\n-- iSTLB miss stream --\n");
         std::printf("misses              %llu (%zu distinct pages)\n",
                     static_cast<unsigned long long>(
